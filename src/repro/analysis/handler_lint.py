@@ -122,8 +122,8 @@ def _handler_target(body: Sequence[ast.stmt]) -> Optional[str]:
 
 
 #: Methods whose if/elif chains over ``msg.mtype`` are dispatch tables.
-#: ``_dispatch`` is the profiling-era idiom: ``handle_message`` wraps the
-#: chain in an optional profiler scope and delegates the branching here.
+#: ``_dispatch`` holds the chain when ``handle_message`` only delegates to
+#: it (the per-instance seam host-time attribution wraps).
 DISPATCH_METHODS = ("handle_message", "handle_protocol_message", "_dispatch")
 
 

@@ -81,11 +81,6 @@ class Simulator:
         #: Instrumentation sink (repro.obs); the null bus makes every hook
         #: a guarded no-op, so the default run schedules nothing extra.
         self.obs: NullBus = NULL_BUS
-        #: Host-time self-profiler (repro.obs.profile); None keeps the
-        #: dispatch loop on the unguarded fast path.  The profiler only
-        #: reads the host clock — it never schedules events or touches
-        #: simulation state, so results are identical either way.
-        self.profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -113,7 +108,11 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Run the next pending event.  Returns False when the queue is empty."""
+        """Run the next pending event.  Returns False when the queue is empty.
+
+        :meth:`run` dispatches through here only while a tie-breaker is
+        installed; otherwise it drains whole cycles in its batched loop.
+        """
         while self._heap:
             ev = heapq.heappop(self._heap)
             if ev.cancelled:
@@ -128,37 +127,31 @@ class Simulator:
             ev.cancelled = True
             if self.obs.enabled:
                 self.obs.sim_step(ev.time, len(self._heap))
-            prof = self.profiler
-            if prof is None:
-                ev.callback()
-            else:
-                prof.enter("engine.dispatch")
-                try:
-                    ev.callback()
-                finally:
-                    prof.exit_dispatch(ev.time)
+            ev.callback()
             self._events_processed += 1
             return True
         return False
 
     def _tie_break(self, first: Event) -> Event:
         """Collect every live event due at ``first.time`` and let the
-        tie-breaker choose; the others are re-queued with their original
-        (time, seq) so relative order among them is preserved."""
-        batch = [first]
+        tie-breaker choose; everything else popped (cancelled events
+        included) is re-queued with its original (time, seq), so relative
+        order is preserved and the heap holds exactly what the batched
+        loop's would."""
+        popped = [first]
         while self._heap and self._heap[0].time == first.time:
-            ev = heapq.heappop(self._heap)
-            if not ev.cancelled:
-                batch.append(ev)
-        if len(batch) == 1:
-            return first
-        assert self.tie_breaker is not None
-        idx = self.tie_breaker(batch)
-        if not 0 <= idx < len(batch):
-            raise IndexError(f"tie-breaker chose {idx} of {len(batch)}")
-        chosen = batch.pop(idx)
-        for ev in batch:
-            heapq.heappush(self._heap, ev)
+            popped.append(heapq.heappop(self._heap))
+        batch = [ev for ev in popped if not ev.cancelled]
+        chosen = first
+        if len(batch) > 1:
+            assert self.tie_breaker is not None
+            idx = self.tie_breaker(batch)
+            if not 0 <= idx < len(batch):
+                raise IndexError(f"tie-breaker chose {idx} of {len(batch)}")
+            chosen = batch[idx]
+        for ev in popped:
+            if ev is not chosen:
+                heapq.heappush(self._heap, ev)
         return chosen
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
@@ -178,10 +171,11 @@ class Simulator:
         instead of re-entering :meth:`step`'s peek/pop dance per event.
         New events a callback schedules for the same cycle always carry a
         higher ``seq``, so they sort after the in-flight batch and the
-        total (time, seq) execution order is identical to stepwise.  The
-        tie-breaker, instrumentation-bus and profiler paths fall back to
-        :meth:`step` per event — those hooks observe the exact stepwise
-        sequence (``sim_step`` sees each intermediate heap length).
+        total (time, seq) execution order is identical to stepwise.  An
+        attached bus's ``sim_step`` fires after each pop, so it sees the
+        same heap length :meth:`step` would.  Only the tie-breaker falls
+        back to :meth:`step` per event: it must see the whole same-cycle
+        batch before anything runs.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -194,8 +188,7 @@ class Simulator:
             if until is not None and head.time > until:
                 self.now = until
                 return
-            if (self.tie_breaker is not None or self.obs.enabled
-                    or self.profiler is not None):
+            if self.tie_breaker is not None:
                 if not self.step():
                     break
                 processed += 1
@@ -213,8 +206,7 @@ class Simulator:
             t = head.time
             self.now = t
             while heap and heap[0].time == t:
-                if (self.tie_breaker is not None or self.obs.enabled
-                        or self.profiler is not None):
+                if self.tie_breaker is not None:
                     break  # a callback installed a hook: resume stepwise
                 ev = pop(heap)
                 if ev.cancelled:
@@ -223,6 +215,8 @@ class Simulator:
                 # An executed event is no longer live: flagging it here
                 # makes a late cancel() a no-op (see step()).
                 ev.cancelled = True
+                if self.obs.enabled:
+                    self.obs.sim_step(t, len(heap))
                 ev.callback()
                 self._events_processed += 1
                 processed += 1

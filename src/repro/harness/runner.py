@@ -103,7 +103,7 @@ class Machine:
         self.page_mapper = PageMapper(config.page_bytes, config.n_directories)
         self.sig_factory = SignatureFactory(
             total_bits=config.signature_bits, n_banks=config.signature_banks,
-            seed=config.seed, backend=config.signature_backend)
+            seed=config.seed)
         self.workload = workload
         spec_source = next_spec or workload.next_spec
         if workload is not None:
@@ -282,9 +282,13 @@ class SimulationRunner:
                 profile = HostProfiler()
             attach_profiler(machine, profile)
         checker = attach_oracle(machine) if oracle else None
-        machine.run(max_events=max_events)
-        if profile is not None:
-            profile.stop(machine.sim.now)
+        try:
+            machine.run(max_events=max_events)
+        finally:
+            # A failed run (livelock guard, unfinished cores) still flushes
+            # its final metrics snapshot and closes the stream.
+            if profile is not None:
+                profile.stop(machine.sim.now)
         if checker is not None:
             checker.assert_clean()
         return machine.result(self.profile.name, self.active_cores,

@@ -20,7 +20,7 @@ Protocol-specific commit handling lives in subclasses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.config import SystemConfig
 from repro.engine.events import Simulator
@@ -48,8 +48,6 @@ class DirectoryModule:
         self.network = network
         self.node = dir_node(dir_id)
         self.obs: NullBus = NULL_BUS  #: instrumentation sink (repro.obs)
-        #: Host-time self-profiler (repro.obs.profile); None = fast path.
-        self.profiler: Optional[Any] = None
         self.lines: Dict[int, LineInfo] = {}
         # statistics
         self.read_requests = 0
@@ -74,15 +72,9 @@ class DirectoryModule:
     # Dispatch
     # ------------------------------------------------------------------
     def handle_message(self, msg: Message) -> None:
-        prof = self.profiler
-        if prof is None:
-            self._dispatch(msg)
-        else:
-            prof.enter("dir.handler")
-            try:
-                self._dispatch(msg)
-            finally:
-                prof.exit()
+        # The network holds this bound method from build time on; the
+        # per-instance ``_dispatch`` is the seam observers wrap later.
+        self._dispatch(msg)
 
     def _dispatch(self, msg: Message) -> None:
         if msg.mtype is MessageType.READ_REQ:

@@ -19,7 +19,7 @@ for the paper's Figures 18/19.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.engine.events import Simulator
@@ -121,8 +121,6 @@ class Network:
                                 Tuple[Tuple[int, ...], int, int]] = {}
         #: Instrumentation sink (repro.obs); null bus = zero overhead.
         self.obs: NullBus = NULL_BUS
-        #: Host-time self-profiler (repro.obs.profile); None = fast path.
-        self.profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -149,20 +147,13 @@ class Network:
     def send(self, msg: Message) -> int:
         """Inject ``msg`` now; returns the delivery latency in cycles."""
         # The handler check comes before *any* mutation (sent_at stamp,
-        # link bookkeeping, FIFO clamp, stats) and before the profiler
-        # scope opens: an unregistered destination raises with the network
-        # exactly as it was and the profiler stack balanced.
+        # link bookkeeping, FIFO clamp, stats) and before ``_send``, the
+        # seam host-time attribution wraps: an unregistered destination
+        # raises with the network exactly as it was and no scope opened.
         handler = self._handlers.get(msg.dst)
         if handler is None:
             raise KeyError(f"no handler registered for destination {msg.dst}")
-        prof = self.profiler
-        if prof is None:
-            return self._send(msg, handler)
-        prof.enter("noc.transit")
-        try:
-            return self._send(msg, handler)
-        finally:
-            prof.exit()
+        return self._send(msg, handler)
 
     def _send(self, msg: Message, handler: Handler) -> int:
         msg.sent_at = self.sim.now

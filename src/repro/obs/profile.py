@@ -5,12 +5,16 @@ per host second; this module says *why*.  Lightweight scoped timers sit
 at the hot triangle the ROADMAP's compiled-core item targets —
 
 =====================  ===============================================
-``engine.dispatch``    one scope per executed simulator event
-                       (:meth:`repro.engine.events.Simulator.step`)
+``engine.dispatch``    one scope per executed simulator event (every
+                       callback passed to ``Simulator.schedule_at``)
 ``noc.transit``        message injection + latency model + scheduling
-                       (:meth:`repro.network.noc.Network.send`)
+                       (``Network._send``, after the handler check)
 ``dir.handler``        directory-side message handling, all protocols
-                       (:meth:`repro.memory.directory.DirectoryModule`)
+                       (``DirectoryModule._dispatch``)
+``cst.conflict``       ScalableBulk admission-time collision test
+                       (``ScalableBulkDirectory._collides``)
+``machine.prewarm``    steady-state working-set install before the run
+                       (``Machine.prewarm``)
 ``sig.insert``         signature line insert
 ``sig.member``         signature membership probe (expansion path)
 ``sig.intersect``      signature intersection (conflict tests)
@@ -23,14 +27,19 @@ messages, all inside one dispatched event), the self-time shares plus
 the unprofiled remainder ("other": heap ops, workload generation, stats)
 sum to 100% of run wall time by construction.
 
+**Attach by wrapping.**  No simulator component knows this module
+exists: :func:`attach_profiler` installs per-instance wrappers (and
+points the signature factory at a scoped subclass) on one built
+machine, the way the oracle and the explorer's mutations attach.  Each
+hot method keeps exactly one body, so a run with profiling off pays
+nothing for it.
+
 **Quarantine rule.**  This is the one module (with the benchmark
 harness) allowed to read the host clock — every ``perf_counter_ns`` call
 carries an ``# repro: allow SB304`` pragma and its value flows only into
-profiler state, never into simulation state.  Components guard every
-hook behind ``if profiler is not None`` exactly like the NULL_BUS
-discipline, so a run with profiling off executes the identical event
-sequence (byte-identical RunResult, regression-tested), and even with
-profiling *on* the RunResult is unchanged — the profiler only observes.
+profiler state, never into simulation state.  The wrappers only time
+the call they wrap, so even with profiling *on* the RunResult is
+unchanged (regression-tested) — the profiler only observes.
 
 Overhead note: with profiling on, each scope entry/exit costs two host
 clock reads, so the *absolute* wall time of a profiled run is inflated
@@ -58,13 +67,15 @@ DIR_HANDLER = "dir.handler"
 SIG_INSERT = "sig.insert"
 SIG_MEMBER = "sig.member"
 SIG_INTERSECT = "sig.intersect"
+CST_CONFLICT = "cst.conflict"
+MACHINE_PREWARM = "machine.prewarm"
 
 #: Share of wall time outside every profiled scope (event-queue heap
 #: operations, core/workload callbacks' own work, stats, interpreter).
 OTHER = "other"
 
-HOT_SCOPES = (ENGINE_DISPATCH, NOC_TRANSIT, DIR_HANDLER, SIG_INSERT,
-              SIG_MEMBER, SIG_INTERSECT)
+HOT_SCOPES = (ENGINE_DISPATCH, NOC_TRANSIT, DIR_HANDLER, CST_CONFLICT,
+              MACHINE_PREWARM, SIG_INSERT, SIG_MEMBER, SIG_INTERSECT)
 
 _CLOCK = time.perf_counter_ns  # repro: allow SB304
 
@@ -157,6 +168,28 @@ class HostProfiler:
         else:
             edge[0] += 1
             edge[1] += dt
+
+    def scoped(self, name: str, fn: Callable[..., Any],
+               close: Optional[Callable[[], None]] = None
+               ) -> Callable[..., Any]:
+        """``fn`` wrapped in a ``name`` scope.
+
+        The scope closes in a ``finally``, so a call that raises leaves
+        the stack balanced.  ``close`` replaces :meth:`exit` as the
+        closing call (the dispatch scope also drives metrics snapshots).
+        """
+        enter = self.enter
+        if close is None:
+            close = self.exit
+
+        def scope(*args: Any, **kwargs: Any) -> Any:
+            enter(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                close()
+
+        return scope
 
     def exit_dispatch(self, sim_time: int) -> None:
         """Exit the dispatch scope + drive the metrics snapshot clock.
@@ -316,21 +349,63 @@ def render_share_line(shares: Dict[str, float], top: int = 4) -> str:
 # ----------------------------------------------------------------------
 # Attachment
 # ----------------------------------------------------------------------
+def _scoped_signature_cls(profiler: HostProfiler) -> type:
+    """A :class:`BulkSignature` subclass whose hot operations open scopes.
+
+    ``BulkSignature`` has ``__slots__``, so its instances cannot take
+    per-instance wrappers; the factory hands out this subclass instead.
+    """
+    from repro.signatures.bulk_signature import BulkSignature
+
+    scoped = profiler.scoped
+
+    class ScopedSignature(BulkSignature):
+        __slots__ = ()
+        insert = scoped(SIG_INSERT, BulkSignature.insert)
+        insert_many = scoped(SIG_INSERT, BulkSignature.insert_many)
+        contains = scoped(SIG_MEMBER, BulkSignature.contains)
+        intersects = scoped(SIG_INTERSECT, BulkSignature.intersects)
+
+    return ScopedSignature
+
+
 def attach_profiler(machine: Any,
                     profiler: Optional[HostProfiler] = None) -> HostProfiler:
     """Attach ``profiler`` (or a fresh one) to every profiled hot path.
 
-    Call before ``machine.run()``.  The profiler reads the host clock
-    and writes only its own state: simulation behaviour is unchanged
-    whether or not one is attached.
+    Call before ``machine.run()``.  Each hot path gets a per-instance
+    wrapper; signatures the factory hands out from now on are scoped.
+    The profiler reads the host clock and writes only its own state:
+    simulation behaviour is unchanged whether or not one is attached.
     """
     if profiler is None:
         profiler = HostProfiler()
-    machine.sim.profiler = profiler
-    machine.network.profiler = profiler
-    machine.sig_factory.profiler = profiler
+    scoped = profiler.scoped
+    sim = machine.sim
+
+    def dispatch_scope(callback: Callable[[], None]) -> Callable[[], None]:
+        return scoped(ENGINE_DISPATCH, callback,
+                      lambda: profiler.exit_dispatch(sim.now))
+
+    schedule_at = sim.schedule_at
+
+    def scheduled(time: int, callback: Callable[[], None],
+                  tag: Any = None) -> Any:
+        return schedule_at(time, dispatch_scope(callback), tag=tag)
+
+    sim.schedule_at = scheduled
+    for event in sim._heap:          # events queued before attach
+        event.callback = dispatch_scope(event.callback)
+
+    network = machine.network
+    network._send = scoped(NOC_TRANSIT, network._send)
+    machine.sig_factory._signature_cls = _scoped_signature_cls(profiler)
     for directory in machine.directories:
-        directory.profiler = profiler
+        directory._dispatch = scoped(DIR_HANDLER, directory._dispatch)
+        collides = getattr(directory, "_collides", None)
+        if collides is not None:     # ScalableBulk directories only
+            directory._collides = scoped(CST_CONFLICT, collides)
+    machine.prewarm = scoped(MACHINE_PREWARM, machine.prewarm)
     profiler.start()
     return profiler
 
@@ -436,9 +511,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-__all__ = ["DIR_HANDLER", "ENGINE_DISPATCH", "HOT_SCOPES", "HostProfiler",
-           "NOC_TRANSIT", "OTHER", "ProfileReport", "SCHEMA", "SIG_INSERT",
-           "SIG_INTERSECT", "SIG_MEMBER", "ScopeStats", "aggregate_profiles",
+__all__ = ["CST_CONFLICT", "DIR_HANDLER", "ENGINE_DISPATCH", "HOT_SCOPES",
+           "HostProfiler", "MACHINE_PREWARM", "NOC_TRANSIT", "OTHER",
+           "ProfileReport", "SCHEMA", "SIG_INSERT", "SIG_INTERSECT",
+           "SIG_MEMBER", "ScopeStats", "aggregate_profiles",
            "attach_profiler", "main", "make_profiler", "render_share_line"]
 
 

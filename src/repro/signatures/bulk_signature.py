@@ -27,46 +27,25 @@ The banked semantics are unchanged: per-bank views are recovered on
 demand (``banks()``), and the bank-local ``line_masks`` API is kept for
 diagnostics and tests.
 
-An alternative numpy bit-array backend lives in
-:mod:`repro.signatures.numpy_backend`; :class:`SignatureFactory` selects
-the backend from its ``backend`` argument, the machine configuration, or
-the ``REPRO_SIG_BACKEND`` environment variable.  Both backends are
-bit-for-bit equivalent (property-tested in
-``tests/test_signature_backends.py``).
+Each operation has exactly one body.  Host-time attribution
+(:mod:`repro.obs.profile`) does not branch in here: attaching it points
+the factory at a scoped subclass, so signatures handed out afterwards
+time their ``insert``/``contains``/``intersects`` calls and the
+unobserved path pays nothing.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.signatures.hashing import HashFamily, make_hash_family
-
-#: Recognised signature storage backends.
-BACKENDS = ("python", "numpy")
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend name: config > $REPRO_SIG_BACKEND > python.
-
-    ``None`` and ``"auto"`` both mean "no explicit choice" and defer to
-    the ``REPRO_SIG_BACKEND`` environment variable (then ``python``).
-    """
-    if backend is not None and backend.lower() == "auto":
-        backend = None
-    name = (backend or os.environ.get("REPRO_SIG_BACKEND") or "python").lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown signature backend {name!r}; expected one of {BACKENDS}")
-    return name
 
 
 class SignatureFactory:
     """Creates signatures that share one hash family (one per machine)."""
 
     def __init__(self, total_bits: int = 2048, n_banks: int = 4,
-                 hash_kind: str = "mult", seed: int = 2010,
-                 backend: Optional[str] = None) -> None:
+                 hash_kind: str = "mult", seed: int = 2010) -> None:
         if total_bits % n_banks:
             raise ValueError("total_bits must divide into banks evenly")
         self.total_bits = total_bits
@@ -75,11 +54,6 @@ class SignatureFactory:
         self.hash_kind = hash_kind
         self.seed = seed
         self.hashes: HashFamily = make_hash_family(hash_kind, n_banks, self.bank_bits, seed)
-        self.backend = resolve_backend(backend)
-        #: Host-time self-profiler (repro.obs.profile).  Lives on the
-        #: factory because BulkSignature has __slots__ and all of a
-        #: machine's signatures share one factory; None = fast path.
-        self.profiler: Optional[object] = None
         #: line address -> packed all-banks mask (one bit per bank, each in
         #: its bank's slice).  A workload touches each line many times
         #: (every chunk re-inserts its read/write sets), so hashing each
@@ -93,15 +67,9 @@ class SignatureFactory:
         bank_ones = (1 << self.bank_bits) - 1
         self.bank_slices: Tuple[int, ...] = tuple(
             bank_ones << (b * self.bank_bits) for b in range(n_banks))
-        self._signature_cls = self._resolve_signature_cls()
-
-    def _resolve_signature_cls(self) -> type:
-        if self.backend == "numpy":
-            from repro.signatures.numpy_backend import (
-                NumpyBulkSignature, require_numpy)
-            require_numpy(self)
-            return NumpyBulkSignature
-        return BulkSignature
+        #: class of the signatures this factory hands out (host-time
+        #: attribution swaps in a scoped subclass; see repro.obs.profile)
+        self._signature_cls: type = BulkSignature
 
     @property
     def hash_params(self) -> Tuple[int, int, str, int]:
@@ -109,8 +77,6 @@ class SignatureFactory:
 
         Two factories with equal ``hash_params`` map every address to the
         same bit positions, so their signatures are safely comparable.
-        The storage backend is deliberately excluded: backends are
-        bit-for-bit equivalent views of the same encoded set.
         """
         return (self.total_bits, self.n_banks, self.hash_kind, self.seed)
 
@@ -139,7 +105,7 @@ class SignatureFactory:
         return masks
 
     def empty(self) -> "BulkSignature":
-        """A fresh, empty signature (backend chosen at factory build)."""
+        """A fresh, empty signature."""
         return self._signature_cls(self)
 
     def from_lines(self, lines: Iterable[int]) -> "BulkSignature":
@@ -150,7 +116,7 @@ class SignatureFactory:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SignatureFactory(total_bits={self.total_bits}, "
-                f"n_banks={self.n_banks}, backend={self.backend!r})")
+                f"n_banks={self.n_banks})")
 
 
 class BulkSignature:
@@ -174,43 +140,19 @@ class BulkSignature:
     # ------------------------------------------------------------------
     def insert(self, line_addr: int) -> None:
         """Add a line address to the encoded set."""
-        prof = self._factory.profiler
-        if prof is None:
-            self._bits |= self._factory.packed_mask(line_addr)
-            self._count += 1
-            return
-        prof.enter("sig.insert")
-        try:
-            self._bits |= self._factory.packed_mask(line_addr)
-            self._count += 1
-        finally:
-            prof.exit()
+        self._bits |= self._factory.packed_mask(line_addr)
+        self._count += 1
 
     def insert_many(self, lines: Iterable[int]) -> None:
         """Fold a whole read/write set in one pass (one final OR)."""
-        prof = self._factory.profiler
-        if prof is None:
-            packed_mask = self._factory.packed_mask
-            bits = 0
-            n = 0
-            for line in lines:
-                bits |= packed_mask(line)
-                n += 1
-            self._bits |= bits
-            self._count += n
-            return
-        prof.enter("sig.insert")
-        try:
-            packed_mask = self._factory.packed_mask
-            bits = 0
-            n = 0
-            for line in lines:
-                bits |= packed_mask(line)
-                n += 1
-            self._bits |= bits
-            self._count += n
-        finally:
-            prof.exit()
+        packed_mask = self._factory.packed_mask
+        bits = 0
+        n = 0
+        for line in lines:
+            bits |= packed_mask(line)
+            n += 1
+        self._bits |= bits
+        self._count += n
 
     def clear(self) -> None:
         """Deallocate: reset to the empty set."""
@@ -220,7 +162,7 @@ class BulkSignature:
     def union_update(self, other: "BulkSignature") -> None:
         """In-place union (used to fold R and W for disambiguation)."""
         self._check_compatible(other)
-        self._bits |= other.packed_bits()
+        self._bits |= other._bits
         self._count += other.inserts
 
     # ------------------------------------------------------------------
@@ -228,39 +170,22 @@ class BulkSignature:
     # ------------------------------------------------------------------
     def contains(self, line_addr: int) -> bool:
         """Possibly-present membership test (no false negatives)."""
-        prof = self._factory.profiler
-        if prof is None:
-            mask = self._factory.packed_mask(line_addr)
-            return self._bits & mask == mask
-        prof.enter("sig.member")
-        try:
-            mask = self._factory.packed_mask(line_addr)
-            return self._bits & mask == mask
-        finally:
-            prof.exit()
+        mask = self._factory.packed_mask(line_addr)
+        return self._bits & mask == mask
 
     def intersects(self, other: "BulkSignature") -> bool:
         """Possibly-overlapping test: True unless provably disjoint."""
-        prof = self._factory.profiler
-        if prof is None:
-            self._check_compatible(other)
-            both = self._bits & other.packed_bits()
-            return all(both & s for s in self._factory.bank_slices)
-        prof.enter("sig.intersect")
-        try:
-            self._check_compatible(other)
-            both = self._bits & other.packed_bits()
-            return all(both & s for s in self._factory.bank_slices)
-        finally:
-            prof.exit()
+        self._check_compatible(other)
+        both = self._bits & other._bits
+        return all(both & s for s in self._factory.bank_slices)
 
     def union(self, other: "BulkSignature") -> "BulkSignature":
         # A cross-hash-family union would interleave bits hashed with
         # different functions into one signature: downstream intersects()
         # could then miss real conflicts.  Same check as union_update.
         self._check_compatible(other)
-        out = BulkSignature(self._factory)
-        out._bits = self._bits | other.packed_bits()
+        out = self._factory.empty()
+        out._bits = self._bits | other._bits
         out._count = self._count + other.inserts
         return out
 
@@ -295,12 +220,8 @@ class BulkSignature:
         return self._factory
 
     # ------------------------------------------------------------------
-    def packed_bits(self) -> int:
-        """The packed all-banks int (the canonical cross-backend view)."""
-        return self._bits
-
     def copy(self) -> "BulkSignature":
-        out = BulkSignature(self._factory)
+        out = self._factory.empty()
         out._bits = self._bits
         out._count = self._count
         return out
@@ -327,7 +248,7 @@ class BulkSignature:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BulkSignature):
             return NotImplemented
-        return self.packed_bits() == other.packed_bits()
+        return self._bits == other._bits
 
     def __hash__(self) -> int:  # signatures are mutable; identity hashing
         return id(self)
@@ -352,5 +273,5 @@ def exact_conflict(read_set: Set[int], write_set: Set[int],
     return bool(other_write_set & read_set) or bool(other_write_set & write_set)
 
 
-__all__ = ["BACKENDS", "BulkSignature", "SignatureFactory",
-           "definitely_disjoint", "exact_conflict", "resolve_backend"]
+__all__ = ["BulkSignature", "SignatureFactory", "definitely_disjoint",
+           "exact_conflict"]

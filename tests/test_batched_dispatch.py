@@ -1,11 +1,13 @@
 """Batched same-cycle dispatch must be invisible.
 
 ``Simulator.run`` drains all events due at the current cycle in one inner
-loop; the tie-breaker / instrumentation / profiler paths fall back to the
-stepwise ``step()`` loop.  These tests pin the two paths to each other:
-an insertion-order tie-breaker (exactly the default policy, but forcing
-the stepwise path) must reproduce the batched run bit-for-bit — at the
-simulator level and for full protocol runs of all four protocols.
+loop; only a tie-breaker falls back to the stepwise ``step()`` loop (an
+attached bus's ``sim_step`` fires inside the batched loop).  These tests
+pin the two paths to each other: an insertion-order tie-breaker (exactly
+the default policy, but forcing the stepwise path) must reproduce the
+batched run bit-for-bit — at the simulator level, for full protocol runs
+of all four protocols, and for the per-event ``sim_queue`` samples a bus
+records.
 """
 
 import pytest
@@ -13,17 +15,20 @@ import pytest
 from repro.config import ProtocolKind, SystemConfig
 from repro.engine.events import Simulator
 from repro.harness.runner import Machine
+from repro.obs.bus import InstrumentationBus, attach_bus
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
 
-def _protocol_result(protocol: ProtocolKind, tie_breaker=None):
+def _protocol_result(protocol: ProtocolKind, tie_breaker=None, bus=None):
     config = SystemConfig(n_cores=4, seed=7, protocol=protocol)
     workload = SyntheticWorkload(get_profile("Radix"), config,
                                  active_cores=4, chunks_per_partition=2)
     machine = Machine(config, workload=workload)
     if tie_breaker is not None:
         machine.sim.tie_breaker = tie_breaker
+    if bus is not None:
+        attach_bus(machine, bus)
     machine.run()
     return machine.result("Radix", 4), machine.sim.now
 
@@ -44,6 +49,21 @@ class TestBatchedMatchesStepwise:
         stepwise, cycles_stepwise = _protocol_result(proto, tie_breaker=seq_order)
         assert calls, "tie-breaker never saw a same-cycle batch; vacuous run"
         assert cycles_stepwise == cycles_batched
+        assert stepwise == batched
+
+    @pytest.mark.parametrize("proto", list(ProtocolKind))
+    def test_bus_sim_step_samples_identical_to_stepwise(self, proto):
+        """With a bus attached the batched loop emits ``sim_step`` after
+        each pop: every (time, queue depth) sample must match the one
+        ``step()`` records under the insertion-order tie-breaker."""
+        buses = [InstrumentationBus(gauge_capacity=1 << 20) for _ in range(2)]
+        batched, _ = _protocol_result(proto, bus=buses[0])
+        stepwise, _ = _protocol_result(proto, tie_breaker=lambda batch: 0,
+                                       bus=buses[1])
+        batched_q, stepwise_q = (b.gauges.get("sim_queue") for b in buses)
+        assert batched_q.dropped_samples == 0
+        assert batched_q.total_samples > 0
+        assert batched_q.samples() == stepwise_q.samples()
         assert stepwise == batched
 
     def test_cascade_order_identical(self):

@@ -354,12 +354,15 @@ class TestSendFailureAtomicity:
         assert sim.pending_events == 0     # no delivery scheduled
 
     def test_failed_send_leaves_profiler_stack_balanced(self):
-        from repro.obs.profile import HostProfiler
+        from types import SimpleNamespace
+
+        from repro.obs.profile import attach_profiler
+        from repro.signatures.bulk_signature import SignatureFactory
 
         _, sim, net = make_net()
-        prof = HostProfiler()
-        prof.start()
-        net.profiler = prof
+        prof = attach_profiler(SimpleNamespace(
+            sim=sim, network=net, sig_factory=SignatureFactory(),
+            directories=[], prewarm=lambda: 0))
         self._failed_send(net)
         assert prof._stack == []           # noc.transit never left open
         assert "noc.transit" not in prof.scopes

@@ -2,26 +2,37 @@
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
-from repro.harness.runner import Machine, run_app
-from repro.obs.metrics import MetricsRegistry, MetricsStream
+from repro.engine.events import Simulator
+from repro.harness.runner import Machine, SimulationRunner, run_app
+from repro.memory.directory import DirectoryModule
+from repro.network.noc import Network
+from repro.obs.bus import InstrumentationBus
+from repro.obs.metrics import MetricsRegistry, MetricsStream, validate_metrics_jsonl
 from repro.obs.profile import (
+    CST_CONFLICT,
     DIR_HANDLER,
     ENGINE_DISPATCH,
     HOT_SCOPES,
+    MACHINE_PREWARM,
     NOC_TRANSIT,
     OTHER,
     SCHEMA,
+    SIG_INSERT,
+    SIG_INTERSECT,
+    SIG_MEMBER,
     HostProfiler,
     aggregate_profiles,
     attach_profiler,
     make_profiler,
     render_share_line,
 )
+from repro.signatures.bulk_signature import BulkSignature, SignatureFactory
 
 
 class FakeClock:
@@ -181,11 +192,69 @@ class TestAttachment:
 
     @pytest.mark.parametrize("proto", list(ProtocolKind))
     def test_profiled_run_result_is_identical(self, proto):
-        base = run_app("Radix", n_cores=4, protocol=proto,
-                       chunks_per_partition=2)
-        profiled = run_app("Radix", n_cores=4, protocol=proto,
-                           chunks_per_partition=2, profile=True)
-        assert profiled == base
+        def run(**kw):
+            return run_app("Radix", n_cores=4, protocol=proto,
+                           chunks_per_partition=2, **kw)
+
+        base = run()
+        assert run(profile=True) == base
+        assert run(profile=True, bus=InstrumentationBus()) == base
+
+    #: Radix/4/ScalableBulk, 2 chunks per partition: per-scope call counts
+    #: as the in-body scopes that the wrappers replaced recorded them.
+    RADIX4_SB_CALLS = {ENGINE_DISPATCH: 1074, NOC_TRANSIT: 687,
+                       DIR_HANDLER: 376, SIG_INSERT: 576, SIG_MEMBER: 3144,
+                       SIG_INTERSECT: 0}
+
+    def test_scope_counts_equal_unprofiled_call_counts(self):
+        """Each wrapper opens exactly one scope per call of what it wraps:
+        counting the same methods in an unprofiled run gives the same
+        numbers, and both match the pinned counts of this run."""
+        calls = dict.fromkeys(self.RADIX4_SB_CALLS, 0)
+        counted = [(BulkSignature, "insert", SIG_INSERT),
+                   (BulkSignature, "insert_many", SIG_INSERT),
+                   (BulkSignature, "contains", SIG_MEMBER),
+                   (BulkSignature, "intersects", SIG_INTERSECT),
+                   (Network, "_send", NOC_TRANSIT),
+                   (DirectoryModule, "_dispatch", DIR_HANDLER)]
+
+        def counting(fn, scope):
+            def wrapper(*args, **kwargs):
+                calls[scope] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            for cls, name, scope in counted:
+                mp.setattr(cls, name, counting(getattr(cls, name), scope))
+            plain = run_app("Radix", n_cores=4, chunks_per_partition=2,
+                            keep_machine=True)
+        calls[ENGINE_DISPATCH] = plain.machine.sim.events_processed
+
+        prof = HostProfiler()
+        run_app("Radix", n_cores=4, chunks_per_partition=2, profile=prof)
+        scoped = {name: prof.scopes[name].count if name in prof.scopes else 0
+                  for name in self.RADIX4_SB_CALLS}
+        assert scoped == calls == self.RADIX4_SB_CALLS
+        assert prof.scopes[MACHINE_PREWARM].count == 1
+        assert prof.scopes[CST_CONFLICT].count > 0
+
+    def test_failed_run_still_stops_profiler(self, tmp_path):
+        """A run that raises (here the max_events livelock guard) must
+        still write its final metrics snapshot and close the stream."""
+        out = tmp_path / "metrics.jsonl"
+        config = SystemConfig(n_cores=4)
+        prof = make_profiler(config, metrics_interval=100, metrics_out=out)
+        runner = SimulationRunner("Radix", config, chunks_per_partition=2)
+        with pytest.raises(RuntimeError, match="max_events"):
+            runner.run(max_events=300, profile=prof)
+        assert prof.stream._fh.closed
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert validate_metrics_jsonl(lines) == []
+        last = json.loads(lines[-1])
+        assert last["kind"] == "snapshot"
+        assert last["seq"] == prof.stream.snapshots_written - 1
+        assert last["profile"][ENGINE_DISPATCH]["count"] == 300
 
     def test_make_profiler_stamps_provenance_and_stream(self):
         config = SystemConfig(n_cores=4)
@@ -196,6 +265,17 @@ class TestAttachment:
         assert make_profiler(config).stream is None
 
 
+def _attach_parts(prof, factory=None):
+    """attach_profiler on bare components (no protocol, no directories)."""
+    sim = Simulator()
+    parts = SimpleNamespace(
+        sim=sim, network=Network(SystemConfig(n_cores=4), sim),
+        sig_factory=factory or SignatureFactory(), directories=[],
+        prewarm=lambda: 0)
+    attach_profiler(parts, prof)
+    return parts
+
+
 class TestHostileScopeBalance:
     """Raising hot paths must leave the profiler stack balanced.
 
@@ -203,26 +283,10 @@ class TestHostileScopeBalance:
     body in try/finally; if one leaked on an exception, every later scope
     would be mis-attributed to a phantom parent for the rest of the run."""
 
-    def _profiled_factory(self, **kw):
-        from repro.signatures.bulk_signature import SignatureFactory
-
+    def test_sig_ops_raising_keep_stack_balanced(self):
         prof = HostProfiler()
-        prof.start()
-        factory = SignatureFactory(total_bits=2048, n_banks=4, seed=2010, **kw)
-        factory.profiler = prof
-        return factory, prof
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_sig_ops_raising_keep_stack_balanced(self, backend):
-        from repro.signatures.bulk_signature import SignatureFactory
-        from repro.signatures.numpy_backend import numpy_available
-
-        if backend == "numpy" and not numpy_available():
-            pytest.skip("numpy not installed")
-        factory, prof = self._profiled_factory(backend=backend)
-        alien = SignatureFactory(total_bits=2048, n_banks=4, seed=999,
-                                 backend=backend)
-        alien.profiler = prof
+        factory = _attach_parts(prof, SignatureFactory(seed=2010)).sig_factory
+        alien = _attach_parts(prof, SignatureFactory(seed=999)).sig_factory
         a = factory.from_lines([1, 2, 3])
         b = alien.from_lines([4])
         with pytest.raises(ValueError):
@@ -235,15 +299,12 @@ class TestHostileScopeBalance:
         a.insert(9)
         assert a.contains(9)
         assert prof._stack == []
-        assert prof.scopes["sig.insert"].count >= 1
+        assert prof.scopes[SIG_INSERT].count >= 1
+        assert prof.scopes[SIG_INTERSECT].count == 1
 
     def test_raising_callback_keeps_dispatch_scope_balanced(self):
-        from repro.engine.events import Simulator
-
-        sim = Simulator()
         prof = HostProfiler()
-        prof.start()
-        sim.profiler = prof
+        sim = _attach_parts(prof).sim
         fired = []
         sim.schedule(0, lambda: fired.append("ok"))
         sim.schedule(0, lambda: (_ for _ in ()).throw(RuntimeError("boom")))

@@ -195,6 +195,15 @@ class TestFactory:
         with pytest.raises(ValueError, match="incompatible"):
             a.union_update(b)
 
+    def test_union_rejects_incompatible_factories(self):
+        """Regression: union() used to skip the compatibility check that
+        union_update() and intersects() perform, silently interleaving
+        bits hashed under different seeds."""
+        f1 = SignatureFactory(total_bits=2048, n_banks=4, seed=2010)
+        f2 = SignatureFactory(total_bits=2048, n_banks=4, seed=2011)
+        with pytest.raises(ValueError, match="incompatible"):
+            f1.from_lines([1, 2]).union(f2.from_lines([3]))
+
     def test_same_geometry_different_hash_kind_rejected(self):
         f_mult = SignatureFactory(total_bits=2048, n_banks=4, hash_kind="mult")
         f_h3 = SignatureFactory(total_bits=2048, n_banks=4, hash_kind="h3")
