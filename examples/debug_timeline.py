@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Trace a chunk's life through the protocol.
 
-Attaches the chunk tracer to a small contended machine, runs it, and
+Attaches an instrumentation bus to a small contended machine, runs it, and
 prints (1) the machine-wide event summary and (2) the full timeline of one
 chunk that lost a group-formation collision and retried — the debugging
 workflow for protocol investigations.
@@ -11,7 +11,25 @@ Run:  python examples/debug_timeline.py
 
 from repro import Machine, ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
-from repro.tracing import attach_tracer
+from repro.obs.bus import (COMMIT_COMPLETE, GROUP_FAILED, SQUASH,
+                           InstrumentationBus, attach_bus, ctag_str)
+
+
+def chunk_of(ctag):
+    """The chunk tag of an event as text; commit ids render as
+    ``tag#attempt``, so every attempt maps back to its chunk."""
+    text = ctag_str(ctag)
+    return text.split("#")[0] if text else None
+
+
+def timeline(bus, tag) -> str:
+    """Every recorded event of one chunk, across all its commit attempts."""
+    lines = [f"timeline for {tag}:"]
+    for e in bus.events:
+        if chunk_of(e.ctag) == tag:
+            detail = " ".join(f"{k}={v}" for k, v in sorted(e.fields.items()))
+            lines.append(f"  t={e.time:>8d} {e.kind:16s} {e.src:7s} {detail}")
+    return "\n".join(lines)
 
 
 def main() -> None:
@@ -30,24 +48,23 @@ def main() -> None:
     remaining = {c: specs(c) for c in range(9)}
     machine = Machine(config, next_spec=lambda c: (
         remaining.get(c).pop(0) if remaining.get(c) else None))
-    tracer = attach_tracer(machine)
+    bus = attach_bus(machine, InstrumentationBus(record_messages=False))
     machine.run()
 
     print("machine-wide event summary:")
-    for kind, count in sorted(tracer.summary().items()):
+    for kind, count in sorted(bus.summary().items()):
         print(f"  {kind:16s} {count}")
 
-    failures = tracer.of_kind("group_failed")
+    failures = bus.of_kind(GROUP_FAILED)
     print(f"\n{len(failures)} group-formation failures; "
           f"{machine.protocol.stats.commit_recalls} OCI recalls")
 
-    interesting = failures[0].tag if failures else \
-        tracer.of_kind("commit_success")[0].tag
-    print("\n" + tracer.timeline(interesting))
+    interesting = chunk_of((failures or bus.of_kind(COMMIT_COMPLETE))[0].ctag)
+    print("\n" + timeline(bus, interesting))
 
-    squashes = tracer.of_kind("squash")
+    squashes = bus.of_kind(SQUASH)
     if squashes:
-        print("\n" + tracer.timeline(squashes[0].tag))
+        print("\n" + timeline(bus, chunk_of(squashes[0].ctag)))
 
 
 if __name__ == "__main__":

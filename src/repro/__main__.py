@@ -95,7 +95,7 @@ def _cmd_compare(args) -> int:
         "n_cores": args.cores,
         "protocol": proto.value,
         "chunks": args.chunks,
-        "oracle": args.oracle,
+        "oracle": args.oracle and proto is ProtocolKind.SCALABLEBULK,
         "trace_out": _trace_out_for(args.trace, proto) if args.trace else None,
     } for proto in ProtocolKind]
     print(f"{args.app} on {args.cores} cores:")
@@ -176,7 +176,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("--chunks", type=int, default=3)
     p_run.add_argument("--oracle", action="store_true",
                        help="attach the invalidation oracle and fail the "
-                            "run on any missed conflicting chunk")
+                            "run on any missed conflicting chunk "
+                            "(ScalableBulk only)")
     p_run.add_argument("--trace", metavar="OUT",
                        help="record an instrumentation trace and write it "
                             "as Perfetto JSON to OUT")
@@ -196,7 +197,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_cmp.add_argument("--cores", type=int, default=16)
     p_cmp.add_argument("--chunks", type=int, default=3)
     p_cmp.add_argument("--oracle", action="store_true",
-                       help="attach the invalidation oracle to every run")
+                       help="attach the invalidation oracle to the "
+                            "ScalableBulk run (the only protocol it checks)")
     p_cmp.add_argument("--trace", metavar="OUT",
                        help="write one Perfetto trace per protocol "
                             "(OUT gets a .<protocol> suffix)")
@@ -226,6 +228,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                  "(see python -m repro store -h)")
 
     args = parser.parse_args(argv)
+    if (args.command == "run" and args.oracle
+            and PROTO_BY_NAME[args.protocol.lower()]
+            is not ProtocolKind.SCALABLEBULK):
+        p_run.error("--oracle checks ScalableBulk group confirmations; "
+                    f"protocol {args.protocol!r} has none")
     return args.func(args)
 
 

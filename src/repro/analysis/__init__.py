@@ -1,35 +1,33 @@
 """Static analysis for the reproduction: protocol linter + determinism lint.
 
-Five passes, each usable as a library, via ``python -m repro lint``, and
-as a pytest tier (``tests/test_analysis_*.py``):
+Four passes, each usable as a library, via ``python -m repro lint`` (which
+runs all of them by default), and as a pytest tier
+(``tests/test_analysis_*.py``):
 
-1. **Handler-coverage linter** (:mod:`repro.analysis.handler_lint`) —
-   recovers the message dispatch tables and send sites from the AST and
-   reports unhandled (role, message) pairs, dead handlers, silent state
-   mutations and orphan message types (SB001-SB004).
-2. **Group-order model checker** (:mod:`repro.analysis.group_check`) —
-   exhaustively verifies Section 3.2's deadlock/livelock-freedom
-   conditions over all small configurations (SB201-SB204).
-3. **Determinism lint** (:mod:`repro.analysis.determinism`) — flags
-   nondeterminism sources that would break reproducible runs
-   (SB301-SB304).
-4. **State-access race analysis** (:mod:`repro.analysis.races`, opt-in
-   via ``--races``) — conflicting handler footprints without causal
-   ordering (SB501-SB504).
-5. **Protocol-flow analysis** (:mod:`repro.analysis.flows`, opt-in via
-   ``--flows``) — per-family message-flow automata extracted from the
-   AST and checked against each protocol's declared
-   :class:`~repro.protocols.spec.ProtocolSpec` (SB601-SB604).
+* **Group-order model checker** (:mod:`repro.analysis.group_check`) —
+  exhaustively verifies Section 3.2's deadlock/livelock-freedom
+  conditions over all small configurations (SB201-SB204).
+* **Determinism lint** (:mod:`repro.analysis.determinism`) — flags
+  nondeterminism sources that would break reproducible runs
+  (SB301-SB304).
+* **State-access race analysis** (:mod:`repro.analysis.races`) —
+  conflicting handler footprints without causal ordering (SB501-SB504).
+* **Protocol-flow analysis** (:mod:`repro.analysis.flows`) — per-family
+  message-flow automata extracted from the AST and checked against each
+  protocol's declared :class:`~repro.protocols.spec.ProtocolSpec`
+  (SB601-SB604), plus handler coverage: dead handlers, silent state
+  mutations and orphan message types (SB002-SB004).
 
-Rule codes are documented in ``docs/analysis.md``; accepted findings live
-in ``lint-baseline.txt`` at the repo root.
+The race and flow passes share one extraction of protocol source,
+:mod:`repro.analysis.races.model`.  Rule codes are documented in
+``docs/analysis.md``; accepted findings live in ``lint-baseline.txt`` at
+the repo root.
 """
 
 from repro.analysis.determinism import lint_determinism, lint_source
 from repro.analysis.findings import Baseline, Finding, RULES
 from repro.analysis.flows import lint_flows
 from repro.analysis.group_check import check_group_order
-from repro.analysis.handler_lint import lint_handlers
 
 __all__ = [
     "Baseline",
@@ -38,6 +36,5 @@ __all__ = [
     "check_group_order",
     "lint_determinism",
     "lint_flows",
-    "lint_handlers",
     "lint_source",
 ]

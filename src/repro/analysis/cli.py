@@ -5,15 +5,17 @@ inline ``# repro: allow SB***`` pragma on its own line, or recorded in the
 baseline file — non-zero otherwise.  CI fails PRs that introduce new
 ``SB***`` findings while the pre-existing, justified ones stay suppressed.
 
-``--races`` adds the SB5xx state-access race pass
-(:mod:`repro.analysis.races`); ``--flows`` adds the SB6xx protocol-flow
-pass (:mod:`repro.analysis.flows`); ``--confirm`` additionally labels each
-SB5xx finding CONFIRMED (with a replayable schedule) or UNOBSERVED by
-running the access sanitizer over the explore scenarios.  ``--jobs N``
-runs the passes in parallel worker processes with a deterministic merge.
-``--select SB6`` (any rule-code prefix) runs exactly the passes that can
-emit matching codes and reports/baselines only those findings — baseline
-entries owned by unselected passes are neither stale nor rewritten.
+Every pass runs by default: the group-order model checker, the
+determinism lint, the SB5xx state-access race pass
+(:mod:`repro.analysis.races`) and the protocol-flow pass
+(:mod:`repro.analysis.flows`, SB002–SB004 and SB6xx).  ``--select SB6``
+(any rule-code prefix) runs exactly the passes that can emit matching
+codes and reports/baselines only those findings — baseline entries owned
+by unselected passes are neither stale nor rewritten.  ``--confirm``
+additionally labels each SB5xx finding CONFIRMED (with a replayable
+schedule) or UNOBSERVED by running the access sanitizer over the explore
+scenarios.  ``--jobs N`` runs the passes in parallel worker processes
+with a deterministic merge.
 
 Exit status: 0 when every finding is suppressed (or none exist), 1 when
 fresh findings remain, 2 on usage errors (argparse).  ``--format json``
@@ -31,7 +33,6 @@ from repro.analysis.determinism import lint_determinism
 from repro.analysis.findings import (Baseline, Finding, RULES, apply_pragmas,
                                      repo_paths)
 from repro.analysis.group_check import check_group_order
-from repro.analysis.handler_lint import lint_handlers
 from repro.harness.parallel import run_ordered
 
 DEFAULT_BASELINE = "lint-baseline.txt"
@@ -40,11 +41,11 @@ DEFAULT_BASELINE = "lint-baseline.txt"
 #: passes must run for a code prefix) and the stale-baseline exemption
 #: (entries owned by a pass that did not run are not stale).
 PASS_RULES: Dict[str, Tuple[str, ...]] = {
-    "handlers": ("SB001", "SB002", "SB003", "SB004"),
     "group": ("SB201", "SB202", "SB203", "SB204"),
     "determinism": ("SB301", "SB302", "SB303", "SB304"),
     "races": ("SB501", "SB502", "SB503", "SB504"),
-    "flows": ("SB601", "SB602", "SB603", "SB604"),
+    "flows": ("SB002", "SB003", "SB004",
+              "SB601", "SB602", "SB603", "SB604"),
 }
 
 _PassPayload = Tuple[str, Optional[Path], int]
@@ -53,8 +54,6 @@ _PassPayload = Tuple[str, Optional[Path], int]
 def _run_pass(payload: _PassPayload) -> List[Finding]:
     """One analysis pass; top-level so ``--jobs`` can pickle it."""
     name, pkg_dir, max_dirs = payload
-    if name == "handlers":
-        return lint_handlers(pkg_dir)
     if name == "group":
         return check_group_order(max_dirs=max_dirs)
     if name == "determinism":
@@ -69,23 +68,15 @@ def _run_pass(payload: _PassPayload) -> List[Finding]:
 
 
 def run_all(pkg_dir: Optional[Path] = None, max_dirs: int = 4, *,
-            races: bool = False, flows: bool = False, jobs: int = 1,
-            only: Optional[Sequence[str]] = None) -> List[Finding]:
+            jobs: int = 1, only: Optional[Sequence[str]] = None
+            ) -> List[Finding]:
     """Analysis passes over the installed ``repro`` package, merged sorted.
 
-    ``only`` names the exact passes to run (``--select``); otherwise the
-    three always-on passes run plus ``races``/``flows`` on request.  The
-    result is sorted by ``(code, path, anchor)``, so the report is
-    byte-identical regardless of ``jobs`` or pass scheduling.
+    ``only`` names the exact passes to run (``--select``); otherwise every
+    pass runs.  The result is sorted by ``(code, path, anchor)``, so the
+    report is byte-identical regardless of ``jobs`` or pass scheduling.
     """
-    if only is not None:
-        passes = [name for name in PASS_RULES if name in set(only)]
-    else:
-        passes = ["handlers", "group", "determinism"]
-        if races:
-            passes.append("races")
-        if flows:
-            passes.append("flows")
+    passes = [name for name in PASS_RULES if only is None or name in only]
     payloads: List[_PassPayload] = [(name, pkg_dir, max_dirs)
                                     for name in passes]
     batches = run_ordered(_run_pass, payloads, jobs=jobs)
@@ -109,15 +100,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(existing per-key justifications are kept)")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule-code prefixes, e.g. "
-                             "'SB3' or 'SB001,SB2'")
+                             "'SB3' or 'SB002,SB2'")
     parser.add_argument("--max-dirs", type=int, default=4,
                         help="model-checker configuration bound (default 4; "
                              "CI uses 5)")
-    parser.add_argument("--races", action="store_true",
-                        help="also run the SB5xx state-access race pass")
-    parser.add_argument("--flows", action="store_true",
-                        help="also run the SB6xx protocol-flow pass "
-                             "(extracted automata vs declared specs)")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule-code prefixes; run only "
                              "the passes that can emit matching codes and "
@@ -125,8 +111,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "'SB301,SB5'")
     parser.add_argument("--confirm", action="store_true",
                         help="label SB5xx findings CONFIRMED/UNOBSERVED by "
-                             "running the access sanitizer (implies --races; "
-                             "slow)")
+                             "running the access sanitizer (slow)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the analysis passes "
                              "(deterministic merge; default 1)")
@@ -135,7 +120,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--pkg-dir", type=Path, default=None,
                         help=argparse.SUPPRESS)  # test fixtures only
     args = parser.parse_args(argv)
-    races = args.races or args.confirm
 
     if args.explain:
         for code, (title, why) in sorted(RULES.items()):
@@ -153,23 +137,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               if args.select else ())
     rule_prefixes = (tuple(p.strip() for p in args.rules.split(",")
                            if p.strip()) if args.rules else ())
+    ran = [name for name, codes in PASS_RULES.items()
+           if not select or any(code.startswith(select) for code in codes)]
+    if not ran:
+        parser.error(f"--select {args.select!r} matches no analysis pass")
+    findings = run_all(pkg_dir, max_dirs=args.max_dirs, jobs=args.jobs,
+                       only=ran)
     if select:
-        only = [name for name, codes in PASS_RULES.items()
-                if any(code.startswith(select) for code in codes)]
-        if not only:
-            parser.error(f"--select {args.select!r} matches no analysis pass")
-        ran = only
-        findings = run_all(pkg_dir, max_dirs=args.max_dirs, jobs=args.jobs,
-                           only=only)
         findings = [f for f in findings if f.code.startswith(select)]
-    else:
-        ran = ["handlers", "group", "determinism"]
-        if races:
-            ran.append("races")
-        if args.flows:
-            ran.append("flows")
-        findings = run_all(pkg_dir, max_dirs=args.max_dirs, races=races,
-                           flows=args.flows, jobs=args.jobs)
     if rule_prefixes:
         findings = [f for f in findings if f.code.startswith(rule_prefixes)]
     findings, pragma_suppressed = apply_pragmas(findings, repo_root)

@@ -1,7 +1,7 @@
 """Findings, rule registry and the suppression baseline.
 
 Every analysis pass reports :class:`Finding` objects.  A finding carries a
-rule code (``SB001``…), the file and line it anchors to, a *stable anchor*
+rule code (``SB002``…), the file and line it anchors to, a *stable anchor*
 (the enclosing ``Class.method`` qualname, or a symbolic location for model
 -checker findings) and a short explanation of why the pattern is a problem.
 
@@ -21,11 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: rule code -> (title, one-line rationale).  Documented in docs/analysis.md.
 RULES: Dict[str, Tuple[str, str]] = {
-    # -- pass 1: handler-coverage linter --------------------------------
-    "SB001": ("unhandled message",
-              "a message type is sent to this role but no handler branch "
-              "dispatches it; at runtime it raises NotImplementedError "
-              "mid-simulation"),
+    # -- pass 5: protocol-flow analysis, handler coverage ----------------
     "SB002": ("dead handler",
               "an _on_* handler method is never referenced by any dispatch "
               "table nor called by another method; it is unreachable code "
@@ -36,7 +32,9 @@ RULES: Dict[str, Tuple[str, str]] = {
               "costs zero simulated time and is invisible to the timeline"),
     "SB004": ("orphan message type",
               "a message type is declared in network/message.py but never "
-              "put on the wire by any protocol"),
+              "put on the wire by any protocol, sits in no FAMILY_TYPES "
+              "vocabulary (so no flow rule checks it), or breaks its "
+              "PIGGYBACKED_TYPES declaration"),
     # -- pass 2: group-order model checker ------------------------------
     "SB201": ("traversal order not total",
               "order_gvec must return a permutation of the group sorted by "
@@ -140,7 +138,7 @@ RULES: Dict[str, Tuple[str, str]] = {
 class Finding:
     """One report from an analysis pass."""
 
-    code: str          #: rule code, e.g. "SB001"
+    code: str          #: rule code, e.g. "SB601"
     path: str          #: repo-relative, forward-slash path
     line: int          #: 1-based line (0 for whole-file/model findings)
     anchor: str        #: stable location key (qualname or symbolic)
@@ -291,10 +289,5 @@ def repo_paths() -> Tuple[Path, Path]:
     return pkg, pkg.parent.parent
 
 
-def rel_path(pkg_dir: Path, file: Path) -> str:
-    """Stable repo-relative path ``src/repro/...`` for a package file."""
-    return "src/repro/" + file.resolve().relative_to(pkg_dir).as_posix()
-
-
 __all__ = ["Baseline", "Finding", "PRAGMA_RE", "RULES", "apply_pragmas",
-           "file_pragmas", "rel_path", "repo_paths"]
+           "file_pragmas", "repo_paths"]

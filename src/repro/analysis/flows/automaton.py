@@ -1,8 +1,8 @@
-"""Extract one message-flow automaton per protocol family (tentpole).
+"""Extract one message-flow automaton per protocol family.
 
-Reuses the SB5xx state-access extraction (:mod:`repro.analysis.races.model`)
-— dispatch tables, transitively-closed handler send sites, root sends —
-and reduces it to the *conversation level*: which role consumes which
+Reuses the protocol model (:mod:`repro.analysis.races.model`) — dispatch
+tables, transitively-closed handler send sites, root sends — and reduces
+it to the *conversation level*: which role consumes which
 message type, and which ``(sender role, type, receiver role)`` edges the
 code implements.
 
@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.handler_lint import (DISPATCH_METHODS, FAMILY_SOURCES,
-                                         SUBSTRATE_SOURCES, _is_mtype_probe,
-                                         _mtype_names, _read, _role_of_class)
-from repro.analysis.races.model import ClassStateModel, _extract_source
+from repro.analysis.flows.specs import MessageDecls, read_message_decls
+from repro.analysis.races.model import (DISPATCH_METHODS, FAMILY_SOURCES,
+                                        SUBSTRATE_SOURCES, ClassStateModel,
+                                        _extract_source, _is_mtype_probe,
+                                        _mtype_names, _read, _role_of_class)
 from repro.network.message import ROLES
 
 
@@ -63,6 +64,14 @@ class DispatchGap:
     qualname: str                #: "Class.method" of the dispatch function
     path: str
     line: int
+
+
+@dataclass
+class ExtractedModule:
+    """One protocol or substrate module, parsed once for every family."""
+
+    classes: List[ClassStateModel]
+    gaps: List[DispatchGap]
 
 
 @dataclass
@@ -240,6 +249,35 @@ def build_automaton(family: str, types: Tuple[str, ...],
     return auto
 
 
+def extract_modules(pkg_dir: Path,
+                    source_overrides: Optional[Dict[str, str]] = None
+                    ) -> Dict[str, ExtractedModule]:
+    """Every family and substrate module (package-relative path ->
+    extraction), each parsed once however many families share it."""
+    out: Dict[str, ExtractedModule] = {}
+    for rel in [*sum(FAMILY_SOURCES.values(), ()), *SUBSTRATE_SOURCES]:
+        source = _read(pkg_dir, rel, source_overrides)
+        if source is None or rel in out:
+            continue
+        label = "src/repro/" + rel
+        out[rel] = ExtractedModule(_extract_source(label, source),
+                                   _scan_gaps(label, source))
+    return out
+
+
+def family_automaton(family: str, modules: Dict[str, ExtractedModule],
+                     decls: MessageDecls) -> FlowAutomaton:
+    """One family's automaton from already-extracted modules."""
+    classes: List[ClassStateModel] = []
+    gaps: List[DispatchGap] = []
+    for rel in _family_rels(family):
+        if rel in modules:
+            classes.extend(modules[rel].classes)
+            gaps.extend(modules[rel].gaps)
+    return build_automaton(family, decls.families.get(family, ()), classes,
+                           gaps)
+
+
 def extract_flow_automaton(family: str, pkg_dir: Optional[Path] = None,
                            source_overrides: Optional[Dict[str, str]] = None
                            ) -> FlowAutomaton:
@@ -247,26 +285,16 @@ def extract_flow_automaton(family: str, pkg_dir: Optional[Path] = None,
 
     ``source_overrides`` maps package-relative paths to replacement
     source text — the seeded flow mutations inject doctored modules this
-    way, exactly like the SB5xx pass.
+    way.
     """
     if pkg_dir is None:
         import repro
         pkg_dir = Path(repro.__file__).resolve().parent
-    from repro.analysis.flows.specs import family_types
-    vocabulary = family_types(pkg_dir, source_overrides)
-    types = vocabulary.get(family, ())
-
-    classes: List[ClassStateModel] = []
-    gaps: List[DispatchGap] = []
-    for rel in _family_rels(family):
-        source = _read(pkg_dir, rel, source_overrides)
-        if source is None:
-            continue
-        label = "src/repro/" + rel
-        classes.extend(_extract_source(label, source))
-        gaps.extend(_scan_gaps(label, source))
-    return build_automaton(family, types, classes, gaps)
+    return family_automaton(family,
+                            extract_modules(pkg_dir, source_overrides),
+                            read_message_decls(pkg_dir, source_overrides))
 
 
-__all__ = ["DispatchGap", "FlowAutomaton", "FlowSend", "HandlerSite",
-           "build_automaton", "extract_flow_automaton"]
+__all__ = ["DispatchGap", "ExtractedModule", "FlowAutomaton", "FlowSend",
+           "HandlerSite", "build_automaton", "extract_flow_automaton",
+           "extract_modules", "family_automaton"]

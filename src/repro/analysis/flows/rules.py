@@ -1,7 +1,12 @@
-"""Cross the extracted flow automata against the declared specs.
+"""Cross the extracted protocol model against the declared specs.
 
 | code  | finding |
 |-------|---------|
+| SB002 | an ``_on_*`` handler no dispatch table or method references |
+| SB003 | a directory/agent handler that mutates state but neither sends
+|       | nor schedules anything |
+| SB004 | a declared message type that never hits the wire, sits in no
+|       | family vocabulary, or breaks its piggy-back declaration |
 | SB601 | a type sent to a role with no dispatch branch for it, or a
 |       | dispatch branch waiting for a type nothing sends |
 | SB602 | code/spec disagreement: an extracted edge the spec does not
@@ -13,6 +18,8 @@ Findings use the shared :class:`repro.analysis.findings.Finding` keys, so
 the baseline/pragma machinery applies unchanged.  Piggy-backed types
 (``PIGGYBACKED_TYPES``) never travel standalone and are exempt from
 SB601/SB602 — they are checked by the SB004 carrier rules instead.
+SB601 only sees a family's own vocabulary (``FAMILY_TYPES``); SB004's
+vocabulary check makes sure no declared type falls outside all of them.
 """
 
 from __future__ import annotations
@@ -21,13 +28,90 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.flows.automaton import (FlowAutomaton, FlowSend,
-                                            extract_flow_automaton)
-from repro.analysis.flows.specs import (ParsedSpec, SPEC_SOURCES, SpecError,
-                                        load_spec)
-from repro.analysis.handler_lint import (MESSAGE_DECLS, _piggybacked_types,
-                                         _read)
+from repro.analysis.flows.automaton import (ExtractedModule, FlowAutomaton,
+                                            FlowSend, extract_modules,
+                                            family_automaton)
+from repro.analysis.flows.specs import (MessageDecls, ParsedSpec,
+                                        SPEC_SOURCES, SpecError, load_spec,
+                                        read_message_decls)
+from repro.analysis.races.model import (FAMILY_SOURCES, MESSAGE_DECLS,
+                                        ClassStateModel)
 from repro.network.message import ROLES
+
+
+def _dead_handlers(cls: ClassStateModel) -> List[Finding]:
+    """SB002: ``_on_*`` methods neither dispatched nor called."""
+    referenced = set(cls.dispatch.values())
+    for summary in cls.methods.values():
+        referenced |= summary.callees()
+    return [Finding(
+        code="SB002", path=cls.path, line=summary.line,
+        anchor=f"{cls.name}.{name}",
+        message=f"{cls.name}.{name} is never dispatched or called")
+        for name, summary in cls.methods.items()
+        if name.startswith("_on_") and name not in referenced]
+
+
+def _silent_mutations(cls: ClassStateModel) -> List[Finding]:
+    """SB003: a dir/agent handler whose whole effect is local mutation.
+
+    A call to a method the class does not define (an inherited helper
+    like ``apply_commit``) is assumed to advance time, so the rule only
+    fires when every reached effect is visible to the model.
+    """
+    if cls.role not in ("dir", "agent"):
+        return []
+    return [Finding(
+        code="SB003", path=cls.path, line=handler.line,
+        anchor=handler.qualname,
+        message=(f"{handler.qualname} (handling "
+                 f"{', '.join(handler.triggers)}) mutates module state but "
+                 f"sends/schedules nothing"))
+        for handler in cls.handlers.values()
+        if handler.writes and not (handler.sends or handler.deferred
+                                   or handler.opaque_calls)]
+
+
+def _orphan_types(decls: MessageDecls, sent: Set[str]) -> List[Finding]:
+    """SB004: declared types that are orphaned, outside every family
+    vocabulary, or piggy-backed inconsistently."""
+    path = "src/repro/" + MESSAGE_DECLS
+    vocabulary = {t for types in decls.families.values() for t in types}
+    out: List[Finding] = []
+    for name, line in sorted(decls.types.items()):
+        carriers = decls.piggybacked.get(name)
+        if carriers is not None:
+            # a payload-flag type: sound iff its carriers fly and it
+            # never appears on the wire as a standalone packet
+            missing = [c for c in carriers if c not in sent]
+            if name in sent:
+                message = (f"MessageType.{name} is declared as piggy-backed "
+                           f"(on {', '.join(carriers)}) but is also sent as "
+                           f"a standalone packet")
+            elif missing:
+                message = (f"MessageType.{name} piggy-backs on "
+                           f"{', '.join(missing)}, which "
+                           f"{'is' if len(missing) == 1 else 'are'} never "
+                           f"sent")
+            else:
+                continue
+        elif name not in sent:
+            message = f"MessageType.{name} is declared but never sent"
+        elif name not in vocabulary:
+            message = (f"MessageType.{name} is sent but belongs to no "
+                       f"FAMILY_TYPES vocabulary, so no flow rule checks it")
+        else:
+            continue
+        out.append(Finding(code="SB004", path=path, line=line,
+                           anchor=f"MessageType.{name}", message=message))
+    return out
+
+
+def _sent_types(modules: Dict[str, ExtractedModule]) -> Set[str]:
+    """Every message type any scanned method puts on the wire."""
+    return {mtype for module in modules.values() for cls in module.classes
+            for summary in cls.methods.values() for site in summary.sends
+            for mtype in site.mtypes}
 
 
 def _dangling(auto: FlowAutomaton, exempt: Set[str]) -> List[Finding]:
@@ -160,7 +244,8 @@ def _dispatch_gaps(auto: FlowAutomaton) -> List[Finding]:
 def lint_flows(pkg_dir: Optional[Path] = None,
                source_overrides: Optional[Dict[str, str]] = None
                ) -> List[Finding]:
-    """The SB6xx protocol-flow pass over every family plus the substrate.
+    """The protocol-flow pass (SB002–SB004, SB6xx) over every family
+    plus the substrate.
 
     ``source_overrides`` maps package-relative paths to replacement
     source text (seeded-mutation fixtures).
@@ -169,9 +254,9 @@ def lint_flows(pkg_dir: Optional[Path] = None,
         import repro
         pkg_dir = Path(repro.__file__).resolve().parent
 
-    decl_src = _read(pkg_dir, MESSAGE_DECLS, source_overrides)
-    exempt = (set(_piggybacked_types(decl_src)) if decl_src is not None
-              else set())
+    decls = read_message_decls(pkg_dir, source_overrides)
+    modules = extract_modules(pkg_dir, source_overrides)
+    exempt = set(decls.piggybacked)
 
     out: Dict[str, Finding] = {}
 
@@ -179,8 +264,15 @@ def lint_flows(pkg_dir: Optional[Path] = None,
         for finding in findings:
             out.setdefault(finding.key, finding)
 
+    # SB002/SB003 judge protocol code only, not the shared substrate
+    for rel in sorted(set(sum(FAMILY_SOURCES.values(), ())) & set(modules)):
+        for cls in modules[rel].classes:
+            add(_dead_handlers(cls))
+            add(_silent_mutations(cls))
+    add(_orphan_types(decls, _sent_types(modules)))
+
     for family in SPEC_SOURCES:
-        auto = extract_flow_automaton(family, pkg_dir, source_overrides)
+        auto = family_automaton(family, modules, decls)
         add(_dangling(auto, exempt))
         add(_dispatch_gaps(auto))
         try:

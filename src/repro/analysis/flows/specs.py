@@ -1,6 +1,6 @@
-"""Read declared ``PROTOCOL_SPEC``/``FAMILY_TYPES`` from module sources.
+"""Read declared ``PROTOCOL_SPEC``s and message declarations from sources.
 
-Both declarations are parsed from the AST, never imported: the seeded
+Every declaration is parsed from the AST, never imported: the seeded
 flow-mutation fixtures inject doctored module sources via
 ``source_overrides``, and an import would see the installed tree instead
 of the fixture.  The parsed keyword literals are still fed through the
@@ -12,11 +12,11 @@ exactly as it does to the committed ones.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from repro.analysis.handler_lint import MESSAGE_DECLS, _read
+from repro.analysis.races.model import MESSAGE_DECLS, _read
 from repro.protocols.spec import ProtocolSpec
 
 #: family -> module (package-relative) declaring its ``PROTOCOL_SPEC``.
@@ -107,50 +107,75 @@ def load_spec(family: str, pkg_dir: Path,
     return parse_spec("src/repro/" + rel, source)
 
 
-def family_types(pkg_dir: Path,
-                 source_overrides: Optional[Dict[str, str]] = None
-                 ) -> Dict[str, Tuple[str, ...]]:
-    """The ``FAMILY_TYPES`` vocabulary from ``network/message.py``.
+@dataclass
+class MessageDecls:
+    """What ``network/message.py`` declares, read from its AST."""
 
-    Keys are family names, values the ``MessageType`` member names that
-    belong to that family's conversation.
-    """
+    #: ``MessageType`` member name -> declaration line
+    types: Dict[str, int] = field(default_factory=dict)
+    #: ``PIGGYBACKED_TYPES``: rider type -> the carrier types it rides on
+    piggybacked: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: ``FAMILY_TYPES``: family name -> its message vocabulary
+    families: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+
+
+def _member(node: Optional[ast.expr]) -> Optional[str]:
+    """``X`` for a ``MessageType.X`` expression, else ``None``."""
+    if (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "MessageType"):
+        return node.attr
+    return None
+
+
+def _type_table(value: ast.Dict) -> Dict[str, Tuple[str, ...]]:
+    """A ``{key: (MessageType.X, ...)}`` literal as names.  Keys may be
+    ``MessageType`` members or strings; anything else is skipped."""
+    out: Dict[str, Tuple[str, ...]] = {}
+    for key, val in zip(value.keys, value.values):
+        name = (key.value if isinstance(key, ast.Constant)
+                and isinstance(key.value, str) else _member(key))
+        if name is None:
+            continue
+        members: Tuple[str, ...] = ()
+        if isinstance(val, (ast.Tuple, ast.List)):
+            members = tuple(m for m in map(_member, val.elts) if m)
+        out[name] = members
+    return out
+
+
+def read_message_decls(pkg_dir: Path,
+                       source_overrides: Optional[Dict[str, str]] = None
+                       ) -> MessageDecls:
+    """The ``MessageType`` members, ``PIGGYBACKED_TYPES`` and
+    ``FAMILY_TYPES`` declared in ``network/message.py``."""
+    decls = MessageDecls()
     source = _read(pkg_dir, MESSAGE_DECLS, source_overrides)
     if source is None:
-        return {}
-
-    def name_of(node: Optional[ast.expr]) -> Optional[str]:
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "MessageType"):
-            return node.attr
-        return None
-
-    tree = ast.parse(source)
-    out: Dict[str, Tuple[str, ...]] = {}
-    for node in tree.body:
+        return decls
+    tables = {"PIGGYBACKED_TYPES": decls.piggybacked,
+              "FAMILY_TYPES": decls.families}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == "MessageType":
+            for item in node.body:
+                if isinstance(item, ast.Assign):
+                    for t in item.targets:
+                        if isinstance(t, ast.Name):
+                            decls.types[t.id] = item.lineno
+            continue
         targets: Tuple[ast.expr, ...] = ()
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign):
             targets, value = tuple(node.targets), node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             targets, value = (node.target,), node.value
-        if not any(isinstance(t, ast.Name) and t.id == "FAMILY_TYPES"
-                   for t in targets):
-            continue
         if not isinstance(value, ast.Dict):
             continue
-        for key, val in zip(value.keys, value.values):
-            if not (isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)):
-                continue
-            members: Tuple[str, ...] = ()
-            if isinstance(val, (ast.Tuple, ast.List)):
-                members = tuple(m for m in (name_of(e) for e in val.elts)
-                                if m is not None)
-            out[key.value] = members
-    return out
+        for t in targets:
+            if isinstance(t, ast.Name) and t.id in tables:
+                tables[t.id].update(_type_table(value))
+    return decls
 
 
-__all__ = ["ParsedSpec", "SPEC_SOURCES", "SpecError", "family_types",
-           "load_spec", "parse_spec"]
+__all__ = ["MessageDecls", "ParsedSpec", "SPEC_SOURCES", "SpecError",
+           "load_spec", "parse_spec", "read_message_decls"]

@@ -24,8 +24,8 @@ message orderings.  This package checks that mechanically:
 * :mod:`mutations` holds seeded source-level race bugs proving the static
   pass has teeth.
 
-Entry points: :func:`lint_races` (the static pass, used by
-``python -m repro lint --races``) and
+Entry points: :func:`lint_races` (the static pass, run by
+``python -m repro lint``) and
 :func:`repro.analysis.races.confirm.confirm_findings`.
 """
 

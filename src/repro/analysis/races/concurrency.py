@@ -71,28 +71,6 @@ class ConcurrencyModel:
                     return scc
         return None
 
-    def reachable_readers(self, mtypes: Tuple[str, ...]
-                          ) -> Set[Tuple[str, str]]:
-        """All (class, handler) pairs transitively triggered by sending
-        any of ``mtypes`` — the audience of a send site."""
-        start: Set[Node] = set()
-        for node in self.nodes:
-            trig = self._triggers.get((node[1], node[2]), ())
-            if any(m in trig for m in mtypes):
-                start.add(node)
-        seen: Set[Node] = set()
-        stack = list(start)
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self.edges.get(cur, ()))
-        return {(n[1], n[2]) for n in seen}
-
-    _triggers: Dict[Tuple[str, str], Tuple[str, ...]] = field(
-        default_factory=dict)
-
 
 # ----------------------------------------------------------------------
 # Graph construction
@@ -143,8 +121,7 @@ def build_concurrency_model(model: StateModel) -> ConcurrencyModel:
                 for inst in _instances_for(cls.role):
                     handlers_by_mtype.setdefault(mtype, []).append(
                         (inst, cls, method))
-        for method, handler in cls.handlers.items():
-            cm._triggers[(cls.name, method)] = handler.triggers
+        for method in cls.handlers:
             for inst in _instances_for(cls.role):
                 cm.nodes.add((inst, cls.name, method))
     cm.nodes.add(ROOT)

@@ -1,8 +1,9 @@
-"""The static state-access model (tentpole part 1).
+"""The static protocol model: the one AST extraction of protocol source.
 
-For every message handler of every protocol class — the dispatch tables
-are recovered exactly as :mod:`repro.analysis.handler_lint` recovers them
-— this module computes the *effective* footprint of the handler:
+Every static pass that reasons about messages reads the protocol modules
+through this module: it recovers each class's message dispatch table
+(the hand-written ``if mtype is MessageType.X`` chains) and, for every
+handler, computes the *effective* footprint of the handler:
 
 * the per-module state attributes it **reads** and **writes** (``self.X``
   loads, stores, ``del``, augmented assignment, and mutator-method calls
@@ -26,6 +27,10 @@ are recovered exactly as :mod:`repro.analysis.handler_lint` recovers them
 Infrastructure attributes (``self.sim``, ``self.network``, ``self.obs``,
 …) are excluded: the model tracks *protocol state*, the structures the
 paper's Tables 4/5 orderings exist to protect.
+
+The SB5xx race rules consume the model directly; the SB6xx flow pass
+(:mod:`repro.analysis.flows`) reduces it to per-family conversation
+automata and also derives the handler-coverage rules SB002–SB004 from it.
 """
 
 from __future__ import annotations
@@ -33,14 +38,33 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.handler_lint import (DISPATCH_METHODS, FAMILY_SOURCES,
-                                         _extract_dispatch, _read,
-                                         _resolve_mtype_arg, _role_of_class)
+#: protocol family -> module files (relative to the ``repro`` package).
+FAMILY_SOURCES: Dict[str, Tuple[str, ...]] = {
+    "scalablebulk": ("core/directory_engine.py", "core/processor_engine.py"),
+    "bulksc": ("baselines/bulksc.py",),
+    "tcc": ("baselines/tcc.py",),
+    "seq": ("baselines/seq.py",),
+}
+
+#: coherence substrate, shared by every family: base dispatch + senders.
+SUBSTRATE_SOURCES: Tuple[str, ...] = (
+    "memory/directory.py", "protocols/base.py", "cpu/core.py",
+    "memory/hierarchy.py",
+)
+
+#: the module declaring ``MessageType``, ``PIGGYBACKED_TYPES`` and
+#: ``FAMILY_TYPES``
+MESSAGE_DECLS = "network/message.py"
 
 #: the substrate module whose handlers guard shared line state
 SUBSTRATE_MODULE = "memory/directory.py"
+
+#: Methods whose if/elif chains over ``msg.mtype`` are dispatch tables.
+#: ``_dispatch`` holds the chain when ``handle_message`` only delegates to
+#: it (the per-instance seam host-time attribution wraps).
+DISPATCH_METHODS = ("handle_message", "handle_protocol_message", "_dispatch")
 
 _SEND_METHODS = {"unicast", "multicast", "broadcast"}
 _SCHED_METHODS = {"schedule", "schedule_at"}
@@ -118,6 +142,10 @@ class HandlerModel:
     cleanup: Set[str] = field(default_factory=set)
     sends: List[SendSite] = field(default_factory=list)
     deferred: bool = False       #: reaches sim.schedule (callbacks run later)
+    #: reached ``self.X(...)`` calls to methods the class does not define
+    #: (inherited helpers such as ``apply_commit``): their effects are
+    #: outside the model, so they must be assumed to send or schedule
+    opaque_calls: Set[str] = field(default_factory=set)
 
     @property
     def qualname(self) -> str:
@@ -155,6 +183,115 @@ class StateModel:
 
     def handler_classes(self) -> List[ClassStateModel]:
         return [c for c in self.classes if c.handlers]
+
+
+# ----------------------------------------------------------------------
+# Dispatch tables and message-type resolution
+# ----------------------------------------------------------------------
+def _read(pkg_dir: Path, rel: str,
+          overrides: Optional[Dict[str, str]]) -> Optional[str]:
+    """Source of a package-relative module, or its fixture override."""
+    if overrides and rel in overrides:
+        return overrides[rel]
+    file = pkg_dir / rel
+    if not file.exists():
+        return None
+    return file.read_text()
+
+
+def _role_of_class(node: ast.ClassDef) -> Optional[str]:
+    names = [node.name] + [ast.unparse(b) for b in node.bases]
+    text = " ".join(names)
+    if "Arbiter" in text or "Vendor" in text:
+        return "agent"
+    if "Directory" in text:
+        return "dir"
+    if "Engine" in text or node.name == "Core":
+        return "core"
+    return None
+
+
+def _mtype_names(expr: ast.AST) -> List[str]:
+    """All ``MessageType.X`` attribute references inside ``expr``."""
+    out = []
+    for node in ast.walk(expr):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "MessageType"):
+            out.append(node.attr)
+    return out
+
+
+def _is_mtype_probe(expr: ast.AST) -> bool:
+    """Does ``expr`` read ``msg.mtype`` or a local named ``mtype``?"""
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Attribute) and node.attr == "mtype":
+            return True
+        if isinstance(node, ast.Name) and node.id == "mtype":
+            return True
+    return False
+
+
+def _handler_target(body: Sequence[ast.stmt]) -> Optional[str]:
+    """The ``self._on_x(msg)`` callee a dispatch branch delegates to."""
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "self"):
+                return node.func.attr
+    return None
+
+
+def _extract_dispatch(fn: ast.FunctionDef, into: Dict[str, str]) -> None:
+    """Parse an if/elif dispatch chain over the message type.
+
+    Handles ``is`` / ``==`` / ``in (tuple)`` comparisons, and the negated
+    guard idiom ``if mtype is not MessageType.X: raise`` (the rest of the
+    function then handles X).
+    """
+    def visit_if(node: ast.If) -> None:
+        test = node.test
+        if isinstance(test, ast.Compare) and _is_mtype_probe(test.left):
+            op = test.ops[0]
+            names = _mtype_names(test)
+            if isinstance(op, (ast.Is, ast.Eq, ast.In)) and names:
+                target = _handler_target(node.body) or fn.name
+                for name in names:
+                    into.setdefault(name, target)
+            elif isinstance(op, (ast.IsNot, ast.NotEq)) and names:
+                # negated guard: the *function* handles these types
+                raises = any(isinstance(s, (ast.Raise, ast.Return))
+                             for s in node.body)
+                if raises:
+                    for name in names:
+                        into.setdefault(name, fn.name)
+        for stmt in node.orelse:
+            if isinstance(stmt, ast.If):
+                visit_if(stmt)
+
+    for stmt in fn.body:
+        if isinstance(stmt, ast.If):
+            visit_if(stmt)
+
+
+def _resolve_mtype_arg(arg: ast.AST, fn: Optional[ast.FunctionDef]
+                       ) -> List[str]:
+    """Message-type names a send's first argument can take."""
+    names = _mtype_names(arg)
+    if names:
+        return names
+    if isinstance(arg, ast.Name) and fn is not None:
+        # e.g. reply = MessageType.A if dirty else MessageType.B
+        out: List[str] = []
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for t in node.targets:
+                    if isinstance(t, ast.Name) and t.id == arg.id:
+                        out.extend(_mtype_names(node.value))
+        return out
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -379,6 +516,7 @@ def _closure(cls: "ClassStateModel", entry: str) -> HandlerModel:
     while stack:
         name, env, via = stack.pop()
         if name not in cls.methods:
+            out.opaque_calls.add(name)
             continue
         key = (name, tuple(sorted(env.items())))
         if key in seen:
@@ -532,6 +670,7 @@ def extract_all_models(pkg_dir: Optional[Path] = None,
             for family in FAMILY_SOURCES}
 
 
-__all__ = ["CallSite", "ClassStateModel", "HandlerModel", "MethodSummary",
-           "SendSite", "StateModel", "SUBSTRATE_MODULE", "extract_all_models",
-           "extract_state_model"]
+__all__ = ["CallSite", "ClassStateModel", "DISPATCH_METHODS", "FAMILY_SOURCES",
+           "HandlerModel", "MESSAGE_DECLS", "MethodSummary", "SendSite",
+           "StateModel", "SUBSTRATE_MODULE", "SUBSTRATE_SOURCES",
+           "extract_all_models", "extract_state_model"]

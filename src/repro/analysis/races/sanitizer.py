@@ -257,18 +257,6 @@ class AccessSanitizer:
             self._last[key] = current
 
     # -- end-state queries for the confirm pass ------------------------
-    def end_nonempty(self, cls: str, attr: str) -> bool:
-        """Does any tracked instance of ``cls`` end the run with ``attr``
-        non-empty (a live leak witness for SB504)?"""
-        for _, _, obj, _ in self._targets:
-            if type(obj).__name__ != cls:
-                continue
-            value = getattr(obj, attr, None)
-            kind, size, _ = _probe(value)
-            if kind == "scalar" or (kind == "container" and size > 0):
-                return True
-        return False
-
     def grew(self, cls: str, attr: str) -> bool:
         return any(r.cls == cls and r.attr == attr and r.op == "grow"
                    for r in self.records)

@@ -346,7 +346,7 @@ class BulkSCProtocol(Protocol):
 
 #: BulkSC's conversation: every commit permission flows through the
 #: central arbiter; invalidation traffic reuses the shared BULK_INV
-#: sub-conversation.  Checked by `repro lint --flows` (SB6xx).
+#: sub-conversation.  Checked by `repro lint` (SB6xx).
 PROTOCOL_SPEC = ProtocolSpec(
     family="bulksc",
     edges=(

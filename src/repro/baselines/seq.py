@@ -286,7 +286,7 @@ class SeqProtocol(Protocol):
 
 #: SEQ-PRO's conversation: occupy the written modules one by one in
 #: ascending order, then commit; RELEASE frees modules on abort or on a
-#: stale grant.  Checked by `repro lint --flows` (SB6xx).
+#: stale grant.  Checked by `repro lint` (SB6xx).
 PROTOCOL_SPEC = ProtocolSpec(
     family="seq",
     edges=(

@@ -404,7 +404,7 @@ class ScalableTCCProtocol(Protocol):
 
 #: Scalable TCC's conversation: a TID from the central vendor totally
 #: orders commits; probe/skip/mark drive the per-directory write
-#: transactions.  Checked by `repro lint --flows` (SB6xx).
+#: transactions.  Checked by `repro lint` (SB6xx).
 PROTOCOL_SPEC = ProtocolSpec(
     family="tcc",
     edges=(

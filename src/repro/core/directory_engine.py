@@ -447,7 +447,7 @@ class ScalableBulkDirectory(DirectoryModule):
 
 
 #: The conversation this engine implements (paper Table 1), checked
-#: against the extracted flow automaton by `repro lint --flows` (SB6xx).
+#: against the extracted flow automaton by `repro lint` (SB6xx).
 #: COMMIT_RECALL carries no edge: it is piggy-backed (PIGGYBACKED_TYPES).
 PROTOCOL_SPEC = ProtocolSpec(
     family="scalablebulk",

@@ -306,7 +306,9 @@ def run_app(app: str, *, n_cores: int = 16,
     """One-call experiment: build the Table 2 machine and run one app.
 
     ``oracle=True`` attaches the global invalidation oracle and raises at
-    the end of the run if any commit missed a conflicting chunk.
+    the end of the run if any commit missed a conflicting chunk; the
+    oracle checks ScalableBulk group confirmations, so for any other
+    protocol it raises ``ValueError`` before the run starts.
     ``bus`` attaches an instrumentation bus (repro.obs) before the run.
     ``faults`` installs a :class:`repro.faults.FaultPlan`'s injectors and
     ``watchdog`` attaches the liveness watchdog with the given window

@@ -186,7 +186,7 @@ from repro.protocols.spec import ProtocolSpec  # noqa: E402
 #: demand reads, forwarding through the dirty owner, and writebacks.
 #: FWD_READ is deliberately not declared as a request — its data reply
 #: goes to the original requester, not back to the directory that
-#: forwarded it.  Checked by `repro lint --flows` (SB6xx).
+#: forwarded it.  Checked by `repro lint` (SB6xx).
 PROTOCOL_SPEC = ProtocolSpec(
     family="substrate",
     edges=(

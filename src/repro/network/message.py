@@ -239,10 +239,11 @@ SCALABLEBULK_TABLE1_TYPES = (
 
 #: Types that never travel as standalone packets: each rides as a payload
 #: flag on the listed carrier types (zero extra network cost; the type
-#: exists for Table 1 accounting).  The handler linter reads this mapping:
-#: a piggy-backed type is exempt from SB004 (orphan type) as long as every
-#: one of its carriers is actually sent — and conversely it is a finding
-#: if a piggy-backed type ever appears on the wire as its own packet.
+#: exists for Table 1 accounting).  The flow analysis reads this mapping
+#: statically: a piggy-backed type is exempt from SB004 (orphan type) and
+#: SB601/SB602 as long as every one of its carriers is actually sent — and
+#: conversely it is a finding if it ever appears on the wire as its own
+#: packet.
 PIGGYBACKED_TYPES: Dict[MessageType, Tuple[MessageType, ...]] = {
     MessageType.COMMIT_RECALL: (MessageType.BULK_INV_ACK,
                                 MessageType.COMMIT_DONE),
@@ -252,7 +253,9 @@ PIGGYBACKED_TYPES: Dict[MessageType, Tuple[MessageType, ...]] = {
 #: conversation (plus the shared coherence substrate).  The SB6xx flow
 #: analysis scopes each family's extracted automaton to its own types —
 #: this mapping, like ``PIGGYBACKED_TYPES``, is read statically from this
-#: module's source so fixture overrides see their own vocabulary.  The
+#: module's source so fixture overrides see their own vocabulary.  Every
+#: declared type that is not piggy-backed must belong to some family, or
+#: SB004 flags it.  The
 #: BULK_INV family (inv / ack / nack) is shared by ScalableBulk and
 #: BulkSC: both drive the same bulk-invalidation sub-conversation.
 FAMILY_TYPES: Dict[str, Tuple[MessageType, ...]] = {

@@ -1,11 +1,10 @@
 """Unified observability layer: instrumentation bus, gauges, exporters.
 
 See ``docs/observability.md`` for the hook-point catalog and a Perfetto
-walkthrough.  The package replaces the method-wrapping ``ChunkTracer``
-(:mod:`repro.tracing`, now a thin compatibility shim) with typed emit
-calls built into the simulator, NoC, cores, directory engines and
-baseline protocols — all behind a null-sink fast path so an
-uninstrumented run is byte-identical to one with no tracing at all.
+walkthrough.  Typed emit calls are built into the simulator, NoC, cores,
+directory engines and baseline protocols — all behind a null-sink fast
+path so an uninstrumented run is byte-identical to one with no tracing
+at all.
 """
 
 from repro.obs.bus import (

@@ -17,9 +17,8 @@ byte-identical with and without an attached bus.
 :class:`InstrumentationBus` is the live sink.  Each typed hook appends one
 :class:`ObsEvent` to ``bus.events`` (messages can be muted with
 ``record_messages=False``) and feeds the on-event gauge rings in
-``bus.gauges`` (see :mod:`repro.obs.gauges`).  Exporters, the commit
-critical-path analyzer and the legacy :mod:`repro.tracing` shim all consume
-the same recorded stream.
+``bus.gauges`` (see :mod:`repro.obs.gauges`).  Exporters and the commit
+critical-path analyzer consume the same recorded stream.
 
 Hook-point catalog (see ``docs/observability.md`` for the full table):
 

@@ -90,7 +90,18 @@ class InvalidationOracle:
 
 
 def attach_oracle(machine) -> InvalidationOracle:
-    """Convenience: build and attach the oracle to a machine."""
+    """Build and attach the oracle to a ScalableBulk machine (call before
+    ``machine.run()``).
+
+    Raises ``ValueError`` on a machine without ScalableBulk directories:
+    the other protocols never confirm a group, so the oracle would pass
+    without checking a single commit.
+    """
+    if not any(isinstance(d, ScalableBulkDirectory)
+               for d in machine.directories):
+        raise ValueError(
+            "the invalidation oracle checks ScalableBulk group "
+            "confirmations; this machine has no ScalableBulk directory")
     return InvalidationOracle(machine)
 
 

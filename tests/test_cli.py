@@ -73,3 +73,17 @@ class TestExploreCli:
         assert main(["run", "LU", "--cores", "4", "--chunks", "1",
                      "--oracle"]) == 0
         assert "LU on 4 cores" in capsys.readouterr().out
+
+    def test_run_oracle_on_other_protocol_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "LU", "--cores", "4", "--chunks", "1",
+                  "--protocol", "tcc", "--oracle"])
+        assert exc.value.code == 2
+        assert "ScalableBulk" in capsys.readouterr().err
+
+    def test_compare_with_oracle_checks_scalablebulk_only(self, capsys):
+        assert main(["compare", "Radix", "--cores", "8", "--chunks", "1",
+                     "--oracle"]) == 0
+        out = capsys.readouterr().out
+        for proto in ("ScalableBulk", "TCC", "SEQ", "BulkSC"):
+            assert proto in out

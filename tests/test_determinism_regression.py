@@ -10,7 +10,9 @@ import pytest
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.harness.runner import Machine
-from repro.tracing import attach_tracer
+from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, GROUP_FAILED,
+                           GROUP_FORMED, SQUASH, InstrumentationBus,
+                           attach_bus)
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
@@ -23,12 +25,10 @@ def committed_timeline(app: str, seed: int, protocol: ProtocolKind,
                                  active_cores=n_cores,
                                  chunks_per_partition=2)
     machine = Machine(config, workload=workload)
-    tracer = attach_tracer(machine)
+    bus = attach_bus(machine, InstrumentationBus(record_messages=False))
     machine.run()
-    events = [(e.time, e.kind, e.core, e.tag, e.detail)
-              for e in tracer.of_kind("commit_request", "commit_success",
-                                      "squash", "group_formed",
-                                      "group_failed")]
+    events = [e.to_json() for e in bus.of_kind(
+        COMMIT_REQUEST, COMMIT_COMPLETE, SQUASH, GROUP_FORMED, GROUP_FAILED)]
     return events, machine.sim.now
 
 

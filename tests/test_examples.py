@@ -48,7 +48,7 @@ def test_custom_trace_runs():
 def test_debug_timeline_runs():
     out = run_example("debug_timeline.py")
     assert "timeline for" in out
-    assert "commit_success" in out
+    assert "commit_complete" in out
 
 
 @pytest.mark.slow

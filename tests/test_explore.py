@@ -28,18 +28,19 @@ from repro.config import ProtocolKind, SystemConfig
 from repro.engine.events import Event, Simulator
 from repro.engine.rng import DeterministicRng
 from repro.harness.runner import Machine
-from repro.tracing import attach_tracer
+from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, GROUP_FAILED,
+                           GROUP_FORMED, SQUASH, InstrumentationBus,
+                           attach_bus)
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
 
 def _timeline(machine: Machine):
-    tracer = attach_tracer(machine)
+    bus = attach_bus(machine, InstrumentationBus(record_messages=False))
     machine.run()
-    return [(e.time, e.kind, e.core, e.tag, e.detail)
-            for e in tracer.of_kind("commit_request", "commit_success",
-                                    "squash", "group_formed",
-                                    "group_failed")], machine.sim.now
+    return [e.to_json() for e in bus.of_kind(
+        COMMIT_REQUEST, COMMIT_COMPLETE, SQUASH, GROUP_FORMED,
+        GROUP_FAILED)], machine.sim.now
 
 
 def _workload_machine(seed: int = 7) -> Machine:

@@ -1,18 +1,21 @@
-"""SB6xx static pass: flow automata, spec parsing, rules, mutation teeth."""
+"""Flow pass: automata, spec parsing, SB002-SB004/SB6xx rules, teeth."""
 
 import pytest
 
+from repro.analysis.cli import PASS_RULES
 from repro.analysis.findings import repo_paths
 from repro.analysis.flows import extract_flow_automaton, lint_flows, load_spec
 from repro.analysis.flows.automaton import _scan_gaps, build_automaton
 from repro.analysis.flows.mutations import FLOW_MUTATIONS, overrides_for
 from repro.analysis.flows.rules import (_conformance, _dangling,
-                                        _dispatch_gaps, _reply_paths)
-from repro.analysis.flows.specs import ParsedSpec, SpecError, parse_spec
+                                        _dead_handlers, _dispatch_gaps,
+                                        _orphan_types, _reply_paths,
+                                        _silent_mutations)
+from repro.analysis.flows.specs import (MessageDecls, ParsedSpec, SpecError,
+                                        parse_spec)
 from repro.analysis.races.model import _extract_source
 from repro.protocols.spec import ProtocolSpec
 
-SB6_CODES = {"SB601", "SB602", "SB603", "SB604"}
 FAMILIES = ("scalablebulk", "bulksc", "tcc", "seq", "substrate")
 
 
@@ -166,6 +169,74 @@ class TestToyRules:
         assert _reply_paths(auto, parsed) == []
 
 
+class TestCoverageRules:
+    """SB002-SB004 over the same extracted model as the SB6xx rules."""
+
+    def test_sb002_unreferenced_on_method(self):
+        source = TOY + ("\n    def _on_stale(self, msg):\n"
+                        "        self.stale = True\n")
+        (toy_dir,) = [c for c in _extract_source(TOY_PATH, source)
+                      if c.name == "ToyDirectory"]
+        assert keys(_dead_handlers(toy_dir)) == {
+            f"SB002 {TOY_PATH}::ToyDirectory._on_stale"}
+
+    def test_sb003_silent_directory_handler(self):
+        source = TOY.replace(
+            "        self.network.unicast(MessageType.PONG, self.node, "
+            "msg.src,\n                             ctag=msg.ctag)\n",
+            "        self.seen = True\n")
+        (toy_dir,) = [c for c in _extract_source(TOY_PATH, source)
+                      if c.name == "ToyDirectory"]
+        assert keys(_silent_mutations(toy_dir)) == {
+            f"SB003 {TOY_PATH}::ToyDirectory._on_ping"}
+
+    def test_sb003_inherited_call_counts_as_advancing_time(self):
+        """A helper the class does not define (e.g. ``apply_commit`` on
+        the substrate base) may send or schedule: no finding."""
+        source = TOY.replace(
+            "        self.network.unicast(MessageType.PONG, self.node, "
+            "msg.src,\n                             ctag=msg.ctag)\n",
+            "        self.seen = True\n        self.apply_commit(msg)\n")
+        (toy_dir,) = [c for c in _extract_source(TOY_PATH, source)
+                      if c.name == "ToyDirectory"]
+        assert _silent_mutations(toy_dir) == []
+
+    def test_sb003_ignores_core_handlers(self):
+        (engine,) = [c for c in _extract_source(TOY_PATH, TOY)
+                     if c.name == "ToyEngine"]
+        assert engine.handlers["_on_pong"].writes
+        assert _silent_mutations(engine) == []
+
+    def test_sb004_orphan_vocabulary_and_piggyback(self):
+        decls = MessageDecls(
+            types={"PING": 1, "PONG": 2, "LOST": 3, "STRAY": 4, "FLAG": 5},
+            piggybacked={"FLAG": ("PONG",)},
+            families={"toy": ("PING", "PONG", "LOST")})
+        anchors = {f.anchor for f in _orphan_types(
+            decls, sent={"PING", "PONG", "STRAY"})}
+        # LOST never flies; STRAY flies but no vocabulary claims it
+        assert anchors == {"MessageType.LOST", "MessageType.STRAY"}
+        carrier_gone = {f.anchor: f.message for f in _orphan_types(
+            decls, sent={"PING", "LOST", "STRAY"})}
+        assert "PONG, which is never sent" in carrier_gone["MessageType.FLAG"]
+        standalone = {f.anchor: f.message for f in _orphan_types(
+            decls, sent={"PING", "PONG", "LOST", "FLAG"})}
+        assert set(standalone) == {"MessageType.FLAG", "MessageType.STRAY"}
+        assert "standalone" in standalone["MessageType.FLAG"]
+
+    def test_substrate_is_exempt_from_sb002(self):
+        pkg_dir, _ = repo_paths()
+        rel = "memory/directory.py"
+        anchor = "    def handle_message(self, msg: Message) -> None:\n"
+        source = (pkg_dir / rel).read_text()
+        assert anchor in source, "substrate dispatch changed; update test"
+        source = source.replace(
+            anchor, "    def _on_unused(self, msg):\n        pass\n\n"
+            + anchor)
+        got = keys(lint_flows(source_overrides={rel: source}))
+        assert not any(k.startswith("SB002") for k in got)
+
+
 class TestSpecParsing:
     def test_every_family_declares_a_valid_spec(self):
         pkg_dir, _ = repo_paths()
@@ -238,20 +309,21 @@ class TestNominalTree:
 
 
 class TestMutationTeeth:
-    """Each seeded conversation bug must add exactly its expected key."""
+    """Each seeded protocol bug must add exactly its expected keys."""
 
     def test_mutations_cover_every_rule(self):
-        expected = {m.expected_key.split(" ", 1)[0]
-                    for m in FLOW_MUTATIONS.values()}
-        assert expected == SB6_CODES
+        expected = {key.split(" ", 1)[0] for m in FLOW_MUTATIONS.values()
+                    for key in m.expected_keys}
+        assert expected == set(PASS_RULES["flows"])
 
     @pytest.mark.parametrize("name", sorted(FLOW_MUTATIONS))
     def test_mutation_adds_its_expected_key(self, name):
         nominal = keys(lint_flows())
-        overrides, expected_key = overrides_for(name)
+        overrides, expected_keys = overrides_for(name)
         mutated = keys(lint_flows(source_overrides=overrides))
-        assert expected_key not in nominal
-        assert expected_key in mutated
+        for expected_key in expected_keys:
+            assert expected_key not in nominal
+            assert expected_key in mutated
         assert nominal <= mutated
 
     @pytest.mark.parametrize("name", sorted(FLOW_MUTATIONS))

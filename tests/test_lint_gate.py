@@ -19,11 +19,11 @@ class TestGate:
     def test_known_findings_exist_without_baseline(self, capsys):
         """The baseline is not vacuous: suppressing nothing fails the gate.
 
-        The handler/group/determinism passes are clean at source level
+        The group/determinism/flow passes are clean at source level
         (SB304 moved to inline pragmas, SB004 resolved by the piggyback
         model), so the live baseline entries are the SB5xx race findings.
         """
-        assert lint_main(["--no-baseline", "--races"]) == 1
+        assert lint_main(["--no-baseline"]) == 1
         out = capsys.readouterr().out
         assert "SB5" in out and "why:" in out
 
@@ -41,7 +41,7 @@ class TestGate:
 
     def test_write_and_reuse_baseline(self, tmp_path, capsys):
         path = tmp_path / "baseline.txt"
-        args = ["--races", "--baseline", str(path)]
+        args = ["--baseline", str(path)]
         assert lint_main(["--write-baseline", *args]) == 0
         assert path.exists() and "SB5" in path.read_text()
         assert lint_main(args) == 0
@@ -57,14 +57,14 @@ class TestGate:
     def test_explain_lists_rules(self, capsys):
         assert lint_main(["--explain"]) == 0
         out = capsys.readouterr().out
-        for code in ("SB001", "SB201", "SB301", "SB304"):
+        for code in ("SB002", "SB201", "SB301", "SB304", "SB601"):
             assert code in out
 
 
 class TestCliWiring:
     def test_main_module_delegates(self, capsys):
         assert repro_main(["lint", "--explain"]) == 0
-        assert "SB001" in capsys.readouterr().out
+        assert "SB002" in capsys.readouterr().out
 
     def test_lint_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -113,7 +113,18 @@ class TestOracleOption:
         assert plain.total_cycles == checked.total_cycles
         assert plain.chunks_committed == checked.chunks_committed
 
-    def test_oracle_applies_to_baseline_protocols_without_error(self):
-        r = run_app("LU", n_cores=4, chunks_per_partition=1,
-                    protocol=ProtocolKind.BULKSC, oracle=True)
-        assert r.chunks_committed > 0
+    def test_oracle_refuses_baseline_protocols(self, monkeypatch):
+        """The oracle checks ScalableBulk group confirmations only: on any
+        other protocol it would pass vacuously, so the run is refused
+        before a single event executes."""
+        from repro.harness import runner
+
+        def no_run(self, *args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(runner.Machine, "run", no_run)
+        for protocol in (ProtocolKind.TCC, ProtocolKind.SEQ,
+                         ProtocolKind.BULKSC):
+            with pytest.raises(ValueError, match="ScalableBulk"):
+                run_app("Radix", n_cores=8, chunks_per_partition=2,
+                        protocol=protocol, oracle=True)

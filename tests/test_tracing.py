@@ -1,16 +1,19 @@
-"""Tests for the chunk-lifecycle tracer."""
+"""Chunk-lifecycle tracing on the instrumentation bus: per-chunk queries,
+timeline rendering, JSONL export, and no effect on simulated results."""
 
+import importlib.util
 import json
-import warnings
-
-import pytest
-
-import repro.tracing
+from pathlib import Path
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
 from repro.harness.runner import Machine
-from repro.tracing import attach_tracer
+from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, EXEC_DONE,
+                           EXEC_START, GROUP_FORMED, SQUASH, attach_bus,
+                           ctag_str)
+from repro.obs.export import to_jsonl
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def traced_machine(specs_by_core, **kw):
@@ -23,8 +26,8 @@ def traced_machine(specs_by_core, **kw):
         return lst.pop(0) if lst else None
 
     machine = Machine(config, next_spec=next_spec)
-    tracer = attach_tracer(machine)
-    return machine, tracer
+    bus = attach_bus(machine)
+    return machine, bus
 
 
 def simple_specs(n=2, base=32 * 128 * 50):
@@ -32,74 +35,80 @@ def simple_specs(n=2, base=32 * 128 * 50):
             for i in range(n)]
 
 
+def for_tag(bus, tag):
+    """Events of one chunk across all its commit attempts (``tag#n``)."""
+    return [e for e in bus.events
+            if (ctag_str(e.ctag) or "").split("#")[0] == tag]
+
+
+def load_debug_timeline():
+    spec = importlib.util.spec_from_file_location(
+        "debug_timeline", EXAMPLES / "debug_timeline.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestLifecycleEvents:
     def test_full_lifecycle_recorded(self):
-        machine, tracer = traced_machine({0: simple_specs(1)})
+        machine, bus = traced_machine({0: simple_specs(1)})
         machine.run()
-        kinds = [e.kind for e in tracer.events if e.core == 0]
-        for expected in ("exec_start", "exec_done", "commit_request",
-                         "group_formed", "commit_success"):
+        kinds = {e.kind for e in for_tag(bus, "P0.c0.g0")}
+        for expected in (EXEC_START, EXEC_DONE, COMMIT_REQUEST,
+                         GROUP_FORMED, COMMIT_COMPLETE):
             assert expected in kinds, expected
 
     def test_event_order_sane(self):
-        machine, tracer = traced_machine({0: simple_specs(1)})
+        machine, bus = traced_machine({0: simple_specs(1)})
         machine.run()
-        events = tracer.for_tag("P0.c0.g0")
-        times = {e.kind: e.time for e in events}
-        assert times["exec_start"] <= times["exec_done"]
-        assert times["exec_done"] <= times["commit_request"]
-        assert times["commit_request"] <= times["commit_success"]
+        times = {}
+        for e in for_tag(bus, "P0.c0.g0"):
+            times.setdefault(e.kind, e.time)
+        assert times[EXEC_START] <= times[EXEC_DONE]
+        assert times[EXEC_DONE] <= times[COMMIT_REQUEST]
+        assert times[COMMIT_REQUEST] <= times[COMMIT_COMPLETE]
 
     def test_squash_recorded_with_reason(self):
         line = 32 * 128 * 80
         specs = lambda: [ChunkSpec(200, [ChunkAccess(1, line, True)])
                          for _ in range(3)]
-        machine, tracer = traced_machine({0: specs(), 1: specs()})
+        machine, bus = traced_machine({0: specs(), 1: specs()})
         machine.run()
-        squashes = tracer.of_kind("squash")
+        squashes = bus.of_kind(SQUASH)
         if squashes:  # conflicts are timing-dependent
-            assert all(e.detail in ("conflict", "alias") for e in squashes)
+            assert all(e.fields["reason"] in ("conflict", "alias")
+                       for e in squashes)
 
     def test_commit_counts_match_stats(self):
-        machine, tracer = traced_machine({0: simple_specs(3),
-                                          1: simple_specs(2, base=32 * 128 * 90)})
+        machine, bus = traced_machine({0: simple_specs(3),
+                                       1: simple_specs(2, base=32 * 128 * 90)})
         machine.run()
         committed = sum(c.stats.chunks_committed for c in machine.cores)
-        assert len(tracer.of_kind("commit_success")) == committed
+        assert len(bus.of_kind(COMMIT_COMPLETE)) == committed
 
 
 class TestQueriesAndExport:
     def test_timeline_render(self):
-        machine, tracer = traced_machine({0: simple_specs(1)})
+        machine, bus = traced_machine({0: simple_specs(1)})
         machine.run()
-        text = tracer.timeline("P0.c0.g0")
-        assert "commit_success" in text
+        text = load_debug_timeline().timeline(bus, "P0.c0.g0")
+        assert text.startswith("timeline for P0.c0.g0")
+        assert COMMIT_COMPLETE in text
 
     def test_summary_counts(self):
-        machine, tracer = traced_machine({0: simple_specs(2)})
+        machine, bus = traced_machine({0: simple_specs(2)})
         machine.run()
-        summary = tracer.summary()
-        assert summary["commit_success"] == 2
+        assert bus.summary()[COMMIT_COMPLETE] == 2
 
     def test_jsonl_dump(self, tmp_path):
-        machine, tracer = traced_machine({0: simple_specs(1)})
+        machine, bus = traced_machine({0: simple_specs(1)})
         machine.run()
         path = tmp_path / "trace.jsonl"
-        n = tracer.dump_jsonl(path)
+        n = to_jsonl(bus, path)
         lines = path.read_text().splitlines()
         assert len(lines) == n > 0
         parsed = json.loads(lines[0])
-        assert {"time", "kind", "core", "tag"} <= set(parsed)
-
-    def test_shim_warns_deprecated_exactly_once(self):
-        repro.tracing._warned = False    # undo earlier attaches in-session
-        with pytest.warns(DeprecationWarning, match="repro.obs"):
-            traced_machine({0: simple_specs(1)})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # a second warning would raise
-            machine, tracer = traced_machine({0: simple_specs(1)})
-        machine.run()                        # shim still round-trips
-        assert tracer.of_kind("commit_success")
+        assert {"time", "kind", "src", "ctag"} <= set(parsed)
 
     def test_tracing_does_not_change_results(self):
         specs = {0: simple_specs(3)}

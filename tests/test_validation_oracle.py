@@ -179,3 +179,16 @@ class TestOracleDirectly:
             d._confirm_group = dropping
         machine.run(max_events=5_000_000)
         assert oracle.violations, "dropped invalidations went unnoticed"
+
+
+class TestOracleScope:
+    """The oracle only checks ScalableBulk confirmations; attaching it to
+    another protocol must fail up front instead of passing vacuously."""
+
+    @pytest.mark.parametrize("protocol", [ProtocolKind.TCC, ProtocolKind.SEQ,
+                                          ProtocolKind.BULKSC])
+    def test_attach_refuses_other_protocols(self, protocol):
+        config = SystemConfig(n_cores=4, protocol=protocol)
+        machine = Machine(config, next_spec=lambda core: None)
+        with pytest.raises(ValueError, match="ScalableBulk"):
+            attach_oracle(machine)
