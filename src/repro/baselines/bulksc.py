@@ -18,7 +18,7 @@ centre links of the torus.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import Chunk, ChunkState
@@ -30,6 +30,7 @@ from repro.network.message import (
 from repro.obs.bus import NULL_BUS, NullBus
 from repro.protocols.base import Protocol, ProcessorEngine
 from repro.protocols.spec import ProtocolSpec
+from repro.signatures.bulk_signature import chunks_collide
 
 
 class _InFlight:
@@ -124,14 +125,10 @@ class BulkSCArbiter:
 
     @staticmethod
     def _conflicts(w_sig, r_sig, write_lines, other: _InFlight) -> bool:
-        """Signature-based overlap check, per expanded line (as in Bulk)."""
-        for line in write_lines:
-            if other.w_sig.contains(line) or other.r_sig.contains(line):
-                return True
-        for line in other.write_lines:
-            if r_sig.contains(line) or w_sig.contains(line):
-                return True
-        return False
+        """Signature-based overlap check, per expanded line (as in Bulk):
+        the same pair test as a ScalableBulk CST admission."""
+        return chunks_collide(write_lines, r_sig, w_sig,
+                              other.write_lines, other.r_sig, other.w_sig)
 
     def _on_dir_done(self, msg: Message) -> None:
         """Final-ack bookkeeping occupies the serial service port too.
@@ -189,7 +186,7 @@ class BulkSCDirectory(DirectoryModule):
         proc = msg.payload["proc"]
         w_sig = msg.payload["w_sig"]
         write_lines = msg.payload["write_lines"]
-        local = [l for l in write_lines if self._homed_here(l)]
+        local = self.protocol.lines_homed_at(write_lines, self.dir_id)
         sharers = self.sharers_to_invalidate(local, proc)
         self.apply_commit(local, proc)
         payload = {
@@ -206,10 +203,6 @@ class BulkSCDirectory(DirectoryModule):
         for s in sorted(sharers):
             self.network.unicast(MessageType.BULK_INV, self.node,
                                  core_node(s), ctag=cid, **payload)
-
-    def _homed_here(self, line_addr: int) -> bool:
-        page = line_addr * self.config.line_bytes // self.config.page_bytes
-        return self.protocol.page_mapper.lookup(page) == self.dir_id
 
     def _on_ack(self, msg: Message) -> None:
         state = self.applying.get(msg.ctag)
@@ -268,7 +261,7 @@ class BulkSCEngine(ProcessorEngine):
             MessageType.BSC_COMMIT_REQ, self.node, self.protocol.arbiter.node,
             ctag=cid, proc=self.core.core_id, r_sig=chunk.r_sig,
             w_sig=chunk.w_sig, dirs=tuple(sorted(chunk.dirs)),
-            write_lines=frozenset(chunk.write_lines),
+            write_lines=chunk.frozen_write_set(),
         )
 
     def handle_protocol_message(self, msg: Message) -> None:
@@ -312,7 +305,8 @@ class BulkSCEngine(ProcessorEngine):
                 MessageType.BULK_INV_NACK, self.node, dir_node(leader),
                 ctag=msg.ctag, proc=self.core.core_id)
             return
-        write_lines: Set[int] = set(msg.payload["write_lines"])
+        write_lines = self.protocol.sig_factory.write_set(
+            msg.payload["write_lines"])
         self.core.apply_invalidation(write_lines)
         victim = self.find_inv_conflict(write_lines)
         if victim is not None:

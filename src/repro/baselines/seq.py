@@ -89,7 +89,7 @@ class SeqDirectory(DirectoryModule):
             return  # stale commit order for an attempt we no longer hold
         write_lines = msg.payload["write_lines"]
         proc = self.occupant_proc
-        local = [l for l in write_lines if self._homed_here(l)]
+        local = self.protocol.lines_homed_at(write_lines, self.dir_id)
         # Like Scalable TCC, SEQ has no signatures: the occupied module
         # services each written line as its own write-transaction.
         self._active = {"cid": msg.ctag, "proc": proc, "lines": set(local),
@@ -116,10 +116,6 @@ class SeqDirectory(DirectoryModule):
         for s in sorted(sharers):
             self.network.unicast(MessageType.SEQ_INV, self.node,
                                  core_node(s), ctag=cid, write_lines=(line,))
-
-    def _homed_here(self, line_addr: int) -> bool:
-        page = line_addr * self.config.line_bytes // self.config.page_bytes
-        return self.protocol.page_mapper.lookup(page) == self.dir_id
 
     def _on_inv_ack(self, msg: Message) -> None:
         if self._active is None or self._active["cid"] != msg.ctag:

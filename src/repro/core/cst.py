@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.signatures.bulk_signature import BulkSignature
+from repro.signatures.bulk_signature import BulkSignature, chunks_collide
 
 #: A commit instance: (chunk tag, retry attempt number).  Retries after a
 #: group-formation failure are distinct protocol conversations.
@@ -95,17 +95,13 @@ class CstEntry:
         expansion: each *expanded written line* of one chunk probes the
         other chunk's signatures (per-line membership, low false-positive
         rate), rather than a whole-signature AND (which saturates at
-        realistic densities).
+        realistic densities).  ``write_lines`` arrives as the requester's
+        :class:`WriteSet`, so the probes reuse its cached line masks.
         """
         if self.w_sig is None or other.w_sig is None:
             return False
-        for line in self.write_lines:
-            if other.w_sig.contains(line) or other.r_sig.contains(line):
-                return True
-        for line in other.write_lines:
-            if self.r_sig.contains(line) or self.w_sig.contains(line):
-                return True
-        return False
+        return chunks_collide(self.write_lines, self.r_sig, self.w_sig,
+                              other.write_lines, other.r_sig, other.w_sig)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         bits = f"l={int(self.leader_here)},h={int(self.held)},c={int(self.confirmed)}"

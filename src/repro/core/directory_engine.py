@@ -131,17 +131,11 @@ class ScalableBulkDirectory(DirectoryModule):
         if entry is None:
             return  # failed while expanding
         entry.expanded = True
-        entry.local_write_lines = [
-            line for line in entry.write_lines
-            if self._homed_here(line)
-        ]
+        entry.local_write_lines = self.protocol.lines_homed_at(
+            entry.write_lines, self.dir_id)
         entry.local_sharers = self.sharers_to_invalidate(
             entry.local_write_lines, entry.proc)
         self._maybe_advance(entry)
-
-    def _homed_here(self, line_addr: int) -> bool:
-        page = line_addr * self.config.line_bytes // self.config.page_bytes
-        return self.protocol.page_mapper.lookup(page) == self.dir_id
 
     # ------------------------------------------------------------------
     # g: grab message from the predecessor in the group

@@ -50,7 +50,7 @@ class ScalableBulkEngine(ProcessorEngine):
         order = order_gvec(chunk.dirs, self.config.n_directories,
                            self.protocol.priority_offset())
         chunk.commit_order = order  # stashed for recall computation
-        write_lines = frozenset(chunk.write_lines)
+        write_lines = chunk.frozen_write_set()
         for d in order:
             self.network.unicast(
                 MessageType.COMMIT_REQUEST, self.node, dir_node(d), ctag=cid,
@@ -123,8 +123,8 @@ class ScalableBulkEngine(ProcessorEngine):
                 ctag=msg.ctag, proc=self.core.core_id)
             return
 
-        w_sig = msg.payload["w_sig"]
-        write_lines: Set[int] = set(msg.payload["write_lines"])
+        write_lines = self.protocol.sig_factory.write_set(
+            msg.payload["write_lines"])
         winner_order = msg.payload["winner_order"]
         self.core.apply_invalidation(write_lines)
 

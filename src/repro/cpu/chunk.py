@@ -15,7 +15,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Set, Tuple
 
-from repro.signatures.bulk_signature import BulkSignature, SignatureFactory
+from repro.signatures.bulk_signature import (
+    BulkSignature, SignatureFactory, WriteSet,
+)
 
 
 class ChunkTag(NamedTuple):
@@ -107,6 +109,8 @@ class Chunk:
     acc_useful: int = 0             #: instruction cycles banked by this attempt
     acc_miss: int = 0               #: miss-stall cycles banked by this attempt
     commit_order: Tuple[int, ...] = ()  #: traversal order shipped at request
+    _write_set: Optional[WriteSet] = field(default=None, compare=False,
+                                           repr=False)
 
     def __post_init__(self) -> None:
         self.r_sig = self.sig_factory.empty()
@@ -138,13 +142,24 @@ class Chunk:
         the committing chunk's expanded write-set is probed for membership
         in our R and W signatures (Section 3.4: squash when W_committing
         intersects R or W).  No false negatives; per-line membership false
-        positives produce the paper's *aliasing squashes*.
+        positives produce the paper's *aliasing squashes*.  A bulk
+        invalidation carries the winner's :class:`WriteSet`, so every
+        receiving core probes with the masks its first probe hashed.
         """
-        r_sig, w_sig = self.r_sig, self.w_sig
-        for line in write_lines:
-            if r_sig.contains(line) or w_sig.contains(line):
-                return True
-        return False
+        return self.sig_factory.write_set(write_lines).probe(
+            self.r_sig, self.w_sig)
+
+    def frozen_write_set(self) -> WriteSet:
+        """The write set a commit request of this attempt ships.
+
+        Built on first use and reused by the attempt's commit retries
+        (a BulkSC nack storm re-requests the same chunk many times).
+        Writes only add lines, so a size change means a stale cache.
+        """
+        ws = self._write_set
+        if ws is None or len(ws) != len(self.write_lines):
+            ws = self._write_set = self.sig_factory.write_set(self.write_lines)
+        return ws
 
     def true_conflict_with(self, write_lines: Set[int]) -> bool:
         """Ground-truth (exact-address) conflict test."""

@@ -414,7 +414,7 @@ class Core:
     # ------------------------------------------------------------------
     def apply_invalidation(self, lines) -> int:
         """Drop the given lines from the local caches; returns hits."""
-        return sum(1 for line in lines if self.hierarchy.invalidate(line))
+        return self.hierarchy.invalidate_lines(lines)
 
     def _send_writeback(self, line: int) -> None:
         home = self.page_mapper.lookup(

@@ -12,7 +12,7 @@ average size" of chunks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Set
 
 from repro.config import CacheConfig
 
@@ -201,11 +201,38 @@ class Cache:
     # State changes
     # ------------------------------------------------------------------
     def invalidate(self, line_addr: int) -> Optional[CacheLine]:
-        """Drop a line (bulk invalidation / squash). Returns it if present."""
-        s = self._set_at(line_addr % self.n_sets)
-        if s and line_addr in s:
-            return s.pop(line_addr)
+        """Drop a line (bulk invalidation / squash). Returns it if present.
+
+        A line of a still-shadowed prewarm set is dropped from the shadow
+        without materializing its set: it is clean and not speculative,
+        so the returned line is exactly what materializing would build."""
+        idx = line_addr % self.n_sets
+        s = self._sets.get(idx)
+        if s is not None:
+            return s.pop(line_addr, None)
+        pend = self._lazy.get(idx)
+        if pend is not None and line_addr in pend:
+            del pend[line_addr]
+            return CacheLine(line_addr)
         return None
+
+    def invalidate_lines(self, lines: Iterable[int]) -> Set[int]:
+        """Drop every resident line of ``lines`` (a bulk invalidation's
+        write set) in one loop; returns the addresses that were resident.
+        Same effect as :meth:`invalidate` per line."""
+        n_sets = self.n_sets
+        sets_get = self._sets.get
+        lazy_get = self._lazy.get
+        dropped: Set[int] = set()
+        for line_addr in lines:
+            idx = line_addr % n_sets
+            s = sets_get(idx)
+            if s is None:
+                s = lazy_get(idx)
+            if s and line_addr in s:
+                del s[line_addr]
+                dropped.add(line_addr)
+        return dropped
 
     def mark_spec_write(self, line_addr: int, ctag: object) -> bool:
         """Tag a resident line as speculatively written by ``ctag``."""

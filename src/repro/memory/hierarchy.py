@@ -10,7 +10,7 @@ directory owner state consistent with the caches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Collection, Dict, Optional, Set
 
 from repro.config import SystemConfig
 
@@ -123,6 +123,14 @@ class CacheHierarchy:
         in_l1 = self.l1.invalidate(line_addr) is not None
         in_l2 = self.l2.invalidate(line_addr) is not None
         return in_l1 or in_l2
+
+    def invalidate_lines(self, lines: Collection[int]) -> int:
+        """Bulk invalidation of a whole write set (both levels); returns
+        how many of its lines were resident, as per-line
+        :meth:`invalidate` calls would count them."""
+        dropped = self.l1.invalidate_lines(lines)
+        dropped |= self.l2.invalidate_lines(lines)
+        return len(dropped)
 
     def caches_line(self, line_addr: int) -> bool:
         return line_addr in self.l1 or line_addr in self.l2

@@ -16,8 +16,10 @@ at the hot triangle the ROADMAP's compiled-core item targets —
 ``machine.prewarm``    steady-state working-set install before the run
                        (``Machine.prewarm``)
 ``sig.insert``         signature line insert
-``sig.member``         signature membership probe (expansion path)
+``sig.member``         signature membership probe (load filtering)
 ``sig.intersect``      signature intersection (conflict tests)
+``sig.probe``          write-set probe kernel: CST pairs, arbiter grants,
+                       bulk-invalidation disambiguation (``WriteSet.probe``)
 =====================  ===============================================
 
 — and aggregate into a per-scope attribution (call count, inclusive
@@ -67,6 +69,7 @@ DIR_HANDLER = "dir.handler"
 SIG_INSERT = "sig.insert"
 SIG_MEMBER = "sig.member"
 SIG_INTERSECT = "sig.intersect"
+SIG_PROBE = "sig.probe"
 CST_CONFLICT = "cst.conflict"
 MACHINE_PREWARM = "machine.prewarm"
 
@@ -75,7 +78,8 @@ MACHINE_PREWARM = "machine.prewarm"
 OTHER = "other"
 
 HOT_SCOPES = (ENGINE_DISPATCH, NOC_TRANSIT, DIR_HANDLER, CST_CONFLICT,
-              MACHINE_PREWARM, SIG_INSERT, SIG_MEMBER, SIG_INTERSECT)
+              MACHINE_PREWARM, SIG_INSERT, SIG_MEMBER, SIG_INTERSECT,
+              SIG_PROBE)
 
 _CLOCK = time.perf_counter_ns  # repro: allow SB304
 
@@ -349,13 +353,14 @@ def render_share_line(shares: Dict[str, float], top: int = 4) -> str:
 # ----------------------------------------------------------------------
 # Attachment
 # ----------------------------------------------------------------------
-def _scoped_signature_cls(profiler: HostProfiler) -> type:
-    """A :class:`BulkSignature` subclass whose hot operations open scopes.
+def _scope_signatures(profiler: HostProfiler, factory: Any) -> None:
+    """Point ``factory`` at :class:`BulkSignature` and :class:`WriteSet`
+    subclasses whose hot operations open scopes.
 
-    ``BulkSignature`` has ``__slots__``, so its instances cannot take
-    per-instance wrappers; the factory hands out this subclass instead.
+    Both classes have ``__slots__``, so their instances cannot take
+    per-instance wrappers; the factory hands out these subclasses instead.
     """
-    from repro.signatures.bulk_signature import BulkSignature
+    from repro.signatures.bulk_signature import BulkSignature, WriteSet
 
     scoped = profiler.scoped
 
@@ -366,7 +371,12 @@ def _scoped_signature_cls(profiler: HostProfiler) -> type:
         contains = scoped(SIG_MEMBER, BulkSignature.contains)
         intersects = scoped(SIG_INTERSECT, BulkSignature.intersects)
 
-    return ScopedSignature
+    class ScopedWriteSet(WriteSet):
+        __slots__ = ()
+        probe = scoped(SIG_PROBE, WriteSet.probe)
+
+    factory._signature_cls = ScopedSignature
+    factory._write_set_cls = ScopedWriteSet
 
 
 def attach_profiler(machine: Any,
@@ -399,7 +409,7 @@ def attach_profiler(machine: Any,
 
     network = machine.network
     network._send = scoped(NOC_TRANSIT, network._send)
-    machine.sig_factory._signature_cls = _scoped_signature_cls(profiler)
+    _scope_signatures(profiler, machine.sig_factory)
     for directory in machine.directories:
         directory._dispatch = scoped(DIR_HANDLER, directory._dispatch)
         collides = getattr(directory, "_collides", None)
@@ -514,7 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 __all__ = ["CST_CONFLICT", "DIR_HANDLER", "ENGINE_DISPATCH", "HOT_SCOPES",
            "HostProfiler", "MACHINE_PREWARM", "NOC_TRANSIT", "OTHER",
            "ProfileReport", "SCHEMA", "SIG_INSERT", "SIG_INTERSECT",
-           "SIG_MEMBER", "ScopeStats", "aggregate_profiles",
+           "SIG_MEMBER", "SIG_PROBE", "ScopeStats", "aggregate_profiles",
            "attach_profiler", "main", "make_profiler", "render_share_line"]
 
 

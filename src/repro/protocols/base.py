@@ -68,6 +68,17 @@ class Protocol:
             out.setdefault(self.home_of_line(line, toucher), []).append(line)
         return out
 
+    def lines_homed_at(self, lines: Iterable[int], dir_id: int) -> List[int]:
+        """The lines of ``lines`` whose page is homed at ``dir_id``, in
+        iteration order: the directory side of W expansion.  It runs
+        over every write set at every module of its group, hence one
+        loop with the page lookup inlined."""
+        lookup = self.page_mapper.lookup
+        line_bytes = self.config.line_bytes
+        page_bytes = self.config.page_bytes
+        return [line for line in lines
+                if lookup(line * line_bytes // page_bytes) == dir_id]
+
     def engine_for(self, core_id: int) -> "ProcessorEngine":
         return self.engines[core_id]
 

@@ -27,16 +27,27 @@ The banked semantics are unchanged: per-bank views are recovered on
 demand (``banks()``), and the bank-local ``line_masks`` API is kept for
 diagnostics and tests.
 
+**The write-set probe kernel.**  Three protocol decisions probe a
+committing chunk's *expanded write set* line by line against another
+chunk's R and W signatures: the CST admission test (Section 3.2.1), the
+BulkSC arbiter's grant test, and processor-side disambiguation of a bulk
+invalidation (Section 3.4).  A :class:`WriteSet` is built once per
+commit request and caches every line's packed mask at its first probe,
+so each of those probes is one AND + compare per line in one loop
+(:meth:`WriteSet.probe`); :func:`chunks_collide` is the two-way pair test
+over it.  R and W stay two probes: a line "in R|W" is not "in R or in
+W" for Bloom filters.
+
 Each operation has exactly one body.  Host-time attribution
 (:mod:`repro.obs.profile`) does not branch in here: attaching it points
-the factory at a scoped subclass, so signatures handed out afterwards
-time their ``insert``/``contains``/``intersects`` calls and the
-unobserved path pays nothing.
+the factory at scoped subclasses, so signatures and write sets handed
+out afterwards time their ``insert``/``contains``/``intersects``/
+``probe`` calls and the unobserved path pays nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.signatures.hashing import HashFamily, make_hash_family
 
@@ -67,9 +78,11 @@ class SignatureFactory:
         bank_ones = (1 << self.bank_bits) - 1
         self.bank_slices: Tuple[int, ...] = tuple(
             bank_ones << (b * self.bank_bits) for b in range(n_banks))
-        #: class of the signatures this factory hands out (host-time
-        #: attribution swaps in a scoped subclass; see repro.obs.profile)
+        #: classes of the signatures and write sets this factory hands out
+        #: (host-time attribution swaps in scoped subclasses; see
+        #: repro.obs.profile)
         self._signature_cls: type = BulkSignature
+        self._write_set_cls: type = WriteSet
 
     @property
     def hash_params(self) -> Tuple[int, int, str, int]:
@@ -113,6 +126,21 @@ class SignatureFactory:
         sig = self._signature_cls(self)
         sig.insert_many(lines)
         return sig
+
+    def write_set(self, lines: Iterable[int]) -> "WriteSet":
+        """``lines`` as a :class:`WriteSet` hashed by this factory.
+
+        A write set this factory (or one with equal ``hash_params``)
+        already built comes back as is, with its cached masks; any other
+        iterable of line addresses becomes a new one.
+        """
+        if isinstance(lines, WriteSet) and self.hashes_like(lines.factory):
+            return lines
+        return self._write_set_cls(lines, self)
+
+    def hashes_like(self, other: "SignatureFactory") -> bool:
+        """Does ``other`` put every address on the same bits as this one?"""
+        return other is self or other.hash_params == self.hash_params
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SignatureFactory(total_bits={self.total_bits}, "
@@ -239,8 +267,7 @@ class BulkSignature:
         # lands the same address on different bits, and intersects() would
         # then silently report "disjoint" for overlapping sets — a missed
         # conflict.  The full hash-family parameters must agree.
-        if (other._factory is not self._factory
-                and other._factory.hash_params != self._factory.hash_params):
+        if not self._factory.hashes_like(other._factory):
             raise ValueError(
                 "signatures from incompatible factories: "
                 f"{self._factory.hash_params} vs {other._factory.hash_params}")
@@ -255,6 +282,80 @@ class BulkSignature:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BulkSignature(bits={self.bit_count()}, inserts={self._count})"
+
+
+class WriteSet(frozenset):
+    """A committing chunk's expanded write set, each line's mask cached.
+
+    Still a frozenset of line addresses, so exact-set consumers
+    (validators, squash classification, cache invalidation) read it as
+    before.  A commit request ships the one object to every directory of
+    its group and on to every sharer's bulk invalidation, so every probe
+    against it reuses the masks (:attr:`masks`) hashed for the first.
+    """
+
+    __slots__ = ("factory", "_masks")
+
+    def __new__(cls, lines: Iterable[int],
+                factory: SignatureFactory) -> "WriteSet":
+        self = super().__new__(cls, lines)
+        self.factory = factory
+        self._masks: Optional[Tuple[Tuple[int, int], ...]] = None
+        return self
+
+    @property
+    def masks(self) -> Tuple[Tuple[int, int], ...]:
+        """Per line, its bank-0 bit and its packed all-banks mask.
+
+        Computed on the first probe, not at build: a commit homed at one
+        directory and cached nowhere else is never probed at all.
+        """
+        masks = self._masks
+        if masks is None:
+            packed_mask = self.factory.packed_mask
+            masks = self._masks = tuple([
+                (mask & -mask, mask)
+                for mask in [packed_mask(line) for line in self]])
+        return masks
+
+    def probe(self, r_sig: BulkSignature, w_sig: BulkSignature) -> bool:
+        """Is any line possibly in ``r_sig`` or in ``w_sig``?
+
+        Per-line membership, exactly as that many ``contains`` calls on
+        each signature would answer, in one loop over the cached masks.
+        Most probes miss, and most misses already miss in bank 0: testing
+        the lone bank-0 bit first is an AND with a small int, where the
+        full test ANDs and compares the whole signature width.
+        """
+        factory = self.factory
+        if not (r_sig._factory is factory and w_sig._factory is factory):
+            for sig in (r_sig, w_sig):
+                if not factory.hashes_like(sig._factory):
+                    raise ValueError(
+                        "write set and signature from incompatible "
+                        f"factories: {factory.hash_params} vs "
+                        f"{sig._factory.hash_params}")
+        r_bits = r_sig._bits
+        w_bits = w_sig._bits
+        for low, mask in self.masks:
+            if r_bits & low and r_bits & mask == mask:
+                return True
+            if w_bits & low and w_bits & mask == mask:
+                return True
+        return False
+
+
+def chunks_collide(a_lines: Iterable[int], a_r: BulkSignature,
+                   a_w: BulkSignature, b_lines: Iterable[int],
+                   b_r: BulkSignature, b_w: BulkSignature) -> bool:
+    """Section 3.2.1's pair test: may chunks ``a`` and ``b`` conflict?
+
+    True when a line of either chunk's write set probes into the other
+    chunk's R or W signature.  Plain line iterables are hashed once by
+    the probed signature's factory; write sets reuse their masks.
+    """
+    return (b_r._factory.write_set(a_lines).probe(b_r, b_w)
+            or a_r._factory.write_set(b_lines).probe(a_r, a_w))
 
 
 def definitely_disjoint(a: BulkSignature, b: BulkSignature) -> bool:
@@ -273,5 +374,5 @@ def exact_conflict(read_set: Set[int], write_set: Set[int],
     return bool(other_write_set & read_set) or bool(other_write_set & write_set)
 
 
-__all__ = ["BulkSignature", "SignatureFactory", "definitely_disjoint",
-           "exact_conflict"]
+__all__ = ["BulkSignature", "SignatureFactory", "WriteSet", "chunks_collide",
+           "definitely_disjoint", "exact_conflict"]

@@ -66,6 +66,21 @@ class TestRecording:
         assert c.g_vec() == (1, 3, 5)
 
 
+class TestFrozenWriteSet:
+    def test_built_once_per_attempt(self, factory):
+        c = make_chunk(factory)
+        c.record(11, True, 0)
+        ws = c.frozen_write_set()
+        assert ws == {11} and c.frozen_write_set() is ws
+
+    def test_rebuilt_when_the_write_set_grew(self, factory):
+        c = make_chunk(factory)
+        c.record(11, True, 0)
+        first = c.frozen_write_set()
+        c.record(12, True, 0)
+        assert c.frozen_write_set() == {11, 12} != first
+
+
 class TestDisambiguation:
     def test_invalidation_hits_read_set(self, factory):
         c = make_chunk(factory)

@@ -122,6 +122,52 @@ class TestSpeculativeLines:
         assert not c.peek(0).dirty
 
 
+class TestBulkInvalidate:
+    @given(st.lists(st.integers(0, 40), max_size=30),
+           st.lists(st.integers(0, 40), max_size=30),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_line_invalidate(self, fills, kills, prewarmed):
+        """One loop over a write set leaves the cache exactly as per-line
+        invalidate() calls do, shadow (prewarmed) sets included."""
+        bulk, single = tiny_cache(), tiny_cache()
+        for c in (bulk, single):
+            if prewarmed:
+                c.fill_many(fills)
+            else:
+                for line in fills:
+                    c.fill(line)
+        dropped = bulk.invalidate_lines(set(kills))
+        expected = {line for line in set(kills)
+                    if single.invalidate(line) is not None}
+        assert dropped == expected
+        assert list(bulk.resident_lines()) == list(single.resident_lines())
+
+    @given(st.lists(st.integers(0, 40), max_size=30),
+           st.lists(st.integers(0, 40), max_size=30),
+           st.lists(st.integers(0, 40), max_size=10))
+    @settings(max_examples=80, deadline=None)
+    def test_shadowed_sets_drop_lines_like_materialized_ones(
+            self, fills, kills, later):
+        """A prewarmed set drops invalidated lines from its shadow; every
+        set then holds what a line-by-line filled cache holds, in the
+        same LRU order, through later fills and evictions too."""
+        shadowed, filled = tiny_cache(), tiny_cache()
+        shadowed.fill_many(fills)
+        for line in fills:
+            filled.fill(line)
+        assert (shadowed.invalidate_lines(set(kills))
+                == filled.invalidate_lines(set(kills)))
+        for line in later:
+            a, b = shadowed.fill(line), filled.fill(line)
+            assert (a.line and a.line.line_addr) == (b.line and b.line.line_addr)
+
+        def sets(c):
+            c._materialize_all()
+            return {i: list(s) for i, s in c._sets.items() if s}
+        assert sets(shadowed) == sets(filled)
+
+
 class TestStats:
     def test_hit_rate(self):
         c = tiny_cache()

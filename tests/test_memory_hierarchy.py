@@ -78,6 +78,13 @@ class TestChunkLifecycle:
         assert not hier.caches_line(70)
         assert not hier.invalidate(70)
 
+    def test_invalidate_lines_counts_resident_lines_once(self, hier):
+        hier.fill_remote(70)
+        hier.fill_remote(71)
+        assert hier.invalidate_lines({70, 71, 72}) == 2
+        assert not hier.caches_line(70) and not hier.caches_line(71)
+        assert hier.invalidate_lines({70}) == 0
+
 
 class TestWriteback:
     def test_dirty_l2_eviction_calls_back(self, small_config):

@@ -26,13 +26,16 @@ from repro.obs.profile import (
     SIG_INSERT,
     SIG_INTERSECT,
     SIG_MEMBER,
+    SIG_PROBE,
     HostProfiler,
     aggregate_profiles,
     attach_profiler,
     make_profiler,
     render_share_line,
 )
-from repro.signatures.bulk_signature import BulkSignature, SignatureFactory
+from repro.signatures.bulk_signature import (
+    BulkSignature, SignatureFactory, WriteSet,
+)
 
 
 class FakeClock:
@@ -200,11 +203,12 @@ class TestAttachment:
         assert run(profile=True) == base
         assert run(profile=True, bus=InstrumentationBus()) == base
 
-    #: Radix/4/ScalableBulk, 2 chunks per partition: per-scope call counts
-    #: as the in-body scopes that the wrappers replaced recorded them.
+    #: Radix/4/ScalableBulk, 2 chunks per partition: per-scope call counts.
+    #: The write-set kernel's probes (CST pairs, bulk invalidations) count
+    #: under sig.probe; sig.member keeps the directory's load filtering.
     RADIX4_SB_CALLS = {ENGINE_DISPATCH: 1074, NOC_TRANSIT: 687,
-                       DIR_HANDLER: 376, SIG_INSERT: 576, SIG_MEMBER: 3144,
-                       SIG_INTERSECT: 0}
+                       DIR_HANDLER: 376, SIG_INSERT: 576, SIG_MEMBER: 48,
+                       SIG_INTERSECT: 0, SIG_PROBE: 37}
 
     def test_scope_counts_equal_unprofiled_call_counts(self):
         """Each wrapper opens exactly one scope per call of what it wraps:
@@ -215,6 +219,7 @@ class TestAttachment:
                    (BulkSignature, "insert_many", SIG_INSERT),
                    (BulkSignature, "contains", SIG_MEMBER),
                    (BulkSignature, "intersects", SIG_INTERSECT),
+                   (WriteSet, "probe", SIG_PROBE),
                    (Network, "_send", NOC_TRANSIT),
                    (DirectoryModule, "_dispatch", DIR_HANDLER)]
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.signatures.bulk_signature import (
-    BulkSignature, SignatureFactory, definitely_disjoint, exact_conflict,
+    BulkSignature, SignatureFactory, WriteSet, chunks_collide,
+    definitely_disjoint, exact_conflict,
 )
 from repro.signatures.hashing import (
     H3HashFamily, MultiplicativeHashFamily, make_hash_family,
@@ -229,6 +230,70 @@ class TestFactory:
                 assert mask == 1 << f.hashes.bit_index(b, line)
         sig = f.from_lines([5, 6])
         assert sig.contains(5) and sig.contains(6)
+
+
+def _probe_reference(lines, r_sig, w_sig):
+    """The per-line loop the write-set kernel replaced."""
+    return any(r_sig.contains(line) or w_sig.contains(line) for line in lines)
+
+
+class TestWriteSet:
+    @given(line_sets, line_sets, line_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_probe_matches_per_line_contains(self, writes, reads, others):
+        for kind in ("mult", "h3"):
+            # small signatures so that aliasing hits show up too
+            f = SignatureFactory(total_bits=256, n_banks=4, hash_kind=kind,
+                                 seed=3)
+            r_sig, w_sig = f.from_lines(reads), f.from_lines(others)
+            assert (f.write_set(writes).probe(r_sig, w_sig)
+                    == _probe_reference(writes, r_sig, w_sig))
+
+    @given(line_sets, line_sets, line_sets, line_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_collide_matches_reference(self, aw, ar, bw, br):
+        f = SignatureFactory(total_bits=256, n_banks=4, seed=5)
+        a_r, a_w, b_r, b_w = (f.from_lines(x) for x in (ar, aw, br, bw))
+        expected = (_probe_reference(aw, b_r, b_w)
+                    or _probe_reference(bw, a_r, a_w))
+        assert chunks_collide(aw, a_r, a_w, bw, b_r, b_w) == expected
+        assert chunks_collide(f.write_set(aw), a_r, a_w,
+                              f.write_set(bw), b_r, b_w) == expected
+
+    def test_is_a_frozenset_of_its_lines(self, factory):
+        ws = factory.write_set([3, 4, 4])
+        assert isinstance(ws, frozenset)
+        assert ws == frozenset({3, 4}) and len(ws.masks) == 2
+        assert ws & {4, 9} == {4}
+
+    def test_reused_by_a_factory_with_equal_hash_params(self):
+        f1 = SignatureFactory(seed=2010)
+        f2 = SignatureFactory(seed=2010)
+        ws = f1.write_set([1, 2])
+        assert f1.write_set(ws) is ws
+        assert f2.write_set(ws) is ws
+
+    def test_rehashed_by_a_foreign_factory(self):
+        """Masks hashed under another seed would put the lines on the
+        wrong bits: a foreign write set is rebuilt, not reused."""
+        f1 = SignatureFactory(seed=2010)
+        f2 = SignatureFactory(seed=2011)
+        ws = f1.write_set([1, 2])
+        lifted = f2.write_set(ws)
+        assert lifted is not ws and lifted == ws
+        assert lifted.probe(f2.from_lines([2]), f2.empty())
+        assert chunks_collide(ws, f1.empty(), f1.empty(),
+                              [7], f2.from_lines([2]), f2.empty())
+
+    def test_probe_rejects_incompatible_signatures(self):
+        f1 = SignatureFactory(seed=2010)
+        f2 = SignatureFactory(seed=2011)
+        with pytest.raises(ValueError, match="incompatible"):
+            f1.write_set([1]).probe(f1.empty(), f2.from_lines([1]))
+
+    def test_empty_write_set_hits_nothing(self, factory):
+        full = factory.from_lines(range(500))
+        assert not WriteSet((), factory).probe(full, full)
 
 
 class TestExactConflict:
