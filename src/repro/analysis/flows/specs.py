@@ -160,10 +160,7 @@ def read_message_decls(pkg_dir: Path,
             for item in node.body:
                 if isinstance(item, ast.Assign):
                     for t in item.targets:
-                        # as for Enum itself, a dunder is not a member
-                        if (isinstance(t, ast.Name)
-                                and not (t.id.startswith("__")
-                                         and t.id.endswith("__"))):
+                        if isinstance(t, ast.Name):
                             decls.types[t.id] = item.lineno
             continue
         targets: Tuple[ast.expr, ...] = ()

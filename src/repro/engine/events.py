@@ -26,11 +26,11 @@ from repro.obs.bus import NULL_BUS, NullBus
 TieBreaker = Callable[["List[Event]"], int]
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
-    Events order by ``(time, seq)`` so that heap ordering is total and
+    Events compare by ``(time, seq)`` so that heap ordering is total and
     deterministic.  ``cancelled`` supports O(1) cancellation (the event stays
     in the heap but is skipped when popped).  ``tag`` is optional metadata
     (e.g. which message delivery this is) that schedule exploration uses to
@@ -40,20 +40,12 @@ class Event:
 
     time: int
     seq: int
-    callback: Callable[[], None]
-    cancelled: bool = False
-    tag: Any = None
+    callback: Callable[[], None] = field(compare=False)
+    cancelled: bool = field(default=False, compare=False)
+    tag: Any = field(default=None, compare=False)
     #: Owning simulator, so cancellation can maintain its O(1) live-event
     #: counter without a heap scan.
-    owner: Optional["Simulator"] = field(default=None, repr=False)
-
-    def __lt__(self, other: "Event") -> bool:
-        # The heap's only comparison, about ten per dispatched event: two
-        # attribute reads each, where a generated ``order=True`` method
-        # builds and compares two tuples.
-        t = self.time
-        o = other.time
-        return t < o or (t == o and self.seq < other.seq)
+    owner: Optional["Simulator"] = field(default=None, compare=False, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when its time arrives."""

@@ -46,7 +46,6 @@ MACRO_MATRIX_QUICK = [("Radix", 8, 1), ("LU", 8, 1)]
 #: Micro op counts (full / quick).
 MICRO_OPS = {"signature_insert": (200_000, 40_000),
              "signature_intersect": (200_000, 40_000),
-             "cst_pair_check": (50_000, 10_000),
              "event_queue_churn": (200_000, 40_000),
              "noc_transit": (60_000, 12_000)}
 
@@ -100,33 +99,6 @@ def bench_signature_intersect(n_ops: int) -> Dict[str, Any]:
             hits += 1
     dt = time.perf_counter() - t0  # repro: allow SB304
     assert hits >= 0
-    return {"ops": n_ops, "seconds": dt, "ops_per_sec": n_ops / dt}
-
-
-def bench_cst_pair_check(n_ops: int) -> Dict[str, Any]:
-    """CST admission test between two disjoint committing chunks (64-line
-    write sets, 128-line read sets): the common, no-conflict case, in
-    which every line of both write sets probes the other chunk's R and W."""
-    from repro.core.cst import CstEntry
-    from repro.signatures.bulk_signature import SignatureFactory
-    factory = SignatureFactory(total_bits=2048, n_banks=4, seed=2010)
-
-    def entry(core: int, base: int) -> CstEntry:
-        e = CstEntry(cid=(core, 0), dir_id=0)
-        writes = range(base, base + 640, 10)
-        e.r_sig = factory.from_lines(range(base + 5, base + 1285, 10))
-        e.w_sig = factory.from_lines(writes)
-        e.write_lines = factory.write_set(writes)
-        return e
-
-    a, b = entry(0, 0), entry(1, 1 << 20)
-    t0 = time.perf_counter()  # repro: allow SB304
-    hits = 0
-    for _ in range(n_ops):
-        if a.incompatible_with(b):
-            hits += 1
-    dt = time.perf_counter() - t0  # repro: allow SB304
-    assert hits == 0
     return {"ops": n_ops, "seconds": dt, "ops_per_sec": n_ops / dt}
 
 
@@ -185,7 +157,6 @@ def bench_noc_transit(n_ops: int) -> Dict[str, Any]:
 MICRO_BENCHES: Dict[str, Callable[[int], Dict[str, Any]]] = {
     "signature_insert": bench_signature_insert,
     "signature_intersect": bench_signature_intersect,
-    "cst_pair_check": bench_cst_pair_check,
     "event_queue_churn": bench_event_queue_churn,
     "noc_transit": bench_noc_transit,
 }

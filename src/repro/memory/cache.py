@@ -216,24 +216,6 @@ class Cache:
             return CacheLine(line_addr)
         return None
 
-    def invalidate_lines(self, lines: Iterable[int]) -> Set[int]:
-        """Drop every resident line of ``lines`` (a bulk invalidation's
-        write set) in one loop; returns the addresses that were resident.
-        Same effect as :meth:`invalidate` per line."""
-        n_sets = self.n_sets
-        sets_get = self._sets.get
-        lazy_get = self._lazy.get
-        dropped: Set[int] = set()
-        for line_addr in lines:
-            idx = line_addr % n_sets
-            s = sets_get(idx)
-            if s is None:
-                s = lazy_get(idx)
-            if s and line_addr in s:
-                del s[line_addr]
-                dropped.add(line_addr)
-        return dropped
-
     def mark_spec_write(self, line_addr: int, ctag: object) -> bool:
         """Tag a resident line as speculatively written by ``ctag``."""
         line = self.peek(line_addr)

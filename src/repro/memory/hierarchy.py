@@ -10,7 +10,7 @@ directory owner state consistent with the caches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, Optional, Set
+from typing import Callable, Dict, Iterable, Optional, Set
 
 from repro.config import SystemConfig
 
@@ -120,17 +120,19 @@ class CacheHierarchy:
 
     def invalidate(self, line_addr: int) -> bool:
         """Bulk-invalidation of one line; True if it was resident."""
-        in_l1 = self.l1.invalidate(line_addr) is not None
-        in_l2 = self.l2.invalidate(line_addr) is not None
-        return in_l1 or in_l2
+        return self.invalidate_lines((line_addr,)) > 0
 
-    def invalidate_lines(self, lines: Collection[int]) -> int:
-        """Bulk invalidation of a whole write set (both levels); returns
-        how many of its lines were resident, as per-line
-        :meth:`invalidate` calls would count them."""
-        dropped = self.l1.invalidate_lines(lines)
-        dropped |= self.l2.invalidate_lines(lines)
-        return len(dropped)
+    def invalidate_lines(self, lines: Iterable[int]) -> int:
+        """Bulk invalidation of a whole write set from both levels;
+        returns how many of its lines were resident."""
+        l1_drop = self.l1.invalidate
+        l2_drop = self.l2.invalidate
+        hits = 0
+        for line_addr in lines:
+            in_l1 = l1_drop(line_addr) is not None
+            if l2_drop(line_addr) is not None or in_l1:
+                hits += 1
+        return hits
 
     def caches_line(self, line_addr: int) -> bool:
         return line_addr in self.l1 or line_addr in self.l2

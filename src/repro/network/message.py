@@ -38,12 +38,6 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple
 class TrafficClass(Enum):
     """Message categories from the paper's traffic characterization."""
 
-    # Members are singletons compared by identity, so they may hash by
-    # identity too: Enum's own __hash__ is a Python-level hash(self._name_)
-    # call, and each NoC message pays about ten dict and set lookups keyed
-    # by its type and class (sizing, classification, traffic counters).
-    __hash__ = object.__hash__
-
     MEM_RD = "MemRd"                    #: cache-line read satisfied by memory
     REMOTE_SH_RD = "RemoteShRd"         #: line read from a remote cache (shared)
     REMOTE_DIRTY_RD = "RemoteDirtyRd"   #: line read from a remote cache (dirty)
@@ -56,8 +50,6 @@ class TrafficClass(Enum):
 
 class MessageType(Enum):
     """All message types across the substrate and the four protocols."""
-
-    __hash__ = object.__hash__  # identity hashing, as in TrafficClass
 
     # --- coherence substrate (read misses; writes are lazy) -------------
     READ_REQ = "read_req"                 #: Proc -> Dir: L2 miss

@@ -122,27 +122,7 @@ class TestSpeculativeLines:
         assert not c.peek(0).dirty
 
 
-class TestBulkInvalidate:
-    @given(st.lists(st.integers(0, 40), max_size=30),
-           st.lists(st.integers(0, 40), max_size=30),
-           st.booleans())
-    @settings(max_examples=80, deadline=None)
-    def test_matches_per_line_invalidate(self, fills, kills, prewarmed):
-        """One loop over a write set leaves the cache exactly as per-line
-        invalidate() calls do, shadow (prewarmed) sets included."""
-        bulk, single = tiny_cache(), tiny_cache()
-        for c in (bulk, single):
-            if prewarmed:
-                c.fill_many(fills)
-            else:
-                for line in fills:
-                    c.fill(line)
-        dropped = bulk.invalidate_lines(set(kills))
-        expected = {line for line in set(kills)
-                    if single.invalidate(line) is not None}
-        assert dropped == expected
-        assert list(bulk.resident_lines()) == list(single.resident_lines())
-
+class TestShadowInvalidate:
     @given(st.lists(st.integers(0, 40), max_size=30),
            st.lists(st.integers(0, 40), max_size=30),
            st.lists(st.integers(0, 40), max_size=10))
@@ -156,8 +136,10 @@ class TestBulkInvalidate:
         shadowed.fill_many(fills)
         for line in fills:
             filled.fill(line)
-        assert (shadowed.invalidate_lines(set(kills))
-                == filled.invalidate_lines(set(kills)))
+        for line in kills:
+            a, b = shadowed.invalidate(line), filled.invalidate(line)
+            assert (a and a.line_addr) == (b and b.line_addr)
+        assert list(shadowed.resident_lines()) == list(filled.resident_lines())
         for line in later:
             a, b = shadowed.fill(line), filled.fill(line)
             assert (a.line and a.line.line_addr) == (b.line and b.line.line_addr)
