@@ -7,7 +7,8 @@
 * :mod:`repro.harness.tables` — plain-text renderers that print rows/series
   shaped like the paper's figures.
 * ``python -m repro.harness.sweep`` — the full experiment matrix used to
-  produce EXPERIMENTS.md.
+  produce EXPERIMENTS.md, run as a :mod:`repro.store.campaign` into a
+  result store; its JSON file is an export of that store.
 """
 
 from repro.harness.runner import Machine, RunResult, SimulationRunner, run_app

@@ -3,9 +3,10 @@
 Every optimization PR needs a number to beat.  This module measures
 
 * **micro** benchmarks — the simulator's hottest primitives in isolation:
-  signature insert and intersect (:mod:`repro.signatures`), the CST pair
-  check (:mod:`repro.core.cst`), event-queue churn
-  (:mod:`repro.engine.events`) and NoC transit (:mod:`repro.network.noc`);
+  signature insert and intersect (:mod:`repro.signatures`), event-queue
+  churn (:mod:`repro.engine.events`) and NoC transit
+  (:mod:`repro.network.noc`) — a CST pair-check micro bench was split
+  out and is not in this tree;
 * **macro** benchmarks — wall-clock for a fixed (app, cores, protocol)
   matrix through the full stack, reported as simulated cycles per second.
 
@@ -188,7 +189,7 @@ def _macro_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     the same rationale as ``run_micro``'s best-of.
     """
     from repro.config import ProtocolKind
-    from repro.harness.sweep import run_one
+    from repro.store.campaign import run_one
     record = None
     for _ in range(max(1, int(payload.get("repeat", 1)))):
         attempt = run_one(payload["app"], payload["n_cores"],

@@ -4,10 +4,10 @@ Every ``--jobs N`` flag in the harness (``sweep``, ``compare``, ``bench``,
 ``explore``) routes through :func:`run_ordered`: tasks execute on a pool of
 worker *processes* (the simulator is pure CPU-bound Python, so threads
 would serialize on the GIL), while results are consumed strictly in
-submission order.  That ordering is the whole trick — the resumable JSON
-caches, logs and rendered tables are filled in exactly the sequence the
-serial code would have produced, so a parallel run's output is identical
-to the serial run's modulo wall-clock fields.
+submission order.  That ordering is the whole trick — store checkpoints,
+logs and rendered tables are filled in exactly the sequence the serial
+code would have produced, so a parallel run's output is identical to the
+serial run's modulo wall-clock fields.
 
 Workers must be top-level (picklable) functions and payloads must be
 picklable values; every worker in this package re-derives its machine from
@@ -47,7 +47,8 @@ def run_ordered(worker: Worker, payloads: Sequence[T], jobs: int = 1,
     exact legacy code path).  Otherwise a :class:`ProcessPoolExecutor`
     with ``jobs`` workers executes tasks concurrently; results are still
     handed to ``on_result`` and returned in submission order, so callers
-    that persist incremental state (the sweep's resumable JSON cache) see
+    that persist incremental state (the campaign's per-cell store
+    checkpoints) see
     the same deterministic merge order as a serial run.
 
     A worker exception cancels all not-yet-started tasks and re-raises.

@@ -1,7 +1,7 @@
 """Result provenance: git revision and configuration fingerprints.
 
 Every exported result document (``BENCH_*.json``, profile reports,
-streaming-metrics snapshots, sweep cache records) is keyed by *where the
+streaming-metrics snapshots, sweep records) is keyed by *where the
 code was* and *what machine was simulated* when it was produced, so the
 future result-store/dashboard work can join documents across time:
 
@@ -13,7 +13,7 @@ future result-store/dashboard work can join documents across time:
   parameter matches, so a record's hash pins the exact simulated machine.
 
 Both are additive schema fields: readers of the existing ``repro-bench-v1``
-and sweep-cache documents ignore unknown keys.
+and sweep documents ignore unknown keys.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ durable service around a schema-versioned SQLite database:
 * :mod:`repro.store.db` — the ``repro-store-v1`` result store, keyed by
   ``(kind, config_hash, seed, git_rev, cell_key)``;
 * :mod:`repro.store.ingest` — adapters for every artifact the harness
-  writes (benchmark documents, sweep caches, chaos artifacts, profile
+  writes (benchmark documents, sweep exports, chaos artifacts, profile
   reports), each with a lossless export;
-* :mod:`repro.store.campaign` — the resumable campaign runner
-  (declarative matrix, dedupe by cache key, per-cell transactional
-  checkpoints, failures as first-class rows);
+* :mod:`repro.store.campaign` — the one matrix runner behind both
+  ``repro sweep`` and ``repro store campaign`` (declarative matrix,
+  dedupe by cache key, per-cell transactional checkpoints, failures as
+  first-class rows);
 * :mod:`repro.store.query` — cross-revision trends and the generalized
   regression gate;
 * :mod:`repro.store.dashboard` — the static HTML trend dashboard.

@@ -1,4 +1,4 @@
-"""Resumable campaign runner: a declarative run matrix over the store.
+"""The matrix runner: a declarative run matrix, resumable over the store.
 
 A *campaign spec* is a small JSON document describing a run matrix::
 
@@ -12,11 +12,14 @@ A *campaign spec* is a small JSON document describing a run matrix::
       "baseline1p": true                      // optional: true
     }
 
-Expansion mirrors the sweep matrix exactly — per app a single-processor
-ScalableBulk baseline on the largest machine, then every (cores,
-protocol) cell with ``n_partitions`` pinned to the largest machine — so
-a campaign's stored records are identical to the equivalent serial
-sweep's modulo wall-clock fields.
+This module is the repo's only matrix runner: ``repro sweep`` builds a
+spec from its ``--apps/--cores/--chunks`` and runs it here, and
+``repro store campaign`` runs a spec file.  :func:`expand` is the only
+place that lists cells — per app a single-processor ScalableBulk
+baseline on the largest machine, then every (cores, protocol) cell with
+``n_partitions`` pinned to the largest machine so every run of one app
+executes the identical total work — and :func:`run_one` is the only
+body a cell runs.
 
 The runner is a *service loop* over that matrix:
 
@@ -36,13 +39,15 @@ The runner is a *service loop* over that matrix:
 from __future__ import annotations
 
 import json
+import time
 import traceback as traceback_mod
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.config import ProtocolKind, SystemConfig
-from repro.harness.sweep import key_of
+from repro.harness.runner import SimulationRunner
+from repro.obs.bus import InstrumentationBus
 from repro.provenance import config_hash
 from repro.store.db import ResultStore, StoreError
 from repro.store.ingest import sweep_metrics
@@ -110,6 +115,76 @@ QUICK_SPEC = CampaignSpec(name="quick", apps=("Radix", "LU"), cores=(8,),
                           chunks=1)
 
 
+def run_one(app: str, n_cores: int, protocol: ProtocolKind,
+            chunks: int, active_cores: Optional[int] = None,
+            n_partitions: Optional[int] = None,
+            bus: Optional[InstrumentationBus] = None,
+            profile: bool = False, seed: Optional[int] = None) -> dict:
+    """One simulation -> a JSON-serializable record.
+
+    ``n_partitions`` fixes the total work across machine sizes (strong
+    scaling): every run of one application must use the same partition
+    count or speedups are meaningless.  ``bus`` optionally instruments
+    the run (used by ``--critical-paths``); ``profile`` attaches the
+    host-time self-profiler and embeds its attribution report.  ``seed``
+    overrides the config's reproducibility seed (campaign matrices sweep
+    it; ``None`` keeps the Table 2 default).
+    """
+    config = SystemConfig(n_cores=n_cores, protocol=protocol)
+    if seed is not None:
+        config = config.with_(seed=seed)
+    runner = SimulationRunner(app, config, active_cores=active_cores,
+                              chunks_per_partition=chunks,
+                              n_partitions=n_partitions)
+    profiler = None
+    if profile:
+        from repro.obs.profile import HostProfiler
+        from repro.provenance import provenance
+        profiler = HostProfiler(provenance=provenance(config))
+    t0 = time.time()  # repro: allow SB304
+    result = runner.run(keep_machine=True, bus=bus, profile=profiler)
+    wall = time.time() - t0  # repro: allow SB304
+    stats = result.machine.protocol.stats
+    record = {
+        "config_hash": config_hash(config),
+        "seed": config.seed,
+        "app": app,
+        "protocol": protocol.value,
+        "n_cores": n_cores,
+        "active_cores": result.active_cores,
+        "total_cycles": result.total_cycles,
+        "useful": result.useful_cycles,
+        "miss": result.miss_stall_cycles,
+        "commit": result.commit_stall_cycles,
+        "squash": result.squash_cycles,
+        "chunks_committed": result.chunks_committed,
+        "squashes_conflict": result.squashes_conflict,
+        "squashes_alias": result.squashes_alias,
+        "mean_commit_latency": result.mean_commit_latency,
+        "mean_dirs": result.mean_dirs_per_commit,
+        "mean_write_dirs": result.mean_write_dirs_per_commit,
+        "bottleneck_ratio": result.bottleneck_ratio,
+        "mean_queue": result.mean_queue_length,
+        "traffic": result.traffic_by_class,
+        "dirs_hist": {str(k): v for k, v in
+                      stats.dirs_per_commit_hist.counts().items()},
+        "latency_hist": {str(k): v for k, v in
+                         stats.commit_latency_hist.counts().items()},
+        "wall_seconds": round(wall, 2),
+        # unrounded twin of wall_seconds: the bench harness computes
+        # cycles/sec from this so sub-0.2s runs are not quantized by the
+        # 2-decimal display rounding above
+        "wall_seconds_raw": wall,
+    }
+    if profiler is not None:
+        record["profile"] = profiler.report().to_json()
+    return record
+
+
+def key_of(app: str, n_cores: int, protocol: str, active: int) -> str:
+    return f"{app}/{n_cores}/{protocol}/{active}"
+
+
 @dataclass(frozen=True)
 class CampaignCell:
     """One expanded matrix cell, fully determined and picklable."""
@@ -124,7 +199,7 @@ class CampaignCell:
 
     @property
     def sweep_key(self) -> str:
-        """The serial sweep's key for this cell (the row's ``series``)."""
+        """The sweep document's key for this cell (the row's ``series``)."""
         active = self.active_cores if self.active_cores is not None \
             else self.n_cores
         proto = "baseline1p" if self.active_cores == 1 else self.protocol
@@ -156,7 +231,8 @@ class CampaignCell:
 
 
 def expand(spec: CampaignSpec) -> List[CampaignCell]:
-    """The spec's full cell list in canonical (serial sweep) order."""
+    """The spec's full cell list in canonical order (seed, app, cores,
+    protocol; each app's baseline first) — the sweep export's order."""
     big = max(spec.cores)
     cells: List[CampaignCell] = []
     for seed in spec.seeds:
@@ -176,21 +252,27 @@ def expand(spec: CampaignSpec) -> List[CampaignCell]:
     return cells
 
 
-def _campaign_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
+def _campaign_worker(task: Tuple[CampaignCell, bool, bool]
+                     ) -> Dict[str, Any]:
     """Process-pool worker: one cell -> ok record or failure row data.
 
-    Exceptions are *data* here — a failing cell must become a stored
-    failure row, not abort the surviving campaign (``run_ordered``
-    re-raises worker exceptions).
+    ``task`` is ``(cell, profile?, critical paths?)``.  A critical-path
+    summary lands in the record under ``critical_path``.  Exceptions are
+    *data* here — a failing cell must become a stored failure row, not
+    abort the surviving campaign (``run_ordered`` re-raises worker
+    exceptions).
     """
-    from repro.harness.sweep import run_one
+    cell, profile, critical_paths = task
     try:
-        record = run_one(payload["app"], payload["n_cores"],
-                         ProtocolKind(payload["protocol"]),
-                         chunks=payload["chunks"],
-                         active_cores=payload["active_cores"],
-                         n_partitions=payload["n_partitions"],
-                         seed=payload["seed"])
+        bus = InstrumentationBus(record_messages=False) \
+            if critical_paths else None
+        record = run_one(cell.app, cell.n_cores, ProtocolKind(cell.protocol),
+                         chunks=cell.chunks, active_cores=cell.active_cores,
+                         n_partitions=cell.n_partitions, bus=bus,
+                         profile=profile, seed=cell.seed)
+        if bus is not None:
+            from repro.obs.critical_path import analyze_commit_paths
+            record["critical_path"] = analyze_commit_paths(bus).summary()
         return {"status": STATUS_OK, "record": record}
     except Exception as err:  # noqa: BLE001 - failures are first-class rows
         return {"status": STATUS_FAILED, "error": repr(err),
@@ -216,11 +298,15 @@ class CampaignReport:
 
 def run_campaign(spec: CampaignSpec, store: ResultStore, *,
                  jobs: int = 1, log=print, rerun_failed: bool = False,
-                 ignore_rev: bool = False) -> CampaignReport:
+                 ignore_rev: bool = False, profile: bool = False,
+                 critical_paths: bool = False) -> CampaignReport:
     """Expand, dedupe, fan out, checkpoint — one campaign pass.
 
     Safe to invoke repeatedly: completed cells are never re-run (the
     resume contract), failed cells re-run only with ``rerun_failed``.
+    ``profile`` embeds a host-time attribution report and
+    ``critical_paths`` a commit critical-path summary in the record of
+    every cell this pass runs; cells already stored keep what they have.
     """
     from repro.harness.parallel import run_ordered
     from repro.provenance import git_rev as current_rev
@@ -245,8 +331,7 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
         f"{len(report.skipped)} cached, {len(pending)} to run "
         f"(rev {rev or '<none>'}, jobs={jobs})")
 
-    def checkpoint(i: int, _payload: Dict[str, Any],
-                   result: Dict[str, Any]) -> None:
+    def checkpoint(i: int, _task: tuple, result: Dict[str, Any]) -> None:
         cell = pending[i]
         config = cell.config()
         if result["status"] == STATUS_OK:
@@ -275,11 +360,12 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
         store.put(row)  # one transaction: the crash-safe checkpoint
         log(f"[{i + 1}/{len(pending)}] {cell.cell_key}: {note}")
 
-    run_ordered(_campaign_worker, [c.to_payload() for c in pending],
+    run_ordered(_campaign_worker,
+                [(cell, profile, critical_paths) for cell in pending],
                 jobs=jobs, on_result=checkpoint)
     log(report.summary())
     return report
 
 
 __all__ = ["CampaignCell", "CampaignReport", "CampaignSpec", "QUICK_SPEC",
-           "expand", "run_campaign"]
+           "expand", "key_of", "run_campaign", "run_one"]

@@ -175,7 +175,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="result store database path")
 
     p = sub.add_parser("ingest", help="adapt existing result artifacts "
-                                      "(BENCH_*.json, sweep caches, chaos "
+                                      "(BENCH_*.json, sweep exports, chaos "
                                       "artifacts, profile reports)")
     p.add_argument("paths", nargs="+", metavar="PATH")
     add_store(p)

@@ -4,7 +4,8 @@ Adapters exist for every artifact the harness already writes:
 
 * ``BENCH_*.json`` (``repro-bench-v1``) — one ``bench_meta`` header row
   plus one row per micro measurement and per macro cell;
-* ``results/sweep.json`` sweep caches — one ``sweep`` row per matrix cell;
+* sweep documents (``results/sweep.json``, the sweep's export) — one
+  ``sweep`` row per matrix cell;
 * chaos failure artifacts (``repro chaos --artifacts``) — one ``chaos``
   row per artifact;
 * host-profiler reports (``repro profile --json``) — one ``profile`` row.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.store.db import ResultStore, StoreError
 from repro.store.schema import (KIND_BENCH_MACRO, KIND_BENCH_META,
@@ -121,7 +122,7 @@ def export_bench(store: ResultStore,
 
 
 # ----------------------------------------------------------------------
-# Sweep caches
+# Sweep documents
 # ----------------------------------------------------------------------
 def sweep_metrics(rec: Dict[str, Any]) -> Dict[str, Any]:
     """The scalar metrics a sweep cell exposes to queries and trends."""
@@ -143,7 +144,7 @@ def sweep_metrics(rec: Dict[str, Any]) -> Dict[str, Any]:
 def ingest_sweep(store: ResultStore, records: Dict[str, Dict[str, Any]],
                  source: str = "",
                  git_rev: Optional[str] = None) -> List[Record]:
-    """A sweep cache (``{cell key: record}``) -> one ``sweep`` row each.
+    """A sweep document (``{sweep key: record}``) -> one ``sweep`` row each.
 
     ``git_rev`` stamps rows whose records predate per-record provenance;
     it defaults to the current checkout's revision (best effort).
@@ -169,10 +170,37 @@ def ingest_sweep(store: ResultStore, records: Dict[str, Dict[str, Any]],
 
 
 def export_sweep(store: ResultStore, git_rev: Optional[str] = None,
-                 source: Optional[str] = None) -> Dict[str, Dict[str, Any]]:
-    """Reassemble a sweep cache from ``sweep`` rows (lossless)."""
-    rows = store.query(KIND_SWEEP, git_rev=git_rev, source=source)
-    return {r.cell_key: r.payload for r in rows}
+                 source: Optional[str] = None,
+                 cell_keys: Optional[Sequence[str]] = None
+                 ) -> Dict[str, Dict[str, Any]]:
+    """Reassemble a sweep document ``{series: record}`` from ok ``sweep``
+    rows (lossless for an ingested sweep file).
+
+    ``cell_keys`` selects exactly those cells, in that order (a
+    campaign's expansion); a missing one raises :class:`StoreError`.
+    The document is keyed by ``series`` (``App/N/Proto/Active``), so the
+    selected rows must hold each series once: two seeds, chunk counts or
+    revisions of one cell raise :class:`StoreError` naming it instead of
+    letting the last row win.
+    """
+    rows = store.query(KIND_SWEEP, git_rev=git_rev, source=source,
+                       status=STATUS_OK)
+    if cell_keys is not None:
+        by_cell = {r.cell_key: r for r in rows}
+        missing = [k for k in cell_keys if k not in by_cell]
+        if missing:
+            raise StoreError(f"no ok sweep row for cell(s) "
+                             f"{', '.join(missing)}")
+        rows = [by_cell[k] for k in cell_keys]
+    by_series: Dict[str, Record] = {}
+    for row in rows:
+        prev = by_series.setdefault(row.series, row)
+        if prev is not row:
+            raise StoreError(
+                f"sweep series {row.series} is selected twice: cell "
+                f"{prev.cell_key} at rev {prev.git_rev or '<none>'} and "
+                f"cell {row.cell_key} at rev {row.git_rev or '<none>'}")
+    return {series: row.payload for series, row in by_series.items()}
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +270,7 @@ def detect_kind(doc: Any) -> str:
             return "sweep"
     raise StoreError(
         "unrecognized document shape (expected a repro-bench-v1 document, "
-        "a sweep cache, a chaos artifact or a profile report)")
+        "a sweep document, a chaos artifact or a profile report)")
 
 
 def ingest_path(store: ResultStore, path: PathLike,

@@ -2,10 +2,13 @@
 
 The contract under test: a ``--jobs N`` run must be indistinguishable from
 the serial run except for wall-clock — same results, same merge order,
-same resumable-cache contents.
+same sweep export.
 """
 
+import contextlib
+import io
 import json
+import sqlite3
 import time
 
 import pytest
@@ -99,44 +102,55 @@ def _strip_wall(records):
             for k, rec in records.items()}
 
 
+def _sweep_lu(db, json_path, jobs):
+    """A one-app sweep into ``db``; returns its printed log."""
+    logs = io.StringIO()
+    with contextlib.redirect_stdout(logs):
+        assert sweep.main(["--apps", "LU", "--cores", "4", "--chunks", "1",
+                           "--jobs", str(jobs), "--store", str(db),
+                           "--json", str(json_path),
+                           "--markdown", str(json_path.with_suffix(".md"))
+                           ]) == 0
+    return logs.getvalue()
+
+
 class TestSweepRoundTrip:
     def test_serial_and_parallel_sweeps_produce_identical_json(self, tmp_path):
-        """The headline tentpole property: ``--jobs N`` changes nothing but
-        wall-clock.  Both cache files must hold the same records in the
-        same insertion order."""
-        serial_cache = tmp_path / "serial.json"
-        parallel_cache = tmp_path / "parallel.json"
-        serial = sweep.collect(["LU"], [4], 1, cache_path=serial_cache,
-                               log=lambda *a: None)
-        parallel = sweep.collect(["LU"], [4], 1, cache_path=parallel_cache,
-                                 log=lambda *a: None, jobs=2)
-        assert _strip_wall(serial) == _strip_wall(parallel)
-        on_disk_serial = json.loads(serial_cache.read_text())
-        on_disk_parallel = json.loads(parallel_cache.read_text())
-        # dict order round-trips through JSON: insertion order must match too
+        """The headline property: ``--jobs N`` changes nothing but
+        wall-clock.  Both exports must hold the same records in the same
+        key order."""
+        serial_json = tmp_path / "serial.json"
+        parallel_json = tmp_path / "parallel.json"
+        _sweep_lu(tmp_path / "serial.db", serial_json, jobs=1)
+        _sweep_lu(tmp_path / "parallel.db", parallel_json, jobs=2)
+        on_disk_serial = json.loads(serial_json.read_text())
+        on_disk_parallel = json.loads(parallel_json.read_text())
+        # dict order round-trips through JSON: key order must match too
         assert list(on_disk_serial) == list(on_disk_parallel)
         assert _strip_wall(on_disk_serial) == _strip_wall(on_disk_parallel)
 
     def test_parallel_sweep_resumes_from_serial_cache(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        sweep.collect(["LU"], [4], 1, cache_path=cache, log=lambda *a: None)
-        logs = []
-        sweep.collect(["LU"], [4], 1, cache_path=cache, log=logs.append,
-                      jobs=2)
-        assert any("5 cached, 0 to run" in line for line in logs)
+        db = tmp_path / "sweep.db"
+        _sweep_lu(db, tmp_path / "s.json", jobs=1)
+        log = _sweep_lu(db, tmp_path / "s.json", jobs=2)
+        assert "5 cached, 0 to run" in log
+        assert "ran=0 " in log
 
     def test_parallel_sweep_fills_partial_cache_in_canonical_order(self, tmp_path):
-        serial_cache = tmp_path / "full.json"
-        full = sweep.collect(["LU"], [4], 1, cache_path=serial_cache,
-                             log=lambda *a: None)
-        # drop two records from the middle; the parallel resume must slot
-        # them back so the merged dict matches the full serial sweep
-        partial = dict(full)
-        keys = list(partial)
-        for k in (keys[1], keys[3]):
-            del partial[k]
-        partial_cache = tmp_path / "partial.json"
-        partial_cache.write_text(json.dumps(partial))
-        resumed = sweep.collect(["LU"], [4], 1, cache_path=partial_cache,
-                                log=lambda *a: None, jobs=2)
+        db = tmp_path / "sweep.db"
+        full_json = tmp_path / "full.json"
+        _sweep_lu(db, full_json, jobs=1)
+        full = json.loads(full_json.read_text())
+        # drop two rows from the middle of the matrix; the parallel resume
+        # re-runs exactly those, and the export slots them back in
+        # canonical order even though their new rows are the newest
+        keys = list(full)
+        with contextlib.closing(sqlite3.connect(db)) as conn, conn:
+            conn.executemany("DELETE FROM records WHERE series = ?",
+                             [(keys[1],), (keys[3],)])
+        resumed_json = tmp_path / "resumed.json"
+        log = _sweep_lu(db, resumed_json, jobs=2)
+        assert "3 cached, 2 to run" in log
+        resumed = json.loads(resumed_json.read_text())
+        assert list(resumed) == keys
         assert _strip_wall(resumed) == _strip_wall(full)

@@ -1,4 +1,4 @@
-"""Campaign runner tests: spec handling, sweep parity, crash-safe resume."""
+"""Campaign runner tests: spec handling, run parity, crash-safe resume."""
 
 import json
 import os
@@ -10,16 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import sweep
+from repro.config import ProtocolKind
 from repro.store import campaign
 from repro.store.db import ResultStore, StoreError
 from repro.store.schema import KIND_SWEEP, STATUS_FAILED, STATUS_OK
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: Fields a campaign record may legitimately differ from a serial sweep's
+#: Fields a campaign record may legitimately differ from a direct run's
 #: (host wall-clock; everything else must be byte-identical).
 WALL_FIELDS = ("wall_seconds", "wall_seconds_raw")
+
+
+def strip_wall(record):
+    return {k: v for k, v in record.items() if k not in WALL_FIELDS}
 
 
 class TestSpec:
@@ -63,9 +67,17 @@ class TestExpand:
         cells = campaign.expand(spec)
         # per app: one baseline1p cell + cores x protocols
         assert len(cells) == 2 * (1 + 2 * 4)
-        serial = [key for key, _task in
-                  sweep._matrix(["LU", "Radix"], [4, 8], 1, False)]
-        assert [c.sweep_key for c in cells] == serial
+        expected = [
+            "LU/8/baseline1p/1",
+            "LU/4/ScalableBulk/4", "LU/4/TCC/4", "LU/4/SEQ/4", "LU/4/BulkSC/4",
+            "LU/8/ScalableBulk/8", "LU/8/TCC/8", "LU/8/SEQ/8", "LU/8/BulkSC/8",
+            "Radix/8/baseline1p/1",
+            "Radix/4/ScalableBulk/4", "Radix/4/TCC/4", "Radix/4/SEQ/4",
+            "Radix/4/BulkSC/4",
+            "Radix/8/ScalableBulk/8", "Radix/8/TCC/8", "Radix/8/SEQ/8",
+            "Radix/8/BulkSC/8",
+        ]
+        assert [c.sweep_key for c in cells] == expected
 
     def test_seed_multiplies_the_matrix(self):
         spec = campaign.CampaignSpec(name="s", apps=("LU",), cores=(4,),
@@ -86,24 +98,26 @@ class TestExpand:
 
 class TestRunParity:
     def test_campaign_records_match_serial_sweep(self, tmp_path):
-        """The acceptance criterion: campaign cells == serial sweep cells
-        byte-for-byte, modulo wall-clock fields."""
+        """The acceptance criterion: every campaign cell == a direct
+        ``run_one`` of that cell byte-for-byte, modulo wall-clock fields."""
         spec = campaign.CampaignSpec(name="parity", apps=("LU",),
                                      cores=(4,), chunks=1)
         with ResultStore(tmp_path / "r.db") as store:
             report = campaign.run_campaign(spec, store,
                                            log=lambda *_: None)
             assert not report.failed and not report.skipped
-            rows = {r.series: r for r in store.query(KIND_SWEEP)}
-        serial = sweep.collect(["LU"], [4], 1, log=lambda *_: None)
-        assert set(rows) == set(serial)
-        for key, rec in serial.items():
-            stored = dict(rows[key].payload)
-            for field in WALL_FIELDS:
-                stored.pop(field, None)
-                rec = {k: v for k, v in rec.items() if k not in WALL_FIELDS}
-            assert json.dumps(stored, sort_keys=True) \
-                == json.dumps(rec, sort_keys=True), key
+            rows = {r.cell_key: r for r in store.query(KIND_SWEEP)}
+        cells = campaign.expand(spec)
+        assert set(rows) == {c.cell_key for c in cells}
+        for cell in cells:
+            direct = campaign.run_one(
+                cell.app, cell.n_cores, ProtocolKind(cell.protocol),
+                chunks=cell.chunks, active_cores=cell.active_cores,
+                n_partitions=cell.n_partitions, seed=cell.seed)
+            stored = rows[cell.cell_key]
+            assert stored.series == cell.sweep_key
+            assert json.dumps(strip_wall(stored.payload), sort_keys=True) \
+                == json.dumps(strip_wall(direct), sort_keys=True), cell
 
     def test_second_run_skips_everything(self, tmp_path):
         spec = campaign.CampaignSpec(name="s", apps=("LU",), cores=(4,),

@@ -9,7 +9,8 @@ from repro.store import ingest
 from repro.store.db import ResultStore, StoreError
 from repro.store.schema import (KIND_BENCH_MACRO, KIND_BENCH_META,
                                 KIND_BENCH_MICRO, KIND_CHAOS, KIND_PROFILE,
-                                KIND_SWEEP, STATUS_FAILED, STATUS_OK)
+                                KIND_SWEEP, Record, STATUS_FAILED,
+                                STATUS_OK)
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH_DOCS = sorted(REPO.glob("BENCH_*.json"))
@@ -93,6 +94,47 @@ class TestSweepRoundTrip:
         row = store.query(KIND_SWEEP)[0]
         assert (row.app, row.n_cores, row.seed) == ("Radix", 16, 7)
         assert row.config_hash == "abc"
+
+
+def _campaign_row(series, chunks, seed="default", rev="r1"):
+    return Record(kind=KIND_SWEEP, cell_key=f"{series}/c{chunks}/s{seed}",
+                  series=series, config_hash="h", seed=0, git_rev=rev,
+                  payload={"total_cycles": chunks, "chunks": chunks})
+
+
+class TestSweepExport:
+    def test_campaign_rows_export_by_series(self, store):
+        store.put_many([_campaign_row("LU/4/TCC/4", 1),
+                        _campaign_row("LU/4/SEQ/4", 1)])
+        doc = ingest.export_sweep(store)
+        assert list(doc) == ["LU/4/TCC/4", "LU/4/SEQ/4"]
+        assert doc["LU/4/TCC/4"] == {"total_cycles": 1, "chunks": 1}
+
+    def test_duplicate_series_raises_naming_it(self, store):
+        store.put_many([_campaign_row("LU/4/TCC/4", 1),
+                        _campaign_row("LU/4/TCC/4", 2)])
+        with pytest.raises(StoreError, match="LU/4/TCC/4"):
+            ingest.export_sweep(store)
+        # selecting one cell per series resolves it
+        doc = ingest.export_sweep(store, cell_keys=["LU/4/TCC/4/c2/sdefault"])
+        assert doc == {"LU/4/TCC/4": {"total_cycles": 2, "chunks": 2}}
+
+    def test_two_revisions_of_one_series_raise(self, store):
+        store.put_many([_campaign_row("LU/4/TCC/4", 1, rev="r1"),
+                        _campaign_row("LU/4/TCC/4", 1, rev="r2")])
+        with pytest.raises(StoreError, match="LU/4/TCC/4"):
+            ingest.export_sweep(store)
+        assert list(ingest.export_sweep(store, git_rev="r2")) \
+            == ["LU/4/TCC/4"]
+
+    def test_cell_keys_fix_the_order_and_must_exist(self, store):
+        store.put_many([_campaign_row("LU/4/TCC/4", 1),
+                        _campaign_row("LU/4/SEQ/4", 1)])
+        keys = ["LU/4/SEQ/4/c1/sdefault", "LU/4/TCC/4/c1/sdefault"]
+        assert list(ingest.export_sweep(store, cell_keys=keys)) \
+            == ["LU/4/SEQ/4", "LU/4/TCC/4"]
+        with pytest.raises(StoreError, match="LU/4/TCC/4/c9/sdefault"):
+            ingest.export_sweep(store, cell_keys=["LU/4/TCC/4/c9/sdefault"])
 
 
 class TestChaosAndProfile:
