@@ -3,30 +3,34 @@
 The packages under here drive the *actual* protocol implementations (not an
 abstract model) through systematically varied message interleavings on tiny
 configurations, checking serializability, invalidation completeness,
-deadlock/livelock freedom and commit accounting on every schedule.  A
-violating schedule is emitted as a JSON trace, delta-minimized to the
-shortest failing decision vector, and can be replayed deterministically
-with ``python -m repro explore --replay``.
+deadlock/livelock freedom and commit accounting on every schedule.
+
+One perturbation harness serves every checker that varies a run: a
+:class:`Perturbation` (schedule decisions plus a seeded fault plan) runs
+through :func:`run_perturbation`, shrinks with :func:`shrink`, and ships
+as one JSON artifact that ``python -m repro explore --replay`` and
+``python -m repro chaos --replay`` both replay deterministically.
 
 See ``docs/verification.md`` for the exploration modes, the SB4xx rule
-codes and the trace format.
+codes and the artifact format.
 """
 
 from __future__ import annotations
 
 from repro.analysis.explore.controller import Schedule, ScheduleController
-from repro.analysis.explore.driver import ScheduleResult, run_schedule
+from repro.analysis.explore.driver import (Perturbation, PerturbationResult,
+                                           run_perturbation)
 from repro.analysis.explore.invariants import ExploreViolation, InvariantMonitor
-from repro.analysis.explore.minimize import ddmin, minimize_schedule
-from repro.analysis.explore.mutations import (MUTATIONS, NOMINAL_MUTATIONS,
-                                              Mutation)
+from repro.analysis.explore.minimize import ddmin, shrink
+from repro.analysis.explore.mutations import MUTATIONS, Mutation
 from repro.analysis.explore.scenarios import SCENARIOS, Scenario, build_machine
 from repro.analysis.explore.strategies import (
     ExplorationReport,
     explore_exhaustive,
     explore_random,
 )
-from repro.analysis.explore.trace import load_trace, replay_trace, save_trace
+from repro.analysis.explore.trace import (artifact_json, load_artifact,
+                                          replay_artifact, save_artifact)
 
 __all__ = [
     "ExplorationReport",
@@ -34,19 +38,20 @@ __all__ = [
     "InvariantMonitor",
     "MUTATIONS",
     "Mutation",
-    "NOMINAL_MUTATIONS",
+    "Perturbation",
+    "PerturbationResult",
     "SCENARIOS",
     "Scenario",
     "Schedule",
     "ScheduleController",
-    "ScheduleResult",
+    "artifact_json",
     "build_machine",
     "ddmin",
     "explore_exhaustive",
     "explore_random",
-    "load_trace",
-    "minimize_schedule",
-    "replay_trace",
-    "run_schedule",
-    "save_trace",
+    "load_artifact",
+    "replay_artifact",
+    "run_perturbation",
+    "save_artifact",
+    "shrink",
 ]

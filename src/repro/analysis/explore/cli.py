@@ -5,14 +5,19 @@ Modes:
 * default — explore one scenario (``--scenario``) with ``--mode``
   exhaustive (DFS over tie-breaks), random (seeded tie-break sampling) or
   delay (random plus bounded delivery delays).  Exit 1 on a violation;
-  the failing schedule is minimized and written to ``--save`` (or shown).
-* ``--mutate NAME`` — same, against a protocol with one injected bug.
-* ``--mutations`` — the teeth test: every registered mutation must be
-  *caught* on its paired scenario.  Exit 1 if any survives.
+  the failing schedule is shrunk and written to ``--save`` (or shown).
+* ``--mutate NAME`` — same, against a protocol with one injected bug;
+  exit 0 iff exploration catches it.
+* ``--mutations`` — the mutation check, shared with ``repro chaos
+  --mutation-check``: every registered mutation is explored nominally
+  and run under the storm-heavy stress plan.  Nominal mutations must be
+  caught by exploration; chaos-only ones (``reservation-leak``) must be
+  missed by it and caught under the stress plan.  Exit 1 otherwise.
 * ``--ci-smoke`` — the bounded CI tier: the unmutated smoke sweep must
-  explore clean AND every mutation must be caught.
-* ``--replay TRACE`` — re-run a saved trace; exit 0 iff the replay
-  reproduces the trace's primary violation code.
+  explore clean AND the mutation check must pass.
+* ``--replay ARTIFACT`` — re-run a saved artifact (an explore trace or a
+  ``repro chaos`` artifact); exit 0 iff the replay reproduces its
+  primary failure.
 """
 
 from __future__ import annotations
@@ -21,54 +26,33 @@ import argparse
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.explore.driver import ScheduleResult
-from repro.analysis.explore.minimize import minimize_schedule
-from repro.analysis.explore.mutations import (MUTATIONS, NOMINAL_MUTATIONS,
-                                              Mutation)
-from repro.analysis.explore.scenarios import SCENARIOS, SMOKE_SCENARIOS, Scenario
-from repro.analysis.explore.strategies import (
-    ExplorationReport,
-    explore_exhaustive,
-    explore_random,
-)
-from repro.analysis.explore.trace import load_trace, replay_trace, save_trace, trace_json
-
-
-def _explore(scenario: Scenario, mutation: Optional[Mutation],
-             args: argparse.Namespace) -> ExplorationReport:
-    if args.mode == "exhaustive":
-        return explore_exhaustive(scenario, mutation,
-                                  max_schedules=args.schedules,
-                                  depth=args.depth)
-    return explore_random(scenario, mutation,
-                          n_schedules=args.schedules, seed=args.seed,
-                          with_delays=args.mode == "delay")
+from repro.analysis.explore.mutations import MUTATIONS
+from repro.analysis.explore.scenarios import SCENARIOS, SMOKE_SCENARIOS
+from repro.analysis.explore.strategies import (DEFAULT_KNOBS, check_mutation,
+                                               explore)
+from repro.analysis.explore.trace import (counterexample, replay_command,
+                                          save_artifact)
 
 
 def _explore_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Process-pool worker: explore one (scenario, mutation) pair.
 
     Returns only plain data — the exploration verdict plus, on failure,
-    the (optionally minimized) counterexample in its JSON trace form —
-    so results cross the process boundary without pickling any machine
-    state.  Minimization runs inside the worker: it is the expensive
-    part, which is exactly why it should be fanned out.
+    the (optionally shrunk) counterexample artifact — so results cross
+    the process boundary without pickling any machine state.  Shrinking
+    runs inside the worker: it is the expensive part, which is exactly
+    why it should be fanned out.
     """
-    scenario = SCENARIOS[payload["scenario"]]
-    mutation = MUTATIONS.get(payload["mutation"]) if payload["mutation"] else None
-    args = argparse.Namespace(**payload["knobs"])
-    report = _explore(scenario, mutation, args)
+    mutation = MUTATIONS[payload["mutation"]] if payload["mutation"] else None
+    report = explore(SCENARIOS[payload["scenario"]], mutation,
+                     payload["knobs"])
     out: Dict[str, Any] = {
         "scenario": payload["scenario"], "mutation": payload["mutation"],
         "clean": report.clean, "schedules_run": report.schedules_run}
-    if not report.clean:
-        assert report.violation is not None
-        result = report.violation
-        out["codes"] = list(result.codes)
-        if payload["minimize"]:
-            result = minimize_schedule(result.scenario, result.schedule,
-                                       MUTATIONS.get(result.mutation or ""))
-        out["trace"] = trace_json(result)
+    if report.violation is not None:
+        out["codes"] = report.violation.codes
+        out["trace"] = counterexample(report.violation, mutation,
+                                      minimize=payload["minimize"])
     return out
 
 
@@ -77,94 +61,87 @@ def _knobs(args: argparse.Namespace) -> Dict[str, Any]:
             "depth": args.depth, "seed": args.seed}
 
 
-def _emit_violation_data(data: Dict[str, Any],
-                         args: argparse.Namespace) -> None:
-    """Render a worker-produced JSON counterexample (already minimized)."""
-    trace = data["trace"]
+def print_violations(artifact: Dict[str, Any]) -> None:
+    for v in artifact["violations"]:
+        print(f"  {v['code']} [{v['rule']}] t={v['time']}: {v['detail']}")
+
+
+def _emit_violation(trace: Dict[str, Any], args: argparse.Namespace) -> None:
+    """Render a worker-produced counterexample artifact."""
     if args.save:
-        with open(args.save, "w", encoding="utf-8") as fh:
-            json.dump(trace, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_artifact(trace, args.save)
         print(f"trace written to {args.save}")
     if args.format == "json":
         print(json.dumps(trace, indent=2, sort_keys=True))
     else:
-        for v in trace["violations"]:
-            print(f"  {v['code']} [{v['rule']}] t={v['time']}: {v['detail']}")
+        print_violations(trace)
         sched = trace["schedule"]
         print(f"  schedule: ties={sched['ties']} "
               f"delays={dict(sched['delays'])}")
 
 
-def _emit_violation(result: ScheduleResult, args: argparse.Namespace) -> None:
-    if args.minimize:
-        result = minimize_schedule(result.scenario, result.schedule,
-                                   MUTATIONS.get(result.mutation or ""))
-    if args.save:
-        save_trace(result, args.save)
-        print(f"trace written to {args.save}")
-    if args.format == "json":
-        print(json.dumps(trace_json(result), indent=2, sort_keys=True))
-    else:
-        for v in result.violations:
-            print(f"  {v.code} [{v.rule}] t={v.time}: {v.detail}")
-        print(f"  schedule: ties={result.schedule.ties} "
-              f"delays={dict(sorted(result.schedule.delays.items()))}")
-
-
-def _run_mutation_suite(args: argparse.Namespace) -> int:
+def mutation_check(knobs: Dict[str, Any], jobs: int = 1) -> int:
+    """Run the mutation check over every registered mutation; print one
+    line per mutation and return the exit code."""
     from repro.harness.parallel import run_ordered
-    # chaos_only mutations need fault injection to become reachable; the
-    # chaos campaign (python -m repro chaos --mutation-check) owns them.
-    payloads = [{"scenario": m.scenario, "mutation": name,
-                 "knobs": _knobs(args), "minimize": False}
-                for name, m in NOMINAL_MUTATIONS.items()]
+    payloads = [{"mutation": name, "knobs": knobs} for name in MUTATIONS]
     missed: List[str] = []
 
-    def show(_i: int, _payload: Dict[str, Any],
-             data: Dict[str, Any]) -> None:
-        name = data["mutation"]
-        mutation = MUTATIONS[name]
-        if data["clean"]:
-            print(f"MISSED  {name} on {mutation.scenario} "
-                  f"({data['schedules_run']} schedules, expected "
-                  f"{mutation.expected})")
-            missed.append(name)
-        else:
-            codes = "/".join(data["codes"])
-            print(f"caught  {name} on {mutation.scenario} "
-                  f"({data['schedules_run']} schedules): {codes}")
+    def show(_i: int, _payload: Dict[str, Any], r: Dict[str, Any]) -> None:
+        nominal = "/".join(r["nominal_codes"]) or "clean"
+        chaos = "/".join(r["chaos_codes"]) or "clean"
+        status = "caught " if r["passed"] else "MISSED "
+        line = (f"{status} {r['mutation']:24s} on {r['scenario']:7s} "
+                f"nominal={nominal:12s} ({r['schedules_run']} schedules) "
+                f"chaos={chaos}")
+        if r["chaos_only"]:
+            line += "  [chaos-only: must be missed nominally]"
+        if not r["passed"]:
+            line += f"  (expected {r['expected']})"
+            missed.append(r["mutation"])
+        print(line)
 
-    run_ordered(_explore_worker, payloads, jobs=getattr(args, "jobs", 1),
-                on_result=show)
+    print(f"mutation check ({knobs['mode']} exploration, storm-heavy "
+          f"stress plan, seed {knobs['seed']}):")
+    run_ordered(check_mutation, payloads, jobs=jobs, on_result=show)
     if missed:
-        print(f"{len(missed)} mutation(s) survived exploration: "
+        print(f"{len(missed)} mutation(s) failed the check: "
               f"{', '.join(missed)}")
         return 1
-    print(f"all {len(NOMINAL_MUTATIONS)} mutations caught")
+    print(f"all {len(MUTATIONS)} mutations caught (chaos-only ones under "
+          f"the stress plan alone)")
     return 0
 
 
-def _run_clean_sweep(names: Sequence[str], args: argparse.Namespace) -> int:
+def _run_sweep(names: Sequence[str], mutation: Optional[str],
+               args: argparse.Namespace) -> int:
+    """Explore ``names`` (with ``mutation`` injected, if any); exit 1 on
+    a violation, or on a mutation exploration missed."""
     from repro.harness.parallel import run_ordered
-    payloads = [{"scenario": name, "mutation": None, "knobs": _knobs(args),
-                 "minimize": args.minimize}
+    payloads = [{"scenario": name, "mutation": mutation,
+                 "knobs": _knobs(args), "minimize": args.minimize}
                 for name in names]
     failures: List[str] = []
 
     def show(_i: int, _payload: Dict[str, Any],
              data: Dict[str, Any]) -> None:
-        name = data["scenario"]
+        name, runs = data["scenario"], data["schedules_run"]
         if data["clean"]:
-            print(f"clean   {name} ({data['schedules_run']} schedules)")
+            if mutation is None:
+                print(f"clean   {name} ({runs} schedules)")
+            else:
+                print(f"MISSED  {mutation} on {name} ({runs} schedules)")
+                failures.append(name)
             return
-        failures.append(name)
-        print(f"FAIL    {name}: {'/'.join(data['codes'])} after "
-              f"{data['schedules_run']} schedules")
-        _emit_violation_data(data, args)
+        codes = "/".join(data["codes"])
+        if mutation is None:
+            failures.append(name)
+            print(f"FAIL    {name}: {codes} after {runs} schedules")
+        else:
+            print(f"caught  {mutation} on {name}: {codes}")
+        _emit_violation(data["trace"], args)
 
-    run_ordered(_explore_worker, payloads, jobs=getattr(args, "jobs", 1),
-                on_result=show)
+    run_ordered(_explore_worker, payloads, jobs=args.jobs, on_result=show)
     return 1 if failures else 0
 
 
@@ -177,14 +154,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="scenario name (see --list); default: the "
                              "CI smoke set")
     parser.add_argument("--mode", choices=("exhaustive", "random", "delay"),
-                        default="exhaustive")
-    parser.add_argument("--schedules", type=int, default=200,
-                        help="schedule budget per scenario (default 200)")
-    parser.add_argument("--depth", type=int, default=12,
+                        default=DEFAULT_KNOBS["mode"])
+    parser.add_argument("--schedules", type=int,
+                        default=DEFAULT_KNOBS["schedules"],
+                        help="schedule budget per scenario (default "
+                             f"{DEFAULT_KNOBS['schedules']})")
+    parser.add_argument("--depth", type=int, default=DEFAULT_KNOBS["depth"],
                         help="exhaustive mode: deepest choice point allowed "
-                             "to deviate (default 12)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random/delay mode sampling seed")
+                             f"to deviate (default {DEFAULT_KNOBS['depth']})")
+    parser.add_argument("--seed", type=int, default=DEFAULT_KNOBS["seed"],
+                        help="random/delay mode sampling seed; also seeds "
+                             "the mutation check's stress plan")
     parser.add_argument("--jobs", type=int, default=1,
                         help="explore scenarios/mutations on N worker "
                              "processes (0 = all cores); per-scenario "
@@ -192,22 +172,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--mutate", default=None, metavar="NAME",
                         help="inject one protocol bug (see --list)")
     parser.add_argument("--mutations", action="store_true",
-                        help="teeth test: every mutation must be caught")
+                        help="mutation check: every nominal mutation must "
+                             "be caught, every chaos-only one only under "
+                             "the stress plan")
     parser.add_argument("--ci-smoke", action="store_true",
-                        help="bounded CI tier: clean sweep + mutation suite")
-    parser.add_argument("--replay", default=None, metavar="TRACE",
-                        help="re-run a saved trace and check it reproduces; "
-                             "the replay is instrumented and its commit "
-                             "critical path reported")
+                        help="bounded CI tier: clean sweep + mutation check")
+    parser.add_argument("--replay", default=None, metavar="ARTIFACT",
+                        help="re-run a saved artifact (explore or chaos) "
+                             "and check it reproduces; the replay is "
+                             "instrumented and its commit critical path "
+                             "reported")
     parser.add_argument("--trace", default=None, metavar="OUT",
                         help="with --replay: also write a Perfetto trace "
                              "of the replayed run to OUT")
     parser.add_argument("--save", default=None, metavar="PATH",
-                        help="write the (minimized) failing trace here")
+                        help="write the (shrunk) failing artifact here")
     parser.add_argument("--no-minimize", dest="minimize",
                         action="store_false",
                         help="keep the raw failing schedule instead of "
-                             "delta-minimizing it")
+                             "shrinking it")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--list", action="store_true",
                         help="list scenarios and mutations, then exit")
@@ -229,65 +212,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.replay:
-        from repro.obs.bus import InstrumentationBus
-        from repro.obs.critical_path import analyze_commit_paths
-        data = load_trace(args.replay)
-        bus = InstrumentationBus()
-        result = replay_trace(data, bus=bus)
-        want = [str(v["code"]) for v in data.get("violations", ())]
-        got = result.codes
-        print(f"replay of {args.replay}: expected {want or 'clean'}, "
-              f"got {got or 'clean'}")
-        print(analyze_commit_paths(bus).render())
-        if args.trace:
-            from repro.obs.export import to_perfetto
-            doc = to_perfetto(bus, args.trace)
-            print(f"trace: {len(doc['traceEvents'])} events -> {args.trace} "
-                  f"(open in ui.perfetto.dev)")
-        ok = (want[0] in got) if want else not got
-        return 0 if ok else 1
+        return replay_command(args.replay, args.trace)
 
     if args.ci_smoke:
-        sweep = _run_clean_sweep(SMOKE_SCENARIOS, args)
-        suite = _run_mutation_suite(args)
-        return 1 if (sweep or suite) else 0
+        sweep = _run_sweep(SMOKE_SCENARIOS, None, args)
+        check = mutation_check(_knobs(args), args.jobs)
+        return 1 if (sweep or check) else 0
 
     if args.mutations:
-        return _run_mutation_suite(args)
+        return mutation_check(_knobs(args), args.jobs)
 
-    mutation = None
-    if args.mutate is not None:
-        mutation = MUTATIONS.get(args.mutate)
-        if mutation is None:
-            parser.error(f"unknown mutation {args.mutate!r} "
-                         f"(choices: {', '.join(MUTATIONS)})")
-
+    if args.mutate is not None and args.mutate not in MUTATIONS:
+        parser.error(f"unknown mutation {args.mutate!r} "
+                     f"(choices: {', '.join(MUTATIONS)})")
     if args.scenario is not None:
         if args.scenario not in SCENARIOS:
             parser.error(f"unknown scenario {args.scenario!r} "
                          f"(choices: {', '.join(SCENARIOS)})")
         names: Sequence[str] = [args.scenario]
-    elif mutation is not None:
-        names = [mutation.scenario]
+    elif args.mutate is not None:
+        names = [MUTATIONS[args.mutate].scenario]
     else:
         names = SMOKE_SCENARIOS
-
-    if mutation is not None:
-        failures = 0
-        for name in names:
-            report = _explore(SCENARIOS[name], mutation, args)
-            if report.clean:
-                print(f"MISSED  {mutation.name} on {name} "
-                      f"({report.schedules_run} schedules)")
-                failures += 1
-            else:
-                assert report.violation is not None
-                print(f"caught  {mutation.name} on {name}: "
-                      f"{'/'.join(report.violation.codes)}")
-                _emit_violation(report.violation, args)
-        return 1 if failures else 0
-
-    return _run_clean_sweep(names, args)
+    return _run_sweep(names, args.mutate, args)
 
 
-__all__ = ["main"]
+__all__ = ["main", "mutation_check", "print_violations"]

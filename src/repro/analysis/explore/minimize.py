@@ -1,54 +1,28 @@
-"""Delta-minimize a failing schedule to its shortest failing core.
+"""Shrink a failing perturbation to its smallest failing core.
 
-Classic ddmin over the schedule's *non-default decisions* (tie-break picks
-other than 0, nonzero delays): try removing chunks of decisions, keep any
-reduction that still reproduces the original violation code, then finish
-with a one-at-a-time greedy pass.  The minimized schedule is re-run once
-more at the end so the returned result is the trace that actually ships.
+Classic ddmin over the perturbation's parts: the schedule's non-default
+decisions (tie-break picks other than 0, nonzero delays) and the fault
+plan's faults, in one list.  Try removing chunks of parts, keep any
+reduction for which the caller's predicate still holds, then finish with
+a one-at-a-time greedy pass.  The returned result is the run of the
+shrunk perturbation, the one that actually ships.
 
-:func:`ddmin` is the generic core — a list of items plus a ``reproduces``
-predicate — shared with the fault-injection campaign (``repro.faults``),
-which shrinks failing :class:`~repro.faults.plan.FaultPlan` fault lists
-with the exact same algorithm.
+``repro explore`` and ``repro chaos`` shrink toward a run that keeps the
+failure's primary label; ``repro lint --confirm`` shrinks toward a run
+that still exhibits a race witness.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, List, Optional, TypeVar
 
-_Item = TypeVar("_Item")
-
-from repro.analysis.explore.controller import Schedule
-from repro.analysis.explore.driver import ScheduleResult, run_schedule
+from repro.analysis.explore.driver import (Part, Perturbation,
+                                           PerturbationResult,
+                                           run_perturbation)
 from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import Scenario
 
-#: one non-default decision: ("tie", choice point, pick) or ("delay", send, extra)
-_Decision = Tuple[str, int, int]
-
-
-def _decisions(schedule: Schedule) -> List[_Decision]:
-    out: List[_Decision] = []
-    for k, pick in enumerate(schedule.ties):
-        if pick:
-            out.append(("tie", k, pick))
-    for idx in sorted(schedule.delays):
-        if schedule.delays[idx]:
-            out.append(("delay", idx, schedule.delays[idx]))
-    return out
-
-
-def _assemble(decisions: List[_Decision]) -> Schedule:
-    ties: List[int] = []
-    delays = {}
-    for kind, key, value in decisions:
-        if kind == "tie":
-            if len(ties) <= key:
-                ties.extend([0] * (key + 1 - len(ties)))
-            ties[key] = value
-        else:
-            delays[key] = value
-    return Schedule(ties=ties, delays=delays)
+_Item = TypeVar("_Item")
 
 
 def ddmin(items: List[_Item],
@@ -91,36 +65,39 @@ def ddmin(items: List[_Item],
     return current
 
 
-def minimize_schedule(scenario: Scenario,
-                      schedule: Schedule,
-                      mutation: Optional[Mutation] = None, *,
-                      target_code: Optional[str] = None,
-                      max_runs: int = 200) -> ScheduleResult:
-    """Shrink ``schedule`` while it still triggers ``target_code``.
+def shrink(scenario: Scenario, perturbation: Perturbation,
+           mutation: Optional[Mutation],
+           predicate: Callable[[PerturbationResult], bool],
+           max_runs: int = 200, *,
+           watchdog: Optional[int] = None) -> PerturbationResult:
+    """ddmin ``perturbation``'s parts while ``predicate`` holds.
 
-    ``target_code`` defaults to the first violation code of the original
-    run.  Returns the result of re-running the minimized schedule (which
-    therefore carries the violation evidence for the trace).
+    ``perturbation`` must satisfy ``predicate``; at most ``max_runs``
+    candidates are tried, each on a fresh machine watched like the
+    original run (same ``watchdog`` window).  Returns the run of the
+    shrunk perturbation; if no part could be dropped, that is one more
+    run of the original.
     """
     runs = 0
+    best: Optional[PerturbationResult] = None
 
-    def reproduces(candidate: List[_Decision]) -> bool:
-        nonlocal runs, target_code
+    def run(parts: List[Part]) -> PerturbationResult:
+        return run_perturbation(scenario, perturbation.with_parts(parts),
+                                mutation, watchdog=watchdog)
+
+    def reproduces(parts: List[Part]) -> bool:
+        nonlocal runs, best
         if runs >= max_runs:
             return False
         runs += 1
-        result = run_schedule(scenario, _assemble(candidate), mutation)
-        return target_code in result.codes
+        result = run(parts)
+        if not predicate(result):
+            return False
+        best = result  # ddmin keeps exactly the last list that reproduced
+        return True
 
-    if target_code is None:
-        baseline = run_schedule(scenario, schedule, mutation)
-        runs += 1
-        if not baseline.failed:
-            return baseline  # nothing to minimize; caller sees the clean run
-        target_code = baseline.codes[0]
-
-    current = ddmin(_decisions(schedule), reproduces)
-    return run_schedule(scenario, _assemble(current), mutation)
+    kept = ddmin(perturbation.parts(), reproduces)
+    return best if best is not None else run(kept)
 
 
-__all__ = ["ddmin", "minimize_schedule"]
+__all__ = ["ddmin", "shrink"]

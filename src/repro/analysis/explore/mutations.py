@@ -22,8 +22,10 @@ The three bugs (from the issue):
   confirmed elsewhere, so its processor can observe both outcomes (SB405)
   or the protocol wedges on the orphaned state (SB403/404).
 
-A fourth bug is registered with ``chaos_only=True`` and excluded from the
-nominal exploration suites (``--mutations`` / ``--ci-smoke``):
+A fourth bug is registered with ``chaos_only=True``: the mutation check
+(``--mutations`` / ``--ci-smoke`` / ``repro chaos --mutation-check``)
+requires nominal exploration to *miss* it and the stress plan to catch
+it:
 
 * ``reservation-leak`` — a module never releases its starvation
   reservation once the reserved chunk commits (Section 3.2.2).  The bug
@@ -54,8 +56,8 @@ class Mutation:
     scenario: str                    #: scenario name the CI sweep pairs it with
     expected: str                    #: SB4xx codes that count as detection
     apply: Callable[[Any], None]     #: patches a freshly built machine
-    #: True: only the chaos campaign can reach the bug; the nominal
-    #: exploration suites skip it (and a test asserts they would miss it).
+    #: True: only fault injection can reach the bug; the mutation check
+    #: requires nominal exploration to miss it.
     chaos_only: bool = False
 
 
@@ -152,11 +154,6 @@ MUTATIONS: Dict[str, Mutation] = {
     )
 }
 
-#: the nominal suites' view: every mutation exploration must catch
-NOMINAL_MUTATIONS: Dict[str, Mutation] = {
-    name: m for name, m in MUTATIONS.items() if not m.chaos_only
-}
-
-__all__ = ["MUTATIONS", "Mutation", "NOMINAL_MUTATIONS",
+__all__ = ["MUTATIONS", "Mutation",
            "apply_collision_wrong_winner", "apply_drop_commit_nack",
            "apply_reservation_leak", "apply_skip_w_intersection"]

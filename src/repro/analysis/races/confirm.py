@@ -19,9 +19,10 @@ message stream:
 * **SB504** — the flagged attribute grew during the run, was never
   released, and is still non-empty at quiesce: the leak is live.
 
-A hit is delta-minimized (:func:`~repro.analysis.explore.minimize.ddmin`
-over the realized schedule's non-default decisions, re-checking the
-predicate, not a violation code) and shipped as a replayable
+A hit is shrunk by the perturbation harness
+(:func:`~repro.analysis.explore.minimize.shrink` over the realized
+schedule's non-default decisions, re-checking the predicate, not a
+violation code) and shipped as a replayable
 :class:`~repro.analysis.explore.controller.Schedule` in JSON form.  A
 finding whose predicate never fires within the budget stays UNOBSERVED —
 which is *evidence of absence only for the scenarios tried*, not a refutation.
@@ -33,15 +34,17 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.explore.controller import Schedule
-from repro.analysis.explore.driver import run_schedule
-from repro.analysis.explore.minimize import _assemble, _decisions, ddmin
+from repro.analysis.explore.driver import (Perturbation, PerturbationResult,
+                                           run_perturbation)
+from repro.analysis.explore.minimize import shrink
 from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import SCENARIOS, Scenario
 from repro.analysis.findings import Finding
 from repro.analysis.races.sanitizer import AccessSanitizer
 from repro.engine.rng import DeterministicRng
 from repro.network.message import MessageType
-from repro.obs.bus import MSG_RECV, MSG_SEND, InstrumentationBus, ctag_str
+from repro.obs.bus import (MSG_RECV, MSG_SEND, InstrumentationBus,
+                           attach_bus, ctag_str)
 
 CONFIRMED = "CONFIRMED"
 UNOBSERVED = "UNOBSERVED"
@@ -117,31 +120,48 @@ def starvation_pressure(mutation: Optional[Mutation] = None,
 PROBE_MAX_EVENTS = 30_000
 
 
+class _Prober:
+    """Rides the mutation slot of every probe run: applies ``mutation``,
+    then attaches a fresh bus and access sanitizer to the machine."""
+
+    def __init__(self, scenario: Scenario,
+                 mutation: Optional[Mutation]) -> None:
+        self.scenario = replace(
+            scenario, max_events=min(scenario.max_events, PROBE_MAX_EVENTS))
+        self.mutation = Mutation(
+            name=mutation.name if mutation else "sanitize",
+            description="attach the state-access sanitizer",
+            scenario=scenario.name, expected="", apply=self._apply)
+        self._inner = mutation
+        self.bus = InstrumentationBus()   # replaced by every run
+        self.sanitizer: Optional[AccessSanitizer] = None
+
+    def _apply(self, machine: Any) -> None:
+        if self._inner is not None:
+            self._inner.apply(machine)
+        self.bus = InstrumentationBus()
+        self.sanitizer = AccessSanitizer(machine, self.bus)
+        attach_bus(machine, self.bus)
+
+    def probe(self, result: PerturbationResult) -> _Probe:
+        """The last run's sanitizer and bus, paired with its result."""
+        assert self.sanitizer is not None
+        self.sanitizer.flush()
+        return _Probe(sanitizer=self.sanitizer, bus=self.bus, result=result,
+                      intervals=_inflight_intervals(self.bus))
+
+
 def _run_probe(scenario: Scenario, schedule: Optional[Schedule],
                mutation: Optional[Mutation], seed: Optional[int]) -> _Probe:
-    if scenario.max_events > PROBE_MAX_EVENTS:
-        scenario = replace(scenario, max_events=PROBE_MAX_EVENTS)
-    bus = InstrumentationBus()
-    holder: Dict[str, AccessSanitizer] = {}
-
-    def _apply(machine: Any) -> None:
-        if mutation is not None:
-            mutation.apply(machine)
-        holder["san"] = AccessSanitizer(machine, bus)
-
-    probe = Mutation(name=mutation.name if mutation else "sanitize",
-                     description="attach the state-access sanitizer",
-                     scenario=scenario.name, expected="", apply=_apply)
+    prober = _Prober(scenario, mutation)
     tie_rng = DeterministicRng(seed, "confirm-ties") if seed is not None \
         else None
     delay_rng = DeterministicRng(seed + 1, "confirm-delays") \
         if seed is not None else None
-    result = run_schedule(scenario, schedule, probe,
-                          tie_rng=tie_rng, delay_rng=delay_rng, bus=bus)
-    sanitizer = holder["san"]
-    sanitizer.flush()
-    return _Probe(sanitizer=sanitizer, bus=bus, result=result,
-                  intervals=_inflight_intervals(bus))
+    result = run_perturbation(
+        prober.scenario, Perturbation(schedule or Schedule()),
+        prober.mutation, tie_rng=tie_rng, delay_rng=delay_rng)
+    return prober.probe(result)
 
 
 def _inflight_intervals(bus: InstrumentationBus
@@ -260,23 +280,6 @@ def _scenarios_for(finding: Finding) -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 # The confirm loop
 # ----------------------------------------------------------------------
-def _shrink(scenario: Scenario, schedule: Schedule,
-            mutation: Optional[Mutation],
-            predicate: Callable[[_Probe], bool],
-            budget: int) -> Schedule:
-    runs = 0
-
-    def reproduces(candidate: List[Any]) -> bool:
-        nonlocal runs
-        if runs >= budget:
-            return False
-        runs += 1
-        probe = _run_probe(scenario, _assemble(candidate), mutation, None)
-        return predicate(probe)
-
-    return _assemble(ddmin(_decisions(schedule), reproduces)).trimmed()
-
-
 def confirm_finding(finding: Finding, *,
                     mutation: Optional[Mutation] = None,
                     scenarios: Optional[Sequence[str]] = None,
@@ -299,9 +302,13 @@ def confirm_finding(finding: Finding, *,
             runs += 1
             if not predicate(probe):
                 continue
-            witness = probe.result.schedule
-            shrunk = _shrink(scenario, witness, mutation, predicate,
-                             shrink_budget)
+            shrunk = probe.result.schedule
+            if shrunk.decision_count():
+                prober = _Prober(scenario, mutation)
+                shrunk = shrink(prober.scenario, Perturbation(shrunk),
+                                prober.mutation,
+                                lambda r: predicate(prober.probe(r)),
+                                shrink_budget).schedule
             return Witness(
                 key=finding.key, code=finding.code, status=CONFIRMED,
                 scenario=name, schedule=shrunk.to_json(), runs=runs,

@@ -5,9 +5,13 @@ Layers (see docs/robustness.md):
 * :mod:`repro.faults.plan` — serializable, seeded :class:`FaultPlan`;
 * :mod:`repro.faults.injectors` — realize a plan against a machine;
 * :mod:`repro.faults.watchdog` — read-only liveness watchdog;
-* :mod:`repro.faults.campaign` — campaign generation, verdicts,
-  ddmin shrinking, replayable artifacts, the mutation check;
+* :mod:`repro.faults.campaign` — the seeded plan rotation and the
+  campaign worker;
 * :mod:`repro.faults.cli` — the ``chaos`` subcommand.
+
+Plans run, shrink, save and replay through the perturbation harness in
+:mod:`repro.analysis.explore` (``driver``, ``minimize``, ``trace``),
+the same path explore schedules take.
 """
 
 from repro.faults.injectors import FaultEngine, apply_plan

@@ -1,128 +1,40 @@
-"""Chaos campaigns: seeded fault plans, verdicts, shrinking, artifacts.
+"""Chaos campaigns: the seeded plan rotation and the campaign worker.
 
 One *campaign* is ``--plans N`` generated :class:`FaultPlan`\\ s, rotated
-over a scenario set covering all four protocols, each executed on a fresh
-machine with the plan's injectors, the liveness watchdog and the full
-explore invariant monitor (oracle SB402, conformance SB405, co-held /
-doomed SB401, accounting SB406, deadlock SB403, livelock SB404) attached.
-Faults are timing-level, so **every** plan must come back clean: a single
-safety or liveness code is a finding, and the failing plan is shrunk with
-the explore ddmin to a minimal fault list and written into a replayable
-JSON artifact (``--artifacts DIR``).
+over a scenario set covering all four protocols.  Each plan runs through
+the one perturbation harness
+(:func:`repro.analysis.explore.driver.run_perturbation`) on a fresh machine with the liveness watchdog and the full invariant
+monitor (oracle SB402, conformance SB405, co-held / doomed SB401,
+accounting SB406, deadlock SB403, livelock SB404) attached.  Faults are
+timing-level, so **every** plan must come back clean: a single safety or
+liveness code, or a watchdog fire, is a finding, and the failing plan
+ships as a shrunk, replayable artifact
+(:func:`repro.analysis.explore.trace.counterexample`).
 
 Workers are plain top-level functions over JSON payloads, so campaigns
 fan out over ``harness.parallel.run_ordered`` (``--jobs N``) with
-verdicts — and exit codes — identical to a serial run.
-
-The *mutation check* is the campaign's teeth test: every registered
-explore mutation runs once under nominal timing and under a storm-heavy
-stress plan.  Its pass criterion is the chaos-only contract — bugs like
-``reservation-leak`` that nominal timing cannot reach (the reservation
-machinery never engages in a clean micro-run) must be caught under
-chaos, and must demonstrably stay invisible without it.
+verdicts (and exit codes) identical to a serial run.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.analysis.explore.invariants import ExploreViolation, InvariantMonitor
-from repro.analysis.explore.minimize import ddmin
-from repro.analysis.explore.mutations import MUTATIONS, Mutation
-from repro.analysis.explore.scenarios import SCENARIOS, Scenario, build_machine
+from repro.analysis.explore.driver import Perturbation, run_perturbation
+from repro.analysis.explore.mutations import MUTATIONS
+from repro.analysis.explore.scenarios import SCENARIOS, Scenario
+from repro.analysis.explore.trace import counterexample
 from repro.config import ProtocolKind
 from repro.engine.rng import DeterministicRng
-from repro.faults.injectors import FaultEngine
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.faults.watchdog import (DEFAULT_MAX_FIRES, DEFAULT_WINDOW,
-                                   LivenessWatchdog)
-from repro.obs.bus import InstrumentationBus, attach_bus
-
-ARTIFACT_VERSION = 1
-
-#: invariant codes that mean "serializability / protocol soundness broke"
-SAFETY_CODES = frozenset({"SB401", "SB402", "SB405", "SB406"})
-#: invariant codes that mean "the machine stopped making progress"
-LIVENESS_CODES = frozenset({"SB403", "SB404"})
+from repro.faults.watchdog import DEFAULT_WINDOW
 
 #: the default campaign rotation: every protocol, both access patterns
 DEFAULT_SCENARIOS: Tuple[str, ...] = (
     "cross3", "mixed3", "nack3", "mixed4", "tcc3", "bulksc3", "seq3",
 )
-
-
-@dataclass
-class ChaosResult:
-    """Everything one (scenario, plan) chaos run produced."""
-
-    scenario: Scenario
-    plan: FaultPlan
-    violations: List[ExploreViolation] = field(default_factory=list)
-    watchdog_fires: List[Dict[str, Any]] = field(default_factory=list)
-    activations: List[int] = field(default_factory=list)
-    cycles: int = 0
-    commits: int = 0
-    mutation: Optional[str] = None
-
-    @property
-    def codes(self) -> List[str]:
-        seen: List[str] = []
-        for v in self.violations:
-            if v.code not in seen:
-                seen.append(v.code)
-        return seen
-
-    @property
-    def safety_codes(self) -> List[str]:
-        return [c for c in self.codes if c in SAFETY_CODES]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.watchdog_fires
-
-
-def run_plan(scenario: Scenario, plan: FaultPlan, *,
-             mutation: Optional[Mutation] = None,
-             watchdog_window: int = DEFAULT_WINDOW,
-             watchdog_max_fires: int = DEFAULT_MAX_FIRES,
-             max_events: Optional[int] = None,
-             bus: Optional[InstrumentationBus] = None) -> ChaosResult:
-    """Build, injure, watch, run — one chaos execution.
-
-    Wrapping order matters: the fault engine patches the machine first so
-    the invariant monitor (attached second) observes the *injured*
-    protocol exactly as it observes a nominal one.
-    """
-    machine = build_machine(scenario)
-    if mutation is not None:
-        mutation.apply(machine)
-    engine = FaultEngine(plan, machine).install()
-    if bus is not None:
-        attach_bus(machine, bus)
-    monitor = InvariantMonitor(machine,
-                               expected_per_core=scenario.chunks_per_core)
-    watchdog = LivenessWatchdog(machine, window=watchdog_window,
-                                max_fires=watchdog_max_fires,
-                                bus=bus).attach()
-    try:
-        machine.run(max_events=max_events or scenario.max_events,
-                    prewarm=False)
-    except RuntimeError as err:
-        monitor.note_abnormal_end(str(err))
-    else:
-        monitor.finalize()
-    return ChaosResult(
-        scenario=scenario,
-        plan=plan,
-        violations=list(monitor.violations),
-        watchdog_fires=[f.to_json() for f in watchdog.fires],
-        activations=list(engine.activations),
-        cycles=int(machine.sim.now),
-        commits=sum(int(c.stats.chunks_committed) for c in machine.cores),
-        mutation=mutation.name if mutation is not None else None,
-    )
+#: shrink budget per failing plan (chaos runs are long; keep it small)
+SHRINK_RUNS = 32
 
 
 # ----------------------------------------------------------------------
@@ -182,157 +94,39 @@ def generate_campaign(seed: int, n_plans: int,
     return out
 
 
-def stress_plan(seed: int, *, name: str = "stress") -> FaultPlan:
-    """The mutation check's storm-heavy plan: a long, aggressive squash
-    storm (drives one chunk past the starvation threshold so the
-    reservation machinery engages) plus background latency noise."""
-    return FaultPlan(name=name, seed=seed, faults=(
-        FaultSpec.make("squash-storm", start=0, duration=20_000, prob=0.85),
-        FaultSpec.make("latency-spike", start=0, duration=20_000,
-                       extra=3, jitter=8),
-    ))
-
-
-# ----------------------------------------------------------------------
-# Shrinking + artifacts
-# ----------------------------------------------------------------------
-def shrink_plan(scenario: Scenario, plan: FaultPlan, target_code: str, *,
-                mutation: Optional[Mutation] = None,
-                max_runs: int = 32) -> FaultPlan:
-    """ddmin the plan's fault list while ``target_code`` still fires."""
-    runs = 0
-
-    def reproduces(faults: List[FaultSpec]) -> bool:
-        nonlocal runs
-        if runs >= max_runs:
-            return False
-        runs += 1
-        result = run_plan(scenario, plan.with_faults(faults),
-                          mutation=mutation)
-        return target_code in result.codes
-
-    return plan.with_faults(ddmin(list(plan.faults), reproduces))
-
-
-def artifact_json(result: ChaosResult) -> Dict[str, Any]:
-    """Self-contained, replayable record of one failing chaos run."""
-    return {
-        "version": ARTIFACT_VERSION,
-        "scenario": result.scenario.to_json(),
-        "plan": result.plan.to_json(),
-        "mutation": result.mutation,
-        "violations": [v.to_json() for v in result.violations],
-        "watchdog_fires": list(result.watchdog_fires),
-        "stats": {"cycles": result.cycles, "commits": result.commits,
-                  "activations": list(result.activations)},
-    }
-
-
-def save_artifact(result: ChaosResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(artifact_json(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_artifact(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    version = data.get("version")
-    if version != ARTIFACT_VERSION:
-        raise ValueError(
-            f"artifact {path} has version {version!r}; this build reads "
-            f"version {ARTIFACT_VERSION}")
-    return data
-
-
-def replay_artifact(data: Dict[str, Any], *,
-                    bus: Optional[InstrumentationBus] = None) -> ChaosResult:
-    """Re-run a loaded artifact's plan on its scenario (and mutation)."""
-    scenario = Scenario.from_json(data["scenario"])
-    plan = FaultPlan.from_json(data["plan"])
-    mutation_name = data.get("mutation")
-    mutation = None
-    if mutation_name is not None:
-        mutation = MUTATIONS.get(str(mutation_name))
-        if mutation is None:
-            raise ValueError(
-                f"artifact names unknown mutation {mutation_name!r}")
-    return run_plan(scenario, plan, mutation=mutation, bus=bus)
-
-
-# ----------------------------------------------------------------------
-# Pool workers (top-level, plain-data payloads)
-# ----------------------------------------------------------------------
 def chaos_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One campaign plan -> plain verdict dict (plus artifact on failure).
 
-    ``payload["mutation"]`` (optional) names an explore mutation to apply
-    first — the campaign CLI never sets it, but tests use it to drive the
-    failure/shrink path deterministically.
+    ``payload["scenario"]`` is the scenario's JSON form, so a campaign's
+    event budget travels with it.  ``payload["mutation"]`` (optional)
+    names an explore mutation to apply first: the campaign CLI never
+    sets it, but tests use it to drive the failure/shrink path.
     """
-    scenario = SCENARIOS[payload["scenario"]]
+    scenario = Scenario.from_json(payload["scenario"])
     plan = FaultPlan.from_json(payload["plan"])
     mutation = (MUTATIONS[payload["mutation"]]
                 if payload.get("mutation") else None)
-    result = run_plan(
-        scenario, plan, mutation=mutation,
-        watchdog_window=payload.get("watchdog", DEFAULT_WINDOW),
-        max_events=payload.get("max_events"))
+    result = run_perturbation(
+        scenario, Perturbation(plan=plan), mutation,
+        watchdog=payload.get("watchdog", DEFAULT_WINDOW))
     out: Dict[str, Any] = {
         "scenario": scenario.name,
         "plan_name": plan.name,
         "n_faults": len(plan.faults),
         "codes": result.codes,
+        "labels": result.labels,
         "safety_codes": result.safety_codes,
         "watchdog_fires": len(result.watchdog_fires),
         "cycles": result.cycles,
         "commits": result.commits,
-        "ok": result.ok,
+        "ok": not result.failed,
     }
-    if result.violations:
-        target = result.codes[0]
-        shrunk_plan = plan
-        if payload.get("minimize", True):
-            shrunk_plan = shrink_plan(scenario, plan, target,
-                                      mutation=mutation)
-        final = run_plan(scenario, shrunk_plan, mutation=mutation,
-                         watchdog_window=payload.get("watchdog",
-                                                     DEFAULT_WINDOW),
-                         max_events=payload.get("max_events"))
-        # Shrinking must preserve the finding; fall back to the original.
-        if target not in final.codes:
-            final = result
-        out["artifact"] = artifact_json(final)
+    if result.failed:
+        out["artifact"] = counterexample(
+            result, mutation, minimize=payload.get("minimize", True),
+            max_runs=SHRINK_RUNS)
     return out
 
 
-def mutation_check_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one mutation nominally and under the stress plan."""
-    mutation = MUTATIONS[payload["mutation"]]
-    scenario = SCENARIOS[mutation.scenario]
-    expected = set(mutation.expected.split("/"))
-    seed = int(payload.get("seed", 0))
-
-    nominal = run_plan(scenario, FaultPlan.empty(seed=seed),
-                       mutation=mutation)
-    chaos = run_plan(scenario, stress_plan(seed), mutation=mutation)
-    return {
-        "mutation": mutation.name,
-        "scenario": mutation.scenario,
-        "chaos_only": mutation.chaos_only,
-        "expected": mutation.expected,
-        "nominal_codes": nominal.codes,
-        "chaos_codes": chaos.codes,
-        "nominal_caught": bool(expected & set(nominal.codes)),
-        "chaos_caught": bool(expected & set(chaos.codes)),
-        "chaos_watchdog_fires": len(chaos.watchdog_fires),
-    }
-
-
-__all__ = [
-    "ARTIFACT_VERSION", "ChaosResult", "DEFAULT_SCENARIOS", "LIVENESS_CODES",
-    "SAFETY_CODES", "artifact_json", "chaos_worker", "generate_campaign",
-    "generate_plan", "load_artifact", "mutation_check_worker",
-    "replay_artifact", "run_plan", "save_artifact", "shrink_plan",
-    "stress_plan",
-]
+__all__ = ["DEFAULT_SCENARIOS", "SHRINK_RUNS", "chaos_worker",
+           "generate_campaign", "generate_plan"]

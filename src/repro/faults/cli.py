@@ -6,30 +6,35 @@ Modes:
   over the campaign scenarios, or pinned with ``--scenario``) and run
   each with the liveness watchdog and the full invariant monitor
   attached.  Exit 1 on any safety/liveness violation or watchdog fire;
-  failing plans are ddmin-shrunk and written as replayable artifacts
-  under ``--artifacts DIR`` (or shown inline).
-* ``--replay ARTIFACT`` — re-run a saved failure artifact; exit 0 iff
-  the replay reproduces the artifact's primary violation code.
-* ``--mutation-check`` — the campaign's teeth test: every registered
-  mutation runs nominally *and* under a storm-heavy stress plan.  Exit 1
-  unless each chaos-only mutation (e.g. ``reservation-leak``) is caught
-  under chaos and — demonstrating why chaos is needed — missed nominally.
+  every failing plan is shrunk and written as a replayable artifact
+  under ``--artifacts DIR`` (or shown inline).  ``--max-events`` and
+  ``--watchdog`` travel with the artifact, so it replays as it failed.
+* ``--replay ARTIFACT`` — re-run a saved artifact (a chaos artifact or
+  a ``repro explore`` trace); exit 0 iff the replay reproduces its
+  primary failure.
+* ``--mutation-check`` — the mutation check shared with ``repro explore
+  --mutations``: every registered mutation is explored nominally *and*
+  run under a storm-heavy stress plan.  Exit 1 unless each nominal
+  mutation is caught by exploration and each chaos-only one (e.g.
+  ``reservation-leak``) is caught under chaos and, demonstrating why
+  chaos is needed, missed nominally.
 * ``--list`` — fault kinds, campaign scenarios and chaos-only mutations.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.analysis.explore.cli import mutation_check, print_violations
 from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS
-from repro.faults.campaign import (DEFAULT_SCENARIOS, artifact_json,
-                                   chaos_worker, generate_campaign,
-                                   load_artifact, mutation_check_worker,
-                                   replay_artifact)
+from repro.analysis.explore.strategies import DEFAULT_KNOBS
+from repro.analysis.explore.trace import replay_command, save_artifact
+from repro.faults.campaign import (DEFAULT_SCENARIOS, chaos_worker,
+                                   generate_campaign)
 from repro.faults.plan import FAULT_KINDS
 from repro.faults.watchdog import DEFAULT_WINDOW
 
@@ -48,57 +53,6 @@ def _cmd_list() -> int:
         if m.chaos_only:
             print(f"  {name:24s} on {m.scenario}: {m.description} "
                   f"(expect {m.expected})")
-    return 0
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    data = load_artifact(args.replay)
-    result = replay_artifact(data)
-    want = [str(v["code"]) for v in data.get("violations", ())]
-    got = result.codes
-    print(f"replay of {args.replay}: expected {want or 'clean'}, "
-          f"got {got or 'clean'} "
-          f"({result.commits} commits, {result.cycles:,} cycles, "
-          f"{len(result.watchdog_fires)} watchdog fires)")
-    ok = (want[0] in got) if want else result.ok
-    return 0 if ok else 1
-
-
-def _cmd_mutation_check(args: argparse.Namespace) -> int:
-    from repro.harness.parallel import run_ordered
-    payloads = [{"mutation": name, "seed": args.seed}
-                for name in sorted(MUTATIONS)]
-    bad: List[str] = []
-
-    def show(_i: int, _payload: Dict[str, Any],
-             r: Dict[str, Any]) -> None:
-        nominal = "/".join(r["nominal_codes"]) or "clean"
-        chaos = "/".join(r["chaos_codes"]) or "clean"
-        line = (f"  {r['mutation']:24s} nominal={nominal:12s} "
-                f"chaos={chaos}")
-        if not r["chaos_only"]:
-            # Nominal mutations are the explore suite's contract; here
-            # they are report-only (chaos may or may not re-catch them).
-            print(line)
-            return
-        if r["chaos_caught"] and not r["nominal_caught"]:
-            print(f"{line}  [chaos-only: caught under chaos, "
-                  f"invisible nominally]")
-        else:
-            why = ("missed under chaos" if not r["chaos_caught"]
-                   else "already visible nominally")
-            print(f"{line}  FAIL ({why}, expected {r['expected']})")
-            bad.append(r["mutation"])
-
-    print(f"mutation check (seed {args.seed}, storm-heavy stress plan):")
-    run_ordered(mutation_check_worker, payloads, jobs=args.jobs,
-                on_result=show)
-    if bad:
-        print(f"{len(bad)} chaos-only mutation(s) failed the check: "
-              f"{', '.join(bad)}")
-        return 1
-    print("mutation check passed: chaos catches what nominal timing "
-          "cannot")
     return 0
 
 
@@ -126,7 +80,7 @@ def _chaos_record(payload: Dict[str, Any], r: Dict[str, Any],
                  "n_faults": r.get("n_faults", 0)},
         payload=artifact if artifact is not None else
         {k: v for k, v in r.items() if k != "artifact"},
-        error="/".join(r.get("codes", ())), source=source)
+        error="/".join(r["labels"]), source=source)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -139,11 +93,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     else:
         names = DEFAULT_SCENARIOS
     campaign = generate_campaign(args.seed, args.plans, names)
+    budget = {"max_events": args.max_events} if args.max_events else {}
     payloads = [{
-        "scenario": scenario,
+        "scenario": replace(SCENARIOS[scenario], **budget).to_json(),
         "plan": plan.to_json(),
         "watchdog": args.watchdog,
-        "max_events": args.max_events,
         "minimize": args.minimize,
     } for scenario, plan in campaign]
     failures: List[str] = []
@@ -169,21 +123,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                   f"{r['cycles']:,} cycles)")
             return
         failures.append(r["plan_name"])
-        codes = "/".join(r["codes"]) or "watchdog"
         print(f"FAIL    {r['plan_name']} on {r['scenario']:8s} "
-              f"{codes} ({r['watchdog_fires']} watchdog fires)")
-        artifact = r.get("artifact")
-        if artifact is None:
-            return
-        for v in artifact["violations"]:
-            print(f"  {v['code']} [{v['rule']}] t={v['time']}: "
-                  f"{v['detail']}")
+              f"{'/'.join(r['labels'])} ({r['watchdog_fires']} watchdog "
+              f"fires)")
+        artifact = r["artifact"]
+        print_violations(artifact)
         if args.artifacts:
             path = _artifact_path(args.artifacts, r["scenario"],
                                   r["plan_name"])
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(artifact, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            save_artifact(artifact, path)
             print(f"  artifact ({len(artifact['plan']['faults'])} faults "
                   f"after shrink) -> {path}")
 
@@ -225,7 +173,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="liveness watchdog window (default "
                              f"{DEFAULT_WINDOW})")
     parser.add_argument("--max-events", type=int, default=None,
-                        help="override the per-run event budget")
+                        help="override the per-run event budget (kept in "
+                             "the scenario, so artifacts replay with it)")
     parser.add_argument("--artifacts", default=None, metavar="DIR",
                         help="write shrunk failure artifacts here")
     parser.add_argument("--store", default=None, metavar="DB",
@@ -236,11 +185,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="keep failing plans as generated instead of "
                              "ddmin-shrinking them")
     parser.add_argument("--replay", default=None, metavar="ARTIFACT",
-                        help="re-run a saved failure artifact and check "
-                             "it reproduces")
+                        help="re-run a saved artifact (chaos or explore) "
+                             "and check it reproduces")
     parser.add_argument("--mutation-check", action="store_true",
-                        help="teeth test: chaos-only bugs must be caught "
-                             "under chaos and missed nominally")
+                        help="mutation check: nominal bugs must be caught "
+                             "by exploration, chaos-only bugs under chaos "
+                             "and missed nominally")
     parser.add_argument("--list", action="store_true",
                         help="list fault kinds, scenarios and chaos-only "
                              "mutations, then exit")
@@ -251,9 +201,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list:
         return _cmd_list()
     if args.replay:
-        return _cmd_replay(args)
+        return replay_command(args.replay)
     if args.mutation_check:
-        return _cmd_mutation_check(args)
+        return mutation_check(dict(DEFAULT_KNOBS, seed=args.seed), args.jobs)
     return _cmd_campaign(args)
 
 

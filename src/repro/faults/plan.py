@@ -139,4 +139,16 @@ class FaultPlan:
         return cls.from_json(json.loads(text))
 
 
-__all__ = ["FAULT_KINDS", "FaultPlan", "FaultSpec", "PLAN_VERSION"]
+def stress_plan(seed: int, *, name: str = "stress") -> FaultPlan:
+    """The mutation check's storm-heavy plan: a long, aggressive squash
+    storm (drives one chunk past the starvation threshold so the
+    reservation machinery engages) plus background latency noise."""
+    return FaultPlan(name=name, seed=seed, faults=(
+        FaultSpec.make("squash-storm", start=0, duration=20_000, prob=0.85),
+        FaultSpec.make("latency-spike", start=0, duration=20_000,
+                       extra=3, jitter=8),
+    ))
+
+
+__all__ = ["FAULT_KINDS", "FaultPlan", "FaultSpec", "PLAN_VERSION",
+           "stress_plan"]

@@ -213,6 +213,7 @@ def ingest_chaos_artifact(store: ResultStore, doc: Dict[str, Any],
     plan = doc.get("plan", {}) or {}
     stats = doc.get("stats", {}) or {}
     violations = doc.get("violations", []) or []
+    fires = doc.get("watchdog_fires", []) or []
     name = f"{scenario.get('name', 'scenario')}/{plan.get('name', 'plan')}"
     from repro.provenance import git_rev as current_rev
     record = Record(
@@ -220,14 +221,15 @@ def ingest_chaos_artifact(store: ResultStore, doc: Dict[str, Any],
         seed=int(plan.get("seed", 0)), git_rev=current_rev() or "",
         protocol=str(scenario.get("protocol", "")),
         n_cores=int(scenario.get("n_cores", 0) or 0),
-        status=STATUS_FAILED if violations else STATUS_OK,
+        status=STATUS_FAILED if violations or fires else STATUS_OK,
         metrics={"cycles": stats.get("cycles", 0),
                  "commits": stats.get("commits", 0),
                  "violations": len(violations),
+                 "watchdog_fires": len(fires),
                  "n_faults": len(plan.get("faults", ()) or ())},
         payload=doc, source=source,
-        error="/".join(sorted({str(v.get("code", "?"))
-                               for v in violations})))
+        error="/".join(sorted({str(v.get("code", "?")) for v in violations}
+                              | ({"watchdog"} if fires else set()))))
     store.put(record)
     return [record]
 

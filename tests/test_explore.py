@@ -2,8 +2,8 @@
 
 Covers the two engine hooks (default path byte-identical to the seed
 behaviour, perturbed path deterministic per explorer seed), the clean
-sweep over unmutated scenarios, mutation detection with minimize/replay,
-and the trace format round-trip.
+sweep over unmutated scenarios, mutation detection with shrink/replay,
+and the artifact format round-trip.
 """
 
 import json
@@ -12,18 +12,18 @@ import pytest
 
 from repro.analysis.explore import (
     MUTATIONS,
-    NOMINAL_MUTATIONS,
     SCENARIOS,
     Schedule,
     ScheduleController,
     build_machine,
-    minimize_schedule,
-    run_schedule,
+    run_perturbation,
+    shrink,
 )
 from repro.analysis.explore.controller import reorder_candidates
 from repro.analysis.explore.scenarios import SMOKE_SCENARIOS
 from repro.analysis.explore.strategies import explore_exhaustive, explore_random
-from repro.analysis.explore.trace import load_trace, replay_trace, save_trace
+from repro.analysis.explore.trace import (artifact_json, load_artifact,
+                                          replay_artifact, save_artifact)
 from repro.config import ProtocolKind, SystemConfig
 from repro.engine.events import Event, Simulator
 from repro.engine.rng import DeterministicRng
@@ -33,6 +33,9 @@ from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, GROUP_FAILED,
                            attach_bus)
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
+
+#: the mutations nominal exploration must catch
+NOMINAL = sorted(n for n, m in MUTATIONS.items() if not m.chaos_only)
 
 
 def _timeline(machine: Machine):
@@ -98,10 +101,10 @@ class TestHookPerturbedPath:
         """A random run's realized schedule reproduces it without the RNG."""
         scenario = SCENARIOS["mixed3"]
         root = DeterministicRng(5, "test/replay")
-        random_run = run_schedule(scenario, None,
-                                  tie_rng=root.split("ties"),
-                                  delay_rng=root.split("delays"))
-        replayed = run_schedule(scenario, random_run.schedule)
+        random_run = run_perturbation(scenario, None,
+                                      tie_rng=root.split("ties"),
+                                      delay_rng=root.split("delays"))
+        replayed = run_perturbation(scenario, random_run.perturbation)
         assert replayed.cycles == random_run.cycles
         assert replayed.schedule.ties == random_run.schedule.ties
         assert replayed.schedule.delays == random_run.schedule.delays
@@ -165,7 +168,7 @@ class TestUnmutatedClean:
 
 
 class TestMutationsCaught:
-    @pytest.mark.parametrize("name", sorted(NOMINAL_MUTATIONS))
+    @pytest.mark.parametrize("name", NOMINAL)
     def test_mutation_detected_and_replayable(self, name, tmp_path):
         mutation = MUTATIONS[name]
         scenario = SCENARIOS[mutation.scenario]
@@ -176,15 +179,15 @@ class TestMutationsCaught:
         primary = found.codes[0]
         assert primary in mutation.expected
 
-        minimized = minimize_schedule(scenario, found.schedule, mutation,
-                                      target_code=primary, max_runs=40)
+        minimized = shrink(scenario, found.perturbation, mutation,
+                           lambda r: primary in r.codes, max_runs=40)
         assert primary in minimized.codes
         assert (minimized.schedule.decision_count()
                 <= found.schedule.decision_count())
 
         path = tmp_path / f"{name}.json"
-        save_trace(minimized, str(path))
-        replay = replay_trace(load_trace(str(path)))
+        save_artifact(artifact_json(minimized), str(path))
+        replay = replay_artifact(load_artifact(str(path)))
         assert primary in replay.codes
 
     def test_mutation_requires_scalablebulk(self):
@@ -200,7 +203,7 @@ class TestMutationsCaught:
         it (see docs/robustness.md)."""
         mutation = MUTATIONS["reservation-leak"]
         assert mutation.chaos_only
-        assert mutation.name not in NOMINAL_MUTATIONS
+        assert mutation.name not in NOMINAL
         report = explore_exhaustive(SCENARIOS[mutation.scenario], mutation,
                                     max_schedules=60, depth=8)
         assert report.clean, report.violation.violations
@@ -211,12 +214,12 @@ class TestTraceFormat:
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99}')
         with pytest.raises(ValueError):
-            load_trace(str(path))
+            load_artifact(str(path))
 
     def test_clean_run_round_trips(self, tmp_path):
-        result = run_schedule(SCENARIOS["pair"])
+        result = run_perturbation(SCENARIOS["pair"])
         path = tmp_path / "clean.json"
-        save_trace(result, str(path))
-        replay = replay_trace(load_trace(str(path)))
+        save_artifact(artifact_json(result), str(path))
+        replay = replay_artifact(load_artifact(str(path)))
         assert not replay.failed
         assert replay.cycles == result.cycles

@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.config import ProtocolKind
-from repro.faults.campaign import run_plan, stress_plan
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.analysis.explore.driver import Perturbation, run_perturbation
+from repro.faults.plan import FaultPlan, FaultSpec, stress_plan
 from repro.faults.watchdog import DEFAULT_WINDOW
 from repro.harness.runner import run_app
 
@@ -75,7 +75,8 @@ class TestSeededPlanDeterminism:
 
 class TestSafetyUnderFaults:
     """Timing-level faults must never break the oracle or conformance:
-    run_plan gates every chaos execution through the invariant monitor."""
+    run_perturbation gates every chaos execution through the invariant
+    monitor."""
 
     @pytest.mark.parametrize("scenario_name",
                              ["cross3", "mixed3", "tcc3", "bulksc3", "seq3"])
@@ -94,7 +95,7 @@ class TestSafetyUnderFaults:
             faults.append(FaultSpec.make("squash-storm", start=0,
                                          duration=6_000, prob=0.6))
         plan = FaultPlan(name="aggressive", seed=9, faults=tuple(faults))
-        result = run_plan(scenario, plan)
+        result = run_perturbation(scenario, Perturbation(plan=plan))
         assert result.safety_codes == [], result.violations
         assert result.commits == scenario.n_cores * scenario.chunks_per_core
 
@@ -103,7 +104,8 @@ class TestSafetyUnderFaults:
         reservation machinery works: starvation avoidance is exactly what
         guarantees progress under a squash storm."""
         from repro.analysis.explore.scenarios import SCENARIOS
-        result = run_plan(SCENARIOS["cross3"], stress_plan(0))
+        result = run_perturbation(SCENARIOS["cross3"],
+                                  Perturbation(plan=stress_plan(0)))
         assert result.violations == [], result.violations
 
     def test_storm_counts_activations(self):
@@ -111,5 +113,6 @@ class TestSafetyUnderFaults:
         plan = FaultPlan(name="storm", seed=3, faults=(
             FaultSpec.make("squash-storm", start=0, duration=10_000,
                            prob=0.7),))
-        result = run_plan(SCENARIOS["cross3"], plan)
+        result = run_perturbation(SCENARIOS["cross3"],
+                                  Perturbation(plan=plan))
         assert result.activations[0] > 0

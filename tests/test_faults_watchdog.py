@@ -4,8 +4,8 @@ import pytest
 
 from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS, build_machine
-from repro.faults.campaign import run_plan, stress_plan
-from repro.faults.plan import FaultPlan
+from repro.analysis.explore.driver import Perturbation, run_perturbation
+from repro.faults.plan import stress_plan
 from repro.faults.watchdog import (LivenessWatchdog, attach_watchdog,
                                    machine_snapshot)
 from repro.obs.bus import WATCHDOG_FIRE, InstrumentationBus, attach_bus
@@ -94,19 +94,20 @@ class TestSnapshot:
         assert all(c["finished"] for c in snap["cores"])
 
     def test_run_plan_surfaces_watchdog_fires(self):
-        """run_plan wires the watchdog verdict into the chaos result."""
+        """run_perturbation wires the watchdog verdict into the result."""
         scenario = SCENARIOS["cross3"]
-        result = run_plan(scenario, FaultPlan.empty(), watchdog_window=500)
+        result = run_perturbation(scenario, watchdog=500)
         assert result.watchdog_fires == []
-        assert result.ok
+        assert not result.failed
 
     def test_run_plan_detects_leak_under_storm(self):
         """The headline behaviour: reservation-leak wedges the machine
         under a squash storm, and both the watchdog and the liveness
         invariants see it."""
         scenario = SCENARIOS["cross3"]
-        result = run_plan(scenario, stress_plan(0),
-                          mutation=MUTATIONS["reservation-leak"],
-                          watchdog_window=5_000)
+        result = run_perturbation(scenario,
+                                  Perturbation(plan=stress_plan(0)),
+                                  MUTATIONS["reservation-leak"],
+                                  watchdog=5_000)
         assert set(result.codes) & {"SB403", "SB404"}, result.codes
         assert result.watchdog_fires

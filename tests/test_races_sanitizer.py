@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import SCENARIOS
-from repro.analysis.explore.driver import run_schedule
+from repro.analysis.explore.driver import run_perturbation
 from repro.analysis.races.sanitizer import AccessSanitizer, _classify, _probe
 from repro.obs import NULL_BUS, InstrumentationBus
 from repro.obs.bus import STATE_ACCESS
@@ -32,7 +32,7 @@ def sanitized_run(name, bus=None, keep=None):
             keep.append(san)
     mut = Mutation(name="sanitize", description="", scenario=name,
                    expected="", apply=_apply)
-    return run_schedule(SCENARIOS[name], None, mut)
+    return run_perturbation(SCENARIOS[name], None, mut)
 
 
 class TestZeroCostDefault:
@@ -53,7 +53,7 @@ class TestZeroCostDefault:
 
     @pytest.mark.parametrize("name", ALL_PROTOCOL_SCENARIOS)
     def test_all_protocols_unperturbed_by_sanitizer(self, name):
-        plain = run_schedule(SCENARIOS[name], None, None)
+        plain = run_perturbation(SCENARIOS[name], None, None)
         traced = sanitized_run(name, bus=InstrumentationBus())
         assert result_fields(plain) == result_fields(traced)
 
