@@ -5,24 +5,26 @@ Every optimization PR needs a number to beat.  This module measures
 * **micro** benchmarks — the simulator's hottest primitives in isolation:
   signature insert and intersect (:mod:`repro.signatures`), event-queue
   churn (:mod:`repro.engine.events`) and NoC transit
-  (:mod:`repro.network.noc`) — a CST pair-check micro bench was split
-  out and is not in this tree;
+  (:mod:`repro.network.noc`);
 * **macro** benchmarks — wall-clock for a fixed (app, cores, protocol)
   matrix through the full stack, reported as simulated cycles per second.
+  The matrix is a :class:`~repro.store.campaign.CampaignSpec` run by
+  :func:`~repro.store.campaign.run_campaign` as ``bench_macro`` rows.
 
-Results are written to ``BENCH_<date>.json``.  Raw wall-clock numbers are
-host-specific, so every document also records a *calibration* score (a
-fixed pure-Python busy loop timed on the same host at the same moment);
-:func:`compare_bench` divides every throughput metric by it, which cancels
-raw host speed to first order and makes the >20% CI regression gate
-meaningful across machines.
+A pass runs into a result store (``--store``, or a throwaway one) and
+``BENCH_<date>.json`` is the export of the pass's rows.  Raw wall-clock
+numbers are host-specific, so every document and every macro cell also
+records a *calibration* score (a fixed pure-Python busy loop timed on the
+same host just before the measurement); ``repro store check`` divides
+every throughput by it, which cancels raw host speed to first order and
+makes CI's 10% regression gate meaningful across machines.
 
 Usage::
 
     python -m repro bench --quick --jobs 2           # smoke tier
     python -m repro bench --out BENCH_$(date +%F).json
+    python -m repro bench --quick --store results.db  # record the pass
     python -m repro bench --validate-file BENCH_2026-08-08.json
-    python -m repro bench --check-regression BENCH_old.json BENCH_new.json
 """
 
 from __future__ import annotations
@@ -33,16 +35,24 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.store.campaign import QUICK_SPEC, CampaignSpec, run_campaign
+from repro.store.db import ResultStore, StoreError
+from repro.store.ingest import export_bench, ingest_bench
+from repro.store.schema import KIND_BENCH_MACRO
+
 SCHEMA = "repro-bench-v1"
 
-#: Macro matrix: (app, n_cores, chunks) — all four protocols run on each.
-MACRO_MATRIX = [("Radix", 16, 2), ("LU", 16, 2), ("Barnes", 16, 2),
-                ("Canneal", 16, 2)]
-MACRO_MATRIX_QUICK = [("Radix", 8, 1), ("LU", 8, 1)]
+#: The macro tier: all four protocols on each app, no 1-core baseline.
+QUICK_MACRO = replace(QUICK_SPEC, name="bench-quick", baseline1p=False)
+FULL_MACRO = CampaignSpec(name="bench-full",
+                          apps=("Radix", "LU", "Barnes", "Canneal"),
+                          cores=(16,), chunks=2, baseline1p=False)
 
 #: Micro op counts (full / quick).
 MICRO_OPS = {"signature_insert": (200_000, 40_000),
@@ -178,90 +188,22 @@ def run_micro(name: str, quick: bool, repeat: int) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Macro benchmarks
+# One pass: micro benches, the macro campaign, the exported document
 # ----------------------------------------------------------------------
-def _macro_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool worker: one full simulation, timed (best of N).
+def collect_bench(store: ResultStore, quick: bool = False, jobs: int = 1,
+                  repeat: int = 3, log=print,
+                  profile: bool = False) -> Dict[str, Any]:
+    """Run one pass into ``store``; return its schema-valid document.
 
-    ``payload["repeat"]`` re-runs the (deterministic) simulation and keeps
-    the fastest wall-clock: host noise only ever inflates a measurement,
-    so the minimum is the best estimate of the simulator's actual speed —
-    the same rationale as ``run_micro``'s best-of.
-    """
-    from repro.config import ProtocolKind
-    from repro.store.campaign import run_one
-    record = None
-    for _ in range(max(1, int(payload.get("repeat", 1)))):
-        attempt = run_one(payload["app"], payload["n_cores"],
-                          ProtocolKind(payload["protocol"]),
-                          chunks=payload["chunks"],
-                          profile=payload.get("profile", False))
-        if record is None or (attempt.get("wall_seconds_raw", attempt["wall_seconds"])
-                              < record.get("wall_seconds_raw", record["wall_seconds"])):
-            record = attempt
-    # Prefer the unrounded wall-clock when run_one provides it (the
-    # display field is rounded to 2 decimals, which quantizes sub-0.2s
-    # runs by up to ~15%); clamp so a sub-10ms run cannot explode
-    # cycles_per_sec.
-    wall = max(record.get("wall_seconds_raw", record["wall_seconds"]), 0.01)
-    out = {
-        "app": payload["app"],
-        "protocol": payload["protocol"],
-        "n_cores": payload["n_cores"],
-        "chunks": payload["chunks"],
-        "config_hash": record["config_hash"],
-        "wall_seconds": record["wall_seconds"],
-        "total_cycles": record["total_cycles"],
-        "chunks_committed": record["chunks_committed"],
-        "cycles_per_sec": record["total_cycles"] / wall,
-    }
-    if "profile" in record:
-        out["profile"] = record["profile"]
-    return out
-
-
-def run_macro(quick: bool, jobs: int, log=print,
-              profile: bool = False,
-              repeat: int = 1) -> Dict[str, Dict[str, Any]]:
-    from repro.config import ProtocolKind
-    from repro.harness.parallel import run_ordered
-    matrix = MACRO_MATRIX_QUICK if quick else MACRO_MATRIX
-    # Profiled runs are attribution captures, not timing measurements:
-    # best-of-N would just multiply the timer overhead, so they run once.
-    payloads = [{"app": app, "n_cores": n, "chunks": chunks,
-                 "protocol": proto.value, "profile": profile,
-                 "repeat": 1 if profile else max(1, repeat)}
-                for app, n, chunks in matrix for proto in ProtocolKind]
-    out: Dict[str, Dict[str, Any]] = {}
-
-    def merge(_i, payload, record) -> None:
-        key = f"{payload['app']}/{payload['n_cores']}/{payload['protocol']}"
-        out[key] = record
-        line = (f"  macro {key}: {record['total_cycles']} cycles in "
-                f"{record['wall_seconds']:.2f}s "
-                f"({record['cycles_per_sec']:.0f} cy/s)")
-        if "profile" in record:
-            from repro.obs.profile import render_share_line
-            line += f"\n    host time: " \
-                    f"{render_share_line(record['profile']['shares'])}"
-        log(line)
-
-    run_ordered(_macro_worker, payloads, jobs=jobs, on_result=merge)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Document assembly / validation / comparison
-# ----------------------------------------------------------------------
-def collect_bench(quick: bool = False, jobs: int = 1, repeat: int = 3,
-                  log=print, profile: bool = False) -> Dict[str, Any]:
-    """Run everything and assemble a schema-valid benchmark document.
-
-    ``profile`` attaches the host-time self-profiler to every macro run:
-    each macro record carries its own attribution report and the document
-    gains an aggregated ``profile`` section (shares sum to 100% ± 1).
-    The profiled wall-clocks include timer overhead, so don't mix
-    profiled and unprofiled documents in ``--check-regression``.
+    The micro benches run here, serially, and land as ``bench_micro``
+    rows under a ``bench_meta`` header; the macro tier runs as a
+    campaign of ``bench_macro`` rows, each cell the best of ``repeat``
+    runs (cells already stored at this revision are reused).  The
+    document is :func:`export_bench` of those rows.  ``profile``
+    attaches the host-time self-profiler to every macro cell, which then
+    runs once: each record carries its own attribution report and the
+    document gains an aggregated ``profile`` section (shares sum to
+    100% ± 1).
     """
     from repro.provenance import git_rev
     log("calibrating host ...")
@@ -274,8 +216,16 @@ def collect_bench(quick: bool = False, jobs: int = 1, repeat: int = 3,
         micro[name] = run_micro(name, quick, repeat)
         log(f"  micro {name}: {micro[name]['ops_per_sec']:.0f} ops/s "
             f"({micro[name]['ops']} ops)")
-    macro = run_macro(quick, jobs, log=log, profile=profile, repeat=repeat)
-    doc: Dict[str, Any] = {
+    spec = QUICK_MACRO if quick else FULL_MACRO
+    report = run_campaign(spec, store, jobs=jobs, log=log,
+                          rerun_failed=True, profile=profile,
+                          kind=KIND_BENCH_MACRO,
+                          repeat=1 if profile else repeat)
+    if report.failed:
+        raise StoreError(f"{len(report.failed)} macro cell(s) failed "
+                         f"({', '.join(report.failed)}); their tracebacks "
+                         f"are stored in {store.path}")
+    partial: Dict[str, Any] = {
         "schema": SCHEMA,
         "date": datetime.date.today().isoformat(),  # repro: allow SB304
         "git_rev": git_rev(),
@@ -288,12 +238,18 @@ def collect_bench(quick: bool = False, jobs: int = 1, repeat: int = 3,
                    "repeat": repeat, "profile": profile},
         "calibration_ops_per_sec": calibration,
         "micro": micro,
-        "macro": macro,
     }
+    meta = ingest_bench(store, partial, source=f"campaign:{spec.name}")[0]
+    doc = export_bench(store, meta.cell_key)
+    from repro.obs.profile import aggregate_profiles, render_share_line
+    for key, rec in sorted(doc["macro"].items()):
+        log(f"  macro {key}: {rec['cycles_per_sec']:.0f} cy/s" + (
+            f", host time: {render_share_line(rec['profile']['shares'])}"
+            if "profile" in rec else ""))
     if profile:
-        from repro.obs.profile import aggregate_profiles, render_share_line
         doc["profile"] = aggregate_profiles(
-            [rec["profile"] for rec in macro.values() if "profile" in rec])
+            [rec["profile"] for rec in doc["macro"].values()
+             if "profile" in rec])
         log(f"  host-time attribution (all macro runs): "
             f"{render_share_line(doc['profile']['shares'])}")
     return doc
@@ -369,89 +325,40 @@ def _validate_profile(section: Any) -> List[str]:
     return errors
 
 
-def macro_reliable(doc: Dict[str, Any]) -> bool:
-    """False when the macro matrix oversubscribed the host's cores.
-
-    With more worker processes than cores, each worker's wall-clock
-    includes time spent descheduled — a contention artifact, not
-    simulator speed — so macro numbers from such a run must not gate
-    regressions.  (The serial calibration loop cannot correct for this.)
-    """
-    return int(doc.get("config", {}).get("jobs", 1)) \
-        <= int(doc.get("host", {}).get("cpus", 1))
-
-
-def compare_bench(old: Dict[str, Any], new: Dict[str, Any],
-                  threshold: float = 0.20) -> List[str]:
-    """Calibration-normalized regressions beyond ``threshold``.
-
-    Every throughput metric is divided by its document's calibration
-    score before comparison, so an old baseline from a faster (or slower)
-    host still gates meaningfully.  Returns human-readable regression
-    lines; empty means the new run is no more than ``threshold`` slower
-    on every shared metric.
-    """
-    regressions: List[str] = []
-    cal_old = float(old["calibration_ops_per_sec"])
-    cal_new = float(new["calibration_ops_per_sec"])
-
-    def check(label: str, a: float, b: float) -> None:
-        norm_old, norm_new = a / cal_old, b / cal_new
-        if norm_old > 0 and norm_new < norm_old * (1.0 - threshold):
-            drop = 100.0 * (1.0 - norm_new / norm_old)
-            regressions.append(
-                f"{label}: {drop:.1f}% slower (normalized "
-                f"{norm_old:.4g} -> {norm_new:.4g})")
-
-    for name in sorted(set(old.get("micro", {})) & set(new.get("micro", {}))):
-        check(f"micro/{name}",
-              old["micro"][name]["ops_per_sec"],
-              new["micro"][name]["ops_per_sec"])
-    if macro_reliable(old) and macro_reliable(new):
-        for key in sorted(set(old.get("macro", {})) & set(new.get("macro", {}))):
-            check(f"macro/{key}",
-                  old["macro"][key]["cycles_per_sec"],
-                  new["macro"][key]["cycles_per_sec"])
-    return regressions
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="micro + macro performance benchmarks "
-                    "(see docs/performance.md)")
+        description="micro + macro performance benchmarks; gate a pass "
+                    "with repro store check (see docs/performance.md)")
     parser.add_argument("--quick", action="store_true",
                         help="smoke tier: smaller op counts, 2-app macro "
-                             "matrix, single repetition")
+                             "matrix at 8 cores")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the macro matrix "
-                             "(0 = all cores); micro benches always run "
-                             "serially for stable timing")
+                             "(0 = all cores; clamped to the host's core "
+                             "count); micro benches always run serially "
+                             "for stable timing")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="micro benches: best-of-N repetitions")
+                        help="best-of-N repetitions of every micro bench "
+                             "and every unprofiled macro cell")
     parser.add_argument("--profile", action="store_true",
                         help="attach the host-time self-profiler to every "
                              "macro run and emit the per-subsystem "
                              "breakdown next to cycles/sec (timer overhead "
-                             "inflates wall-clocks; don't gate regressions "
-                             "against unprofiled baselines)")
+                             "inflates wall-clocks, so a profiled pass "
+                             "never enters a --store)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default BENCH_<date>.json)")
     parser.add_argument("--validate-file", type=Path, metavar="PATH",
                         help="schema-validate an existing document and exit")
-    parser.add_argument("--check-regression", nargs=2, type=Path,
-                        metavar=("BASELINE", "NEW"),
-                        help="compare two documents (calibration-"
-                             "normalized) and exit 1 on regression")
     parser.add_argument("--store", type=Path, default=None, metavar="DB",
-                        help="also record the collected document in this "
-                             "result store (python -m repro store)")
-    parser.add_argument("--threshold", type=float, default=0.20,
-                        help="regression threshold for --check-regression "
-                             "(default 20%%)")
+                        help="result store the pass runs into (cells "
+                             "stored at this revision are reused; gate "
+                             "with repro store check); default: a "
+                             "throwaway store")
     args = parser.parse_args(argv)
 
     if args.validate_file:
@@ -464,34 +371,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{args.validate_file}: valid {SCHEMA} document "
               f"({len(doc['micro'])} micro, {len(doc['macro'])} macro)")
         return 0
-
-    if args.check_regression:
-        old_path, new_path = args.check_regression
-        old = json.loads(old_path.read_text())
-        new = json.loads(new_path.read_text())
-        for label, doc in (("baseline", old), ("new", new)):
-            errors = validate_bench(doc)
-            if errors:
-                print(f"INVALID {label} document: {errors[0]}")
-                return 1
-        if not (macro_reliable(old) and macro_reliable(new)):
-            print("note: macro metrics skipped — a document was produced "
-                  "with more workers than host cores, so its wall-clocks "
-                  "measure CPU contention, not simulator speed")
-        regressions = compare_bench(old, new, args.threshold)
-        if regressions:
-            print(f"{len(regressions)} regression(s) beyond "
-                  f"{args.threshold:.0%}:")
-            for line in regressions:
-                print(f"  {line}")
-            return 1
-        print(f"no regression beyond {args.threshold:.0%} "
-              f"({old_path} -> {new_path})")
-        return 0
+    if args.profile and args.store is not None:
+        parser.error("a --profile pass never enters a store: its "
+                     "wall-clocks carry timer overhead")
 
     from repro.harness.parallel import resolve_jobs
-    doc = collect_bench(quick=args.quick, jobs=resolve_jobs(args.jobs),
-                        repeat=args.repeat, profile=args.profile)
+    # More workers than cores would time descheduled waits as simulator
+    # wall-clock, so no stored measurement may come from such a pool.
+    jobs = min(resolve_jobs(args.jobs), os.cpu_count() or 1)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                ResultStore(args.store or Path(tmp) / "bench.db") as store:
+            doc = collect_bench(store, quick=args.quick, jobs=jobs,
+                                repeat=args.repeat, profile=args.profile)
+    except StoreError as err:
+        print(f"error: {err}")
+        return 1
     out = args.out or Path(f"BENCH_{doc['date']}.json")
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     errors = validate_bench(doc)
@@ -501,18 +396,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     print(f"wrote {out} (calibration "
           f"{doc['calibration_ops_per_sec']:.0f} ops/s)")
-    if args.store is not None:
-        from repro.store.db import ResultStore
-        from repro.store.ingest import ingest_bench
-        with ResultStore(args.store) as store:
-            stored = ingest_bench(store, doc, source=str(out))
-        print(f"stored {len(stored)} bench records in {args.store}")
     return 0
 
 
-__all__ = ["MICRO_BENCHES", "SCHEMA", "calibrate", "collect_bench",
-           "compare_bench", "macro_reliable", "main", "run_macro",
-           "run_micro", "validate_bench"]
+__all__ = ["FULL_MACRO", "MICRO_BENCHES", "QUICK_MACRO", "SCHEMA",
+           "calibrate", "collect_bench", "main", "run_micro",
+           "validate_bench"]
 
 
 if __name__ == "__main__":

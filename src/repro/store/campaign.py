@@ -13,8 +13,9 @@ A *campaign spec* is a small JSON document describing a run matrix::
     }
 
 This module is the repo's only matrix runner: ``repro sweep`` builds a
-spec from its ``--apps/--cores/--chunks`` and runs it here, and
-``repro store campaign`` runs a spec file.  :func:`expand` is the only
+spec from its ``--apps/--cores/--chunks`` and runs it here, ``repro
+bench`` runs its macro tier here as ``bench_macro`` rows, and ``repro
+store campaign`` runs a spec file.  :func:`expand` is the only
 place that lists cells — per app a single-processor ScalableBulk
 baseline on the largest machine, then every (cores, protocol) cell with
 ``n_partitions`` pinned to the largest machine so every run of one app
@@ -50,9 +51,9 @@ from repro.harness.runner import SimulationRunner
 from repro.obs.bus import InstrumentationBus
 from repro.provenance import config_hash
 from repro.store.db import ResultStore, StoreError
-from repro.store.ingest import sweep_metrics
-from repro.store.schema import (KIND_SWEEP, Record, STATUS_FAILED,
-                                STATUS_OK)
+from repro.store.ingest import bench_macro_metrics, sweep_metrics
+from repro.store.schema import (KIND_BENCH_MACRO, KIND_SWEEP, Record,
+                                STATUS_FAILED, STATUS_OK)
 
 PathLike = Union[str, Path]
 
@@ -252,28 +253,53 @@ def expand(spec: CampaignSpec) -> List[CampaignCell]:
     return cells
 
 
-def _campaign_worker(task: Tuple[CampaignCell, bool, bool]
+def _bench_record(cell: CampaignCell, rec: Dict[str, Any],
+                  calibration: float) -> Dict[str, Any]:
+    """A ``run_one`` record -> the benchmark document's macro cell, its
+    cycles/sec from the unrounded wall-clock clamped at 10 ms (the
+    2-decimal display field quantizes sub-0.2s runs by up to ~15%)."""
+    keep = ("app", "protocol", "n_cores", "config_hash", "wall_seconds",
+            "total_cycles", "chunks_committed", "profile")
+    out = {k: rec[k] for k in keep if k in rec}
+    out.update(chunks=cell.chunks, calibration_ops_per_sec=calibration,
+               cycles_per_sec=rec["total_cycles"]
+               / max(rec["wall_seconds_raw"], 0.01))
+    return out
+
+
+def _campaign_worker(task: Tuple[CampaignCell, str, int, bool, bool]
                      ) -> Dict[str, Any]:
     """Process-pool worker: one cell -> ok record or failure row data.
 
-    ``task`` is ``(cell, profile?, critical paths?)``.  A critical-path
-    summary lands in the record under ``critical_path``.  Exceptions are
-    *data* here — a failing cell must become a stored failure row, not
-    abort the surviving campaign (``run_ordered`` re-raises worker
-    exceptions).
+    ``task`` is ``(cell, row kind, repeat, profile?, critical paths?)``.
+    The fastest of ``repeat`` runs is kept (host noise only ever inflates
+    a wall-clock); a ``bench_macro`` cell times the calibration loop just
+    before them.  Exceptions are *data* here — a failing cell must become
+    a stored failure row, not abort the surviving campaign.
     """
-    cell, profile, critical_paths = task
+    cell, kind, repeat, profile, critical_paths = task
     try:
-        bus = InstrumentationBus(record_messages=False) \
-            if critical_paths else None
-        record = run_one(cell.app, cell.n_cores, ProtocolKind(cell.protocol),
-                         chunks=cell.chunks, active_cores=cell.active_cores,
-                         n_partitions=cell.n_partitions, bus=bus,
-                         profile=profile, seed=cell.seed)
-        if bus is not None:
-            from repro.obs.critical_path import analyze_commit_paths
-            record["critical_path"] = analyze_commit_paths(bus).summary()
-        return {"status": STATUS_OK, "record": record}
+        from repro.harness.bench import calibrate
+        calibration = calibrate() if kind == KIND_BENCH_MACRO else 0.0
+        best: Optional[Dict[str, Any]] = None
+        for _ in range(max(1, repeat)):
+            bus = InstrumentationBus(record_messages=False) \
+                if critical_paths else None
+            record = run_one(cell.app, cell.n_cores,
+                             ProtocolKind(cell.protocol), chunks=cell.chunks,
+                             active_cores=cell.active_cores,
+                             n_partitions=cell.n_partitions, bus=bus,
+                             profile=profile, seed=cell.seed)
+            if bus is not None:
+                from repro.obs.critical_path import analyze_commit_paths
+                record["critical_path"] = analyze_commit_paths(bus).summary()
+            if best is None \
+                    or record["wall_seconds_raw"] < best["wall_seconds_raw"]:
+                best = record
+        assert best is not None
+        if kind == KIND_BENCH_MACRO:
+            best = _bench_record(cell, best, calibration)
+        return {"status": STATUS_OK, "record": best}
     except Exception as err:  # noqa: BLE001 - failures are first-class rows
         return {"status": STATUS_FAILED, "error": repr(err),
                 "traceback": traceback_mod.format_exc()}
@@ -299,7 +325,8 @@ class CampaignReport:
 def run_campaign(spec: CampaignSpec, store: ResultStore, *,
                  jobs: int = 1, log=print, rerun_failed: bool = False,
                  ignore_rev: bool = False, profile: bool = False,
-                 critical_paths: bool = False) -> CampaignReport:
+                 critical_paths: bool = False, kind: str = KIND_SWEEP,
+                 repeat: int = 1) -> CampaignReport:
     """Expand, dedupe, fan out, checkpoint — one campaign pass.
 
     Safe to invoke repeatedly: completed cells are never re-run (the
@@ -307,7 +334,13 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
     ``profile`` embeds a host-time attribution report and
     ``critical_paths`` a commit critical-path summary in the record of
     every cell this pass runs; cells already stored keep what they have.
+    ``kind`` is the row kind written: ``sweep`` rows hold the whole
+    ``run_one`` record, ``bench_macro`` rows the benchmark document's
+    macro cell with its own calibration score.  ``repeat`` runs each
+    cell that many times and keeps the fastest.
     """
+    metrics_of = {KIND_SWEEP: sweep_metrics,
+                  KIND_BENCH_MACRO: bench_macro_metrics}[kind]
     from repro.harness.parallel import run_ordered
     from repro.provenance import git_rev as current_rev
 
@@ -320,7 +353,7 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
     for cell in cells:
         hash_ = config_hash(cell.config())
         seed = cell.config().seed
-        status = store.status_of(KIND_SWEEP, hash_, seed,
+        status = store.status_of(kind, hash_, seed,
                                  None if ignore_rev else rev, cell.cell_key)
         if status == STATUS_OK or (status == STATUS_FAILED
                                    and not rerun_failed):
@@ -334,34 +367,31 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
     def checkpoint(i: int, _task: tuple, result: Dict[str, Any]) -> None:
         cell = pending[i]
         config = cell.config()
+        common = dict(
+            kind=kind, cell_key=cell.cell_key, seed=config.seed,
+            series=cell.sweep_key if kind == KIND_SWEEP
+            else f"{cell.app}/{cell.n_cores}/{cell.protocol}",
+            git_rev=rev, app=cell.app, protocol=cell.protocol,
+            n_cores=cell.n_cores, source=f"campaign:{spec.name}")
         if result["status"] == STATUS_OK:
             rec = result["record"]
-            row = Record(kind=KIND_SWEEP, cell_key=cell.cell_key,
-                         series=cell.sweep_key,
-                         config_hash=str(rec.get("config_hash", "")),
-                         seed=config.seed, git_rev=rev, app=cell.app,
-                         protocol=cell.protocol, n_cores=cell.n_cores,
-                         metrics=sweep_metrics(rec), payload=rec,
-                         source=f"campaign:{spec.name}")
+            row = Record(config_hash=str(rec.get("config_hash", "")),
+                         metrics=metrics_of(rec), payload=rec, **common)
             report.ran.append(cell.cell_key)
             note = f"{rec['total_cycles']} cycles ({rec['wall_seconds']}s)"
         else:
-            row = Record(kind=KIND_SWEEP, cell_key=cell.cell_key,
-                         series=cell.sweep_key,
-                         config_hash=config_hash(config), seed=config.seed,
-                         git_rev=rev, app=cell.app, protocol=cell.protocol,
-                         n_cores=cell.n_cores, status=STATUS_FAILED,
-                         payload=cell.to_payload(),
+            row = Record(config_hash=config_hash(config),
+                         status=STATUS_FAILED, payload=cell.to_payload(),
                          error=result["error"],
-                         traceback=result["traceback"],
-                         source=f"campaign:{spec.name}")
+                         traceback=result["traceback"], **common)
             report.failed.append(cell.cell_key)
             note = f"FAILED: {result['error']}"
         store.put(row)  # one transaction: the crash-safe checkpoint
         log(f"[{i + 1}/{len(pending)}] {cell.cell_key}: {note}")
 
     run_ordered(_campaign_worker,
-                [(cell, profile, critical_paths) for cell in pending],
+                [(cell, kind, repeat, profile, critical_paths)
+                 for cell in pending],
                 jobs=jobs, on_result=checkpoint)
     log(report.summary())
     return report

@@ -12,8 +12,9 @@ Subcommands::
     repro store export --store results.db --kind sweep --out sweep.json
     repro store info --store results.db               # counts + integrity
 
-Exit codes: ``check`` exits 1 on any regression; ``campaign`` exits 1
-when any cell failed; ``info`` exits 1 when the integrity check fails.
+Exit codes: ``check`` exits 1 on any regression and 2 when it would
+compare nothing; ``campaign`` exits 1 when any cell failed; ``info``
+exits 1 when the integrity check fails; any store error exits 2.
 See docs/experiments.md for the schema and the campaign spec format.
 """
 
@@ -176,7 +177,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("ingest", help="adapt existing result artifacts "
                                       "(BENCH_*.json, sweep exports, chaos "
-                                      "artifacts, profile reports)")
+                                      "artifacts, profile reports, "
+                                      "benchmarks/perf results)")
     p.add_argument("paths", nargs="+", metavar="PATH")
     add_store(p)
     p.add_argument("--rev", default=None,

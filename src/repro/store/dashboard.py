@@ -6,6 +6,7 @@ no JavaScript, no external assets) from a result store:
 * macro throughput (cycles/sec) per benchmark cell across revisions;
 * micro primitive throughput (ops/sec) across revisions;
 * commit latency and squash rate per sweep cell across revisions;
+* paper-scale suite throughput (chunks/s) per workload across revisions;
 * a failure table (campaign cells stored with ``status='failed'``);
 * links to any Perfetto traces referenced by stored records.
 
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.store.db import ResultStore
 from repro.store.query import TrendPoint, trends_by_series
 from repro.store.schema import (KIND_BENCH_MACRO, KIND_BENCH_MICRO,
-                                KIND_SWEEP, STATUS_FAILED)
+                                KIND_PERF, KIND_SWEEP, STATUS_FAILED)
 
 PathLike = Union[str, Path]
 
@@ -260,6 +261,10 @@ def render_dashboard(store: ResultStore,
     add_chart("Squash rate", KIND_SWEEP, "squash_rate", "squashes/chunk",
               "Conflict + aliasing squashes per committed chunk "
               "(Section 6.1's 1.5% + 2.3%), tracked across revisions.")
+    add_chart("Paper-scale throughput", KIND_PERF, "chunks_per_s",
+              "chunks/s",
+              "Committed chunks per host second on the 32-64-core "
+              "benchmarks/perf workloads (median of the timed runs).")
 
     if failures:
         rows = "".join(

@@ -8,7 +8,9 @@ Adapters exist for every artifact the harness already writes:
   ``sweep`` row per matrix cell;
 * chaos failure artifacts (``repro chaos --artifacts``) — one ``chaos``
   row per artifact;
-* host-profiler reports (``repro profile --json``) — one ``profile`` row.
+* host-profiler reports (``repro profile --json``) — one ``profile`` row;
+* paper-scale suite results (``benchmarks/perf/run.py --out``) — one
+  ``perf`` row per workload.
 
 Every adapter stores the complete original record in ``payload``, so the
 matching ``export_*`` function reconstructs the source document exactly
@@ -25,19 +27,22 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.store.db import ResultStore, StoreError
 from repro.store.schema import (KIND_BENCH_MACRO, KIND_BENCH_META,
-                                KIND_BENCH_MICRO, KIND_CHAOS, KIND_PROFILE,
-                                KIND_SWEEP, Record, STATUS_FAILED, STATUS_OK)
+                                KIND_BENCH_MICRO, KIND_CHAOS, KIND_PERF,
+                                KIND_PROFILE, KIND_SWEEP, Record,
+                                STATUS_FAILED, STATUS_OK)
 
 PathLike = Union[str, Path]
 
 
-def _doc_id(doc: Any) -> str:
-    """Content fingerprint that namespaces one document's cell rows.
+def _stamp(git_rev: Optional[str]) -> str:
+    """``git_rev``, or the current checkout's revision when ``None``."""
+    from repro.provenance import git_rev as current_rev
+    return (current_rev() or "") if git_rev is None else git_rev
 
-    Two benchmark documents from the same day and revision (e.g. CI's
-    profiled + unprofiled captures) must not collide, so cell keys are
-    prefixed with a hash of the full document.
-    """
+
+def _doc_id(doc: Any) -> str:
+    """Content fingerprint that namespaces one document's cell rows, so
+    two documents from the same day and revision never collide."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:8]
 
@@ -45,28 +50,49 @@ def _doc_id(doc: Any) -> str:
 # ----------------------------------------------------------------------
 # Benchmark documents (repro-bench-v1)
 # ----------------------------------------------------------------------
+def _scalars(rec: Dict[str, Any], fields: Sequence[str]) -> Dict[str, Any]:
+    """The numeric ``fields`` of ``rec``."""
+    return {f: rec[f] for f in fields if isinstance(rec.get(f), (int, float))}
+
+
+def bench_macro_metrics(rec: Dict[str, Any],
+                        calibration: Any = None) -> Dict[str, Any]:
+    """The scalar metrics a macro benchmark cell exposes to the gate.
+
+    ``calibration`` is the document's score, used when the cell carries
+    none of its own (``calibration_ops_per_sec``).
+    """
+    metrics = _scalars(rec, ("cycles_per_sec", "total_cycles",
+                             "wall_seconds", "chunks_committed"))
+    cal = rec.get("calibration_ops_per_sec", calibration)
+    if isinstance(cal, (int, float)):
+        metrics["calibration"] = cal
+    return metrics
+
+
 def ingest_bench(store: ResultStore, doc: Dict[str, Any],
                  source: str = "") -> List[Record]:
-    """One ``repro-bench-v1`` document -> meta + micro + macro rows."""
+    """One ``repro-bench-v1`` document -> meta + micro + macro rows.
+
+    Timer-inflated (profiled) cells and cells timed with more workers
+    than cores get their own ``App/N/Proto/profiled`` or
+    ``/oversubscribed`` series, never the gated one.
+    """
     rev = doc.get("git_rev") or ""
-    date = str(doc.get("date", ""))
     cal = doc.get("calibration_ops_per_sec")
-    doc_id = _doc_id(doc)
-    prefix = f"{date}.{doc_id}"
+    prefix = f"{doc.get('date', '')}.{_doc_id(doc)}"
+    busy = "/oversubscribed" if int(doc.get("config", {}).get("jobs", 1)) \
+        > int(doc.get("host", {}).get("cpus", 1)) else ""
     records: List[Record] = []
 
     header = {k: v for k, v in doc.items() if k not in ("micro", "macro")}
     records.append(Record(
         kind=KIND_BENCH_META, cell_key=prefix, series="bench_doc",
         git_rev=rev, payload=header, source=source,
-        metrics={"calibration_ops_per_sec": cal}
-        if isinstance(cal, (int, float)) else {}))
+        metrics=_scalars(doc, ("calibration_ops_per_sec",))))
 
     for name, rec in doc.get("micro", {}).items():
-        metrics: Dict[str, Any] = {}
-        for field in ("ops", "seconds", "ops_per_sec"):
-            if isinstance(rec.get(field), (int, float)):
-                metrics[field] = rec[field]
+        metrics = _scalars(rec, ("ops", "seconds", "ops_per_sec"))
         if isinstance(cal, (int, float)):
             metrics["calibration"] = cal
         records.append(Record(
@@ -75,20 +101,15 @@ def ingest_bench(store: ResultStore, doc: Dict[str, Any],
             source=source))
 
     for key, rec in doc.get("macro", {}).items():
-        metrics = {}
-        for field in ("cycles_per_sec", "total_cycles", "wall_seconds",
-                      "chunks_committed"):
-            if isinstance(rec.get(field), (int, float)):
-                metrics[field] = rec[field]
-        if isinstance(cal, (int, float)):
-            metrics["calibration"] = cal
         records.append(Record(
-            kind=KIND_BENCH_MACRO, cell_key=f"{prefix}/{key}", series=key,
+            kind=KIND_BENCH_MACRO, cell_key=f"{prefix}/{key}",
+            series=f"{key}/profiled" if "profile" in rec else key + busy,
             config_hash=str(rec.get("config_hash", "")), git_rev=rev,
             app=str(rec.get("app", "")),
             protocol=str(rec.get("protocol", "")),
             n_cores=int(rec.get("n_cores", 0)),
-            metrics=metrics, payload=rec, source=source))
+            metrics=bench_macro_metrics(rec, cal), payload=rec,
+            source=source))
 
     store.put_many(records)
     return records
@@ -100,7 +121,9 @@ def export_bench(store: ResultStore,
 
     ``doc_prefix`` selects the document (the ``date.docid`` cell-key
     prefix of its ``bench_meta`` row); by default the most recently
-    ingested one is exported.
+    ingested one is exported.  A ``repro bench`` pass stores its macro
+    cells as campaign rows instead: its document's macro section is the
+    ok ``bench_macro`` rows sharing the header's revision and source.
     """
     metas = store.query(KIND_BENCH_META)
     if doc_prefix is not None:
@@ -117,7 +140,10 @@ def export_bench(store: ResultStore,
     doc["macro"] = {
         r.cell_key[len(prefix):]: r.payload
         for r in store.query(KIND_BENCH_MACRO)
-        if r.cell_key.startswith(prefix)}
+        if r.cell_key.startswith(prefix)} or {
+        r.series: r.payload
+        for r in store.query(KIND_BENCH_MACRO, git_rev=meta.git_rev,
+                             source=meta.source, status=STATUS_OK)}
     return doc
 
 
@@ -130,11 +156,9 @@ def sweep_metrics(rec: Dict[str, Any]) -> Dict[str, Any]:
     chunks = rec.get("chunks_committed", 0) or 0
     squashes = (rec.get("squashes_conflict", 0) or 0) \
         + (rec.get("squashes_alias", 0) or 0)
-    metrics: Dict[str, Any] = {}
-    for field in ("total_cycles", "mean_commit_latency", "mean_dirs",
-                  "chunks_committed", "mean_queue", "bottleneck_ratio"):
-        if isinstance(rec.get(field), (int, float)):
-            metrics[field] = rec[field]
+    metrics = _scalars(rec, ("total_cycles", "mean_commit_latency",
+                             "mean_dirs", "chunks_committed", "mean_queue",
+                             "bottleneck_ratio"))
     if wall > 0 and isinstance(rec.get("total_cycles"), (int, float)):
         metrics["cycles_per_sec"] = rec["total_cycles"] / wall
     metrics["squash_rate"] = squashes / chunks if chunks else 0.0
@@ -149,9 +173,7 @@ def ingest_sweep(store: ResultStore, records: Dict[str, Dict[str, Any]],
     ``git_rev`` stamps rows whose records predate per-record provenance;
     it defaults to the current checkout's revision (best effort).
     """
-    if git_rev is None:
-        from repro.provenance import git_rev as current_rev
-        git_rev = current_rev() or ""
+    git_rev = _stamp(git_rev)
     out: List[Record] = []
     for key, rec in records.items():
         parts = key.split("/")
@@ -215,10 +237,9 @@ def ingest_chaos_artifact(store: ResultStore, doc: Dict[str, Any],
     violations = doc.get("violations", []) or []
     fires = doc.get("watchdog_fires", []) or []
     name = f"{scenario.get('name', 'scenario')}/{plan.get('name', 'plan')}"
-    from repro.provenance import git_rev as current_rev
     record = Record(
         kind=KIND_CHAOS, cell_key=name, series=name,
-        seed=int(plan.get("seed", 0)), git_rev=current_rev() or "",
+        seed=int(plan.get("seed", 0)), git_rev=_stamp(None),
         protocol=str(scenario.get("protocol", "")),
         n_cores=int(scenario.get("n_cores", 0) or 0),
         status=STATUS_FAILED if violations or fires else STATUS_OK,
@@ -256,6 +277,32 @@ def ingest_profile(store: ResultStore, doc: Dict[str, Any],
 
 
 # ----------------------------------------------------------------------
+# Paper-scale suite results (benchmarks/perf/run.py --out)
+# ----------------------------------------------------------------------
+def ingest_perf(store: ResultStore, doc: Dict[str, Any], source: str = "",
+                git_rev: Optional[str] = None) -> List[Record]:
+    """A ``{"host", "seed", "workloads"}`` result -> one ``perf`` row per
+    workload: its end-to-end medians as metrics, its summary as payload,
+    stamped ``git_rev`` (default: the current checkout's revision)."""
+    git_rev = _stamp(git_rev)
+    doc_id = _doc_id(doc)
+    out: List[Record] = []
+    for name, summary in doc["workloads"].items():
+        shape = summary.get("workload") or {}
+        median = summary.get("median") or {}
+        out.append(Record(
+            kind=KIND_PERF, cell_key=f"{name}/{doc_id}", series=name,
+            seed=int(doc.get("seed", 0)), git_rev=git_rev,
+            app=str(shape.get("app", "")),
+            protocol=str(shape.get("protocol", "")),
+            n_cores=int(shape.get("cores", 0)),
+            metrics=_scalars(median, tuple(median)), payload=summary,
+            source=source))
+    store.put_many(out)
+    return out
+
+
+# ----------------------------------------------------------------------
 # Autodetection
 # ----------------------------------------------------------------------
 def detect_kind(doc: Any) -> str:
@@ -267,12 +314,15 @@ def detect_kind(doc: Any) -> str:
             return "chaos"
         if "shares" in doc and "scopes" in doc:
             return "profile"
+        if {"host", "seed", "workloads"} <= set(doc):
+            return "perf"
         if doc and all(isinstance(v, dict) and "total_cycles" in v
                        for v in doc.values()):
             return "sweep"
     raise StoreError(
         "unrecognized document shape (expected a repro-bench-v1 document, "
-        "a sweep document, a chaos artifact or a profile report)")
+        "a sweep document, a chaos artifact, a profile report or a "
+        "paper-scale suite result)")
 
 
 def ingest_path(store: ResultStore, path: PathLike,
@@ -286,6 +336,8 @@ def ingest_path(store: ResultStore, path: PathLike,
         rows = ingest_bench(store, doc, source)
     elif kind == "sweep":
         rows = ingest_sweep(store, doc, source, git_rev=git_rev)
+    elif kind == "perf":
+        rows = ingest_perf(store, doc, source, git_rev=git_rev)
     elif kind == "chaos":
         rows = ingest_chaos_artifact(store, doc, source)
     else:
@@ -293,6 +345,7 @@ def ingest_path(store: ResultStore, path: PathLike,
     return kind, len(rows)
 
 
-__all__ = ["detect_kind", "export_bench", "export_sweep", "ingest_bench",
-           "ingest_chaos_artifact", "ingest_path", "ingest_profile",
-           "ingest_sweep", "sweep_metrics"]
+__all__ = ["bench_macro_metrics", "detect_kind", "export_bench",
+           "export_sweep", "ingest_bench", "ingest_chaos_artifact",
+           "ingest_path", "ingest_perf", "ingest_profile", "ingest_sweep",
+           "sweep_metrics"]

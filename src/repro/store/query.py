@@ -7,12 +7,12 @@ rows into the two shapes the service consumers need:
   ``git_rev`` in first-seen revision order, grouped by the stable
   ``series`` identity (the sweep key, the micro bench name, the macro
   ``app/cores/protocol`` cell);
-* :func:`check_regressions` — ``bench --check-regression`` generalized
-  to *any stored metric across the last N revisions*: the latest
-  revision's value is compared against the best value the window holds,
-  with the same calibration normalization the bench harness applies
-  (records that carry a ``calibration`` metric are divided by it, which
-  cancels raw host speed to first order).
+* :func:`check_regressions` — the repo's one regression gate, for *any
+  stored metric across the last N revisions*: the latest revision's
+  value is compared against the best value the window holds, after
+  calibration normalization (records that carry a ``calibration``
+  metric are divided by it, which cancels raw host speed to first
+  order).
 """
 
 from __future__ import annotations
@@ -20,13 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.store.db import ResultStore
+from repro.store.db import ResultStore, StoreError
 from repro.store.schema import STATUS_OK
 
 #: metrics where smaller is better; everything else is higher-is-better.
 LOWER_IS_BETTER = frozenset({
     "mean_commit_latency", "wall_seconds", "seconds", "squash_rate",
     "mean_queue", "violations", "wall_ns",
+    # the paper-scale suite's end-to-end metrics (BENCHMARK.json names)
+    "wall_s", "setup_s", "peak_rss_mb", "sim_cycles",
+    "commit_latency_cycles", "messages_per_chunk",
 })
 
 
@@ -133,16 +136,30 @@ def check_regressions(store: ResultStore, kind: str, metric: str, *,
     For each series with at least two revisions among the last ``last``,
     the newest value is compared to the best older value (max for
     higher-is-better metrics, min for lower-is-better); a relative
-    slip beyond ``threshold`` is a regression.  Series with a single
-    revision pass vacuously — a fresh store never gates.
+    slip beyond ``threshold`` is a regression.  A store holding a single
+    revision passes vacuously — a fresh store never gates.  A gate that
+    would compare nothing raises :class:`StoreError` instead of passing:
+    ok rows of ``kind`` of which none exposes ``metric`` (a misspelled
+    metric), or a window of two or more revisions in which no series
+    has a point in two of them (renamed series keys).
     """
     if lower_better is None:
         lower_better = metric_lower_is_better(metric)
+    trends = trends_by_series(store, kind, metric, last=last,
+                              normalize=normalize)
+    rows = store.query(kind, status=STATUS_OK) if not trends else []
+    if rows:
+        names = sorted({name for r in rows for name in r.metrics})
+        raise StoreError(f"no ok {kind} row exposes metric {metric!r} "
+                         f"(stored: {', '.join(names) or 'none'})")
+    compared = {name: pts for name, pts in trends.items() if len(pts) >= 2}
+    window = store.revisions(kind)[-last:]
+    if len(window) >= 2 and not compared:
+        raise StoreError(f"{kind}/{metric}: no series has a point in two "
+                         f"of the last {len(window)} revisions, so the "
+                         f"gate would compare nothing")
     out: List[Regression] = []
-    for name, points in trends_by_series(store, kind, metric, last=last,
-                                         normalize=normalize).items():
-        if len(points) < 2:
-            continue
+    for name, points in compared.items():
         latest = points[-1]
         prior = points[:-1]
         best = min(prior, key=lambda p: p.value) if lower_better \

@@ -1,8 +1,8 @@
 """``repro-store-v1``: the persistent result store's record model.
 
 One row per *result cell* — a sweep matrix cell, a micro/macro benchmark
-measurement, a chaos plan verdict, a profile attribution capture, or a
-benchmark document header.  Every row is keyed by the cache key
+measurement, a chaos plan verdict, a profile attribution capture, a
+paper-scale suite workload result, or a benchmark document header.  Every row is keyed by the cache key
 
     (kind, config_hash, seed, git_rev, cell_key)
 
@@ -39,9 +39,10 @@ KIND_BENCH_MACRO = "bench_macro"  #: one macro benchmark cell
 KIND_BENCH_META = "bench_meta"    #: one BENCH_*.json document header
 KIND_CHAOS = "chaos"              #: one chaos plan verdict / artifact
 KIND_PROFILE = "profile"          #: one host-profiler attribution report
+KIND_PERF = "perf"                #: one paper-scale suite workload result
 
 KINDS = (KIND_SWEEP, KIND_BENCH_MICRO, KIND_BENCH_MACRO, KIND_BENCH_META,
-         KIND_CHAOS, KIND_PROFILE)
+         KIND_CHAOS, KIND_PROFILE, KIND_PERF)
 
 #: Row statuses.  Failed campaign cells are first-class rows (exception +
 #: traceback preserved), not aborted campaigns.
@@ -82,10 +83,6 @@ DDL = (
     "CREATE INDEX IF NOT EXISTS idx_records_rev ON records (git_rev)",
 )
 
-#: The store's cache key — the dedupe/replace identity of one row.
-CacheKey = Tuple[str, str, int, str, str]
-
-
 @dataclass
 class Record:
     """One result row, as the Python API sees it."""
@@ -114,15 +111,6 @@ class Record:
                              f"(choices: {', '.join(KINDS)})")
         if not self.series:
             self.series = self.cell_key
-
-    @property
-    def cache_key(self) -> CacheKey:
-        return (self.kind, self.config_hash, self.seed, self.git_rev,
-                self.cell_key)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
 
     def metric(self, name: str) -> Optional[float]:
         value = self.metrics.get(name)
@@ -154,6 +142,7 @@ ROW_COLUMNS = ("kind", "config_hash", "seed", "git_rev", "cell_key",
                "series", "app", "protocol", "n_cores", "status", "metrics",
                "payload", "error", "traceback", "source", "created_at")
 
-__all__ = ["CacheKey", "DDL", "KINDS", "KIND_BENCH_MACRO", "KIND_BENCH_META",
-           "KIND_BENCH_MICRO", "KIND_CHAOS", "KIND_PROFILE", "KIND_SWEEP",
-           "ROW_COLUMNS", "Record", "SCHEMA", "STATUS_FAILED", "STATUS_OK"]
+__all__ = ["DDL", "KINDS", "KIND_BENCH_MACRO", "KIND_BENCH_META",
+           "KIND_BENCH_MICRO", "KIND_CHAOS", "KIND_PERF", "KIND_PROFILE",
+           "KIND_SWEEP", "ROW_COLUMNS", "Record", "SCHEMA", "STATUS_FAILED",
+           "STATUS_OK"]

@@ -5,16 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.store import ingest
+from repro.store import dashboard, ingest
 from repro.store.db import ResultStore, StoreError
 from repro.store.schema import (KIND_BENCH_MACRO, KIND_BENCH_META,
-                                KIND_BENCH_MICRO, KIND_CHAOS, KIND_PROFILE,
-                                KIND_SWEEP, Record, STATUS_FAILED,
-                                STATUS_OK)
+                                KIND_BENCH_MICRO, KIND_CHAOS, KIND_PERF,
+                                KIND_PROFILE, KIND_SWEEP, Record,
+                                STATUS_FAILED, STATUS_OK)
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH_DOCS = sorted(REPO.glob("BENCH_*.json"))
 SWEEP_CACHE = REPO / "results" / "sweep.json"
+PERF_RESULTS = sorted((REPO / "benchmarks" / "perf" / "results")
+                      .glob("baseline-*.json"))
 
 
 @pytest.fixture()
@@ -196,3 +198,32 @@ class TestDetection:
         kind, n = ingest.ingest_path(store, path, git_rev="r1")
         assert (kind, n) == ("sweep", 1)
         assert store.query(KIND_SWEEP)[0].source == str(path)
+
+
+class TestPerfSuiteResults:
+    @pytest.mark.skipif(not PERF_RESULTS, reason="no committed perf results")
+    def test_committed_results_one_row_per_workload(self, store, tmp_path):
+        for path in PERF_RESULTS:
+            assert ingest.ingest_path(store, path, git_rev="r1") \
+                == ("perf", 4)
+        rows = store.query(KIND_PERF)
+        assert len(rows) == 4 * len(PERF_RESULTS)
+        for path in PERF_RESULTS:
+            doc = json.loads(path.read_text())
+            for name, summary in doc["workloads"].items():
+                row = next(r for r in rows if r.source == str(path)
+                           and r.series == name)
+                assert row.metrics == summary["median"]
+                assert row.payload == summary
+                assert (row.app, row.protocol, row.n_cores, row.git_rev) \
+                    == (summary["workload"]["app"],
+                        summary["workload"]["protocol"],
+                        summary["workload"]["cores"], "r1")
+        assert {r.series for r in rows} == set(doc["workloads"])
+        out = tmp_path / "dash.html"
+        dashboard.write_dashboard(store, out)
+        assert "Paper-scale throughput" in out.read_text()
+
+    def test_detected_by_shape(self):
+        assert ingest.detect_kind(
+            {"host": {}, "seed": 1, "workloads": {}}) == "perf"

@@ -1,9 +1,12 @@
 """Trend extraction, regression gating and the HTML dashboard exporter."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.store import cli as store_cli
 from repro.store import dashboard, query
-from repro.store.db import ResultStore
+from repro.store.db import ResultStore, StoreError
 from repro.store.schema import (KIND_BENCH_MICRO, KIND_SWEEP, Record,
                                 STATUS_FAILED)
 
@@ -110,6 +113,29 @@ class TestCheckRegressions:
         put_series(store, KIND_SWEEP, "s", {"r1": 100.0, "r2": 200.0})
         assert query.check_regressions(store, KIND_SWEEP,
                                        "cycles_per_sec") == []
+
+    def test_misspelled_metric_raises(self, store):
+        put_series(store, KIND_SWEEP, "s", {"r1": 100.0, "r2": 50.0})
+        with pytest.raises(StoreError, match="cycles_per_secc"):
+            query.check_regressions(store, KIND_SWEEP, "cycles_per_secc")
+
+    def test_window_without_a_shared_series_raises(self, store):
+        # a renamed series key: two revisions, nothing to compare
+        put_series(store, KIND_SWEEP, "old-name", {"r1": 100.0})
+        put_series(store, KIND_SWEEP, "new-name", {"r2": 50.0})
+        with pytest.raises(StoreError, match="compare nothing"):
+            query.check_regressions(store, KIND_SWEEP, "cycles_per_sec")
+
+    def test_cli_misspelled_metric_exits_2(self, tmp_path, capsys):
+        repo = Path(__file__).resolve().parent.parent
+        db = str(tmp_path / "t.db")
+        assert store_cli.main(
+            ["ingest", str(repo / "BENCH_2026-08-05.json"),
+             str(repo / "BENCH_2026-08-08.json"), "--store", db]) == 0
+        assert store_cli.main(
+            ["check", "--store", db, "--kind", "bench_macro", "--metric",
+             "cycles_per_secc", "--threshold", "0.10"]) == 2
+        assert "cycles_per_secc" in capsys.readouterr().err
 
 
 class TestDashboard:
