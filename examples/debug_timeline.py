@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Trace a chunk's life through the protocol.
 
-Attaches an instrumentation bus to a small contended machine, runs it, and
-prints (1) the machine-wide event summary and (2) the full timeline of one
-chunk that lost a group-formation collision and retried — the debugging
-workflow for protocol investigations.
+Runs a small contended machine with an instrumentation bus as its one
+instrument and prints (1) the machine-wide event summary and (2) the full
+timeline of one chunk that lost a group-formation collision and retried —
+the debugging workflow for protocol investigations.
 
 Run:  python examples/debug_timeline.py
 """
@@ -12,7 +12,7 @@ Run:  python examples/debug_timeline.py
 from repro import Machine, ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
 from repro.obs.bus import (COMMIT_COMPLETE, GROUP_FAILED, SQUASH,
-                           InstrumentationBus, attach_bus, ctag_str)
+                           InstrumentationBus, ctag_str)
 
 
 def chunk_of(ctag):
@@ -48,8 +48,8 @@ def main() -> None:
     remaining = {c: specs(c) for c in range(9)}
     machine = Machine(config, next_spec=lambda c: (
         remaining.get(c).pop(0) if remaining.get(c) else None))
-    bus = attach_bus(machine, InstrumentationBus(record_messages=False))
-    machine.run()
+    bus = InstrumentationBus(record_messages=False)
+    machine.run(instruments=[bus])
 
     print("machine-wide event summary:")
     for kind, count in sorted(bus.summary().items()):

@@ -29,14 +29,6 @@ from repro.workloads.profiles import APP_PROFILES, PARSEC_APPS, SPLASH2_APPS
 PROTO_BY_NAME = {p.value.lower(): p for p in ProtocolKind}
 
 
-def _make_bus(trace_out):
-    """Build an instrumentation bus when ``--trace`` was given."""
-    if not trace_out:
-        return None
-    from repro.obs.bus import InstrumentationBus
-    return InstrumentationBus()
-
-
 def _dump_trace(bus, out: str) -> None:
     from repro.obs.critical_path import analyze_commit_paths
     from repro.obs.export import to_perfetto
@@ -48,7 +40,11 @@ def _dump_trace(bus, out: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    bus = _make_bus(args.trace)
+    from repro.obs.bus import InstrumentationBus
+    from repro.validation.oracle import InvalidationOracle
+
+    bus = InstrumentationBus() if args.trace else None
+    oracle = InvalidationOracle() if args.oracle else None
     profiler = None
     if args.profile or args.metrics_interval:
         from repro.obs.profile import make_profiler
@@ -59,8 +55,9 @@ def _cmd_run(args) -> int:
                                  metrics_out=args.metrics_out)
     result = run_app(args.app, n_cores=args.cores,
                      protocol=PROTO_BY_NAME[args.protocol.lower()],
-                     chunks_per_partition=args.chunks, oracle=args.oracle,
-                     bus=bus, profile=profiler)
+                     chunks_per_partition=args.chunks,
+                     instruments=[i for i in (bus, profiler, oracle)
+                                  if i is not None])
     print(f"{args.app} on {args.cores} cores "
           f"({result.protocol.value}): {result.total_cycles:,} cycles, "
           f"{result.chunks_committed} chunks")

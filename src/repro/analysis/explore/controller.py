@@ -11,8 +11,10 @@ A :class:`Schedule` is a pure decision vector:
   uids come from a process-global counter and are not stable across the
   many runs a single exploration performs.
 
-:class:`ScheduleController` turns a schedule into the two engine hooks
-(``Simulator.tie_breaker`` and ``Network.delay_hook``) and records the
+:class:`ScheduleController` is the instrument that turns a schedule into
+the two engine hooks (``Simulator.tie_breaker`` and a
+``Network.delay_hook`` chained onto whatever delay hook is already there,
+e.g. a fault engine's) and records the
 *realized* schedule — including any decisions drawn from the exploration
 RNGs past the end of the prescribed vector — so every run, random or not,
 can be replayed exactly.
@@ -26,6 +28,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.engine.events import Event
 from repro.engine.rng import DeterministicRng
 from repro.network.message import Message
+from repro.network.noc import compose_delay_hooks
+from repro.obs.bus import NullBus
 
 
 def reorder_candidates(batch: List[Event]) -> List[int]:
@@ -87,7 +91,7 @@ class Schedule:
         return cls(ties=ties, delays=delays)
 
 
-class ScheduleController:
+class ScheduleController(NullBus):
     """Bridges a :class:`Schedule` to the simulator/network hooks.
 
     Decisions beyond the prescribed schedule come from the optional
@@ -115,7 +119,9 @@ class ScheduleController:
     def attach(self, machine: Any) -> None:
         """Install both hooks on a freshly built machine."""
         machine.sim.tie_breaker = self.tie_break
-        machine.network.delay_hook = self.delay
+        network = machine.network
+        network.delay_hook = compose_delay_hooks(network.delay_hook,
+                                                 self.delay)
 
     # ------------------------------------------------------------------
     # Simulator.tie_breaker

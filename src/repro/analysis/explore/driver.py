@@ -6,8 +6,9 @@ A :class:`Perturbation` is one serializable value: a :class:`Schedule`
 generates schedules, ``repro chaos`` generates plans, ``repro lint
 --confirm`` probes with randomized schedules; all three run them through
 :func:`run_perturbation`, which builds a fresh machine, applies the
-mutation, attaches the schedule controller, the fault engine, the
-invariant monitor and an optional liveness watchdog, and runs.  The
+mutation, and runs it with the schedule controller, the fault engine,
+any extra instruments, the invariant monitor and an optional liveness
+watchdog as its instruments.  The
 result carries the *realized* perturbation, so any run (exhaustive,
 random, chaos or replayed) reproduces exactly.
 """
@@ -15,7 +16,7 @@ random, chaos or replayed) reproduces exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.explore.controller import Schedule, ScheduleController
 from repro.analysis.explore.invariants import ExploreViolation, InvariantMonitor
@@ -25,7 +26,7 @@ from repro.engine.rng import DeterministicRng
 from repro.faults.injectors import FaultEngine
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import LivenessWatchdog
-from repro.obs.bus import InstrumentationBus, attach_bus
+from repro.obs.bus import NullBus
 
 #: invariant codes that mean "serializability / protocol soundness broke"
 SAFETY_CODES = frozenset({"SB401", "SB402", "SB405", "SB406"})
@@ -123,18 +124,17 @@ def run_perturbation(scenario: Scenario,
                      delay_rng: Optional[DeterministicRng] = None,
                      delay_prob: float = 0.15,
                      max_delay: int = 24,
-                     bus: Optional[InstrumentationBus] = None
+                     instruments: Sequence[NullBus] = ()
                      ) -> PerturbationResult:
     """Build, mutate, perturb, watch, run, and collect what happened.
 
-    Order matters: the fault engine chains its delays onto the
-    controller's hook, and the invariant monitor wraps the machine last
-    so it observes the mutated, injured protocol exactly as it observes
-    a nominal one.  ``tie_rng``/``delay_rng`` extend the schedule past
-    its prescribed decisions (random exploration).  ``watchdog`` attaches
-    a liveness watchdog with that window.  ``bus`` attaches an
-    instrumentation bus (repro.obs) so the run can be traced and its
-    commit critical path analyzed.
+    The mutation is applied to the built machine; everything else
+    attaches through ``Machine.run``'s instrument list.
+    ``tie_rng``/``delay_rng`` extend the schedule past its prescribed
+    decisions (random exploration).  ``watchdog`` attaches a liveness
+    watchdog with that window.  ``instruments`` (e.g. a recorder, so the
+    run can be traced and its commit critical path analyzed) attach
+    after the perturbation and before the invariant monitor.
     """
     perturbation = perturbation or Perturbation()
     machine = build_machine(scenario)
@@ -143,20 +143,15 @@ def run_perturbation(scenario: Scenario,
     controller = ScheduleController(
         perturbation.schedule, tie_rng=tie_rng, delay_rng=delay_rng,
         delay_prob=delay_prob, max_delay=max_delay)
-    controller.attach(machine)
-    faults = FaultEngine(perturbation.plan, machine).install()
-    if bus is not None:
-        attach_bus(machine, bus)
-    monitor = InvariantMonitor(machine,
-                               expected_per_core=scenario.chunks_per_core)
-    dog = (LivenessWatchdog(machine, window=watchdog, bus=bus).attach()
-           if watchdog else None)
+    faults = FaultEngine(perturbation.plan)
+    monitor = InvariantMonitor(expected_per_core=scenario.chunks_per_core)
+    dog = LivenessWatchdog(window=watchdog) if watchdog else None
     try:
-        machine.run(max_events=scenario.max_events, prewarm=False)
-    except RuntimeError as err:
-        monitor.note_abnormal_end(str(err))
-    else:
-        monitor.finalize()
+        machine.run(max_events=scenario.max_events, prewarm=False,
+                    instruments=[controller, faults, *instruments, monitor,
+                                 *([dog] if dog else [])])
+    except RuntimeError:
+        pass  # the monitor's finish recorded it as SB403/SB404
     cores = machine.cores
     # A finished machine ends when its last core does, not at a trailing
     # watchdog check; an unfinished one where the run stopped.

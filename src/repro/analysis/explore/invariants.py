@@ -5,17 +5,18 @@ matter under adversarial scheduling:
 
 * **co-held incompatibility** (SB401) — no directory may simultaneously
   hold two groups whose signatures collide; the collision rule must have
-  failed one of them.  Checked after every admission/confirmation with the
-  directory's own ``incompatible_with`` test, so the unmutated protocol
-  cannot false-positive: admission runs the identical test.
+  failed one of them.  Checked at every admission (``grab_admit``) and
+  confirmation (``group_formed``) with the directory's own
+  ``incompatible_with`` test, so the unmutated protocol cannot
+  false-positive: admission runs the identical test.
 * **doomed-chunk commit** (SB401) — when a group confirms, any *other*
   core's active chunk that has consumed a line the group is overwriting
   while being a **registered sharer** of it is doomed: the protocol
   promises to invalidate registered sharers and squash their conflicting
   chunks, so that attempt — tag including the squash generation — must
-  never reach ``on_commit_success``.  The exemptions keep the check
-  exact.  A chunk whose own group already formed is serialized *before*
-  the committer.  A line whose read is still in flight is served the
+  never complete its commit (``commit_complete``).  The exemptions keep
+  the check exact.  A chunk whose own group already formed is serialized
+  *before* the committer.  A line whose read is still in flight is served the
   post-commit value.  Pure write/write overlap does not doom: blind
   writes serialize behind the committer.  And an *unregistered* stale
   copy (the fill crossed a concurrent commit that reset the sharer list)
@@ -26,7 +27,9 @@ matter under adversarial scheduling:
   exactly its scripted number of chunks, exactly once per (core, seq),
   with no unresolved squash-pending (OCI alias) chunk.
 
-The invalidation oracle maps to SB402 — filtered to the chunks the same
+Every check reads the protocol's own hook points (:mod:`repro.obs.bus`);
+nothing is patched.  The invalidation oracle maps to SB402 — run inside
+the monitor's ``group_formed`` handler and filtered to the chunks the same
 confirm doomed, because the oracle's global view counts a conflict the
 moment a line enters a chunk's read-set, one message round-trip before
 the data (fresh or stale) actually arrives and regardless of sharer
@@ -38,12 +41,12 @@ and every runtime conformance break (Tables 4/5) to SB405.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cst import CstEntry
 from repro.core.directory_engine import ScalableBulkDirectory
-from repro.validation.oracle import attach_oracle
-from repro.validation.orderings import attach_conformance_checker
+from repro.obs.bus import NullBus
+from repro.validation.oracle import InvalidationOracle, Violation
+from repro.validation.orderings import ProtocolConformanceChecker
 
 
 @dataclass(frozen=True)
@@ -65,23 +68,17 @@ class ExploreViolation:
                    time=int(data["time"]), detail=str(data["detail"]))
 
 
-class InvariantMonitor:
-    """Attaches every checker to a machine and collects violations."""
+class InvariantMonitor(NullBus):
+    """Composes every checker into one instrument and collects violations."""
 
-    def __init__(self, machine: Any, expected_per_core: int) -> None:
-        self.machine = machine
+    def __init__(self, expected_per_core: int) -> None:
+        self.machine: Any = None
         self.expected_per_core = expected_per_core
         self.violations: List[ExploreViolation] = []
-        # The conversation rules and the invalidation oracle encode
-        # ScalableBulk semantics (leaders, groups, CSTs); the baseline
-        # protocols reuse some message types with different roles, so
-        # those two validators only attach to ScalableBulk machines.
-        # Commit accounting and deadlock/livelock apply to every protocol.
-        self._scalablebulk = any(
-            isinstance(d, ScalableBulkDirectory) for d in machine.directories)
-        self.conformance = (attach_conformance_checker(machine)
-                            if self._scalablebulk else None)
-        self.oracle = attach_oracle(machine) if self._scalablebulk else None
+        self.conformance: Optional[ProtocolConformanceChecker] = None
+        self.oracle: Optional[InvalidationOracle] = None
+        #: oracle breaks on chunks their confirm doomed (drained at finish)
+        self._lost: List[Violation] = []
         #: chunk tags (core, seq, gen) whose group formed — exempt from doom
         self._confirmed_tags: Set[Any] = set()
         #: doomed attempt tag -> why it must not commit
@@ -89,11 +86,20 @@ class InvariantMonitor:
         #: (core, seq) -> commit_success deliveries observed
         self._commit_counts: Dict[Tuple[int, int], int] = {}
         self._coheld_seen: Set[Tuple[int, Any, Any]] = set()
-        for directory in machine.directories:
-            if isinstance(directory, ScalableBulkDirectory):
-                self._wrap_directory(directory)
-        for core in machine.cores:
-            self._wrap_core(core)
+
+    def attach(self, machine: Any) -> None:
+        self.machine = machine
+        # The conversation rules and the invalidation oracle encode
+        # ScalableBulk semantics (leaders, groups, CSTs); the baseline
+        # protocols reuse some message types with different roles, so
+        # those two validators only run on ScalableBulk machines.
+        # Commit accounting and deadlock/livelock apply to every protocol.
+        if any(isinstance(d, ScalableBulkDirectory)
+               for d in machine.directories):
+            self.conformance = ProtocolConformanceChecker()
+            self.oracle = InvalidationOracle()
+            for checker in (self.conformance, self.oracle):
+                checker.attach(machine)
 
     # ------------------------------------------------------------------
     def _flag(self, code: str, rule: str, detail: str) -> None:
@@ -107,30 +113,31 @@ class InvariantMonitor:
                 or core.hierarchy.l2.peek(line) is not None)
 
     # ------------------------------------------------------------------
-    # ScalableBulk directory taps
+    # ScalableBulk directory hooks
     # ------------------------------------------------------------------
-    def _wrap_directory(self, directory: ScalableBulkDirectory) -> None:
-        inner_advance = directory._maybe_advance
-        inner_confirm = directory._confirm_group
+    def msg_send(self, time: int, msg: Any, latency: int, hops: int) -> None:
+        if self.conformance is not None:
+            self.conformance.msg_send(time, msg, latency, hops)
 
-        def advance(entry: CstEntry) -> None:
-            inner_advance(entry)
-            self._scan_coheld(directory)
+    def grab_admit(self, time: int, dir_id: int, cid: Any,
+                   next_dir: Optional[int]) -> None:
+        # an entry becomes held only on admission
+        self._scan_coheld(self.machine.directories[dir_id])
 
-        def confirm(entry: CstEntry) -> None:
-            self._confirmed_tags.add(entry.cid[0])
-            # Doom-marking must read the sharer lists *before* the commit
-            # applies (apply_commit resets them to just the writer).
-            doomed_now = self._mark_doomed(entry)
-            self._scan_coheld(directory)
-            oracle = self.oracle
-            oracle_mark = len(oracle.violations) if oracle is not None else 0
-            inner_confirm(entry)
-            if oracle is not None:
-                self._filter_oracle(oracle_mark, doomed_now)
-
-        directory._maybe_advance = advance
-        directory._confirm_group = confirm
+    def group_formed(self, time: int, dir_id: Optional[int], cid: Any,
+                     proc: int, order: Sequence[int],
+                     write_lines: Iterable[int],
+                     targets: Optional[Set[int]]) -> None:
+        if dir_id is None or self.oracle is None:
+            return  # a baseline agent's ordering point, not a confirm
+        self._confirmed_tags.add(cid[0])
+        # Fires before the commit applies: doom-marking reads the sharer
+        # lists that apply_commit resets to just the writer.
+        doomed_now = self._mark_doomed(cid, proc, write_lines)
+        self._scan_coheld(self.machine.directories[dir_id])
+        self._lost.extend(
+            v for v in self.oracle.missed(cid, proc, write_lines, targets)
+            if v.conflicting_tag in doomed_now)
 
     def _scan_coheld(self, directory: ScalableBulkDirectory) -> None:
         held = [e for e in directory.cst.values() if e.held]
@@ -159,19 +166,20 @@ class InvariantMonitor:
             return False
         return core_id in info.sharers or info.owner == core_id
 
-    def _mark_doomed(self, entry: CstEntry) -> Set[Any]:
+    def _mark_doomed(self, cid: Any, proc: int,
+                     write_lines: Iterable[int]) -> Set[Any]:
         """Mark chunks this confirm dooms; returns the tags marked now."""
         marked: Set[Any] = set()
-        write_lines = set(entry.write_lines)
-        if not write_lines:
+        written = set(write_lines)
+        if not written:
             return marked
         for core in self.machine.cores:
-            if core.core_id == entry.proc:
+            if core.core_id == proc:
                 continue
             for chunk in core.active_chunks():
                 if chunk.tag in self._confirmed_tags:
                     continue  # its group formed first: ordered before us
-                stale = {line for line in write_lines & chunk.read_lines
+                stale = {line for line in written & chunk.read_lines
                          if self._cached(core, line)
                          and self._registered(core.core_id, line)}
                 if stale:
@@ -179,56 +187,39 @@ class InvariantMonitor:
                     self._doomed.setdefault(
                         chunk.tag,
                         f"it read lines {sorted(stale)[:4]} overwritten by "
-                        f"commit {entry.cid}")
+                        f"commit {cid}")
         return marked
 
-    def _filter_oracle(self, mark: int, doomed_now: Set[Any]) -> None:
-        """Keep only oracle violations whose victim this confirm doomed."""
-        if self.oracle is None:
-            return
-        fresh = self.oracle.violations[mark:]
-        del self.oracle.violations[mark:]
-        self.oracle.violations.extend(
-            v for v in fresh if v.conflicting_tag in doomed_now)
-
     # ------------------------------------------------------------------
-    # Core taps: doomed commits, double commits
+    # Core hook: doomed commits, double commits
     # ------------------------------------------------------------------
-    def _wrap_core(self, core: Any) -> None:
-        inner_success = core.on_commit_success
-
-        def on_commit_success(chunk: Any) -> None:
-            doom = self._doomed.get(chunk.tag)
-            if doom is not None:
-                self._flag(
-                    "SB401", "doomed chunk committed",
-                    f"P{chunk.tag.core} committed {chunk.tag} although {doom}")
-            ident = (chunk.tag.core, chunk.tag.seq)
-            count = self._commit_counts.get(ident, 0) + 1
-            self._commit_counts[ident] = count
-            if count > 1:
-                self._flag(
-                    "SB406", "double commit",
-                    f"chunk {ident} reported committed {count} times")
-            inner_success(chunk)
-
-        core.on_commit_success = on_commit_success
+    def commit_complete(self, time: int, core: int, tag: Any,
+                        n_dirs: int) -> None:
+        doom = self._doomed.get(tag)
+        if doom is not None:
+            self._flag("SB401", "doomed chunk committed",
+                       f"P{tag.core} committed {tag} although {doom}")
+        ident = (tag.core, tag.seq)
+        count = self._commit_counts.get(ident, 0) + 1
+        self._commit_counts[ident] = count
+        if count > 1:
+            self._flag("SB406", "double commit",
+                       f"chunk {ident} reported committed {count} times")
 
     # ------------------------------------------------------------------
     # End-of-run checks
     # ------------------------------------------------------------------
-    def note_abnormal_end(self, message: str) -> None:
-        """Map the runner's RuntimeErrors to deadlock/livelock findings."""
+    def finish(self, machine: Any, error: Optional[BaseException]) -> None:
+        """Map the runner's RuntimeErrors to deadlock/livelock findings;
+        after a normal completion, run the quiescence-time checks."""
         self._drain_validators()
-        if "max_events" in message:
-            self._flag("SB404", "livelock", message)
-        else:
-            self._flag("SB403", "deadlock", message)
-
-    def finalize(self) -> None:
-        """Run the quiescence-time checks after a normal completion."""
-        self._drain_validators()
-        for core in self.machine.cores:
+        if isinstance(error, RuntimeError):
+            livelock = "max_events" in str(error)
+            self._flag("SB404" if livelock else "SB403",
+                       "livelock" if livelock else "deadlock", str(error))
+        if error is not None:
+            return
+        for core in machine.cores:
             committed = int(core.stats.chunks_committed)
             if committed != self.expected_per_core:
                 self._flag(
@@ -243,10 +234,9 @@ class InvariantMonitor:
                         f"awaiting its OCI alias outcome")
 
     def _drain_validators(self) -> None:
-        if self.oracle is not None:
-            for v in self.oracle.violations:
-                self._flag("SB402", "lost invalidation", str(v))
-            self.oracle.violations.clear()
+        for v in self._lost:
+            self._flag("SB402", "lost invalidation", str(v))
+        self._lost.clear()
         if self.conformance is not None:
             for ov in self.conformance.violations:
                 self._flag("SB405", ov.rule, str(ov))

@@ -14,13 +14,14 @@ that still exhibits a race witness.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.analysis.explore.driver import (Part, Perturbation,
                                            PerturbationResult,
                                            run_perturbation)
 from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import Scenario
+from repro.obs.bus import NullBus
 
 _Item = TypeVar("_Item")
 
@@ -69,21 +70,24 @@ def shrink(scenario: Scenario, perturbation: Perturbation,
            mutation: Optional[Mutation],
            predicate: Callable[[PerturbationResult], bool],
            max_runs: int = 200, *,
-           watchdog: Optional[int] = None) -> PerturbationResult:
+           watchdog: Optional[int] = None,
+           instruments: Callable[[], Sequence[NullBus]] = tuple
+           ) -> PerturbationResult:
     """ddmin ``perturbation``'s parts while ``predicate`` holds.
 
     ``perturbation`` must satisfy ``predicate``; at most ``max_runs``
     candidates are tried, each on a fresh machine watched like the
-    original run (same ``watchdog`` window).  Returns the run of the
-    shrunk perturbation; if no part could be dropped, that is one more
-    run of the original.
+    original run (same ``watchdog`` window, a fresh ``instruments()``
+    list).  Returns the run of the shrunk perturbation; if no part could
+    be dropped, that is one more run of the original.
     """
     runs = 0
     best: Optional[PerturbationResult] = None
 
     def run(parts: List[Part]) -> PerturbationResult:
         return run_perturbation(scenario, perturbation.with_parts(parts),
-                                mutation, watchdog=watchdog)
+                                mutation, watchdog=watchdog,
+                                instruments=instruments())
 
     def reproduces(parts: List[Part]) -> bool:
         nonlocal runs, best

@@ -13,7 +13,7 @@ empty.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.explore.controller import Schedule
 from repro.analysis.explore.driver import (WATCHDOG, Perturbation,
@@ -23,7 +23,7 @@ from repro.analysis.explore.minimize import shrink
 from repro.analysis.explore.mutations import MUTATIONS, Mutation
 from repro.analysis.explore.scenarios import Scenario
 from repro.faults.plan import FaultPlan
-from repro.obs.bus import InstrumentationBus
+from repro.obs.bus import InstrumentationBus, NullBus
 
 ARTIFACT_VERSION = 2
 #: every version :func:`load_artifact` reads
@@ -89,10 +89,10 @@ def expected_labels(data: Dict[str, Any]) -> List[str]:
 
 
 def replay_artifact(data: Dict[str, Any], *,
-                    bus: Optional[InstrumentationBus] = None
+                    instruments: Sequence[NullBus] = ()
                     ) -> PerturbationResult:
     """Re-run a loaded artifact's perturbation on its scenario (and
-    mutation), watched by its watchdog window."""
+    mutation), watched by its watchdog window and ``instruments``."""
     scenario = Scenario.from_json(data["scenario"])
     name = data.get("mutation")
     mutation = None
@@ -105,7 +105,8 @@ def replay_artifact(data: Dict[str, Any], *,
         Schedule.from_json(data.get("schedule") or {}),
         FaultPlan.from_json(plan) if plan else FaultPlan.empty())
     return run_perturbation(scenario, perturbation, mutation,
-                            watchdog=data.get("watchdog"), bus=bus)
+                            watchdog=data.get("watchdog"),
+                            instruments=instruments)
 
 
 def replay_command(path: str, trace_out: Optional[str] = None) -> int:
@@ -117,7 +118,7 @@ def replay_command(path: str, trace_out: Optional[str] = None) -> int:
     data = load_artifact(path)
     # the critical path needs no message events; a Perfetto trace does
     bus = InstrumentationBus(record_messages=trace_out is not None)
-    result = replay_artifact(data, bus=bus)
+    result = replay_artifact(data, instruments=[bus])
     want = expected_labels(data)
     got = result.labels
     print(f"replay of {path}: expected {want or 'clean'}, "

@@ -40,11 +40,10 @@ from repro.analysis.explore.minimize import shrink
 from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import SCENARIOS, Scenario
 from repro.analysis.findings import Finding
-from repro.analysis.races.sanitizer import AccessSanitizer
+from repro.analysis.races.sanitizer import AccessSanitizer, MessageEvent
 from repro.engine.rng import DeterministicRng
 from repro.network.message import MessageType
-from repro.obs.bus import (MSG_RECV, MSG_SEND, InstrumentationBus,
-                           attach_bus, ctag_str)
+from repro.obs.bus import MSG_RECV, MSG_SEND, ctag_str
 
 CONFIRMED = "CONFIRMED"
 UNOBSERVED = "UNOBSERVED"
@@ -78,12 +77,12 @@ class Witness:
 
 @dataclass
 class _Probe:
-    """One sanitized schedule run: the sanitizer plus its bus and result."""
+    """One sanitized schedule run: the sanitizer and the run's result."""
 
     sanitizer: AccessSanitizer
-    bus: InstrumentationBus
     result: Any
-    #: (send_idx, recv_idx, dst_node, mtype value); unmatched sends stay open
+    #: (send_idx, recv_idx, dst_node, mtype value) into
+    #: ``sanitizer.messages``; unmatched sends stay open
     intervals: List[Tuple[int, int, str, str]] = field(default_factory=list)
 
 
@@ -121,66 +120,50 @@ PROBE_MAX_EVENTS = 30_000
 
 
 class _Prober:
-    """Rides the mutation slot of every probe run: applies ``mutation``,
-    then attaches a fresh bus and access sanitizer to the machine."""
+    """Hands every probe run a fresh access sanitizer as its instrument
+    and pairs the last one with that run's result."""
 
-    def __init__(self, scenario: Scenario,
-                 mutation: Optional[Mutation]) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = replace(
             scenario, max_events=min(scenario.max_events, PROBE_MAX_EVENTS))
-        self.mutation = Mutation(
-            name=mutation.name if mutation else "sanitize",
-            description="attach the state-access sanitizer",
-            scenario=scenario.name, expected="", apply=self._apply)
-        self._inner = mutation
-        self.bus = InstrumentationBus()   # replaced by every run
-        self.sanitizer: Optional[AccessSanitizer] = None
+        self.sanitizer = AccessSanitizer()
 
-    def _apply(self, machine: Any) -> None:
-        if self._inner is not None:
-            self._inner.apply(machine)
-        self.bus = InstrumentationBus()
-        self.sanitizer = AccessSanitizer(machine, self.bus)
-        attach_bus(machine, self.bus)
+    def instruments(self) -> List[AccessSanitizer]:
+        self.sanitizer = AccessSanitizer()
+        return [self.sanitizer]
 
     def probe(self, result: PerturbationResult) -> _Probe:
-        """The last run's sanitizer and bus, paired with its result."""
-        assert self.sanitizer is not None
-        self.sanitizer.flush()
-        return _Probe(sanitizer=self.sanitizer, bus=self.bus, result=result,
-                      intervals=_inflight_intervals(self.bus))
+        return _Probe(sanitizer=self.sanitizer, result=result,
+                      intervals=_inflight_intervals(self.sanitizer.messages))
 
 
 def _run_probe(scenario: Scenario, schedule: Optional[Schedule],
                mutation: Optional[Mutation], seed: Optional[int]) -> _Probe:
-    prober = _Prober(scenario, mutation)
+    prober = _Prober(scenario)
     tie_rng = DeterministicRng(seed, "confirm-ties") if seed is not None \
         else None
     delay_rng = DeterministicRng(seed + 1, "confirm-delays") \
         if seed is not None else None
     result = run_perturbation(
-        prober.scenario, Perturbation(schedule or Schedule()),
-        prober.mutation, tie_rng=tie_rng, delay_rng=delay_rng)
+        prober.scenario, Perturbation(schedule or Schedule()), mutation,
+        tie_rng=tie_rng, delay_rng=delay_rng,
+        instruments=prober.instruments())
     return prober.probe(result)
 
 
-def _inflight_intervals(bus: InstrumentationBus
+def _inflight_intervals(messages: List[MessageEvent]
                         ) -> List[Tuple[int, int, str, str]]:
-    """Pair msg_send/msg_recv events into per-flow FIFO flight intervals."""
+    """Pair sends and receives into per-flow FIFO flight intervals."""
     open_sends: Dict[Tuple[str, str, str], List[int]] = {}
     out: List[Tuple[int, int, str, str]] = []
-    for idx, event in enumerate(bus.events):
-        if event.kind == MSG_SEND:
-            key = (event.fields["src_node"], event.fields["dst_node"],
-                   event.fields["mtype"])
-            open_sends.setdefault(key, []).append(idx)
-        elif event.kind == MSG_RECV:
-            key = (event.fields["src_node"], event.fields["dst_node"],
-                   event.fields["mtype"])
-            pending = open_sends.get(key)
+    for idx, (kind, src, dst, mtype) in enumerate(messages):
+        if kind == MSG_SEND:
+            open_sends.setdefault((src, dst, mtype), []).append(idx)
+        elif kind == MSG_RECV:
+            pending = open_sends.get((src, dst, mtype))
             if pending:
-                out.append((pending.pop(0), idx, key[1], key[2]))
-    end = len(bus.events)
+                out.append((pending.pop(0), idx, dst, mtype))
+    end = len(messages)
     for (_, dst, mtype), pending in open_sends.items():
         for send_idx in pending:
             out.append((send_idx, end, dst, mtype))
@@ -240,10 +223,11 @@ def _predicate_for(finding: Finding
             for span in probe.sanitizer.spans:
                 if span.cls != cls or not span.records:
                     continue
-                for event in probe.bus.events[span.start_event:span.end_event]:
-                    if (event.kind == MSG_SEND
-                            and event.fields["mtype"] in values
-                            and event.fields["src_node"] == span.src_node):
+                sent = probe.sanitizer.messages[span.start_event:
+                                                span.end_event]
+                for kind, src, _dst, mtype in sent:
+                    if (kind == MSG_SEND and mtype in values
+                            and src == span.src_node):
                         return True
             return False
         return send_then_write
@@ -259,7 +243,8 @@ def _predicate_for(finding: Finding
                 for send_idx, recv_idx, dst, mtype in probe.intervals:
                     if dst != span.src_node:
                         continue
-                    if not send_idx < span.start_event < recv_idx:
+                    # sent before the span began, received after
+                    if not send_idx < span.start_event <= recv_idx:
                         continue
                     other = san.handler_for(cls, MessageType(mtype).name)
                     if other is not None and other != span.handler:
@@ -304,11 +289,12 @@ def confirm_finding(finding: Finding, *,
                 continue
             shrunk = probe.result.schedule
             if shrunk.decision_count():
-                prober = _Prober(scenario, mutation)
+                prober = _Prober(scenario)
                 shrunk = shrink(prober.scenario, Perturbation(shrunk),
-                                prober.mutation,
+                                mutation,
                                 lambda r: predicate(prober.probe(r)),
-                                shrink_budget).schedule
+                                shrink_budget,
+                                instruments=prober.instruments).schedule
             return Witness(
                 key=finding.key, code=finding.code, status=CONFIRMED,
                 scenario=name, schedule=shrunk.to_json(), runs=runs,

@@ -2,22 +2,24 @@
 
 The static model (:mod:`repro.analysis.races.model`) says which attributes
 each handler *may* touch; this module watches what a real run *does*
-touch.  :class:`AccessSanitizer` interposes on the NoC endpoint handlers
-of a freshly built machine (the network holds the bound ``handle_message``
-captured at build time, so wrapping happens at the registration table, not
-on the instances) and fingerprints every tracked attribute before and
-after each handler invocation.  Each observed change becomes an
-:class:`AccessRecord` (op ``grow`` / ``release`` / ``write``), grouped
-into per-invocation :class:`HandlerSpan` windows that also remember the
-instrumentation-bus event indices at entry and exit — so a span can be
-joined against the ``msg_send``/``msg_recv`` stream to ask "what was in
-flight toward this module while it wrote?".
+touch.  :class:`AccessSanitizer` is an instrument: when it attaches it
+interposes on the NoC endpoint handlers of the machine (the network holds
+the bound ``handle_message`` captured at build time, so wrapping happens
+at the registration table, not on the instances) and fingerprints every
+tracked attribute before and after each handler invocation.  Each
+observed change becomes an :class:`AccessRecord` (op ``grow`` /
+``release`` / ``write``), emitted on the machine's ``state_access`` hook
+and grouped into per-invocation :class:`HandlerSpan` windows.  The
+sanitizer also keeps the ``msg_send``/``msg_recv`` stream it hears, and
+each span remembers its indices into it at entry and exit — so a span can
+be joined against the messages to ask "what was in flight toward this
+module while it wrote?".
 
 State mutated by *deferred* simulator callbacks (``sim.schedule`` closures
 run outside any handler) is caught lazily: the next invocation on the same
-object — or a final :meth:`AccessSanitizer.flush` — diffs against the last
-known fingerprint and attributes the change to the pseudo-handler
-``"<deferred>"``.
+object — or the sanitizer's ``finish`` at the end of the run — diffs
+against the last known fingerprint and attributes the change to the
+pseudo-handler ``"<deferred>"``.
 
 The sanitizer is strictly opt-in.  Nothing in the default run path imports
 it; with it detached the machine is byte-identical to an uninstrumented
@@ -32,12 +34,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.races.model import extract_state_model
-from repro.obs.bus import InstrumentationBus
+from repro.obs.bus import MSG_RECV, MSG_SEND, NullBus
 
 #: pseudo-handler name for changes observed between handler invocations
 DEFERRED = "<deferred>"
 
 _Fingerprint = Tuple[str, int, str]  #: (kind, size, digest)
+#: one heard message: (MSG_SEND | MSG_RECV, src node, dst node, mtype value)
+MessageEvent = Tuple[str, str, str, str]
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,9 @@ class HandlerSpan:
     handler: str
     mtype: str          #: MessageType ``.value`` of the triggering message
     ctag: Any
-    start_event: int    #: len(bus.events) at entry (0 without a bus)
-    end_event: int = 0  #: len(bus.events) at exit, before sanitizer emits
+    start_event: int    #: len(sanitizer.messages) at entry
+    end_event: int = 0  #: len(sanitizer.messages) at exit
     records: List[AccessRecord] = field(default_factory=list)
-
-    @property
-    def writes(self) -> List[AccessRecord]:
-        return self.records
 
 
 def _digest(value: Any, depth: int = 0) -> str:
@@ -124,41 +124,36 @@ class _ClassMeta:
     dispatch: Dict[str, str]  #: MessageType *name* -> handler method
 
 
-class AccessSanitizer:
+class AccessSanitizer(NullBus):
     """Interpose on a machine's NoC endpoints and record state accesses.
 
-    Build the machine, construct the sanitizer, run, then read
-    ``sanitizer.records`` / ``sanitizer.spans`` (call :meth:`flush` first
-    to pick up trailing deferred changes).  ``bus``, when given, receives
-    a ``state_access`` hook call per record and provides the event indices
-    that anchor spans in the message stream.
+    List it in ``Machine.run``'s instruments, then read
+    ``sanitizer.records`` / ``sanitizer.spans`` / ``sanitizer.messages``
+    after the run (its ``finish`` records trailing deferred changes).
     """
 
-    def __init__(self, machine: Any,
-                 bus: Optional[InstrumentationBus] = None) -> None:
-        self.machine = machine
-        self.bus = bus
+    def __init__(self) -> None:
+        self.machine: Any = None
         self.records: List[AccessRecord] = []
         self.spans: List[HandlerSpan] = []
+        self.messages: List[MessageEvent] = []
         self._meta: Dict[str, _ClassMeta] = {}
         self._targets: List[Tuple[str, str, Any, _ClassMeta]] = []
         self._originals: Dict[Any, Any] = {}
         self._last: Dict[int, Dict[str, _Fingerprint]] = {}
         self._live: Dict[int, Tuple[str, str, Any, _ClassMeta]] = {}
 
-        family = machine.config.protocol.value.lower()
-        model = extract_state_model(family)
+    # ------------------------------------------------------------------
+    def attach(self, machine: Any) -> None:
+        self.machine = machine
+        model = extract_state_model(machine.config.protocol.value.lower())
         for cls in model.classes:
             if not cls.handlers:
                 continue
             self._meta[cls.name] = _ClassMeta(
                 attrs=tuple(sorted(cls.attrs - cls.counters)),
                 dispatch=dict(cls.dispatch))
-        self._attach()
-
-    # ------------------------------------------------------------------
-    def _attach(self) -> None:
-        handlers = self.machine.network._handlers
+        handlers = machine.network._handlers
         for node, handler in sorted(handlers.items(), key=lambda kv: str(kv[0])):
             obj = getattr(handler, "__self__", None)
             if obj is None:
@@ -173,6 +168,14 @@ class AccessSanitizer:
             self._last[id(obj)] = self._fingerprint(obj, meta)
             handlers[node] = self._make_wrapper(src, str(node), obj, meta,
                                                 handler)
+
+    def msg_send(self, time: int, msg: Any, latency: int, hops: int) -> None:
+        self.messages.append((MSG_SEND, str(msg.src), str(msg.dst),
+                              msg.mtype.value))
+
+    def msg_recv(self, time: int, msg: Any) -> None:
+        self.messages.append((MSG_RECV, str(msg.src), str(msg.dst),
+                              msg.mtype.value))
 
     def detach(self) -> None:
         """Restore the original endpoint handlers."""
@@ -203,9 +206,9 @@ class AccessSanitizer:
                 time=now, src=src, src_node=src_node,
                 cls=type(obj).__name__, handler=handler,
                 mtype=msg.mtype.value, ctag=msg.ctag,
-                start_event=len(self.bus.events) if self.bus else 0)
+                start_event=len(self.messages))
             original(msg)
-            span.end_event = len(self.bus.events) if self.bus else 0
+            span.end_event = len(self.messages)
             after = self._fingerprint(obj, meta)
             self._diff_into(span, before, after)
             self._last[id(obj)] = after
@@ -225,10 +228,10 @@ class AccessSanitizer:
                                   op=_classify(b, a), ctag=span.ctag)
             span.records.append(record)
             self.records.append(record)
-            if self.bus is not None and self.bus.enabled:
-                self.bus.state_access(span.time, span.src, span.cls,
-                                      span.handler, attr, record.op,
-                                      span.ctag)
+            obs = self.machine.obs
+            if obs.enabled:
+                obs.state_access(span.time, span.src, span.cls,
+                                 span.handler, attr, record.op, span.ctag)
 
     def _emit_diff(self, now: int, src: str, src_node: str, obj: Any,
                    meta: _ClassMeta, handler: str, mtype: str, ctag: Any,
@@ -239,16 +242,15 @@ class AccessSanitizer:
         span = HandlerSpan(
             time=now, src=src, src_node=src_node, cls=type(obj).__name__,
             handler=handler, mtype=mtype, ctag=ctag,
-            start_event=len(self.bus.events) if self.bus else 0)
+            start_event=len(self.messages))
         span.end_event = span.start_event
         self._diff_into(span, before, after)
         self.spans.append(span)
 
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Attribute any trailing deferred-callback changes; call after
-        ``machine.run()`` and before inspecting the record stream."""
-        now = int(self.machine.sim.now)
+    def finish(self, machine: Any, error: Optional[BaseException]) -> None:
+        """Attribute any trailing deferred-callback changes."""
+        now = int(machine.sim.now)
         for key, (src, src_node, obj, meta) in sorted(self._live.items(),
                                                       key=lambda kv: kv[1][0]):
             current = self._fingerprint(obj, meta)

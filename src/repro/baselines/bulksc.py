@@ -284,7 +284,8 @@ class BulkSCEngine(ProcessorEngine):
         # invalidations complete in the background.
         if self.obs.enabled:
             self.obs.group_formed(self.sim.now, None, msg.ctag,
-                                  self.core.core_id, sorted(chunk.dirs))
+                                  self.core.core_id, sorted(chunk.dirs),
+                                  chunk.write_lines, None)
         self.stats.attempt_group_formed(msg.ctag)
         self.finish_commit_success(chunk)
 

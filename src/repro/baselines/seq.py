@@ -205,7 +205,8 @@ class SeqEngine(ProcessorEngine):
         # Everything occupied: the SEQ analog of "group formed".
         if self.obs.enabled:
             self.obs.group_formed(self.sim.now, None, msg.ctag,
-                                  self.core.core_id, self._order)
+                                  self.core.core_id, self._order,
+                                  self._current_chunk.write_lines, None)
         self.stats.attempt_group_formed(msg.ctag)
         chunk = self._current_chunk
         write_lines = frozenset(chunk.write_lines)

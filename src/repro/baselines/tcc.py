@@ -317,9 +317,10 @@ class TCCEngine(ProcessorEngine):
             self._first_service_seen = True
             if self.obs.enabled:
                 chunk = self._current_chunk
-                dirs = sorted(chunk.dirs) if chunk is not None else []
+                dirs, lines = ((sorted(chunk.dirs), chunk.write_lines)
+                               if chunk is not None else ([], ()))
                 self.obs.group_formed(self.sim.now, None, cid,
-                                      self.core.core_id, dirs)
+                                      self.core.core_id, dirs, lines, None)
             self.stats.attempt_group_formed(cid)
 
     def _on_dir_done(self, msg: Message) -> None:

@@ -238,7 +238,8 @@ class ScalableBulkDirectory(DirectoryModule):
         self.groups_formed += 1
         if self.obs.enabled:
             self.obs.group_formed(self.sim.now, self.dir_id, entry.cid,
-                                  entry.proc, entry.order)
+                                  entry.proc, entry.order, entry.write_lines,
+                                  entry.inval_acc | entry.local_sharers)
         members = [d for d in entry.order if d != self.dir_id]
         if members:
             self.network.multicast(

@@ -1,6 +1,7 @@
 """Realize a :class:`FaultPlan` against a freshly built machine.
 
-:class:`FaultEngine` turns the plan's specs into live hooks:
+:class:`FaultEngine` is the instrument (``Machine.run(instruments=...)``)
+that turns the plan's specs into live hooks when it attaches:
 
 * the three network faults (``latency-spike``, ``link-hotspot``,
   ``dir-stall``) compose into a single ``Network.delay_hook`` — chained
@@ -34,6 +35,7 @@ from repro.engine.rng import DeterministicRng
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.network.message import Message, dir_node
 from repro.network.noc import compose_delay_hooks
+from repro.obs.bus import NullBus
 
 #: per-message extra-delay contribution of one network fault
 _NetFault = Callable[[Message], int]
@@ -44,17 +46,19 @@ def _in_window(now: int, spec: FaultSpec) -> bool:
     return start <= now < start + int(spec["duration"])
 
 
-class FaultEngine:
-    """Installs a plan's injectors on one machine (call :meth:`install`)."""
+class FaultEngine(NullBus):
+    """The instrument that installs a plan's injectors on the machine it
+    attaches to."""
 
-    def __init__(self, plan: FaultPlan, machine: Any) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.machine = machine
+        self.machine: Any = None
         self._root = DeterministicRng(plan.seed, "faults")
         #: count of injector activations, by fault index (diagnostics)
         self.activations: List[int] = [0] * len(plan.faults)
 
-    def install(self) -> "FaultEngine":
+    def attach(self, machine: Any) -> None:
+        self.machine = machine
         net_faults: List[_NetFault] = []
         for index, spec in enumerate(self.plan.faults):
             rng = self._root.split(f"{index}:{spec.kind}")
@@ -79,7 +83,6 @@ class FaultEngine:
 
             network.delay_hook = compose_delay_hooks(network.delay_hook,
                                                      fault_delays)
-        return self
 
     # ------------------------------------------------------------------
     # Network faults (delay_hook contributions)
@@ -200,9 +203,4 @@ class FaultEngine:
         engine.request_commit = request
 
 
-def apply_plan(plan: FaultPlan, machine: Any) -> FaultEngine:
-    """Build and install a :class:`FaultEngine`; returns it for stats."""
-    return FaultEngine(plan, machine).install()
-
-
-__all__ = ["FaultEngine", "apply_plan"]
+__all__ = ["FaultEngine"]

@@ -5,8 +5,9 @@ compares the machine-wide committed-chunk count against the previous
 check.  No progress and unfinished cores -> one :class:`WatchdogFire`,
 carrying a snapshot of the live protocol state (per-directory CST
 entries, held bits, reservations, starvation tallies; per-core queue
-depths) — dumped through the obs bus ``watchdog_fire`` hook when a bus is
-attached, and always kept on ``watchdog.fires``.
+depths) — emitted on the machine's ``watchdog_fire`` hook, so a recorder
+anywhere in the run's instrument list sees it, and always kept on
+``watchdog.fires``.
 
 Because the check only *reads* machine state, attaching a watchdog never
 changes what the simulation computes: its events consume sequence numbers
@@ -24,7 +25,7 @@ watchdog keeps watching, silently, until every core finishes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.bus import NullBus, ctag_str
 
@@ -73,28 +74,25 @@ def machine_snapshot(machine: Any) -> Dict[str, Any]:
     return {"time": int(machine.sim.now), "dirs": dirs, "cores": cores}
 
 
-class LivenessWatchdog:
+class LivenessWatchdog(NullBus):
     """Periodic no-commit detector; see the module docstring."""
 
-    def __init__(self, machine: Any, *, window: int = DEFAULT_WINDOW,
-                 max_fires: int = DEFAULT_MAX_FIRES,
-                 bus: Optional[NullBus] = None) -> None:
+    def __init__(self, *, window: int = DEFAULT_WINDOW,
+                 max_fires: int = DEFAULT_MAX_FIRES) -> None:
         if window <= 0:
             raise ValueError(f"watchdog window must be positive, got {window}")
-        self.machine = machine
+        self.machine: Any = None
         self.window = int(window)
         self.max_fires = int(max_fires)
-        self.bus = bus
         self.fires: List[WatchdogFire] = []
         self.checks = 0
         self._last_commits = -1
-        self._stopped = False
 
     # ------------------------------------------------------------------
-    def attach(self) -> "LivenessWatchdog":
+    def attach(self, machine: Any) -> None:
         """Schedule the first check ``window`` cycles from now."""
-        self.machine.sim.schedule(self.window, self._check)
-        return self
+        self.machine = machine
+        machine.sim.schedule(self.window, self._check)
 
     def _total_commits(self) -> int:
         return sum(int(c.stats.chunks_committed)
@@ -102,34 +100,24 @@ class LivenessWatchdog:
 
     def _check(self) -> None:
         self.checks += 1
-        if all(core.finished for core in self.machine.cores):
-            self._stopped = True
+        machine = self.machine
+        if all(core.finished for core in machine.cores):
             return  # run complete; let the simulator quiesce
         commits = self._total_commits()
         if commits == self._last_commits:
-            fire = WatchdogFire(time=int(self.machine.sim.now),
-                                commits=commits,
-                                snapshot=machine_snapshot(self.machine))
+            fire = WatchdogFire(time=int(machine.sim.now), commits=commits,
+                                snapshot=machine_snapshot(machine))
             self.fires.append(fire)
-            if self.bus is not None and self.bus.enabled:
-                self.bus.watchdog_fire(fire.time, len(self.fires),
-                                       commits, fire.snapshot)
+            if machine.obs.enabled:
+                machine.obs.watchdog_fire(fire.time, len(self.fires),
+                                          commits, fire.snapshot)
             if len(self.fires) >= self.max_fires:
                 # Stop watching so a wedged machine can quiesce and the
                 # runner's unfinished-cores error (SB403) surfaces.
-                self._stopped = True
                 return
         self._last_commits = commits
-        self.machine.sim.schedule(self.window, self._check)
-
-
-def attach_watchdog(machine: Any, *, window: int = DEFAULT_WINDOW,
-                    max_fires: int = DEFAULT_MAX_FIRES,
-                    bus: Optional[NullBus] = None) -> LivenessWatchdog:
-    """Convenience: build, attach and return a watchdog."""
-    return LivenessWatchdog(machine, window=window, max_fires=max_fires,
-                            bus=bus).attach()
+        machine.sim.schedule(self.window, self._check)
 
 
 __all__ = ["DEFAULT_MAX_FIRES", "DEFAULT_WINDOW", "LivenessWatchdog",
-           "WatchdogFire", "attach_watchdog", "machine_snapshot"]
+           "WatchdogFire", "machine_snapshot"]

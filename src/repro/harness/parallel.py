@@ -93,15 +93,16 @@ def run_protocol_record(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.config import ProtocolKind
     from repro.harness.runner import run_app
 
+    from repro.obs.bus import InstrumentationBus
+    from repro.validation.oracle import InvalidationOracle
+
     protocol = ProtocolKind(payload["protocol"])
-    bus = None
-    if payload.get("trace_out"):
-        from repro.obs.bus import InstrumentationBus
-        bus = InstrumentationBus()
+    bus = InstrumentationBus() if payload.get("trace_out") else None
+    oracle = InvalidationOracle() if payload.get("oracle") else None
     result = run_app(payload["app"], n_cores=payload["n_cores"],
                      protocol=protocol,
                      chunks_per_partition=payload["chunks"],
-                     oracle=payload.get("oracle", False), bus=bus)
+                     instruments=[i for i in (bus, oracle) if i is not None])
     record: Dict[str, Any] = {
         "protocol": protocol.value,
         "total_cycles": result.total_cycles,

@@ -9,9 +9,10 @@ by examples, tests and benchmarks.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.core import Core
@@ -20,10 +21,9 @@ from repro.memory.directory import LineInfo
 from repro.memory.page_map import PageMapper
 from repro.network.message import core_node, dir_node
 from repro.network.noc import Network
-from repro.obs.bus import InstrumentationBus, attach_bus
+from repro.obs.bus import NULL_BUS, NullBus, wire
 from repro.protocols import make_protocol
 from repro.signatures.bulk_signature import SignatureFactory
-from repro.validation.oracle import attach_oracle
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import AppProfile, get_profile
 
@@ -98,6 +98,9 @@ class Machine:
         if workload is None and next_spec is None:
             raise ValueError("need a workload or a next_spec callback")
         self.config = config
+        #: the instruments' fan-out (repro.obs); instruments that emit
+        #: (watchdog, sanitizer) emit here
+        self.obs: NullBus = NULL_BUS
         self.sim = Simulator()
         self.network = Network(config, self.sim)
         self.page_mapper = PageMapper(config.page_bytes, config.n_directories)
@@ -197,17 +200,31 @@ class Machine:
         return filled
 
     def run(self, max_events: int = DEFAULT_EVENT_GUARD,
-            prewarm: bool = True) -> None:
-        if prewarm:
-            self.prewarm()
-        for core in self.cores:
-            core.start()
-        self.sim.run(max_events=max_events)
-        unfinished = [c.core_id for c in self.cores if not c.finished]
-        if unfinished:
-            raise RuntimeError(
-                f"simulation quiesced with unfinished cores {unfinished} "
-                f"at cycle {self.sim.now}")
+            prewarm: bool = True,
+            instruments: Sequence[NullBus] = ()) -> None:
+        """Run to completion, watched by ``instruments`` (see repro.obs).
+
+        The instruments are wired and attached in list order before
+        anything runs; each one's ``finish`` is called afterwards, last
+        attached first, whether the run raised or not.
+        """
+        wire(self, instruments)
+        with ExitStack() as finishing:
+            for instrument in instruments:
+                instrument.attach(self)
+                finishing.push(
+                    lambda _t, error, _tb, inst=instrument:
+                    inst.finish(self, error))
+            if prewarm:
+                self.prewarm()
+            for core in self.cores:
+                core.start()
+            self.sim.run(max_events=max_events)
+            unfinished = [c.core_id for c in self.cores if not c.finished]
+            if unfinished:
+                raise RuntimeError(
+                    f"simulation quiesced with unfinished cores {unfinished} "
+                    f"at cycle {self.sim.now}")
 
     # ------------------------------------------------------------------
     def result(self, app: str, active_cores: int,
@@ -260,37 +277,9 @@ class SimulationRunner:
 
     def run(self, keep_machine: bool = False,
             max_events: int = DEFAULT_EVENT_GUARD,
-            oracle: bool = False,
-            bus: Optional[InstrumentationBus] = None,
-            faults=None, watchdog: Optional[int] = None,
-            profile=None) -> RunResult:
+            instruments: Sequence[NullBus] = ()) -> RunResult:
         machine = Machine(self.config, workload=self.workload)
-        # Fault injectors install first so the oracle and the bus observe
-        # the injured machine exactly as they observe a nominal one.  An
-        # empty plan installs nothing: the run stays byte-identical.
-        if faults is not None:
-            from repro.faults.injectors import apply_plan
-            apply_plan(faults, machine)
-        if bus is not None:
-            attach_bus(machine, bus)
-        if watchdog is not None:
-            from repro.faults.watchdog import attach_watchdog
-            attach_watchdog(machine, window=watchdog, bus=bus)
-        if profile is not None:
-            from repro.obs.profile import HostProfiler, attach_profiler
-            if profile is True:
-                profile = HostProfiler()
-            attach_profiler(machine, profile)
-        checker = attach_oracle(machine) if oracle else None
-        try:
-            machine.run(max_events=max_events)
-        finally:
-            # A failed run (livelock guard, unfinished cores) still flushes
-            # its final metrics snapshot and closes the stream.
-            if profile is not None:
-                profile.stop(machine.sim.now)
-        if checker is not None:
-            checker.assert_clean()
+        machine.run(max_events=max_events, instruments=instruments)
         return machine.result(self.profile.name, self.active_cores,
                               keep_machine=keep_machine)
 
@@ -299,24 +288,18 @@ def run_app(app: str, *, n_cores: int = 16,
             protocol: ProtocolKind = ProtocolKind.SCALABLEBULK,
             active_cores: Optional[int] = None, chunks_per_partition: int = 4,
             n_partitions: Optional[int] = None, access_scale: float = 1.0,
-            keep_machine: bool = False, oracle: bool = False,
-            bus: Optional[InstrumentationBus] = None,
-            faults=None, watchdog: Optional[int] = None,
-            profile=None, **config_overrides) -> RunResult:
+            keep_machine: bool = False,
+            instruments: Sequence[NullBus] = (),
+            **config_overrides) -> RunResult:
     """One-call experiment: build the Table 2 machine and run one app.
 
-    ``oracle=True`` attaches the global invalidation oracle and raises at
-    the end of the run if any commit missed a conflicting chunk; the
-    oracle checks ScalableBulk group confirmations, so for any other
-    protocol it raises ``ValueError`` before the run starts.
-    ``bus`` attaches an instrumentation bus (repro.obs) before the run.
-    ``faults`` installs a :class:`repro.faults.FaultPlan`'s injectors and
-    ``watchdog`` attaches the liveness watchdog with the given window
-    (both imported lazily: nominal runs never touch repro.faults).
-    ``profile`` attaches a host-time self-profiler
-    (:class:`repro.obs.profile.HostProfiler`, or ``True`` for a fresh
-    one; imported lazily) — host-side observation only, the simulated
-    run is identical with or without it.
+    ``instruments`` watch the run (``Machine.run``): e.g.
+    ``[InstrumentationBus()]`` records a trace, ``[InvalidationOracle()]``
+    raises at the end of the run if any commit missed a conflicting chunk
+    (and refuses any protocol but ScalableBulk before the run starts),
+    ``[HostProfiler()]`` attributes host time, ``[FaultEngine(plan),
+    LivenessWatchdog(window=w)]`` injects faults and watches progress.
+    Observers leave the simulated run byte-identical.
     """
     config = SystemConfig(n_cores=n_cores, protocol=protocol,
                           **config_overrides)
@@ -324,8 +307,7 @@ def run_app(app: str, *, n_cores: int = 16,
         app, config, active_cores=active_cores,
         chunks_per_partition=chunks_per_partition,
         n_partitions=n_partitions, access_scale=access_scale)
-    return runner.run(keep_machine=keep_machine, oracle=oracle, bus=bus,
-                      faults=faults, watchdog=watchdog, profile=profile)
+    return runner.run(keep_machine=keep_machine, instruments=instruments)
 
 
 __all__ = ["DEFAULT_EVENT_GUARD", "Machine", "RunResult", "SimulationRunner",

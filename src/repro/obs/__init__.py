@@ -4,11 +4,12 @@ See ``docs/observability.md`` for the hook-point catalog and a Perfetto
 walkthrough.  Typed emit calls are built into the simulator, NoC, cores,
 directory engines and baseline protocols — all behind a null-sink fast
 path so an uninstrumented run is byte-identical to one with no tracing
-at all.
+at all.  Every checker, tracer, watchdog, profiler and perturbation is a
+:class:`NullBus` subclass handed to ``Machine.run(instruments=[...])``.
 """
 
 from repro.obs.bus import (
-    NULL_BUS, InstrumentationBus, NullBus, ObsEvent, attach_bus, ctag_str,
+    NULL_BUS, FanOut, InstrumentationBus, NullBus, ObsEvent, ctag_str,
 )
 from repro.obs.critical_path import (
     CommitPath, CriticalPathReport, analyze_commit_paths,
@@ -22,19 +23,17 @@ from repro.obs.metrics import (
     validate_metrics_jsonl,
 )
 from repro.obs.profile import (
-    HostProfiler, ProfileReport, aggregate_profiles, attach_profiler,
-    make_profiler,
+    HostProfiler, ProfileReport, aggregate_profiles, make_profiler,
 )
 
 __all__ = [
-    "NULL_BUS", "NullBus", "InstrumentationBus", "ObsEvent",
-    "attach_bus", "ctag_str",
+    "NULL_BUS", "NullBus", "FanOut", "InstrumentationBus", "ObsEvent",
+    "ctag_str",
     "CommitPath", "CriticalPathReport", "analyze_commit_paths",
     "to_csv", "to_jsonl", "to_perfetto", "to_perfetto_profile",
     "validate_perfetto",
     "GaugeSet", "RingSeries",
     "CounterMetric", "FixedHistogram", "MetricsRegistry", "MetricsStream",
     "validate_metrics_jsonl",
-    "HostProfiler", "ProfileReport", "aggregate_profiles", "attach_profiler",
-    "make_profiler",
+    "HostProfiler", "ProfileReport", "aggregate_profiles", "make_profiler",
 ]

@@ -36,7 +36,8 @@ hook               emitted from                       payload
 ``commit_complete`` cpu/core.py                       chunk tag, n_dirs
 ``grab_recv``      core/directory_engine.py           dir, cid
 ``grab_admit``     core/directory_engine.py           dir, cid, successor
-``group_formed``   directory / baseline engines       dir (None = agent)
+``group_formed``   directory / baseline engines       dir (None = agent),
+                                                      write lines, targets
 ``group_failed``   core/directory_engine.py           dir, cid, genuine
 ``commit_finished`` core/directory_engine.py          leader dir, cid
 ``dir_occupancy``  directories (gauge only)           CST / queue depth
@@ -46,12 +47,23 @@ hook               emitted from                       payload
 ``watchdog_fire``  faults/watchdog.py                 fires, commits, state
 ``state_access``   analysis/races/sanitizer.py        cls, handler, attr, op
 =================  =================================  =====================
+
+**Instruments.**  Every checker, tracer, watchdog, profiler and
+perturbation subclasses :class:`NullBus`, overrides only the hooks it
+reads, and is handed to ``Machine.run(instruments=[...])``, which calls
+each one's :meth:`~NullBus.attach`, runs, and calls its
+:meth:`~NullBus.finish` whether the run raised or not.  A
+:class:`FanOut` over the list becomes the components' ``obs``; when no
+instrument overrides a hook a component emits, that component keeps
+:data:`NULL_BUS` (a profiler-only run times the untraced code path).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Set)
 
 from repro.obs.gauges import DEFAULT_CAPACITY, GaugeSet
 
@@ -120,15 +132,23 @@ class ObsEvent:
 
 
 class NullBus:
-    """The default sink: every hook is a no-op, ``enabled`` is False.
+    """The default sink and the base of every instrument: each hook and
+    both lifecycle calls are no-ops, ``enabled`` is False.
 
     Components call hooks only behind an ``if self.obs.enabled:`` guard, so
     with the null bus attached no payload is ever built; these methods
-    exist so an unguarded call is still safe and so the live bus inherits
-    one canonical hook signature set.
+    exist so an unguarded call is still safe and so every instrument
+    inherits one canonical hook signature set.
     """
 
     enabled: bool = False
+
+    # -- lifecycle (called by Machine.run) -------------------------------
+    def attach(self, machine: Any) -> None:
+        """Bind to ``machine`` before its run; raise to refuse it."""
+
+    def finish(self, machine: Any, error: Optional[BaseException]) -> None:
+        """The run ended; ``error`` is what it raised (None: it completed)."""
 
     # -- engine --------------------------------------------------------
     def sim_step(self, time: int, queue_depth: int) -> None:
@@ -172,8 +192,14 @@ class NullBus:
         """The module set its h bit; ``next_dir`` receives the grab next."""
 
     def group_formed(self, time: int, dir_id: Optional[int], cid: Any,
-                     proc: int, order: Sequence[int]) -> None:
-        """A commit group formed (``dir_id`` None = a central agent)."""
+                     proc: int, order: Sequence[int],
+                     write_lines: Iterable[int],
+                     targets: Optional[Set[int]]) -> None:
+        """A commit group formed (``dir_id`` None = a central agent).
+
+        Fires before the commit applies.  ``targets`` are the cores the
+        bulk invalidation will reach (``inval_acc | local_sharers``);
+        None where no group-wide invalidation set exists (baselines)."""
 
     def group_failed(self, time: int, dir_id: int, cid: Any, proc: int,
                      genuine: bool, leader_here: bool) -> None:
@@ -285,7 +311,9 @@ class InstrumentationBus(NullBus):
                    next_dir=next_dir)
 
     def group_formed(self, time: int, dir_id: Optional[int], cid: Any,
-                     proc: int, order: Sequence[int]) -> None:
+                     proc: int, order: Sequence[int],
+                     write_lines: Iterable[int],
+                     targets: Optional[Set[int]]) -> None:
         src = "arbiter" if dir_id is None else f"dir{dir_id}"
         self._emit(time, GROUP_FORMED, src, cid, dir=dir_id, proc=proc,
                    order=list(order))
@@ -347,31 +375,64 @@ class InstrumentationBus(NullBus):
                 f"series={len(self.gauges.series())})")
 
 
-def attach_bus(machine: Any, bus: Optional[InstrumentationBus] = None
-               ) -> InstrumentationBus:
-    """Attach ``bus`` (or a fresh one) to every component of ``machine``.
+#: Every hook point; the event-kind constants are the hook method names.
+HOOKS = (SIM_STEP, MSG_SEND, MSG_RECV, EXEC_START, EXEC_DONE, SQUASH,
+         COMMIT_REQUEST, COMMIT_RETRY, COMMIT_COMPLETE, GRAB_RECV,
+         GRAB_ADMIT, GROUP_FORMED, GROUP_FAILED, COMMIT_FINISHED,
+         DIR_OCCUPANCY, DIR_NACK, OCI_RECALL, ARBITER_DECISION,
+         WATCHDOG_FIRE, STATE_ACCESS)
 
-    Call before ``machine.run()``.  Attaching replaces any previously
-    attached bus; the null-sink default is restored only by building a new
-    machine.
+
+def _broadcast(subscribers: List[Callable[..., None]]) -> Callable[..., None]:
+    def hook(*args: Any) -> None:
+        for subscriber in subscribers:
+            subscriber(*args)
+    return hook
+
+
+class FanOut(NullBus):
+    """One sink over a list of instruments.
+
+    Each hook is resolved once: with no subscriber it stays the inherited
+    no-op, with one it is that instrument's bound method, with several a
+    loop over them in list order.  ``hooks`` names the subscribed ones.
     """
-    if bus is None:
-        bus = InstrumentationBus()
-    machine.obs = bus
-    machine.sim.obs = bus
-    machine.network.obs = bus
-    for core in machine.cores:
-        core.obs = bus
-    for directory in machine.directories:
-        directory.obs = bus
+
+    enabled = True
+
+    def __init__(self, instruments: Sequence[NullBus]) -> None:
+        self.hooks: Set[str] = set()
+        for hook in HOOKS:
+            default = getattr(NullBus, hook)
+            subscribers = [getattr(i, hook) for i in instruments
+                           if getattr(type(i), hook) is not default]
+            if subscribers:
+                self.hooks.add(hook)
+                setattr(self, hook, subscribers[0] if len(subscribers) == 1
+                        else _broadcast(subscribers))
+
+
+def wire(machine: Any, instruments: Sequence[NullBus]) -> None:
+    """Point every component's ``obs`` at the fan-out of ``instruments``.
+
+    The event loop and the NoC emit per event and per message, so they
+    take the fan-out only when a hook they emit has a subscriber; every
+    component keeps :data:`NULL_BUS` when no hook has one.
+    """
+    fan = FanOut(instruments)
+    if not fan.hooks:
+        return
+    machine.obs = fan
+    if SIM_STEP in fan.hooks:
+        machine.sim.obs = fan
+    if fan.hooks & {MSG_SEND, MSG_RECV}:
+        machine.network.obs = fan
     protocol = machine.protocol
-    for engine in getattr(protocol, "engines", ()):
-        engine.obs = bus
-    for agent_attr in ("arbiter", "vendor"):
-        agent = getattr(protocol, agent_attr, None)
-        if agent is not None:
-            agent.obs = bus
-    return bus
+    agents = [getattr(protocol, name, None) for name in ("arbiter", "vendor")]
+    for component in chain(machine.cores, machine.directories,
+                           getattr(protocol, "engines", ()), agents):
+        if component is not None:
+            component.obs = fan
 
 
 __all__ = [
@@ -380,6 +441,6 @@ __all__ = [
     "EXEC_DONE", "EXEC_START", "GAUGE_ONLY_KINDS", "GRAB_ADMIT",
     "GRAB_RECV", "GROUP_FAILED", "GROUP_FORMED", "MSG_RECV", "MSG_SEND",
     "NULL_BUS", "NullBus", "InstrumentationBus", "ObsEvent", "OCI_RECALL",
-    "SIM_STEP", "SQUASH", "STATE_ACCESS", "WATCHDOG_FIRE", "attach_bus",
-    "ctag_str",
+    "FanOut", "HOOKS", "SIM_STEP", "SQUASH", "STATE_ACCESS", "WATCHDOG_FIRE",
+    "ctag_str", "wire",
 ]

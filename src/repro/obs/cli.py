@@ -86,7 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     proto = {p.value.lower(): p for p in ProtocolKind}[args.protocol.lower()]
     bus = InstrumentationBus(record_messages=not args.no_messages)
     result = run_app(args.app, n_cores=args.cores, protocol=proto,
-                     chunks_per_partition=args.chunks, bus=bus)
+                     chunks_per_partition=args.chunks, instruments=[bus])
 
     n = write_trace(bus, args.out, args.format)
     print(f"{args.app} on {args.cores} cores ({proto.value}): "

@@ -30,11 +30,14 @@ the unprofiled remainder ("other": heap ops, workload generation, stats)
 sum to 100% of run wall time by construction.
 
 **Attach by wrapping.**  No simulator component knows this module
-exists: :func:`attach_profiler` installs per-instance wrappers (and
-points the signature factory at a scoped subclass) on one built
-machine, the way the oracle and the explorer's mutations attach.  Each
-hot method keeps exactly one body, so a run with profiling off pays
-nothing for it.
+exists.  :class:`HostProfiler` is an instrument
+(``Machine.run(instruments=[profiler])``) that subscribes to no hook
+point: its ``attach`` installs per-instance wrappers (and points the
+signature factory at a scoped subclass) on the machine it runs with, and
+its ``finish`` stops the clock, failed run or not.  Each hot method keeps
+exactly one body, and a profiler-only run leaves every component on the
+null bus, so a run with profiling off pays nothing and a profiled run
+times the untraced code path.
 
 **Quarantine rule.**  This is the one module (with the benchmark
 harness) allowed to read the host clock — every ``perf_counter_ns`` call
@@ -58,6 +61,7 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.bus import NullBus
 from repro.obs.metrics import MetricsRegistry, MetricsStream
 
 SCHEMA = "repro-profile-v1"
@@ -95,7 +99,7 @@ class ScopeStats:
         self.self_ns = 0
 
 
-class HostProfiler:
+class HostProfiler(NullBus):
     """Scoped host-time aggregation with self-time attribution.
 
     ``enter``/``exit`` maintain an explicit scope stack; exiting charges
@@ -123,6 +127,45 @@ class HostProfiler:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def attach(self, machine: Any) -> None:
+        """Scope every profiled hot path of ``machine`` and start the
+        clock.  Each hot path gets a per-instance wrapper; signatures the
+        factory hands out from now on are scoped.  The profiler reads the
+        host clock and writes only its own state: simulation behaviour is
+        unchanged whether or not one is attached."""
+        scoped = self.scoped
+        sim = machine.sim
+
+        def dispatch_scope(callback: Callable[[], None]) -> Callable[[], None]:
+            return scoped(ENGINE_DISPATCH, callback,
+                          lambda: self.exit_dispatch(sim.now))
+
+        schedule_at = sim.schedule_at
+
+        def scheduled(time: int, callback: Callable[[], None],
+                      tag: Any = None) -> Any:
+            return schedule_at(time, dispatch_scope(callback), tag=tag)
+
+        sim.schedule_at = scheduled
+        for event in sim._heap:          # events queued before attach
+            event.callback = dispatch_scope(event.callback)
+
+        network = machine.network
+        network._send = scoped(NOC_TRANSIT, network._send)
+        _scope_signatures(self, machine.sig_factory)
+        for directory in machine.directories:
+            directory._dispatch = scoped(DIR_HANDLER, directory._dispatch)
+            collides = getattr(directory, "_collides", None)
+            if collides is not None:     # ScalableBulk directories only
+                directory._collides = scoped(CST_CONFLICT, collides)
+        machine.prewarm = scoped(MACHINE_PREWARM, machine.prewarm)
+        self.start()
+
+    def finish(self, machine: Any, error: Optional[BaseException]) -> None:
+        """A failed run (livelock guard, unfinished cores) still flushes
+        its final metrics snapshot and closes the stream."""
+        self.stop(machine.sim.now)
+
     def start(self) -> None:
         """Anchor the run's wall clock (first call wins; attach calls it)."""
         if self._t_start_ns is None:
@@ -379,47 +422,6 @@ def _scope_signatures(profiler: HostProfiler, factory: Any) -> None:
     factory._write_set_cls = ScopedWriteSet
 
 
-def attach_profiler(machine: Any,
-                    profiler: Optional[HostProfiler] = None) -> HostProfiler:
-    """Attach ``profiler`` (or a fresh one) to every profiled hot path.
-
-    Call before ``machine.run()``.  Each hot path gets a per-instance
-    wrapper; signatures the factory hands out from now on are scoped.
-    The profiler reads the host clock and writes only its own state:
-    simulation behaviour is unchanged whether or not one is attached.
-    """
-    if profiler is None:
-        profiler = HostProfiler()
-    scoped = profiler.scoped
-    sim = machine.sim
-
-    def dispatch_scope(callback: Callable[[], None]) -> Callable[[], None]:
-        return scoped(ENGINE_DISPATCH, callback,
-                      lambda: profiler.exit_dispatch(sim.now))
-
-    schedule_at = sim.schedule_at
-
-    def scheduled(time: int, callback: Callable[[], None],
-                  tag: Any = None) -> Any:
-        return schedule_at(time, dispatch_scope(callback), tag=tag)
-
-    sim.schedule_at = scheduled
-    for event in sim._heap:          # events queued before attach
-        event.callback = dispatch_scope(event.callback)
-
-    network = machine.network
-    network._send = scoped(NOC_TRANSIT, network._send)
-    _scope_signatures(profiler, machine.sig_factory)
-    for directory in machine.directories:
-        directory._dispatch = scoped(DIR_HANDLER, directory._dispatch)
-        collides = getattr(directory, "_collides", None)
-        if collides is not None:     # ScalableBulk directories only
-            directory._collides = scoped(CST_CONFLICT, collides)
-    machine.prewarm = scoped(MACHINE_PREWARM, machine.prewarm)
-    profiler.start()
-    return profiler
-
-
 def make_profiler(config: Any = None, *, metrics_interval: Optional[int] = None,
                   metrics_out: Any = None,
                   keep_snapshots: bool = False) -> HostProfiler:
@@ -484,7 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              keep_snapshots=bool(args.perfetto))
     result = run_app(args.app, n_cores=args.cores, protocol=proto,
                      chunks_per_partition=args.chunks,
-                     n_partitions=args.partitions, profile=profiler)
+                     n_partitions=args.partitions, instruments=[profiler])
 
     wall_s = profiler.wall_ns / 1e9
     print(f"{args.app} on {args.cores} cores ({proto.value}): "
@@ -525,7 +527,7 @@ __all__ = ["CST_CONFLICT", "DIR_HANDLER", "ENGINE_DISPATCH", "HOT_SCOPES",
            "HostProfiler", "MACHINE_PREWARM", "NOC_TRANSIT", "OTHER",
            "ProfileReport", "SCHEMA", "SIG_INSERT", "SIG_INTERSECT",
            "SIG_MEMBER", "SIG_PROBE", "ScopeStats", "aggregate_profiles",
-           "attach_profiler", "main", "make_profiler", "render_share_line"]
+           "main", "make_profiler", "render_share_line"]
 
 
 if __name__ == "__main__":

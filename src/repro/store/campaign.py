@@ -137,13 +137,11 @@ def run_one(app: str, n_cores: int, protocol: ProtocolKind,
     runner = SimulationRunner(app, config, active_cores=active_cores,
                               chunks_per_partition=chunks,
                               n_partitions=n_partitions)
-    profiler = None
-    if profile:
-        from repro.obs.profile import HostProfiler
-        from repro.provenance import provenance
-        profiler = HostProfiler(provenance=provenance(config))
+    from repro.obs.profile import make_profiler
+    profiler = make_profiler(config) if profile else None
     t0 = time.time()  # repro: allow SB304
-    result = runner.run(keep_machine=True, bus=bus, profile=profiler)
+    result = runner.run(keep_machine=True, instruments=[
+        i for i in (bus, profiler) if i is not None])
     wall = time.time() - t0  # repro: allow SB304
     stats = result.machine.protocol.stats
     record = {

@@ -6,20 +6,23 @@ core whose active chunks truly conflict with the committing write-set must
 appear in the accumulated ``inval_vec`` — otherwise a conflicting chunk
 would survive unsquashed and serializability would be lost.
 
-The oracle wraps each directory's ``_confirm_group`` with a global check
-(it can see all cores; the hardware cannot, which is the point: the
+The oracle subscribes to the ``group_formed`` hook, which the leader
+emits at confirmation, before the commit applies, carrying the write
+lines and the invalidation targets.  It checks them against a global
+view (it can see all cores; the hardware cannot, which is the point: the
 distributed sharer bookkeeping must add up to this global property).
 
-Violations are collected, not raised, so a test can assert
-``oracle.violations == []`` after the run and report every break at once.
+Violations are collected; at the end of a completed run the oracle
+raises with every break at once (:meth:`InvalidationOracle.assert_clean`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Set
+from dataclasses import dataclass
+from typing import Any, Iterable, List, Optional, Sequence, Set
 
 from repro.core.directory_engine import ScalableBulkDirectory
+from repro.obs.bus import NullBus
 
 
 @dataclass
@@ -39,46 +42,55 @@ class Violation:
                 f"{self.missed_core} (lines {sorted(self.conflict_lines)[:4]})")
 
 
-class InvalidationOracle:
-    """Watches every group confirmation on a ScalableBulk machine."""
+class InvalidationOracle(NullBus):
+    """Checks every group confirmation on a ScalableBulk machine."""
 
-    def __init__(self, machine) -> None:
-        self.machine = machine
+    def __init__(self) -> None:
+        self.machine: Any = None
         self.violations: List[Violation] = []
         self.commits_checked = 0
-        for d in machine.directories:
-            if isinstance(d, ScalableBulkDirectory):
-                self._wrap(d)
 
-    def _wrap(self, directory: ScalableBulkDirectory) -> None:
-        original = directory._confirm_group
+    def attach(self, machine: Any) -> None:
+        """Refuses a machine without ScalableBulk directories: the other
+        protocols never confirm a group, so the oracle would pass without
+        checking a single commit."""
+        if not any(isinstance(d, ScalableBulkDirectory)
+                   for d in machine.directories):
+            raise ValueError(
+                "the invalidation oracle checks ScalableBulk group "
+                "confirmations; this machine has no ScalableBulk directory")
+        self.machine = machine
 
-        def checked(entry):
-            self._check(entry)
-            original(entry)
+    def group_formed(self, time: int, dir_id: Optional[int], cid: Any,
+                     proc: int, order: Sequence[int],
+                     write_lines: Iterable[int],
+                     targets: Optional[Set[int]]) -> None:
+        self.violations.extend(self.missed(cid, proc, write_lines, targets))
 
-        directory._confirm_group = checked
+    def finish(self, machine: Any, error: Optional[BaseException]) -> None:
+        if error is None:
+            self.assert_clean()
 
-    def _check(self, entry) -> None:
+    def missed(self, cid: Any, proc: int, write_lines: Iterable[int],
+               targets: Optional[Set[int]]) -> List[Violation]:
+        """The conflicting chunks a confirmation's targets leave out."""
         self.commits_checked += 1
-        write_lines = set(entry.write_lines)
-        if not write_lines:
-            return
-        targets = set(entry.inval_acc) | set(entry.local_sharers)
+        written = set(write_lines)
+        if not written:
+            return []
+        targets = targets or set()
+        out: List[Violation] = []
         for core in self.machine.cores:
-            if core.core_id == entry.proc:
+            if core.core_id == proc or core.core_id in targets:
                 continue
             for chunk in core.active_chunks():
-                overlap = write_lines & (chunk.read_lines | chunk.write_lines)
-                if overlap and core.core_id not in targets:
-                    self.violations.append(Violation(
-                        time=self.machine.sim.now,
-                        committing_cid=entry.cid,
-                        writer=entry.proc,
-                        missed_core=core.core_id,
-                        conflicting_tag=chunk.tag,
-                        conflict_lines=overlap,
-                    ))
+                overlap = written & (chunk.read_lines | chunk.write_lines)
+                if overlap:
+                    out.append(Violation(
+                        time=self.machine.sim.now, committing_cid=cid,
+                        writer=proc, missed_core=core.core_id,
+                        conflicting_tag=chunk.tag, conflict_lines=overlap))
+        return out
 
     def assert_clean(self) -> None:
         """Raise with a readable report if any violation was recorded."""
@@ -89,20 +101,4 @@ class InvalidationOracle:
                 f"violation(s):\n{report}")
 
 
-def attach_oracle(machine) -> InvalidationOracle:
-    """Build and attach the oracle to a ScalableBulk machine (call before
-    ``machine.run()``).
-
-    Raises ``ValueError`` on a machine without ScalableBulk directories:
-    the other protocols never confirm a group, so the oracle would pass
-    without checking a single commit.
-    """
-    if not any(isinstance(d, ScalableBulkDirectory)
-               for d in machine.directories):
-        raise ValueError(
-            "the invalidation oracle checks ScalableBulk group "
-            "confirmations; this machine has no ScalableBulk directory")
-    return InvalidationOracle(machine)
-
-
-__all__ = ["InvalidationOracle", "Violation", "attach_oracle"]
+__all__ = ["InvalidationOracle", "Violation"]

@@ -2,8 +2,8 @@
 
 The appendix of the paper specifies, per directory-module role, the legal
 successions of sent/received messages for successful and failed commits.
-:class:`ProtocolConformanceChecker` taps every packet on the NoC and
-validates a distilled set of those ordering rules for each
+:class:`ProtocolConformanceChecker` sees every packet on the NoC through
+the ``msg_send`` hook and validates a distilled set of those ordering rules for each
 (directory, commit instance) conversation:
 
 * a module sends ``g`` only after receiving the ``commit_request`` — and,
@@ -26,10 +26,11 @@ break at once.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.network.message import Message, MessageType
+from repro.obs.bus import NullBus
 
 #: message types that belong to a ScalableBulk commit conversation
 _CONVERSATION = {
@@ -53,24 +54,22 @@ class OrderingViolation:
 
 @dataclass
 class _DirView:
-    """What one directory has seen/sent for one commit instance."""
+    """What one directory has seen/sent for one commit instance (only
+    what a rule reads)."""
 
     got_request: bool = False
     got_g: bool = False
     got_g_success: bool = False
     got_g_failure: bool = False
-    got_commit_done: bool = False
-    sent_g: bool = False
     sent_g_success: bool = False
-    sent_g_failure: bool = False
-    sent_bulk_inv: bool = False
 
 
-class ProtocolConformanceChecker:
-    """Taps the NoC of a ScalableBulk machine and checks orderings."""
+class ProtocolConformanceChecker(NullBus):
+    """Checks the orderings of every packet a ScalableBulk machine sends
+    (the ``msg_send`` hook)."""
 
-    def __init__(self, machine) -> None:
-        self.machine = machine
+    def __init__(self) -> None:
+        self.machine: Any = None
         self.violations: List[OrderingViolation] = []
         self.messages_checked = 0
         #: (dir_id, cid) -> view
@@ -80,26 +79,21 @@ class ProtocolConformanceChecker:
         self._orders: Dict[object, tuple] = {}
         #: cid -> outcomes delivered to the processor
         self._outcomes: Dict[object, Set[str]] = defaultdict(set)
-        network = machine.network
-        original = network.send
 
-        def tapped(msg: Message):
-            self._observe(msg)
-            return original(msg)
-
-        network.send = tapped
+    def attach(self, machine: Any) -> None:
+        self.machine = machine
 
     # ------------------------------------------------------------------
     def _flag(self, cid, rule: str, detail: str = "") -> None:
         self.violations.append(OrderingViolation(
             time=self.machine.sim.now, cid=cid, rule=rule, detail=detail))
 
-    def _observe(self, msg: Message) -> None:
+    def msg_send(self, time: int, msg: Message, latency: int,
+                 hops: int) -> None:
         if msg.mtype not in _CONVERSATION:
             return
         self.messages_checked += 1
         cid = msg.ctag
-        now = self.machine.sim.now
 
         if msg.mtype is MessageType.COMMIT_REQUEST:
             order = msg.payload["order"]
@@ -132,7 +126,6 @@ class ProtocolConformanceChecker:
         view = self._views[(dir_id, cid)]
         leader = self._leaders.get(cid)
         if msg.mtype is MessageType.G:
-            view.sent_g = True
             if view.got_g_failure:
                 self._flag(cid, "g after g_failure", f"dir {dir_id}")
             if not view.got_request:
@@ -150,10 +143,7 @@ class ProtocolConformanceChecker:
                            f"dir {dir_id}")
             if view.got_g_failure:
                 self._flag(cid, "g_success after g_failure", f"dir {dir_id}")
-        elif msg.mtype is MessageType.G_FAILURE:
-            view.sent_g_failure = True
         elif msg.mtype is MessageType.BULK_INV:
-            view.sent_bulk_inv = True
             if dir_id != leader:
                 self._flag(cid, "bulk_inv from non-leader", f"dir {dir_id}")
             if not view.sent_g_success:
@@ -178,7 +168,6 @@ class ProtocolConformanceChecker:
             if not (view.got_g_success or self._leaders.get(cid) == dir_id):
                 self._flag(cid, "commit_done before g_success",
                            f"dir {dir_id}")
-            view.got_commit_done = True
 
     # ------------------------------------------------------------------
     def assert_clean(self) -> None:
@@ -188,10 +177,4 @@ class ProtocolConformanceChecker:
                 f"{len(self.violations)} ordering violation(s):\n{report}")
 
 
-def attach_conformance_checker(machine) -> ProtocolConformanceChecker:
-    """Build the checker and tap the machine's network."""
-    return ProtocolConformanceChecker(machine)
-
-
-__all__ = ["OrderingViolation", "ProtocolConformanceChecker",
-           "attach_conformance_checker"]
+__all__ = ["OrderingViolation", "ProtocolConformanceChecker"]

@@ -15,7 +15,7 @@ import pytest
 from repro.config import ProtocolKind, SystemConfig
 from repro.engine.events import Simulator
 from repro.harness.runner import Machine
-from repro.obs.bus import InstrumentationBus, attach_bus
+from repro.obs.bus import InstrumentationBus
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
@@ -27,9 +27,7 @@ def _protocol_result(protocol: ProtocolKind, tie_breaker=None, bus=None):
     machine = Machine(config, workload=workload)
     if tie_breaker is not None:
         machine.sim.tie_breaker = tie_breaker
-    if bus is not None:
-        attach_bus(machine, bus)
-    machine.run()
+    machine.run(instruments=[bus] if bus is not None else [])
     return machine.result("Radix", 4), machine.sim.now
 
 

@@ -11,8 +11,7 @@ import pytest
 from repro.config import ProtocolKind, SystemConfig
 from repro.harness.runner import Machine
 from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, GROUP_FAILED,
-                           GROUP_FORMED, SQUASH, InstrumentationBus,
-                           attach_bus)
+                           GROUP_FORMED, SQUASH, InstrumentationBus)
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
@@ -25,8 +24,8 @@ def committed_timeline(app: str, seed: int, protocol: ProtocolKind,
                                  active_cores=n_cores,
                                  chunks_per_partition=2)
     machine = Machine(config, workload=workload)
-    bus = attach_bus(machine, InstrumentationBus(record_messages=False))
-    machine.run()
+    bus = InstrumentationBus(record_messages=False)
+    machine.run(instruments=[bus])
     events = [e.to_json() for e in bus.of_kind(
         COMMIT_REQUEST, COMMIT_COMPLETE, SQUASH, GROUP_FORMED, GROUP_FAILED)]
     return events, machine.sim.now

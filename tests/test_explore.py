@@ -29,8 +29,7 @@ from repro.engine.events import Event, Simulator
 from repro.engine.rng import DeterministicRng
 from repro.harness.runner import Machine
 from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, GROUP_FAILED,
-                           GROUP_FORMED, SQUASH, InstrumentationBus,
-                           attach_bus)
+                           GROUP_FORMED, SQUASH, InstrumentationBus)
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
@@ -38,9 +37,9 @@ from repro.workloads.profiles import get_profile
 NOMINAL = sorted(n for n, m in MUTATIONS.items() if not m.chaos_only)
 
 
-def _timeline(machine: Machine):
-    bus = attach_bus(machine, InstrumentationBus(record_messages=False))
-    machine.run()
+def _timeline(machine: Machine, *instruments):
+    bus = InstrumentationBus(record_messages=False)
+    machine.run(instruments=[*instruments, bus])
     return [e.to_json() for e in bus.of_kind(
         COMMIT_REQUEST, COMMIT_COMPLETE, SQUASH, GROUP_FORMED,
         GROUP_FAILED)], machine.sim.now
@@ -58,30 +57,25 @@ class TestHookDefaultPath:
     def test_empty_schedule_is_byte_identical(self):
         """Attached hooks with the empty schedule == no hooks at all."""
         bare, bare_cycles = _timeline(_workload_machine())
-        hooked_machine = _workload_machine()
-        ScheduleController(Schedule()).attach(hooked_machine)
-        hooked, hooked_cycles = _timeline(hooked_machine)
+        hooked, hooked_cycles = _timeline(_workload_machine(),
+                                          ScheduleController(Schedule()))
         assert bare, "run produced no commit events"
         assert bare_cycles == hooked_cycles
         assert bare == hooked
 
     def test_all_default_picks_realize_to_empty_schedule(self):
         controller = ScheduleController(Schedule())
-        machine = _workload_machine()
-        controller.attach(machine)
-        machine.run()
+        _workload_machine().run(instruments=[controller])
         assert controller.realized.trimmed().ties == []
         assert controller.realized.trimmed().delays == {}
 
 
 class TestHookPerturbedPath:
     def _perturbed(self, seed: int):
-        machine = _workload_machine()
         root = DeterministicRng(seed, "test/explore")
         controller = ScheduleController(
             None, tie_rng=root.split("ties"), delay_rng=root.split("delays"))
-        controller.attach(machine)
-        timeline, cycles = _timeline(machine)
+        timeline, cycles = _timeline(_workload_machine(), controller)
         return timeline, cycles, controller.realized.trimmed()
 
     def test_same_explorer_seed_reproduces(self):

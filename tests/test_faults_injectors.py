@@ -1,22 +1,21 @@
 """Fault injectors: empty-plan transparency, determinism, safety."""
 
-import dataclasses
-
 import pytest
+
+from instrument_matrix import assert_transparent, result_fields, run_radix
 
 from repro.config import ProtocolKind
 from repro.analysis.explore.driver import Perturbation, run_perturbation
+from repro.faults.injectors import FaultEngine
 from repro.faults.plan import FaultPlan, FaultSpec, stress_plan
-from repro.faults.watchdog import DEFAULT_WINDOW
-from repro.harness.runner import run_app
+from repro.faults.watchdog import DEFAULT_WINDOW, LivenessWatchdog
 
 ALL_PROTOCOLS = list(ProtocolKind)
 
 
-def _result_fields(result):
-    d = dataclasses.asdict(result)
-    d.pop("machine")
-    return d
+def _faulted(plan):
+    return result_fields(run_radix(ProtocolKind.SCALABLEBULK,
+                                   [FaultEngine(plan)]))
 
 
 class TestEmptyPlanIsTransparent:
@@ -28,12 +27,9 @@ class TestEmptyPlanIsTransparent:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS,
                              ids=[p.value for p in ALL_PROTOCOLS])
     def test_empty_plan_run_identical_to_plain_run(self, protocol):
-        plain = run_app("Radix", n_cores=4, protocol=protocol,
-                        chunks_per_partition=2)
-        chaos = run_app("Radix", n_cores=4, protocol=protocol,
-                        chunks_per_partition=2,
-                        faults=FaultPlan.empty(), watchdog=DEFAULT_WINDOW)
-        assert _result_fields(plain) == _result_fields(chaos)
+        assert_transparent(protocol, [
+            FaultEngine(FaultPlan.empty()),
+            LivenessWatchdog(window=DEFAULT_WINDOW)])
 
 
 class TestSeededPlanDeterminism:
@@ -49,28 +45,18 @@ class TestSeededPlanDeterminism:
         ))
 
     def test_same_plan_same_result(self):
-        a = run_app("Radix", n_cores=4, chunks_per_partition=2,
-                    faults=self._noisy_plan(11))
-        b = run_app("Radix", n_cores=4, chunks_per_partition=2,
-                    faults=self._noisy_plan(11))
-        assert _result_fields(a) == _result_fields(b)
+        assert _faulted(self._noisy_plan(11)) == _faulted(self._noisy_plan(11))
 
     def test_different_plan_seed_diverges(self):
         """The jittered injectors actually consume their substreams."""
-        a = run_app("Radix", n_cores=4, chunks_per_partition=2,
-                    faults=self._noisy_plan(11))
-        b = run_app("Radix", n_cores=4, chunks_per_partition=2,
-                    faults=self._noisy_plan(12))
-        assert _result_fields(a) != _result_fields(b)
+        assert _faulted(self._noisy_plan(11)) != _faulted(self._noisy_plan(12))
 
     def test_faults_actually_slow_the_run(self):
-        plain = run_app("Radix", n_cores=4, chunks_per_partition=2)
-        faulted = run_app(
-            "Radix", n_cores=4, chunks_per_partition=2,
-            faults=FaultPlan(name="slow", seed=0, faults=(
-                FaultSpec.make("latency-spike", start=0, duration=10**9,
-                               extra=30, jitter=0),)))
-        assert faulted.total_cycles > plain.total_cycles
+        plain = run_radix(ProtocolKind.SCALABLEBULK)
+        faulted = _faulted(FaultPlan(name="slow", seed=0, faults=(
+            FaultSpec.make("latency-spike", start=0, duration=10**9,
+                           extra=30, jitter=0),)))
+        assert faulted["total_cycles"] > plain.total_cycles
 
 
 class TestSafetyUnderFaults:

@@ -6,14 +6,14 @@ from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS, build_machine
 from repro.analysis.explore.driver import Perturbation, run_perturbation
 from repro.faults.plan import stress_plan
-from repro.faults.watchdog import (LivenessWatchdog, attach_watchdog,
-                                   machine_snapshot)
-from repro.obs.bus import WATCHDOG_FIRE, InstrumentationBus, attach_bus
+from repro.faults.watchdog import LivenessWatchdog, machine_snapshot
+from repro.obs.bus import WATCHDOG_FIRE, InstrumentationBus
 
 
-def _run(machine, max_events=150_000):
+def _run(machine, instruments, max_events=150_000):
     try:
-        machine.run(max_events=max_events, prewarm=False)
+        machine.run(max_events=max_events, prewarm=False,
+                    instruments=instruments)
     except RuntimeError:
         pass
 
@@ -21,15 +21,14 @@ def _run(machine, max_events=150_000):
 class TestQuietOnProgress:
     def test_no_fires_on_clean_run(self):
         machine = build_machine(SCENARIOS["mixed3"])
-        dog = attach_watchdog(machine, window=500)
-        _run(machine)
+        dog = LivenessWatchdog(window=500)
+        _run(machine, [dog])
         assert dog.fires == []
         assert dog.checks >= 1
 
     def test_watchdog_rejects_nonpositive_window(self):
-        machine = build_machine(SCENARIOS["mixed3"])
         with pytest.raises(ValueError):
-            LivenessWatchdog(machine, window=0)
+            LivenessWatchdog(window=0)
 
 
 class TestFiresOnStall:
@@ -50,10 +49,11 @@ class TestFiresOnStall:
         # wedge surfaces as livelock (max_events) rather than a drained
         # heap; either way the watchdog stops at max_fires.
         machine = self._wedged_machine()
-        dog = attach_watchdog(machine, window=2_000, max_fires=3)
+        dog = LivenessWatchdog(window=2_000, max_fires=3)
         with pytest.raises(RuntimeError,
                            match="max_events|unfinished cores"):
-            machine.run(max_events=200_000, prewarm=False)
+            machine.run(max_events=200_000, prewarm=False,
+                        instruments=[dog])
         assert len(dog.fires) == 3
         # Fires carry the live CST state for post-mortem debugging.
         snap = dog.fires[-1].snapshot
@@ -63,23 +63,26 @@ class TestFiresOnStall:
 
     def test_fire_json_round_trips(self):
         machine = self._wedged_machine()
-        dog = attach_watchdog(machine, window=2_000, max_fires=1)
+        dog = LivenessWatchdog(window=2_000, max_fires=1)
         with pytest.raises(RuntimeError):
-            machine.run(max_events=10**6, prewarm=False)
+            machine.run(max_events=10**6, prewarm=False, instruments=[dog])
         import json
         blob = json.dumps([f.to_json() for f in dog.fires], sort_keys=True)
         assert json.loads(blob)[0]["commits"] == dog.fires[0].commits
 
     def test_fires_reach_the_obs_bus(self):
-        machine = self._wedged_machine()
-        bus = InstrumentationBus()
-        attach_bus(machine, bus)
-        attach_watchdog(machine, window=2_000, max_fires=2, bus=bus)
-        with pytest.raises(RuntimeError):
-            machine.run(max_events=10**6, prewarm=False)
-        hooks = [e for e in bus.events if e.kind == WATCHDOG_FIRE]
-        assert len(hooks) == 2
-        assert hooks[0].fields["snapshot"]["dirs"]
+        """A recorder anywhere in the instrument list hears the fires."""
+        for recorder_first in (True, False):
+            machine = self._wedged_machine()
+            bus = InstrumentationBus()
+            dog = LivenessWatchdog(window=2_000, max_fires=2)
+            with pytest.raises(RuntimeError):
+                machine.run(max_events=10**6, prewarm=False,
+                            instruments=[bus, dog] if recorder_first
+                            else [dog, bus])
+            hooks = [e for e in bus.events if e.kind == WATCHDOG_FIRE]
+            assert len(hooks) == 2
+            assert hooks[0].fields["snapshot"]["dirs"]
 
 
 class TestSnapshot:

@@ -356,11 +356,12 @@ class TestSendFailureAtomicity:
     def test_failed_send_leaves_profiler_stack_balanced(self):
         from types import SimpleNamespace
 
-        from repro.obs.profile import attach_profiler
+        from repro.obs.profile import HostProfiler
         from repro.signatures.bulk_signature import SignatureFactory
 
         _, sim, net = make_net()
-        prof = attach_profiler(SimpleNamespace(
+        prof = HostProfiler()
+        prof.attach(SimpleNamespace(
             sim=sim, network=net, sig_factory=SignatureFactory(),
             directories=[], prewarm=lambda: 0))
         self._failed_send(net)

@@ -5,7 +5,7 @@ change simulation behaviour at all — the null-sink default and the live
 bus schedule exactly the same simulator events.
 """
 
-import dataclasses
+from instrument_matrix import assert_transparent
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
@@ -19,7 +19,6 @@ from repro.obs.bus import (
     GROUP_FORMED,
     NULL_BUS,
     InstrumentationBus,
-    attach_bus,
     ctag_str,
 )
 from repro.obs.gauges import GaugeSet, RingSeries
@@ -53,54 +52,59 @@ class TestNullDefault:
 
     def test_null_bus_hooks_are_noops(self):
         NULL_BUS.exec_start(0, 0, "t")
-        NULL_BUS.group_formed(0, None, ("t", 0), 0, [0, 1])
+        NULL_BUS.group_formed(0, None, ("t", 0), 0, [0, 1], [], None)
         NULL_BUS.sim_step(0, 5)
 
 
 class TestAttach:
     def test_attach_reaches_every_component(self):
         machine = small_machine({0: simple_specs(1)})
-        bus = attach_bus(machine)
-        assert machine.sim.obs is bus
-        assert machine.network.obs is bus
-        assert all(c.obs is bus for c in machine.cores)
-        assert all(d.obs is bus for d in machine.directories)
-        assert all(e.obs is bus for e in machine.protocol.engines)
+        bus = InstrumentationBus()
+        machine.run(instruments=[bus])
+        obs = machine.obs
+        assert obs.enabled and obs is not bus
+        assert obs.exec_start == bus.exec_start  # one subscriber: bound
+        assert machine.sim.obs is obs
+        assert machine.network.obs is obs
+        assert all(c.obs is obs for c in machine.cores)
+        assert all(d.obs is obs for d in machine.directories)
+        assert all(e.obs is obs for e in machine.protocol.engines)
 
     def test_attach_accepts_existing_bus(self):
         machine = small_machine({0: simple_specs(1)})
         mine = InstrumentationBus(record_messages=False)
-        assert attach_bus(machine, mine) is mine
+        machine.run(instruments=[mine])
+        assert mine.events
 
 
 class TestRecording:
     def test_lifecycle_kinds_recorded(self):
         machine = small_machine({0: simple_specs(1)})
-        bus = attach_bus(machine)
-        machine.run()
+        bus = InstrumentationBus()
+        machine.run(instruments=[bus])
         kinds = set(bus.summary())
         assert {EXEC_START, EXEC_DONE, COMMIT_REQUEST, GRAB_ADMIT,
                 GROUP_FORMED, COMMIT_COMPLETE} <= kinds
 
     def test_commit_completes_match_stats(self):
         machine = small_machine({0: simple_specs(3), 1: simple_specs(2)})
-        bus = attach_bus(machine)
-        machine.run()
+        bus = InstrumentationBus()
+        machine.run(instruments=[bus])
         committed = sum(c.stats.chunks_committed for c in machine.cores)
         assert bus.summary()[COMMIT_COMPLETE] == committed
 
     def test_record_messages_off_mutes_noc_events(self):
         machine = small_machine({0: simple_specs(1)})
-        bus = attach_bus(machine, InstrumentationBus(record_messages=False))
-        machine.run()
+        bus = InstrumentationBus(record_messages=False)
+        machine.run(instruments=[bus])
         assert "msg_send" not in bus.summary()
         # ... but the in-flight gauge still runs off the muted hooks
         assert "noc_inflight" in bus.gauges
 
     def test_gauge_series_populated(self):
         machine = small_machine({0: simple_specs(2)})
-        bus = attach_bus(machine)
-        machine.run()
+        bus = InstrumentationBus()
+        machine.run(instruments=[bus])
         assert len(bus.gauges.get("sim_queue").samples()) > 0
         assert len(bus.gauges.get("dir0_cst").samples()) > 0
         # every sent message was delivered by quiesce
@@ -131,34 +135,24 @@ class TestGaugePrimitives:
 
 
 class TestZeroCostDefault:
-    """Attaching a bus must not perturb the simulation in any way."""
-
-    def _result_fields(self, result):
-        d = dataclasses.asdict(result)
-        d.pop("machine")
-        return d
+    """Attaching a bus must not perturb the simulation in any way (the
+    full protocol x instrument matrix is tests/test_instruments.py)."""
 
     def test_run_identical_with_and_without_bus(self):
-        plain = run_app("Radix", n_cores=4, chunks_per_partition=2)
         bus = InstrumentationBus()
-        traced = run_app("Radix", n_cores=4, chunks_per_partition=2, bus=bus)
-        assert self._result_fields(plain) == self._result_fields(traced)
+        assert_transparent(ProtocolKind.SCALABLEBULK, [bus])
         assert len(bus.events) > 0
 
     def test_instrumented_runs_are_deterministic(self):
         streams = []
         for _ in range(2):
             bus = InstrumentationBus()
-            run_app("Radix", n_cores=4, chunks_per_partition=2, bus=bus)
+            run_app("Radix", n_cores=4, chunks_per_partition=2,
+                    instruments=[bus])
             streams.append([(e.time, e.kind, e.src, str(e.ctag),
                              sorted(e.fields)) for e in bus.events])
         assert streams[0] == streams[1]
 
     def test_all_protocols_unperturbed(self):
         for proto in ProtocolKind:
-            plain = run_app("Radix", n_cores=4, chunks_per_partition=2,
-                            protocol=proto)
-            traced = run_app("Radix", n_cores=4, chunks_per_partition=2,
-                             protocol=proto, bus=InstrumentationBus())
-            assert (self._result_fields(plain)
-                    == self._result_fields(traced)), proto
+            assert_transparent(proto, [InstrumentationBus()])

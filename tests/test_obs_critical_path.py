@@ -142,7 +142,8 @@ class TestReport:
 class TestAgainstRealRun:
     def test_analyzer_matches_protocol_stats(self):
         bus = InstrumentationBus(record_messages=False)
-        result = run_app("Radix", n_cores=4, chunks_per_partition=2, bus=bus)
+        result = run_app("Radix", n_cores=4, chunks_per_partition=2,
+                         instruments=[bus])
         report = analyze_commit_paths(bus)
         s = report.summary()
         assert s["outcomes"].get(COMMITTED, 0) == result.chunks_committed

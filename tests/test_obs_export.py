@@ -25,7 +25,8 @@ import pytest
 @pytest.fixture(scope="module")
 def traced_run():
     bus = InstrumentationBus()
-    result = run_app("Radix", n_cores=4, chunks_per_partition=2, bus=bus)
+    result = run_app("Radix", n_cores=4, chunks_per_partition=2,
+                     instruments=[bus])
     return bus, result
 
 

@@ -167,7 +167,8 @@ class TestEndToEnd:
         out = tmp_path / "metrics.jsonl"
         prof = make_profiler(SystemConfig(n_cores=4),
                              metrics_interval=5_000, metrics_out=str(out))
-        run_app("Radix", n_cores=4, chunks_per_partition=2, profile=prof)
+        run_app("Radix", n_cores=4, chunks_per_partition=2,
+                instruments=[prof])
         lines = out.read_text(encoding="utf-8").splitlines()
         assert validate_metrics_jsonl(lines) == []
         assert prof.stream.snapshots_written >= 1
@@ -185,7 +186,7 @@ class TestEndToEnd:
                              metrics_interval=1_000_000,
                              metrics_out=str(out))
         result = run_app("Radix", n_cores=4, n_partitions=4,
-                         chunks_per_partition=12_500, profile=prof)
+                         chunks_per_partition=12_500, instruments=[prof])
         assert result.chunks_committed >= 50_000
         lines = out.read_text(encoding="utf-8").splitlines()
         assert validate_metrics_jsonl(lines) == []

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from instrument_matrix import assert_transparent
+
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
 from repro.engine.events import Simulator
@@ -29,7 +31,6 @@ from repro.obs.profile import (
     SIG_PROBE,
     HostProfiler,
     aggregate_profiles,
-    attach_profiler,
     make_profiler,
     render_share_line,
 )
@@ -185,9 +186,8 @@ def _machine(protocol=ProtocolKind.SCALABLEBULK):
 class TestAttachment:
     def test_attach_profiler_populates_hot_scopes(self):
         machine = _machine()
-        prof = attach_profiler(machine)
-        machine.run()
-        prof.stop(machine.sim.now)
+        prof = HostProfiler()
+        machine.run(instruments=[prof])
         assert ENGINE_DISPATCH in prof.scopes
         assert prof.scopes[ENGINE_DISPATCH].count > 0
         assert set(prof.scopes) <= set(HOT_SCOPES)
@@ -195,13 +195,8 @@ class TestAttachment:
 
     @pytest.mark.parametrize("proto", list(ProtocolKind))
     def test_profiled_run_result_is_identical(self, proto):
-        def run(**kw):
-            return run_app("Radix", n_cores=4, protocol=proto,
-                           chunks_per_partition=2, **kw)
-
-        base = run()
-        assert run(profile=True) == base
-        assert run(profile=True, bus=InstrumentationBus()) == base
+        assert_transparent(proto, [HostProfiler()])
+        assert_transparent(proto, [HostProfiler(), InstrumentationBus()])
 
     #: Radix/4/ScalableBulk, 2 chunks per partition: per-scope call counts.
     #: The write-set kernel's probes (CST pairs, bulk invalidations) count
@@ -237,7 +232,8 @@ class TestAttachment:
         calls[ENGINE_DISPATCH] = plain.machine.sim.events_processed
 
         prof = HostProfiler()
-        run_app("Radix", n_cores=4, chunks_per_partition=2, profile=prof)
+        run_app("Radix", n_cores=4, chunks_per_partition=2,
+                instruments=[prof])
         scoped = {name: prof.scopes[name].count if name in prof.scopes else 0
                   for name in self.RADIX4_SB_CALLS}
         assert scoped == calls == self.RADIX4_SB_CALLS
@@ -252,7 +248,7 @@ class TestAttachment:
         prof = make_profiler(config, metrics_interval=100, metrics_out=out)
         runner = SimulationRunner("Radix", config, chunks_per_partition=2)
         with pytest.raises(RuntimeError, match="max_events"):
-            runner.run(max_events=300, profile=prof)
+            runner.run(max_events=300, instruments=[prof])
         assert prof.stream._fh.closed
         lines = out.read_text(encoding="utf-8").splitlines()
         assert validate_metrics_jsonl(lines) == []
@@ -271,13 +267,14 @@ class TestAttachment:
 
 
 def _attach_parts(prof, factory=None):
-    """attach_profiler on bare components (no protocol, no directories)."""
+    """The profiler attached to bare components (no protocol, no
+    directories)."""
     sim = Simulator()
     parts = SimpleNamespace(
         sim=sim, network=Network(SystemConfig(n_cores=4), sim),
         sig_factory=factory or SignatureFactory(), directories=[],
         prewarm=lambda: 0)
-    attach_profiler(parts, prof)
+    prof.attach(parts)
     return parts
 
 

@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import SCENARIOS
 from repro.analysis.explore.driver import run_perturbation
 from repro.analysis.races.sanitizer import AccessSanitizer, _classify, _probe
@@ -20,19 +19,16 @@ ALL_PROTOCOL_SCENARIOS = ("cross3", "tcc3", "bulksc3", "seq3")
 def result_fields(result):
     d = dataclasses.asdict(result)
     d.pop("scenario")
-    d.pop("mutation")  # the attach hook rides the mutation slot: name-only
     return d
 
 
 def sanitized_run(name, bus=None, keep=None):
-    """Run one scenario with the sanitizer attached at build time."""
-    def _apply(machine):
-        san = AccessSanitizer(machine, bus)
-        if keep is not None:
-            keep.append(san)
-    mut = Mutation(name="sanitize", description="", scenario=name,
-                   expected="", apply=_apply)
-    return run_perturbation(SCENARIOS[name], None, mut)
+    """Run one scenario with the sanitizer (and ``bus``) as instruments."""
+    san = AccessSanitizer()
+    if keep is not None:
+        keep.append(san)
+    return run_perturbation(SCENARIOS[name], None, None, instruments=[
+        san, *([bus] if bus is not None else [])])
 
 
 class TestZeroCostDefault:
@@ -58,15 +54,16 @@ class TestZeroCostDefault:
         assert result_fields(plain) == result_fields(traced)
 
     def test_null_bus_discipline(self):
-        """With no bus the sanitizer records locally through NULL_BUS,
-        which stays disabled and swallows state_access events."""
+        """With no recorder the sanitizer still records locally; its
+        state_access events reach the hook's no-op, which NULL_BUS keeps
+        disabled and silent."""
         assert not NULL_BUS.enabled
         assert NULL_BUS.state_access(0, "d0", "X", "h", "a", "write",
                                      None) is None
         keep = []
         sanitized_run("cross3", bus=None, keep=keep)
-        keep[0].flush()
         assert keep[0].spans, "sanitizer should still record spans"
+        assert keep[0].messages, "sanitizer should hear the messages"
 
 
 class TestRecording:
@@ -75,7 +72,6 @@ class TestRecording:
         keep = []
         sanitized_run("cross3", bus=bus, keep=keep)
         san = keep[0]
-        san.flush()
         spans = [s for s in san.spans if s.records]
         assert spans, "expected state-access records on cross3"
         emitted = [e for e in bus.events if e.kind == STATE_ACCESS]
@@ -91,7 +87,6 @@ class TestRecording:
         keep = []
         sanitized_run("cross3", keep=keep)
         san = keep[0]
-        san.flush()
         assert san.grew("ScalableBulkDirectory", "failed_cids")
         assert san.leaked_at("ScalableBulkDirectory", "failed_cids")
         # cst entries come and go: grown but reconciled
@@ -101,7 +96,8 @@ class TestRecording:
         from repro.analysis.explore.driver import build_machine
         machine = build_machine(SCENARIOS["cross3"])
         before = dict(machine.network._handlers)
-        san = AccessSanitizer(machine)
+        san = AccessSanitizer()
+        san.attach(machine)
         wrapped = dict(machine.network._handlers)
         assert any(before[k] is not wrapped[k] for k in before)
         san.detach()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.harness.runner import Machine, SimulationRunner, run_app
+from repro.validation.oracle import InvalidationOracle
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
@@ -102,14 +103,17 @@ class TestResultAggregation:
 
 class TestOracleOption:
     def test_oracle_run_is_clean_on_small_app(self):
-        r = run_app("LU", n_cores=4, chunks_per_partition=1, oracle=True)
+        oracle = InvalidationOracle()
+        r = run_app("LU", n_cores=4, chunks_per_partition=1,
+                    instruments=[oracle])
         assert r.chunks_committed > 0
+        assert oracle.commits_checked > 0
 
     def test_oracle_default_off_matches_oracle_on(self):
         """The oracle is an observer: enabling it must not change the run."""
         plain = run_app("LU", n_cores=4, chunks_per_partition=1)
         checked = run_app("LU", n_cores=4, chunks_per_partition=1,
-                          oracle=True)
+                          instruments=[InvalidationOracle()])
         assert plain.total_cycles == checked.total_cycles
         assert plain.chunks_committed == checked.chunks_committed
 
@@ -117,14 +121,15 @@ class TestOracleOption:
         """The oracle checks ScalableBulk group confirmations only: on any
         other protocol it would pass vacuously, so the run is refused
         before a single event executes."""
-        from repro.harness import runner
+        from repro.engine.events import Simulator
 
         def no_run(self, *args, **kwargs):
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(runner.Machine, "run", no_run)
+        monkeypatch.setattr(Simulator, "run", no_run)
         for protocol in (ProtocolKind.TCC, ProtocolKind.SEQ,
                          ProtocolKind.BULKSC):
             with pytest.raises(ValueError, match="ScalableBulk"):
                 run_app("Radix", n_cores=8, chunks_per_partition=2,
-                        protocol=protocol, oracle=True)
+                        protocol=protocol,
+                        instruments=[InvalidationOracle()])

@@ -9,8 +9,8 @@ from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
 from repro.harness.runner import Machine
 from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, EXEC_DONE,
-                           EXEC_START, GROUP_FORMED, SQUASH, attach_bus,
-                           ctag_str)
+                           EXEC_START, GROUP_FORMED, SQUASH,
+                           InstrumentationBus, ctag_str)
 from repro.obs.export import to_jsonl
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -25,9 +25,7 @@ def traced_machine(specs_by_core, **kw):
         lst = remaining.get(core_id)
         return lst.pop(0) if lst else None
 
-    machine = Machine(config, next_spec=next_spec)
-    bus = attach_bus(machine)
-    return machine, bus
+    return Machine(config, next_spec=next_spec), InstrumentationBus()
 
 
 def simple_specs(n=2, base=32 * 128 * 50):
@@ -52,7 +50,7 @@ def load_debug_timeline():
 class TestLifecycleEvents:
     def test_full_lifecycle_recorded(self):
         machine, bus = traced_machine({0: simple_specs(1)})
-        machine.run()
+        machine.run(instruments=[bus])
         kinds = {e.kind for e in for_tag(bus, "P0.c0.g0")}
         for expected in (EXEC_START, EXEC_DONE, COMMIT_REQUEST,
                          GROUP_FORMED, COMMIT_COMPLETE):
@@ -60,7 +58,7 @@ class TestLifecycleEvents:
 
     def test_event_order_sane(self):
         machine, bus = traced_machine({0: simple_specs(1)})
-        machine.run()
+        machine.run(instruments=[bus])
         times = {}
         for e in for_tag(bus, "P0.c0.g0"):
             times.setdefault(e.kind, e.time)
@@ -73,7 +71,7 @@ class TestLifecycleEvents:
         specs = lambda: [ChunkSpec(200, [ChunkAccess(1, line, True)])
                          for _ in range(3)]
         machine, bus = traced_machine({0: specs(), 1: specs()})
-        machine.run()
+        machine.run(instruments=[bus])
         squashes = bus.of_kind(SQUASH)
         if squashes:  # conflicts are timing-dependent
             assert all(e.fields["reason"] in ("conflict", "alias")
@@ -82,7 +80,7 @@ class TestLifecycleEvents:
     def test_commit_counts_match_stats(self):
         machine, bus = traced_machine({0: simple_specs(3),
                                        1: simple_specs(2, base=32 * 128 * 90)})
-        machine.run()
+        machine.run(instruments=[bus])
         committed = sum(c.stats.chunks_committed for c in machine.cores)
         assert len(bus.of_kind(COMMIT_COMPLETE)) == committed
 
@@ -90,19 +88,19 @@ class TestLifecycleEvents:
 class TestQueriesAndExport:
     def test_timeline_render(self):
         machine, bus = traced_machine({0: simple_specs(1)})
-        machine.run()
+        machine.run(instruments=[bus])
         text = load_debug_timeline().timeline(bus, "P0.c0.g0")
         assert text.startswith("timeline for P0.c0.g0")
         assert COMMIT_COMPLETE in text
 
     def test_summary_counts(self):
         machine, bus = traced_machine({0: simple_specs(2)})
-        machine.run()
+        machine.run(instruments=[bus])
         assert bus.summary()[COMMIT_COMPLETE] == 2
 
     def test_jsonl_dump(self, tmp_path):
         machine, bus = traced_machine({0: simple_specs(1)})
-        machine.run()
+        machine.run(instruments=[bus])
         path = tmp_path / "trace.jsonl"
         n = to_jsonl(bus, path)
         lines = path.read_text().splitlines()
@@ -112,8 +110,8 @@ class TestQueriesAndExport:
 
     def test_tracing_does_not_change_results(self):
         specs = {0: simple_specs(3)}
-        m1, _ = traced_machine({c: list(s) for c, s in specs.items()})
-        m1.run()
+        m1, bus = traced_machine({c: list(s) for c, s in specs.items()})
+        m1.run(instruments=[bus])
         config = SystemConfig(n_cores=4, seed=3,
                               protocol=ProtocolKind.SCALABLEBULK)
         remaining = {c: list(s) for c, s in specs.items()}

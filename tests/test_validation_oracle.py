@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
 from repro.harness.runner import Machine
-from repro.validation import attach_oracle
+from repro.validation import InvalidationOracle
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
@@ -18,8 +18,8 @@ def run_with_oracle(app: str, seed: int, n_cores: int = 4, chunks: int = 2):
                                  active_cores=n_cores,
                                  chunks_per_partition=chunks)
     machine = Machine(config, workload=workload)
-    oracle = attach_oracle(machine)
-    machine.run()
+    oracle = InvalidationOracle()
+    machine.run(instruments=[oracle])
     return machine, oracle
 
 
@@ -52,8 +52,8 @@ class TestOracleOnHandmadeConflicts:
             return lst.pop(0) if lst else None
 
         machine = Machine(config, next_spec=next_spec)
-        oracle = attach_oracle(machine)
-        machine.run()
+        oracle = InvalidationOracle()
+        machine.run(instruments=[oracle])
         assert oracle.commits_checked == 16
         oracle.assert_clean()
 
@@ -72,11 +72,12 @@ class TestOracleOnHandmadeConflicts:
             return lst.pop(0) if lst else None
 
         machine = Machine(config, next_spec=next_spec)
-        oracle = attach_oracle(machine)
+        oracle = InvalidationOracle()
         # sabotage: make every directory forget its sharers at expansion
         for d in machine.directories:
             d.sharers_to_invalidate = lambda lines, writer: set()
-        machine.run(max_events=5_000_000)
+        with pytest.raises(AssertionError, match="invalidation-completeness"):
+            machine.run(max_events=5_000_000, instruments=[oracle])
         assert oracle.violations, "oracle failed to notice missing sharers"
 
 
@@ -85,23 +86,26 @@ class TestOracleDirectly:
     oracle was only exercised through full workload runs)."""
 
     @staticmethod
-    def _stub_machine(chunks_by_core):
-        """A machine double: just directories/cores/sim.now."""
+    def _oracle(chunks_by_core):
+        """An oracle bound to a machine double (cores and sim.now only;
+        ``attach`` would refuse it for lacking ScalableBulk directories)."""
         from types import SimpleNamespace
 
         cores = [SimpleNamespace(core_id=cid,
                                  active_chunks=lambda lst=lst: list(lst))
                  for cid, lst in chunks_by_core.items()]
-        return SimpleNamespace(directories=[], cores=cores,
-                               sim=SimpleNamespace(now=123))
+        oracle = InvalidationOracle()
+        oracle.machine = SimpleNamespace(directories=[], cores=cores,
+                                         sim=SimpleNamespace(now=123))
+        return oracle
 
     @staticmethod
-    def _stub_entry(proc, write_lines, inval_acc, local_sharers=()):
-        from types import SimpleNamespace
-        return SimpleNamespace(cid=(("t", proc, 0), 0), proc=proc,
-                               write_lines=set(write_lines),
-                               inval_acc=set(inval_acc),
-                               local_sharers=set(local_sharers))
+    def _confirm(oracle, proc, write_lines, inval_acc, local_sharers=()):
+        """One ``group_formed`` hook call, as the leader directory makes
+        it (targets = inval_acc | local_sharers)."""
+        oracle.group_formed(123, 0, (("t", proc, 0), 0), proc, (0,),
+                            set(write_lines),
+                            set(inval_acc) | set(local_sharers))
 
     @staticmethod
     def _stub_chunk(tag, read_lines, write_lines):
@@ -110,26 +114,18 @@ class TestOracleDirectly:
                                write_lines=set(write_lines))
 
     def test_complete_inval_vector_is_clean(self):
-        from repro.validation.oracle import InvalidationOracle
-
         victim = self._stub_chunk("c1", {100}, set())
-        machine = self._stub_machine({0: [], 1: [victim]})
-        oracle = InvalidationOracle(machine)
-        oracle._check(self._stub_entry(proc=0, write_lines={100},
-                                       inval_acc={1}))
+        oracle = self._oracle({0: [], 1: [victim]})
+        self._confirm(oracle, proc=0, write_lines={100}, inval_acc={1})
         assert oracle.violations == []
         oracle.assert_clean()
 
     def test_dropped_invalidation_is_a_violation(self):
-        from repro.validation.oracle import InvalidationOracle
-
         victim = self._stub_chunk("c1", {100}, set())
-        machine = self._stub_machine({0: [], 1: [victim]})
-        oracle = InvalidationOracle(machine)
+        oracle = self._oracle({0: [], 1: [victim]})
         # the committing entry overlaps core 1's read set but the
         # accumulated inval_vec forgot core 1 entirely
-        oracle._check(self._stub_entry(proc=0, write_lines={100},
-                                       inval_acc=set()))
+        self._confirm(oracle, proc=0, write_lines={100}, inval_acc=set())
         assert len(oracle.violations) == 1
         v = oracle.violations[0]
         assert v.missed_core == 1 and v.writer == 0
@@ -139,13 +135,10 @@ class TestOracleDirectly:
             oracle.assert_clean()
 
     def test_local_sharers_count_as_covered(self):
-        from repro.validation.oracle import InvalidationOracle
-
         victim = self._stub_chunk("c1", set(), {100})
-        machine = self._stub_machine({0: [], 2: [victim]})
-        oracle = InvalidationOracle(machine)
-        oracle._check(self._stub_entry(proc=0, write_lines={100},
-                                       inval_acc=set(), local_sharers={2}))
+        oracle = self._oracle({0: [], 2: [victim]})
+        self._confirm(oracle, proc=0, write_lines={100}, inval_acc=set(),
+                      local_sharers={2})
         assert oracle.violations == []
 
     def test_broken_directory_dropping_invalidations_caught_live(self):
@@ -164,10 +157,11 @@ class TestOracleDirectly:
             return lst.pop(0) if lst else None
 
         machine = Machine(config, next_spec=next_spec)
-        oracle = attach_oracle(machine)
-        # sabotage AFTER the oracle attaches: drop every pending
-        # invalidation just before the (wrapped) confirmation runs, so the
-        # oracle audits exactly what the broken directory acts on
+        oracle = InvalidationOracle()
+        # sabotage: drop every pending invalidation just before the
+        # confirmation runs; its group_formed hook reports the emptied
+        # targets, so the oracle audits exactly what the broken directory
+        # acts on
         for d in machine.directories:
             wrapped = d._confirm_group
 
@@ -177,7 +171,8 @@ class TestOracleDirectly:
                 _wrapped(entry)
 
             d._confirm_group = dropping
-        machine.run(max_events=5_000_000)
+        with pytest.raises(AssertionError, match="invalidation-completeness"):
+            machine.run(max_events=5_000_000, instruments=[oracle])
         assert oracle.violations, "dropped invalidations went unnoticed"
 
 
@@ -191,4 +186,4 @@ class TestOracleScope:
         config = SystemConfig(n_cores=4, protocol=protocol)
         machine = Machine(config, next_spec=lambda core: None)
         with pytest.raises(ValueError, match="ScalableBulk"):
-            attach_oracle(machine)
+            InvalidationOracle().attach(machine)

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
 from repro.harness.runner import Machine
-from repro.validation.orderings import attach_conformance_checker
+from repro.validation.orderings import ProtocolConformanceChecker
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
@@ -18,8 +18,8 @@ def conforming_run(app: str, seed: int, n_cores: int = 9, chunks: int = 2):
                                  active_cores=n_cores,
                                  chunks_per_partition=chunks)
     machine = Machine(config, workload=workload)
-    checker = attach_conformance_checker(machine)
-    machine.run()
+    checker = ProtocolConformanceChecker()
+    machine.run(instruments=[checker])
     return machine, checker
 
 
@@ -53,8 +53,8 @@ class TestConformanceUnderConflicts:
             return lst.pop(0) if lst else None
 
         machine = Machine(config, next_spec=next_spec)
-        checker = attach_conformance_checker(machine)
-        machine.run()
+        checker = ProtocolConformanceChecker()
+        machine.run(instruments=[checker])
         # conflicts force failures and retries; the orderings must hold
         assert machine.protocol.stats.commit_failures >= 1
         checker.assert_clean()
@@ -65,10 +65,11 @@ class TestConformanceUnderConflicts:
         config = SystemConfig(n_cores=9, seed=5,
                               protocol=ProtocolKind.SCALABLEBULK)
         machine = Machine(config, next_spec=lambda c: None)
-        checker = attach_conformance_checker(machine)
+        checker = ProtocolConformanceChecker()
         # dir 3 (not a leader of anything) multicasts a rogue g_success
-        machine.network.unicast(MessageType.G_SUCCESS, dir_node(3),
-                                dir_node(4), ctag=("rogue", 0))
-        machine.run()
+        machine.sim.schedule(0, lambda: machine.network.unicast(
+            MessageType.G_SUCCESS, dir_node(3), dir_node(4),
+            ctag=("rogue", 0)))
+        machine.run(instruments=[checker])
         assert any(v.rule == "g_success from non-leader"
                    for v in checker.violations)
