@@ -3,8 +3,16 @@
 Every benchmark regenerates one paper table/figure at a *shape-preserving*
 reduced scale (16-core machine, a representative application subset, short
 runs) so the whole suite finishes in minutes.  Set ``REPRO_BENCH_FULL=1``
-to run at the paper's 64-core scale with all applications (slow; this is
-what ``python -m repro.harness.sweep`` does to produce EXPERIMENTS.md).
+to run at the paper's 32/64-core scale with all applications (slow; this
+is the matrix ``python -m repro.harness.sweep`` runs to produce
+EXPERIMENTS.md).
+
+The figures share one matrix: the session-scoped ``records`` fixture
+runs it once through :func:`repro.harness.sweep.collect` (a store
+campaign into a throwaway store, one simulation per distinct cell), and
+each test reduces its figure from those records with
+:mod:`repro.harness.experiments` and prints the same markdown table
+EXPERIMENTS.md carries.
 """
 
 import os
@@ -27,6 +35,19 @@ if FULL:
 else:
     SPLASH2_SUBSET = ["Radix", "LU", "Barnes", "Ocean"]
     PARSEC_SUBSET = ["Blackscholes", "Canneal", "Swaptions"]
+
+
+@pytest.fixture(scope="session")
+def records(tmp_path_factory):
+    """``{sweep key: record}`` for every suite app x ``CORE_COUNTS`` x all
+    four protocols, plus each app's 1p baseline on the largest machine."""
+    from repro.harness.sweep import collect
+    from repro.store.db import ResultStore
+
+    db = tmp_path_factory.mktemp("figures") / "figures.db"
+    with ResultStore(db) as store:
+        return collect(SPLASH2_SUBSET + PARSEC_SUBSET, CORE_COUNTS, CHUNKS,
+                       store, log=lambda *_: None)
 
 
 @pytest.fixture

@@ -1,17 +1,16 @@
 """Figure 10: directories accessed per chunk commit, PARSEC."""
 
-from repro.harness.experiments import run_dirs_per_commit
-from repro.harness.tables import render_dirs_per_commit
+from repro.harness.experiments import dirs_per_commit, render_dirs_per_commit
 
-from conftest import CHUNKS, CORE_COUNTS, PARSEC_SUBSET
+from conftest import CORE_COUNTS, PARSEC_SUBSET
 
 
-def test_fig10_dirs_per_commit_parsec(once):
-    rows = once(run_dirs_per_commit, PARSEC_SUBSET, CORE_COUNTS, CHUNKS)
-    print("\nFigure 10 (directories per chunk commit, PARSEC):")
-    print(render_dirs_per_commit(rows))
-
+def test_fig10_dirs_per_commit_parsec(once, records):
+    rows = once(dirs_per_commit, records, PARSEC_SUBSET)
     big = max(CORE_COUNTS)
+    print()
+    print(render_dirs_per_commit(rows, "10", "PARSEC", big))
+
     by_app = {r.app: r for r in rows if r.n_cores == big}
 
     # Canneal and Blackscholes have the large groups (Section 6.2)

@@ -1,16 +1,14 @@
 """Figure 11: distribution of directories per commit, SPLASH-2 at scale."""
 
-from repro.harness.experiments import run_dirs_distribution
-from repro.harness.tables import render_distribution
+from repro.harness.experiments import dirs_distribution, render_distribution
 
-from conftest import CHUNKS, LARGE_CORES, SPLASH2_SUBSET
+from conftest import LARGE_CORES, SPLASH2_SUBSET
 
 
-def test_fig11_distribution_splash2(once):
-    dist = once(run_dirs_distribution, SPLASH2_SUBSET, LARGE_CORES, CHUNKS)
-    print(f"\nFigure 11 (distribution of dirs/commit, SPLASH-2, "
-          f"{LARGE_CORES}p):")
-    print(render_distribution(dist))
+def test_fig11_distribution_splash2(once, records):
+    dist = once(dirs_distribution, records, SPLASH2_SUBSET)
+    print()
+    print(render_distribution(dist, "11", "SPLASH-2", LARGE_CORES))
 
     for app, pct in dist.items():
         total = sum(pct.values())

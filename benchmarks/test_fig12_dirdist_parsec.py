@@ -1,16 +1,14 @@
 """Figure 12: distribution of directories per commit, PARSEC at scale."""
 
-from repro.harness.experiments import run_dirs_distribution
-from repro.harness.tables import render_distribution
+from repro.harness.experiments import dirs_distribution, render_distribution
 
-from conftest import CHUNKS, LARGE_CORES, PARSEC_SUBSET
+from conftest import LARGE_CORES, PARSEC_SUBSET
 
 
-def test_fig12_distribution_parsec(once):
-    dist = once(run_dirs_distribution, PARSEC_SUBSET, LARGE_CORES, CHUNKS)
-    print(f"\nFigure 12 (distribution of dirs/commit, PARSEC, "
-          f"{LARGE_CORES}p):")
-    print(render_distribution(dist))
+def test_fig12_distribution_parsec(once, records):
+    dist = once(dirs_distribution, records, PARSEC_SUBSET)
+    print()
+    print(render_distribution(dist, "12", "PARSEC", LARGE_CORES))
 
     for pct in dist.values():
         assert abs(sum(pct.values()) - 100.0) < 1e-6

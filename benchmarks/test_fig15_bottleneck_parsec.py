@@ -1,17 +1,15 @@
 """Figure 15: bottleneck ratio, PARSEC (ScalableBulk / TCC / SEQ)."""
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import GROUPING_PROTOCOLS, run_bottleneck_ratio
-from repro.harness.tables import render_ratio_table
+from repro.harness.experiments import bottleneck_ratio, render_bottleneck_ratio
 
-from conftest import CHUNKS, LARGE_CORES, PARSEC_SUBSET
+from conftest import LARGE_CORES, PARSEC_SUBSET
 
 
-def test_fig15_bottleneck_parsec(once):
-    data = once(run_bottleneck_ratio, PARSEC_SUBSET, LARGE_CORES,
-                GROUPING_PROTOCOLS, CHUNKS)
-    print(f"\nFigure 15 (bottleneck ratio, PARSEC, {LARGE_CORES}p):")
-    print(render_ratio_table(data, "bottleneck ratio"))
+def test_fig15_bottleneck_parsec(once, records):
+    data = once(bottleneck_ratio, records, PARSEC_SUBSET)
+    print()
+    print(render_bottleneck_ratio(data, "15", "PARSEC", LARGE_CORES))
 
     for per_proto in data.values():
         for ratio in per_proto.values():

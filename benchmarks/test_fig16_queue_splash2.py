@@ -5,19 +5,15 @@ behind earlier commits at shared directories.
 """
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import (
-    QUEUEING_PROTOCOLS, run_queue_length,
-)
-from repro.harness.tables import render_ratio_table
+from repro.harness.experiments import queue_length, render_queue_length
 
-from conftest import CHUNKS, LARGE_CORES, SPLASH2_SUBSET
+from conftest import LARGE_CORES, SPLASH2_SUBSET
 
 
-def test_fig16_queue_splash2(once):
-    data = once(run_queue_length, SPLASH2_SUBSET, LARGE_CORES,
-                QUEUEING_PROTOCOLS, CHUNKS)
-    print(f"\nFigure 16 (chunk queue length, SPLASH-2, {LARGE_CORES}p):")
-    print(render_ratio_table(data, "mean chunk queue length"))
+def test_fig16_queue_splash2(once, records):
+    data = once(queue_length, records, SPLASH2_SUBSET)
+    print()
+    print(render_queue_length(data, "16", "SPLASH-2", LARGE_CORES))
 
     # queues exist somewhere for both serializing protocols
     assert any(per[ProtocolKind.SEQ] > 0.5 for per in data.values())
@@ -27,7 +23,6 @@ def test_fig16_queue_splash2(once):
             if app != "Radix") * 0.8
 
 
-def test_scalablebulk_queues_nothing(once):
-    data = once(run_queue_length, ["Radix"], LARGE_CORES,
-                (ProtocolKind.SCALABLEBULK,), CHUNKS)
+def test_scalablebulk_queues_nothing(once, records):
+    data = once(queue_length, records, ["Radix"])
     assert data["Radix"][ProtocolKind.SCALABLEBULK] == 0.0

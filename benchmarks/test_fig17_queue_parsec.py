@@ -1,17 +1,15 @@
 """Figure 17: chunk queue lengths, PARSEC (TCC and SEQ only)."""
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import QUEUEING_PROTOCOLS, run_queue_length
-from repro.harness.tables import render_ratio_table
+from repro.harness.experiments import queue_length, render_queue_length
 
-from conftest import CHUNKS, LARGE_CORES, PARSEC_SUBSET
+from conftest import LARGE_CORES, PARSEC_SUBSET
 
 
-def test_fig17_queue_parsec(once):
-    data = once(run_queue_length, PARSEC_SUBSET, LARGE_CORES,
-                QUEUEING_PROTOCOLS, CHUNKS)
-    print(f"\nFigure 17 (chunk queue length, PARSEC, {LARGE_CORES}p):")
-    print(render_ratio_table(data, "mean chunk queue length"))
+def test_fig17_queue_parsec(once, records):
+    data = once(queue_length, records, PARSEC_SUBSET)
+    print()
+    print(render_queue_length(data, "17", "PARSEC", LARGE_CORES))
 
     for per in data.values():
         for v in per.values():

@@ -1,18 +1,15 @@
 """Figure 19: traffic characterization, PARSEC."""
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import ALL_PROTOCOLS, run_traffic
-from repro.harness.tables import render_traffic
+from repro.harness.experiments import render_traffic, traffic
 
-from conftest import CHUNKS, LARGE_CORES, PARSEC_SUBSET
+from conftest import LARGE_CORES, PARSEC_SUBSET
 
 
-def test_fig19_traffic_parsec(once):
-    data = once(run_traffic, PARSEC_SUBSET, LARGE_CORES, ALL_PROTOCOLS,
-                CHUNKS)
-    print(f"\nFigure 19 (message mix, PARSEC, {LARGE_CORES}p, "
-          f"normalized to TCC):")
-    print(render_traffic(data))
+def test_fig19_traffic_parsec(once, records):
+    data = once(traffic, records, PARSEC_SUBSET)
+    print()
+    print(render_traffic(data, "19", "PARSEC", LARGE_CORES))
 
     for app, per_proto in data.items():
         totals = {p: sum(c.values()) for p, c in per_proto.items()}

@@ -7,20 +7,17 @@ that of SEQ and BulkSC.
 """
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import ALL_PROTOCOLS, run_execution_time_figure
-from repro.harness.tables import render_breakdown
+from repro.harness.experiments import execution_time, render_execution_time
 
-from conftest import CHUNKS, CORE_COUNTS, SPLASH2_SUBSET
+from conftest import CORE_COUNTS, SPLASH2_SUBSET
 
 
-def test_fig7_splash2_breakdown(once):
-    fig = once(run_execution_time_figure, SPLASH2_SUBSET,
-               CORE_COUNTS, ALL_PROTOCOLS, CHUNKS)
-    print("\nFigure 7 (SPLASH-2 execution time, normalized to 1p "
-          "ScalableBulk):")
-    print(render_breakdown(fig, ALL_PROTOCOLS, CORE_COUNTS))
-
+def test_fig7_splash2_breakdown(once, records):
+    fig = once(execution_time, records, SPLASH2_SUBSET)
     big = max(CORE_COUNTS)
+    print()
+    print(render_execution_time(fig, "7", "SPLASH-2", big))
+
     sb = fig.average_speedup(ProtocolKind.SCALABLEBULK, big)
     seq = fig.average_speedup(ProtocolKind.SEQ, big)
     bsc = fig.average_speedup(ProtocolKind.BULKSC, big)

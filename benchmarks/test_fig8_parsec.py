@@ -1,20 +1,17 @@
 """Figure 8: PARSEC execution-time breakdowns across the four protocols."""
 
 from repro.config import ProtocolKind
-from repro.harness.experiments import ALL_PROTOCOLS, run_execution_time_figure
-from repro.harness.tables import render_breakdown
+from repro.harness.experiments import execution_time, render_execution_time
 
-from conftest import CHUNKS, CORE_COUNTS, PARSEC_SUBSET
+from conftest import CORE_COUNTS, PARSEC_SUBSET
 
 
-def test_fig8_parsec_breakdown(once):
-    fig = once(run_execution_time_figure, PARSEC_SUBSET,
-               CORE_COUNTS, ALL_PROTOCOLS, CHUNKS)
-    print("\nFigure 8 (PARSEC execution time, normalized to 1p "
-          "ScalableBulk):")
-    print(render_breakdown(fig, ALL_PROTOCOLS, CORE_COUNTS))
-
+def test_fig8_parsec_breakdown(once, records):
+    fig = once(execution_time, records, PARSEC_SUBSET)
     big = max(CORE_COUNTS)
+    print()
+    print(render_execution_time(fig, "8", "PARSEC", big))
+
     sb = fig.average_speedup(ProtocolKind.SCALABLEBULK, big)
     seq = fig.average_speedup(ProtocolKind.SEQ, big)
     assert sb > 0 and sb >= seq * 0.95

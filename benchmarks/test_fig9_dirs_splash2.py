@@ -4,18 +4,17 @@ Shape: applications average 2-6 directories; Radix is the outlier with a
 large group in which nearly every module records writes.
 """
 
-from repro.harness.experiments import run_dirs_per_commit
-from repro.harness.tables import render_dirs_per_commit
+from repro.harness.experiments import dirs_per_commit, render_dirs_per_commit
 
-from conftest import CHUNKS, CORE_COUNTS, SPLASH2_SUBSET
+from conftest import CORE_COUNTS, SPLASH2_SUBSET
 
 
-def test_fig9_dirs_per_commit_splash2(once):
-    rows = once(run_dirs_per_commit, SPLASH2_SUBSET, CORE_COUNTS, CHUNKS)
-    print("\nFigure 9 (directories per chunk commit, SPLASH-2):")
-    print(render_dirs_per_commit(rows))
-
+def test_fig9_dirs_per_commit_splash2(once, records):
+    rows = once(dirs_per_commit, records, SPLASH2_SUBSET)
     big = max(CORE_COUNTS)
+    print()
+    print(render_dirs_per_commit(rows, "9", "SPLASH-2", big))
+
     by_app = {r.app: r for r in rows if r.n_cores == big}
 
     radix = by_app["Radix"]

@@ -12,6 +12,7 @@ Run:  python examples/radix_commit_storm.py
 """
 
 from repro import ProtocolKind, SimulationRunner, SystemConfig
+from repro.harness.experiments import dirs_percentages
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
         print(f"{n_cores} cores: {result.mean_dirs_per_commit:.2f} "
               f"directories per commit "
               f"({result.mean_write_dirs_per_commit:.2f} in the write group)")
-        pct = stats.dirs_per_commit_hist.percentages(upper=14)
+        pct = dirs_percentages(stats.dirs_per_commit_hist)
         print("  dirs:  " + " ".join(f"{d:>4}" for d in range(15)) + " more")
         print("  pct :  " + " ".join(
             f"{pct.get(d, 0):4.0f}" for d in range(15))

@@ -1,10 +1,19 @@
-"""One entry point per paper table/figure (the per-experiment index of
-DESIGN.md).
+"""The paper's figures, each reduced once from campaign records (the
+per-experiment index of DESIGN.md).
 
-Every function takes scale knobs (``apps``, ``n_cores``,
-``chunks_per_partition``) so the pytest-benchmark suite can run a
-shape-preserving scaled-down version, while ``python -m
-repro.harness.sweep`` runs the full matrix for EXPERIMENTS.md.
+Every figure is one pipeline: **records -> reducer -> renderer**.
+
+* The records are the ``{sweep key: record}`` dict that
+  :func:`repro.harness.sweep.collect` returns: one
+  :func:`repro.store.campaign.run_one` record per matrix cell, keyed
+  ``App/N/Proto/Active``.  The machine sizes come from the keys.
+* A reducer is a pure function of the records and the apps it plots.
+  It yields the figure's rows.  Figures drawn at one machine size use
+  the largest one.
+* A renderer turns those rows into the figure's markdown section.
+  :func:`repro.harness.sweep.render_markdown` (EXPERIMENTS.md) is a
+  header plus one ``render(reduce(records, apps))`` per figure, and the
+  figure suite under ``benchmarks/`` prints the same sections.
 
 The single-processor baseline of Figures 7/8 runs the *same machine* with
 one active core executing every partition, exactly as the paper
@@ -14,12 +23,17 @@ the same architecture with ScalableBulk").
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.config import ProtocolKind, SystemConfig
-from repro.harness.runner import RunResult, SimulationRunner
-from repro.workloads.profiles import PARSEC_APPS, SPLASH2_APPS
+from repro.config import ProtocolKind
+from repro.harness.runner import RunResult
+from repro.network.message import TrafficClass
+from repro.store.campaign import BASELINE, key_of
+
+#: ``{sweep key: record}``, as :func:`repro.harness.sweep.collect` returns.
+Records = Mapping[str, Mapping[str, Any]]
 
 ALL_PROTOCOLS = (ProtocolKind.SCALABLEBULK, ProtocolKind.TCC,
                  ProtocolKind.SEQ, ProtocolKind.BULKSC)
@@ -29,20 +43,37 @@ ALL_PROTOCOLS = (ProtocolKind.SCALABLEBULK, ProtocolKind.TCC,
 GROUPING_PROTOCOLS = (ProtocolKind.SCALABLEBULK, ProtocolKind.TCC,
                       ProtocolKind.SEQ)
 
-#: Protocols with directory queues (Figures 16/17).
-QUEUEING_PROTOCOLS = (ProtocolKind.TCC, ProtocolKind.SEQ)
+#: Figures 16/17's columns: the two protocols with directory queues, then
+#: ScalableBulk, whose chunks never queue.
+QUEUE_PROTOCOLS = (ProtocolKind.TCC, ProtocolKind.SEQ,
+                   ProtocolKind.SCALABLEBULK)
+
+#: Figures 11/12's x-axis: 0..14 directories, the rest under "more".
+DIRS_UPPER = 14
+
+#: Figure 13's published means (cycles, 64p).
+PAPER_LATENCY_64P = {"ScalableBulk": 91, "TCC": 411, "SEQ": 153,
+                     "BulkSC": 2954}
+
+#: Display order for the traffic figures (read classes then commit classes).
+TRAFFIC_ORDER = ("MemRd", "RemoteShRd", "RemoteDirtyRd", "LargeCMessage",
+                 "SmallCMessage")
 
 
-def _run(app: str, n_cores: int, protocol: ProtocolKind,
-         chunks_per_partition: int, active_cores: Optional[int] = None,
-         n_partitions: Optional[int] = None, **overrides) -> RunResult:
-    config = SystemConfig(n_cores=n_cores, protocol=protocol, **overrides)
-    runner = SimulationRunner(app, config, active_cores=active_cores,
-                              chunks_per_partition=chunks_per_partition,
-                              n_partitions=n_partitions)
-    return runner.run()
+def core_counts(records: Records) -> List[int]:
+    """The matrix's machine sizes in matrix order (1p baselines excluded)."""
+    return list(dict.fromkeys(rec["n_cores"] for rec in records.values()
+                              if rec["active_cores"] == rec["n_cores"]))
 
 
+def _cell(records: Records, app: str, n_cores: int,
+          protocol: ProtocolKind) -> Mapping[str, Any]:
+    return records[key_of(app, n_cores, protocol.value, n_cores)]
+
+
+# ----------------------------------------------------------------------
+# Figures 7/8: execution-time breakdowns
+# ----------------------------------------------------------------------
 @dataclass
 class BreakdownBar:
     """One bar of Figures 7/8: normalized time split into four categories."""
@@ -56,6 +87,22 @@ class BreakdownBar:
     cache_miss: float
     commit: float
     squash: float
+
+    @classmethod
+    def from_record(cls, rec: Mapping[str, Any], baseline_cycles: int
+                    ) -> "BreakdownBar":
+        total = max(1, rec["useful"] + rec["miss"] + rec["commit"]
+                    + rec["squash"])
+        norm = rec["total_cycles"] / max(1, baseline_cycles)
+        return cls(
+            app=rec["app"], protocol=ProtocolKind(rec["protocol"]),
+            n_cores=rec["n_cores"], normalized_time=norm,
+            speedup=baseline_cycles / max(1, rec["total_cycles"]),
+            useful=norm * rec["useful"] / total,
+            cache_miss=norm * rec["miss"] / total,
+            commit=norm * rec["commit"] / total,
+            squash=norm * rec["squash"] / total,
+        )
 
     @classmethod
     def from_result(cls, result: RunResult, baseline_cycles: int
@@ -101,52 +148,45 @@ class Figure7Result:
         return sum(b.commit / max(b.normalized_time, 1e-12) for b in bars) / len(bars)
 
 
-def run_execution_time_figure(apps: Sequence[str],
-                              core_counts: Sequence[int] = (16, 64),
-                              protocols: Sequence[ProtocolKind] = ALL_PROTOCOLS,
-                              chunks_per_partition: int = 3,
-                              **overrides) -> Figure7Result:
-    """Figures 7 (SPLASH-2) / 8 (PARSEC): execution-time breakdowns.
-
-    The 1-processor ScalableBulk baseline is run once per app on the
-    largest machine in ``core_counts``.
-    """
+def execution_time(records: Records, apps: Sequence[str]) -> Figure7Result:
+    """Figures 7 (SPLASH-2) / 8 (PARSEC): every bar normalized to its
+    app's 1p ScalableBulk baseline on the largest machine."""
+    sizes = core_counts(records)
     out = Figure7Result()
-    base_cores = max(core_counts)
     for app in apps:
-        # strong scaling: the partition count (total work) is pinned to
-        # the largest machine for every run of this app
-        baseline = _run(app, base_cores, ProtocolKind.SCALABLEBULK,
-                        chunks_per_partition, active_cores=1,
-                        n_partitions=base_cores, **overrides)
-        out.baselines[app] = baseline.total_cycles
-        for n in core_counts:
-            for proto in protocols:
-                res = _run(app, n, proto, chunks_per_partition,
-                           n_partitions=base_cores, **overrides)
-                out.bars.append(
-                    BreakdownBar.from_result(res, baseline.total_cycles))
+        base = records[key_of(app, max(sizes), BASELINE, 1)]["total_cycles"]
+        out.baselines[app] = base
+        for n in sizes:
+            for proto in ALL_PROTOCOLS:
+                out.bars.append(BreakdownBar.from_record(
+                    _cell(records, app, n, proto), base))
     return out
 
 
-def run_figure7(core_counts=(16, 64), chunks_per_partition=3,
-                apps: Optional[Sequence[str]] = None, **overrides
-                ) -> Figure7Result:
-    """Figure 7: SPLASH-2 execution times."""
-    return run_execution_time_figure(apps or SPLASH2_APPS, core_counts,
-                                     chunks_per_partition=chunks_per_partition,
-                                     **overrides)
+def render_execution_time(fig: Figure7Result, figno: str, suite: str,
+                          big: int) -> str:
+    lines = [f"### Figure {figno} — {suite} execution time "
+             f"(normalized to 1p ScalableBulk)\n",
+             "| app | cores | protocol | norm. time | speedup | useful | "
+             "miss | commit | squash |",
+             "|---|---|---|---|---|---|---|---|---|"]
+    for b in fig.bars:
+        lines.append(
+            f"| {b.app} | {b.n_cores} | {b.protocol.value} | "
+            f"{b.normalized_time:.4f} | {b.speedup:.1f} | {b.useful:.4f} | "
+            f"{b.cache_miss:.4f} | {b.commit:.4f} | {b.squash:.4f} |")
+    lines.append("")
+    for n in dict.fromkeys(b.n_cores for b in fig.bars):
+        for proto in ALL_PROTOCOLS:
+            lines.append(f"* AVERAGE speedup, {proto.value} @ {n}p: "
+                         f"**{fig.average_speedup(proto, n):.1f}**")
+    lines.append("")
+    return "\n".join(lines)
 
 
-def run_figure8(core_counts=(16, 64), chunks_per_partition=3,
-                apps: Optional[Sequence[str]] = None, **overrides
-                ) -> Figure7Result:
-    """Figure 8: PARSEC execution times."""
-    return run_execution_time_figure(apps or PARSEC_APPS, core_counts,
-                                     chunks_per_partition=chunks_per_partition,
-                                     **overrides)
-
-
+# ----------------------------------------------------------------------
+# Figures 9/10: directories per commit
+# ----------------------------------------------------------------------
 @dataclass
 class DirsPerCommitRow:
     """One bar of Figures 9/10 (split into write group and read group)."""
@@ -161,98 +201,265 @@ class DirsPerCommitRow:
         return self.mean_dirs - self.mean_write_dirs
 
 
-def run_dirs_per_commit(apps: Sequence[str], core_counts=(16, 64),
-                        chunks_per_partition: int = 3, **overrides
-                        ) -> List[DirsPerCommitRow]:
+def dirs_per_commit(records: Records, apps: Sequence[str]
+                    ) -> List[DirsPerCommitRow]:
     """Figures 9/10: average directories per chunk commit (ScalableBulk)."""
     rows = []
     for app in apps:
-        for n in core_counts:
-            res = _run(app, n, ProtocolKind.SCALABLEBULK,
-                       chunks_per_partition, **overrides)
+        for n in core_counts(records):
+            rec = _cell(records, app, n, ProtocolKind.SCALABLEBULK)
             rows.append(DirsPerCommitRow(
-                app=app, n_cores=n, mean_dirs=res.mean_dirs_per_commit,
-                mean_write_dirs=res.mean_write_dirs_per_commit))
+                app=app, n_cores=n, mean_dirs=rec["mean_dirs"],
+                mean_write_dirs=rec["mean_write_dirs"]))
     return rows
 
 
-def run_dirs_distribution(apps: Sequence[str], n_cores: int = 64,
-                          chunks_per_partition: int = 3, upper: int = 14,
-                          **overrides) -> Dict[str, Dict[object, float]]:
-    """Figures 11/12: distribution of directories per commit at 64p."""
-    out: Dict[str, Dict[object, float]] = {}
-    for app in apps:
-        config = SystemConfig(n_cores=n_cores,
-                              protocol=ProtocolKind.SCALABLEBULK, **overrides)
-        runner = SimulationRunner(app, config,
-                                  chunks_per_partition=chunks_per_partition)
-        res = runner.run(keep_machine=True)
-        hist = res.machine.protocol.stats.dirs_per_commit_hist
-        out[app] = hist.percentages(upper)
+def render_dirs_per_commit(rows: Sequence[DirsPerCommitRow], figno: str,
+                           suite: str, big: int) -> str:
+    lines = [f"### Figure {figno} — directories per chunk commit ({suite})\n",
+             "| app | cores | dirs/commit | write group | read-only group |",
+             "|---|---|---|---|---|"]
+    for r in rows:
+        lines.append(f"| {r.app} | {r.n_cores} | {r.mean_dirs:.2f} | "
+                     f"{r.mean_write_dirs:.2f} | "
+                     f"{r.mean_read_only_dirs:.2f} |")
+    lines.append("")
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Figures 11/12: distribution of directories per commit
+# ----------------------------------------------------------------------
+def dirs_percentages(hist: Mapping[Any, int]) -> Dict[object, float]:
+    """A ``{dirs: commits}`` histogram (keys may be JSON strings) as the
+    percent of commits at each of 0..14 directories, the rest under
+    ``"more"``; all zeros when empty."""
+    counts: Counter = Counter()
+    for k, v in hist.items():
+        counts[min(int(k), DIRS_UPPER + 1)] += v
+    n = sum(counts.values())
+    pct: Dict[object, float] = {
+        d: 100.0 * counts[d] / n if n else 0.0 for d in range(DIRS_UPPER + 1)}
+    pct["more"] = 100.0 * counts[DIRS_UPPER + 1] / n if n else 0.0
+    return pct
+
+
+def dirs_distribution(records: Records, apps: Sequence[str]
+                      ) -> Dict[str, Dict[object, float]]:
+    """Figures 11/12: per app, the percent of ScalableBulk commits at each
+    directory count, on the largest machine."""
+    big = max(core_counts(records))
+    return {app: dirs_percentages(_cell(
+        records, app, big, ProtocolKind.SCALABLEBULK)["dirs_hist"])
+        for app in apps}
+
+
+def render_distribution(dist: Mapping[str, Mapping[object, float]],
+                        figno: str, suite: str, big: int) -> str:
+    cols: List[object] = list(range(DIRS_UPPER + 1)) + ["more"]
+    lines = [f"### Figure {figno} — distribution of dirs/commit "
+             f"({suite}, {big}p, % of commits)\n",
+             "| app | " + " | ".join(str(c) for c in cols) + " |",
+             "|---|" + "---|" * len(cols)]
+    for app, pct in dist.items():
+        lines.append(f"| {app} | "
+                     + " | ".join(f"{pct[c]:.0f}" for c in cols) + " |")
+    lines.append("")
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Figure 13: commit latency
+# ----------------------------------------------------------------------
+def commit_latency(records: Records, apps: Sequence[str]
+                   ) -> Dict[int, Dict[ProtocolKind, Counter]]:
+    """Figure 13: per machine size and protocol, the commit latencies of
+    ``apps`` pooled into one ``{latency: commits}`` histogram."""
+    out: Dict[int, Dict[ProtocolKind, Counter]] = {}
+    for n in core_counts(records):
+        out[n] = {}
+        for proto in ALL_PROTOCOLS:
+            pooled: Counter = Counter()
+            for app in apps:
+                for k, v in _cell(records, app, n, proto)["latency_hist"].items():
+                    pooled[int(k)] += v
+            out[n][proto] = pooled
     return out
 
 
-def run_commit_latency(apps: Sequence[str], n_cores: int = 64,
-                       protocols: Sequence[ProtocolKind] = ALL_PROTOCOLS,
-                       chunks_per_partition: int = 3, **overrides
-                       ) -> Dict[ProtocolKind, List[int]]:
-    """Figure 13: pooled commit-latency samples per protocol."""
-    out: Dict[ProtocolKind, List[int]] = {p: [] for p in protocols}
-    for proto in protocols:
-        for app in apps:
-            config = SystemConfig(n_cores=n_cores, protocol=proto, **overrides)
-            runner = SimulationRunner(app, config,
-                                      chunks_per_partition=chunks_per_partition)
-            res = runner.run(keep_machine=True)
-            hist = res.machine.protocol.stats.commit_latency_hist
-            for value, count in hist.counts().items():
-                out[proto].extend([value] * count)
-    return out
+def mean_latency(pooled: Mapping[int, int]) -> float:
+    """The mean of a ``{latency: commits}`` histogram (0.0 when empty)."""
+    count = sum(pooled.values())
+    return sum(k * v for k, v in pooled.items()) / count if count else 0.0
 
 
-def run_bottleneck_ratio(apps: Sequence[str], n_cores: int = 64,
-                         protocols: Sequence[ProtocolKind] = GROUPING_PROTOCOLS,
-                         chunks_per_partition: int = 3, **overrides
-                         ) -> Dict[str, Dict[ProtocolKind, float]]:
-    """Figures 14/15: bottleneck ratio per app per protocol."""
-    out: Dict[str, Dict[ProtocolKind, float]] = {}
-    for app in apps:
-        out[app] = {}
-        for proto in protocols:
-            res = _run(app, n_cores, proto, chunks_per_partition, **overrides)
-            out[app][proto] = res.bottleneck_ratio
-    return out
+def latency_percentile(pooled: Mapping[int, int], p: float) -> int:
+    """The smallest latency that at least ``p``% of the pooled commits do
+    not exceed (0 when empty)."""
+    target = sum(pooled.values()) * p / 100.0
+    cum = 0
+    for latency in sorted(pooled):
+        cum += pooled[latency]
+        if cum >= target:
+            return latency
+    return max(pooled, default=0)
 
 
-def run_queue_length(apps: Sequence[str], n_cores: int = 64,
-                     protocols: Sequence[ProtocolKind] = QUEUEING_PROTOCOLS,
-                     chunks_per_partition: int = 3, **overrides
+def latency_buckets(pooled: Mapping[int, int], width: int, n_buckets: int
+                    ) -> List[Tuple[int, int]]:
+    """``(low edge, commits)`` per fixed-width bucket; the last bucket is
+    open-ended."""
+    counts = [0] * n_buckets
+    for latency, n in pooled.items():
+        counts[min(latency // width, n_buckets - 1)] += n
+    return [(i * width, n) for i, n in enumerate(counts)]
+
+
+def render_commit_latency(latency: Mapping[int, Mapping[ProtocolKind, Counter]]
+                          ) -> str:
+    big, small = max(latency), min(latency)
+    lines = [f"### Figure 13 — commit latency ({big}p, mean cycles over "
+             f"all apps)\n",
+             "| protocol | measured mean | paper mean (64p) |",
+             "|---|---|---|"]
+    for proto, pooled in latency[big].items():
+        lines.append(f"| {proto.value} | {mean_latency(pooled):.0f} | "
+                     f"{PAPER_LATENCY_64P[proto.value]} |")
+    lines.append("")
+    if small != big:
+        lines.append(f"At {small}p, measured means: " + ", ".join(
+            f"{proto.value}={mean_latency(pooled):.0f}"
+            for proto, pooled in latency[small].items())
+            + " (paper at 32p: ScalableBulk=74, TCC=402, SEQ=107, "
+              "BulkSC=98)\n")
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Figures 14-17: bottleneck ratio and chunk queue length
+# ----------------------------------------------------------------------
+def _per_protocol(records: Records, apps: Sequence[str], metric: str,
+                  protocols: Sequence[ProtocolKind]
+                  ) -> Dict[str, Dict[ProtocolKind, float]]:
+    big = max(core_counts(records))
+    return {app: {p: _cell(records, app, big, p)[metric] for p in protocols}
+            for app in apps}
+
+
+def bottleneck_ratio(records: Records, apps: Sequence[str]
                      ) -> Dict[str, Dict[ProtocolKind, float]]:
-    """Figures 16/17: average chunk queue length per app (TCC/SEQ)."""
-    out: Dict[str, Dict[ProtocolKind, float]] = {}
+    """Figures 14/15: bottleneck ratio per app per grouping protocol."""
+    return _per_protocol(records, apps, "bottleneck_ratio",
+                         GROUPING_PROTOCOLS)
+
+
+def queue_length(records: Records, apps: Sequence[str]
+                 ) -> Dict[str, Dict[ProtocolKind, float]]:
+    """Figures 16/17: average chunk queue length per app."""
+    return _per_protocol(records, apps, "mean_queue", QUEUE_PROTOCOLS)
+
+
+def _render_per_protocol(data: Mapping[str, Mapping[ProtocolKind, float]],
+                         heading: str) -> str:
+    protos = list(next(iter(data.values())))
+    lines = [heading,
+             "| app | " + " | ".join(p.value for p in protos) + " |",
+             "|---|" + "---|" * len(protos)]
+    for app, per_proto in data.items():
+        lines.append(f"| {app} | "
+                     + " | ".join(f"{per_proto[p]:.2f}" for p in protos)
+                     + " |")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def render_bottleneck_ratio(data: Mapping[str, Mapping[ProtocolKind, float]],
+                            figno: str, suite: str, big: int) -> str:
+    return _render_per_protocol(
+        data, f"### Figure {figno} — bottleneck ratio ({suite}, {big}p)\n")
+
+
+def render_queue_length(data: Mapping[str, Mapping[ProtocolKind, float]],
+                        figno: str, suite: str, big: int) -> str:
+    return _render_per_protocol(
+        data, f"### Figure {figno} — chunk queue length ({suite}, {big}p)\n")
+
+
+# ----------------------------------------------------------------------
+# Figures 18/19: traffic characterization
+# ----------------------------------------------------------------------
+def traffic(records: Records, apps: Sequence[str]
+            ) -> Dict[str, Dict[ProtocolKind, Dict[str, int]]]:
+    """Figures 18/19: message counts by class, per app per protocol, on
+    the largest machine."""
+    big = max(core_counts(records))
+    return {app: {p: dict(_cell(records, app, big, p)["traffic"])
+                  for p in ALL_PROTOCOLS} for app in apps}
+
+
+def normalize_traffic(per_proto: Mapping[ProtocolKind, Mapping[str, int]]
+                      ) -> Dict[ProtocolKind, Dict[str, float]]:
+    """Normalize message counts to TCC's total, folding request/forward
+    control traffic ('Other') into the read class mix as the paper does."""
+    def folded(counts: Mapping[str, int]) -> Dict[str, float]:
+        out = {k: float(counts.get(k, 0)) for k in TRAFFIC_ORDER}
+        other = float(counts.get(TrafficClass.OTHER.value, 0))
+        reads = out["MemRd"] + out["RemoteShRd"] + out["RemoteDirtyRd"]
+        if reads > 0:
+            for k in ("MemRd", "RemoteShRd", "RemoteDirtyRd"):
+                out[k] += other * out[k] / reads
+        else:
+            out["MemRd"] += other
+        return out
+
+    tcc = per_proto.get(ProtocolKind.TCC)
+    tcc_total = sum(folded(tcc).values()) if tcc else None
+    result: Dict[ProtocolKind, Dict[str, float]] = {}
+    for proto, counts in per_proto.items():
+        f = folded(counts)
+        denom = tcc_total or sum(f.values()) or 1.0
+        result[proto] = {k: 100.0 * v / denom for k, v in f.items()}
+    return result
+
+
+def render_traffic(data: Mapping[str, Mapping[ProtocolKind, Mapping[str, int]]],
+                   figno: str, suite: str, big: int) -> str:
+    lines = [f"### Figure {figno} — message mix ({suite}, {big}p, % of TCC "
+             f"total)\n",
+             "| app | protocol | " + " | ".join(TRAFFIC_ORDER) + " | total |",
+             "|---|---|" + "---|" * (len(TRAFFIC_ORDER) + 1)]
+    for app, per_proto in data.items():
+        for proto, mix in normalize_traffic(per_proto).items():
+            row = " | ".join(f"{mix[k]:.1f}" for k in TRAFFIC_ORDER)
+            lines.append(f"| {app} | {proto.value} | {row} | "
+                         f"{sum(mix.values()):.1f} |")
+    lines.append("")
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Section 6.1: squash rates
+# ----------------------------------------------------------------------
+def squash_rates(records: Records, apps: Sequence[str]
+                 ) -> Tuple[float, float]:
+    """Section 6.1: ScalableBulk's conflict and aliasing squashes on the
+    largest machine, as percentages of committed chunks."""
+    big = max(core_counts(records))
+    chunks = conflict = alias = 0
     for app in apps:
-        out[app] = {}
-        for proto in protocols:
-            res = _run(app, n_cores, proto, chunks_per_partition, **overrides)
-            out[app][proto] = res.mean_queue_length
-    return out
+        rec = _cell(records, app, big, ProtocolKind.SCALABLEBULK)
+        chunks += rec["chunks_committed"]
+        conflict += rec["squashes_conflict"]
+        alias += rec["squashes_alias"]
+    return (100 * conflict / max(1, chunks), 100 * alias / max(1, chunks))
 
 
-def run_traffic(apps: Sequence[str], n_cores: int = 64,
-                protocols: Sequence[ProtocolKind] = ALL_PROTOCOLS,
-                chunks_per_partition: int = 3, **overrides
-                ) -> Dict[str, Dict[ProtocolKind, Dict[str, int]]]:
-    """Figures 18/19: message counts by class, per app per protocol.
-
-    The figure normalizes each app's bars to TCC's total message count.
-    """
-    out: Dict[str, Dict[ProtocolKind, Dict[str, int]]] = {}
-    for app in apps:
-        out[app] = {}
-        for proto in protocols:
-            res = _run(app, n_cores, proto, chunks_per_partition, **overrides)
-            out[app][proto] = dict(res.traffic_by_class)
-    return out
+def render_squash_rates(rates: Tuple[float, float], big: int) -> str:
+    conflict, alias = rates
+    return "\n".join([
+        f"### Squash rates (ScalableBulk, {big}p; paper: 1.5% conflicts + "
+        f"2.3% aliasing)\n",
+        f"* conflicts: {conflict:.1f}% of chunks; aliasing: {alias:.1f}%\n"])
 
 
 __all__ = [
@@ -261,14 +468,29 @@ __all__ = [
     "DirsPerCommitRow",
     "Figure7Result",
     "GROUPING_PROTOCOLS",
-    "QUEUEING_PROTOCOLS",
-    "run_bottleneck_ratio",
-    "run_commit_latency",
-    "run_dirs_distribution",
-    "run_dirs_per_commit",
-    "run_execution_time_figure",
-    "run_figure7",
-    "run_figure8",
-    "run_queue_length",
-    "run_traffic",
+    "QUEUE_PROTOCOLS",
+    "Records",
+    "TRAFFIC_ORDER",
+    "bottleneck_ratio",
+    "commit_latency",
+    "core_counts",
+    "dirs_distribution",
+    "dirs_per_commit",
+    "dirs_percentages",
+    "execution_time",
+    "latency_buckets",
+    "latency_percentile",
+    "mean_latency",
+    "normalize_traffic",
+    "queue_length",
+    "render_bottleneck_ratio",
+    "render_commit_latency",
+    "render_dirs_per_commit",
+    "render_distribution",
+    "render_execution_time",
+    "render_queue_length",
+    "render_squash_rates",
+    "render_traffic",
+    "squash_rates",
+    "traffic",
 ]

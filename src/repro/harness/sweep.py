@@ -28,17 +28,14 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.config import ProtocolKind, SystemConfig
-from repro.harness.tables import TRAFFIC_ORDER, normalize_traffic
-from repro.store.campaign import CampaignSpec, expand, key_of, run_campaign
+from repro.config import SystemConfig
+from repro.harness import experiments as fig
+from repro.store.campaign import CampaignSpec, expand, run_campaign
 from repro.store.db import ResultStore, StoreError
 from repro.store.ingest import export_sweep
 from repro.workloads.profiles import PARSEC_APPS, SPLASH2_APPS
-
-PROTOCOLS = (ProtocolKind.SCALABLEBULK, ProtocolKind.TCC, ProtocolKind.SEQ,
-             ProtocolKind.BULKSC)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -80,209 +77,38 @@ def collect(apps: Sequence[str], core_counts: Sequence[int], chunks: int,
                         cell_keys=[c.cell_key for c in expand(spec)])
 
 
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
-def _norm(rec: dict, base: dict) -> dict:
-    """Per-bar normalized breakdown (Figs. 7/8)."""
-    total = max(1, rec["useful"] + rec["miss"] + rec["commit"] + rec["squash"])
-    norm_time = rec["total_cycles"] / max(1, base["total_cycles"])
-    return {
-        "norm": norm_time,
-        "speedup": base["total_cycles"] / max(1, rec["total_cycles"]),
-        "useful": norm_time * rec["useful"] / total,
-        "miss": norm_time * rec["miss"] / total,
-        "commit": norm_time * rec["commit"] / total,
-        "squash": norm_time * rec["squash"] / total,
-    }
-
-
 def render_markdown(records: Dict[str, dict], apps: Sequence[str],
                     core_counts: Sequence[int], chunks: int) -> str:
+    """EXPERIMENTS.md's tables: a header, then each figure reduced from
+    ``records`` (the :func:`collect` of ``apps`` x ``core_counts``) and
+    rendered by :mod:`repro.harness.experiments`."""
     big = max(core_counts)
-    lines: List[str] = []
-    w = lines.append
+    suites = (("SPLASH-2", [a for a in apps if a in SPLASH2_APPS]),
+              ("PARSEC", [a for a in apps if a in PARSEC_APPS]))
+    sections = [f"Sweep parameters: cores={list(core_counts)}, "
+                f"chunks/partition={chunks}, "
+                f"chunk={SystemConfig().chunk_size_instructions} "
+                f"instructions, {len(apps)} applications.\n"]
 
-    def rec(app, n, proto):
-        return records[key_of(app, n, proto, n)]
+    def per_suite(first_figno: int, reduce, render) -> None:
+        """One figure per suite: SPLASH-2 is ``first_figno``, PARSEC the
+        next number."""
+        for figno, (suite, suite_apps) in enumerate(suites, first_figno):
+            if suite_apps:
+                sections.append(render(reduce(records, suite_apps),
+                                       str(figno), suite, big))
 
-    def base(app):
-        return records[key_of(app, big, "baseline1p", 1)]
-
-    splash = [a for a in apps if a in SPLASH2_APPS]
-    parsec = [a for a in apps if a in PARSEC_APPS]
-
-    w(f"Sweep parameters: cores={list(core_counts)}, "
-      f"chunks/partition={chunks}, "
-      f"chunk={SystemConfig().chunk_size_instructions} instructions, "
-      f"{len(apps)} applications.\n")
-
-    # Figures 7/8 ------------------------------------------------------
-    for figno, suite, suite_apps in (("7", "SPLASH-2", splash),
-                                     ("8", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — {suite} execution time "
-          f"(normalized to 1p ScalableBulk)\n")
-        w("| app | cores | protocol | norm. time | speedup | useful | "
-          "miss | commit | squash |")
-        w("|---|---|---|---|---|---|---|---|---|")
-        for app in suite_apps:
-            for n in core_counts:
-                for proto in PROTOCOLS:
-                    r = rec(app, n, proto.value)
-                    nb = _norm(r, base(app))
-                    w(f"| {app} | {n} | {proto.value} | {nb['norm']:.4f} | "
-                      f"{nb['speedup']:.1f} | {nb['useful']:.4f} | "
-                      f"{nb['miss']:.4f} | {nb['commit']:.4f} | "
-                      f"{nb['squash']:.4f} |")
-        w("")
-        for n in core_counts:
-            for proto in PROTOCOLS:
-                speedups = [_norm(rec(a, n, proto.value), base(a))["speedup"]
-                            for a in suite_apps]
-                avg = sum(speedups) / len(speedups)
-                w(f"* AVERAGE speedup, {proto.value} @ {n}p: **{avg:.1f}**")
-        w("")
-
-    # Figures 9/10 ------------------------------------------------------
-    for figno, suite, suite_apps in (("9", "SPLASH-2", splash),
-                                     ("10", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — directories per chunk commit ({suite})\n")
-        w("| app | cores | dirs/commit | write group | read-only group |")
-        w("|---|---|---|---|---|")
-        for app in suite_apps:
-            for n in core_counts:
-                r = rec(app, n, ProtocolKind.SCALABLEBULK.value)
-                w(f"| {app} | {n} | {r['mean_dirs']:.2f} | "
-                  f"{r['mean_write_dirs']:.2f} | "
-                  f"{r['mean_dirs'] - r['mean_write_dirs']:.2f} |")
-        w("")
-
-    # Figures 11/12 -----------------------------------------------------
-    for figno, suite, suite_apps in (("11", "SPLASH-2", splash),
-                                     ("12", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — distribution of dirs/commit "
-          f"({suite}, {big}p, % of commits)\n")
-        cols = list(range(15)) + ["more"]
-        w("| app | " + " | ".join(str(c) for c in cols) + " |")
-        w("|---|" + "---|" * len(cols))
-        for app in suite_apps:
-            hist = rec(app, big, ProtocolKind.SCALABLEBULK.value)["dirs_hist"]
-            n_total = sum(hist.values()) or 1
-            pct = {}
-            more = 0.0
-            for k, v in hist.items():
-                ki = int(k)
-                if ki <= 14:
-                    pct[ki] = pct.get(ki, 0) + 100 * v / n_total
-                else:
-                    more += 100 * v / n_total
-            row = " | ".join(f"{pct.get(c, 0):.0f}" for c in range(15))
-            w(f"| {app} | {row} | {more:.0f} |")
-        w("")
-
-    # Figure 13 ----------------------------------------------------------
-    w(f"### Figure 13 — commit latency ({big}p, mean cycles over all apps)\n")
-    w("| protocol | measured mean | paper mean (64p) |")
-    w("|---|---|---|")
-    paper_means = {"ScalableBulk": 91, "TCC": 411, "SEQ": 153,
-                   "BulkSC": 2954}
-    for proto in PROTOCOLS:
-        lats, count = 0.0, 0
-        for app in apps:
-            hist = rec(app, big, proto.value)["latency_hist"]
-            for k, v in hist.items():
-                lats += int(k) * v
-                count += v
-        mean = lats / count if count else 0.0
-        w(f"| {proto.value} | {mean:.0f} | {paper_means[proto.value]} |")
-    w("")
-    if len(core_counts) > 1:
-        small = min(core_counts)
-        w(f"At {small}p, measured means: " + ", ".join(
-            f"{proto.value}="
-            f"{_mean_latency(records, apps, small, proto.value):.0f}"
-            for proto in PROTOCOLS)
-          + " (paper at 32p: ScalableBulk=74, TCC=402, SEQ=107, BulkSC=98)\n")
-
-    # Figures 14/15 -------------------------------------------------------
-    for figno, suite, suite_apps in (("14", "SPLASH-2", splash),
-                                     ("15", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — bottleneck ratio ({suite}, {big}p)\n")
-        w("| app | ScalableBulk | TCC | SEQ |")
-        w("|---|---|---|---|")
-        for app in suite_apps:
-            vals = [rec(app, big, p.value)["bottleneck_ratio"]
-                    for p in (ProtocolKind.SCALABLEBULK, ProtocolKind.TCC,
-                              ProtocolKind.SEQ)]
-            w(f"| {app} | " + " | ".join(f"{v:.2f}" for v in vals) + " |")
-        w("")
-
-    # Figures 16/17 -------------------------------------------------------
-    for figno, suite, suite_apps in (("16", "SPLASH-2", splash),
-                                     ("17", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — chunk queue length ({suite}, {big}p)\n")
-        w("| app | TCC | SEQ | ScalableBulk |")
-        w("|---|---|---|---|")
-        for app in suite_apps:
-            vals = [rec(app, big, p.value)["mean_queue"]
-                    for p in (ProtocolKind.TCC, ProtocolKind.SEQ,
-                              ProtocolKind.SCALABLEBULK)]
-            w(f"| {app} | " + " | ".join(f"{v:.2f}" for v in vals) + " |")
-        w("")
-
-    # Figures 18/19 --------------------------------------------------------
-    for figno, suite, suite_apps in (("18", "SPLASH-2", splash),
-                                     ("19", "PARSEC", parsec)):
-        if not suite_apps:
-            continue
-        w(f"### Figure {figno} — message mix ({suite}, {big}p, % of TCC "
-          f"total)\n")
-        w("| app | protocol | " + " | ".join(TRAFFIC_ORDER) + " | total |")
-        w("|---|---|" + "---|" * (len(TRAFFIC_ORDER) + 1))
-        for app in suite_apps:
-            per_proto = {p: rec(app, big, p.value)["traffic"]
-                         for p in PROTOCOLS}
-            norm = normalize_traffic(per_proto)
-            for proto in PROTOCOLS:
-                mix = norm[proto]
-                total = sum(mix.values())
-                row = " | ".join(f"{mix[k]:.1f}" for k in TRAFFIC_ORDER)
-                w(f"| {app} | {proto.value} | {row} | {total:.1f} |")
-        w("")
-
-    # Squash summary (Section 6.1 numbers) ---------------------------------
-    w(f"### Squash rates (ScalableBulk, {big}p; paper: 1.5% conflicts + "
-      f"2.3% aliasing)\n")
-    total_chunks = total_conf = total_alias = 0
-    for app in apps:
-        r = rec(app, big, ProtocolKind.SCALABLEBULK.value)
-        total_chunks += r["chunks_committed"]
-        total_conf += r["squashes_conflict"]
-        total_alias += r["squashes_alias"]
-    w(f"* conflicts: {100 * total_conf / max(1, total_chunks):.1f}% of "
-      f"chunks; aliasing: {100 * total_alias / max(1, total_chunks):.1f}%\n")
-
-    return "\n".join(lines)
-
-
-def _mean_latency(records, apps, n, proto) -> float:
-    lats = count = 0
-    for app in apps:
-        hist = records[key_of(app, n, proto, n)]["latency_hist"]
-        for k, v in hist.items():
-            lats += int(k) * v
-            count += v
-    return lats / count if count else 0.0
+    per_suite(7, fig.execution_time, fig.render_execution_time)
+    per_suite(9, fig.dirs_per_commit, fig.render_dirs_per_commit)
+    per_suite(11, fig.dirs_distribution, fig.render_distribution)
+    sections.append(fig.render_commit_latency(
+        fig.commit_latency(records, apps)))
+    per_suite(14, fig.bottleneck_ratio, fig.render_bottleneck_ratio)
+    per_suite(16, fig.queue_length, fig.render_queue_length)
+    per_suite(18, fig.traffic, fig.render_traffic)
+    sections.append(fig.render_squash_rates(
+        fig.squash_rates(records, apps), big))
+    return "\n".join(sections)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

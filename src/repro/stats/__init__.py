@@ -12,13 +12,5 @@
 """
 
 from repro.stats.metrics import AttemptPhase, CommitRecord, MachineStats
-from repro.stats.histograms import Histogram, bucketize, distribution_percentages
 
-__all__ = [
-    "AttemptPhase",
-    "CommitRecord",
-    "Histogram",
-    "MachineStats",
-    "bucketize",
-    "distribution_percentages",
-]
+__all__ = ["AttemptPhase", "CommitRecord", "MachineStats"]

@@ -18,11 +18,10 @@ outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
-
-from repro.stats.histograms import Histogram
 
 
 class AttemptPhase(Enum):
@@ -57,9 +56,13 @@ class MachineStats:
 
     def __init__(self) -> None:
         self.commits: List[CommitRecord] = []
-        self.commit_latency_hist = Histogram()
-        self.dirs_per_commit_hist = Histogram()
-        self.write_dirs_per_commit_hist = Histogram()
+        #: ``{value: commits}`` histograms behind Figures 11-13
+        self.commit_latency_hist: Counter = Counter()
+        self.dirs_per_commit_hist: Counter = Counter()
+        #: integer running sums behind the three per-commit means
+        self._latency_sum = 0
+        self._dirs_sum = 0
+        self._write_dirs_sum = 0
 
         self._attempts: Dict[int, _Attempt] = {}
         self._next_attempt_id = 0
@@ -139,21 +142,26 @@ class MachineStats:
         rec = CommitRecord(ctag, core, n_dirs, n_write_dirs, latency,
                            total_latency, retries)
         self.commits.append(rec)
-        self.commit_latency_hist.add(latency)
-        self.dirs_per_commit_hist.add(n_dirs)
-        self.write_dirs_per_commit_hist.add(n_write_dirs)
+        self.commit_latency_hist[latency] += 1
+        self.dirs_per_commit_hist[n_dirs] += 1
+        self._latency_sum += latency
+        self._dirs_sum += n_dirs
+        self._write_dirs_sum += n_write_dirs
 
     # ------------------------------------------------------------------
     # Derived metrics
     # ------------------------------------------------------------------
+    def _mean(self, total: int) -> float:
+        return total / self.n_commits if self.n_commits else 0.0
+
     def mean_commit_latency(self) -> float:
-        return self.commit_latency_hist.mean()
+        return self._mean(self._latency_sum)
 
     def mean_dirs_per_commit(self) -> float:
-        return self.dirs_per_commit_hist.mean()
+        return self._mean(self._dirs_sum)
 
     def mean_write_dirs_per_commit(self) -> float:
-        return self.write_dirs_per_commit_hist.mean()
+        return self._mean(self._write_dirs_sum)
 
     def mean_read_only_dirs_per_commit(self) -> float:
         return self.mean_dirs_per_commit() - self.mean_write_dirs_per_commit()

@@ -13,9 +13,11 @@ A *campaign spec* is a small JSON document describing a run matrix::
     }
 
 This module is the repo's only matrix runner: ``repro sweep`` builds a
-spec from its ``--apps/--cores/--chunks`` and runs it here, ``repro
-bench`` runs its macro tier here as ``bench_macro`` rows, and ``repro
-store campaign`` runs a spec file.  :func:`expand` is the only
+spec from its ``--apps/--cores/--chunks`` and runs it here, and so does
+every caller of :func:`repro.harness.sweep.collect` (the figure suite
+under ``benchmarks/``, ``examples/paper_figures.py``), ``repro bench``
+runs its macro tier here as ``bench_macro`` rows, and ``repro store
+campaign`` runs a spec file.  :func:`expand` is the only
 place that lists cells — per app a single-processor ScalableBulk
 baseline on the largest machine, then every (cores, protocol) cell with
 ``n_partitions`` pinned to the largest machine so every run of one app
@@ -166,9 +168,9 @@ def run_one(app: str, n_cores: int, protocol: ProtocolKind,
         "mean_queue": result.mean_queue_length,
         "traffic": result.traffic_by_class,
         "dirs_hist": {str(k): v for k, v in
-                      stats.dirs_per_commit_hist.counts().items()},
+                      stats.dirs_per_commit_hist.items()},
         "latency_hist": {str(k): v for k, v in
-                         stats.commit_latency_hist.counts().items()},
+                         stats.commit_latency_hist.items()},
         "wall_seconds": round(wall, 2),
         # unrounded twin of wall_seconds: the bench harness computes
         # cycles/sec from this so sub-0.2s runs are not quantized by the
@@ -178,6 +180,10 @@ def run_one(app: str, n_cores: int, protocol: ProtocolKind,
     if profiler is not None:
         record["profile"] = profiler.report().to_json()
     return record
+
+
+#: The protocol slot of a 1p baseline cell's sweep key.
+BASELINE = "baseline1p"
 
 
 def key_of(app: str, n_cores: int, protocol: str, active: int) -> str:
@@ -201,7 +207,7 @@ class CampaignCell:
         """The sweep document's key for this cell (the row's ``series``)."""
         active = self.active_cores if self.active_cores is not None \
             else self.n_cores
-        proto = "baseline1p" if self.active_cores == 1 else self.protocol
+        proto = BASELINE if self.active_cores == 1 else self.protocol
         return key_of(self.app, self.n_cores, proto, active)
 
     @property
@@ -395,5 +401,6 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
     return report
 
 
-__all__ = ["CampaignCell", "CampaignReport", "CampaignSpec", "QUICK_SPEC",
+__all__ = ["BASELINE", "CampaignCell", "CampaignReport", "CampaignSpec",
+           "QUICK_SPEC",
            "expand", "key_of", "run_campaign", "run_one"]

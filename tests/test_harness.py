@@ -1,21 +1,22 @@
-"""Tests for the runner, experiment functions and table renderers."""
+"""Tests for the runner, the figure reducers and their renderers."""
 
 import pytest
 
-from repro.config import ProtocolKind, SystemConfig
+from repro.config import ProtocolKind
 from repro.harness.experiments import (
-    BreakdownBar, run_bottleneck_ratio, run_commit_latency,
-    run_dirs_distribution, run_dirs_per_commit, run_execution_time_figure,
-    run_queue_length, run_traffic,
+    ALL_PROTOCOLS, BreakdownBar, bottleneck_ratio, commit_latency,
+    dirs_distribution, dirs_per_commit, execution_time, normalize_traffic,
+    queue_length, render_bottleneck_ratio, render_commit_latency,
+    render_dirs_per_commit, render_distribution, render_execution_time,
+    render_traffic, traffic,
 )
-from repro.harness.runner import RunResult, SimulationRunner, run_app
-from repro.harness.tables import (
-    normalize_traffic, render_breakdown, render_commit_latency,
-    render_dirs_per_commit, render_distribution, render_ratio_table,
-    render_traffic,
-)
+from repro.harness.runner import RunResult, run_app
+from repro.harness.sweep import collect
+from repro.store.db import ResultStore
 
 SMALL = dict(n_cores=4, chunks_per_partition=1)
+ONE_CHUNK = dict(chunks_per_partition=1)
+APPS = ["LU", "Radix"]
 
 
 class TestRunApp:
@@ -55,78 +56,74 @@ class TestRunApp:
         assert r.machine.sim.quiescent()
 
 
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    """LU and Radix at 4 cores, 1 chunk: the campaign matrix the figure
+    reducers read, collected into a throwaway store."""
+    db = tmp_path_factory.mktemp("figures") / "figures.db"
+    with ResultStore(db) as store:
+        return collect(APPS, [4], 1, store, log=lambda *_: None)
+
+
 class TestExperimentFunctions:
-    def test_execution_time_figure(self):
-        fig = run_execution_time_figure(
-            ["LU"], core_counts=(4,), chunks_per_partition=1)
+    def test_execution_time_figure(self, records):
+        fig = execution_time(records, ["LU"])
         bar = fig.bar("LU", ProtocolKind.SCALABLEBULK, 4)
         assert isinstance(bar, BreakdownBar)
         assert bar.speedup > 0
         total = bar.useful + bar.cache_miss + bar.commit + bar.squash
         assert total == pytest.approx(bar.normalized_time, rel=1e-6)
 
-    def test_dirs_per_commit_rows(self):
-        rows = run_dirs_per_commit(["Radix"], core_counts=(4,),
-                                   chunks_per_partition=1)
+    def test_dirs_per_commit_rows(self, records):
+        rows = dirs_per_commit(records, ["Radix"])
         assert rows[0].mean_dirs >= rows[0].mean_write_dirs
         assert rows[0].mean_read_only_dirs >= 0
 
-    def test_dirs_distribution_sums_to_100(self):
-        dist = run_dirs_distribution(["LU"], n_cores=4,
-                                     chunks_per_partition=1)
+    def test_dirs_distribution_sums_to_100(self, records):
+        dist = dirs_distribution(records, ["LU"])
         assert sum(dist["LU"].values()) == pytest.approx(100.0)
 
-    def test_commit_latency_samples(self):
-        samples = run_commit_latency(
-            ["LU"], n_cores=4, protocols=(ProtocolKind.SCALABLEBULK,),
-            chunks_per_partition=1)
-        assert len(samples[ProtocolKind.SCALABLEBULK]) == 4
+    def test_commit_latency_samples(self, records):
+        latency = commit_latency(records, ["LU"])
+        assert sum(latency[4][ProtocolKind.SCALABLEBULK].values()) == 4
 
-    def test_bottleneck_and_queue(self):
-        bn = run_bottleneck_ratio(["LU"], n_cores=4,
-                                  protocols=(ProtocolKind.TCC,),
-                                  chunks_per_partition=1)
+    def test_bottleneck_and_queue(self, records):
+        bn = bottleneck_ratio(records, ["LU"])
         assert ProtocolKind.TCC in bn["LU"]
-        q = run_queue_length(["LU"], n_cores=4,
-                             protocols=(ProtocolKind.TCC,),
-                             chunks_per_partition=1)
+        q = queue_length(records, ["LU"])
         assert q["LU"][ProtocolKind.TCC] >= 0
 
-    def test_traffic_counts(self):
-        data = run_traffic(["LU"], n_cores=4,
-                           protocols=(ProtocolKind.TCC,
-                                      ProtocolKind.SCALABLEBULK),
-                           chunks_per_partition=1)
+    def test_traffic_counts(self, records):
+        data = traffic(records, ["LU"])
         tcc = data["LU"][ProtocolKind.TCC]
         assert sum(tcc.values()) > 0
 
 
 class TestRenderers:
-    def test_render_breakdown(self):
-        fig = run_execution_time_figure(
-            ["LU"], core_counts=(4,),
-            protocols=(ProtocolKind.SCALABLEBULK,), chunks_per_partition=1)
-        text = render_breakdown(fig, (ProtocolKind.SCALABLEBULK,), (4,))
-        assert "LU" in text and "AVERAGE" in text
+    def test_render_breakdown(self, records):
+        text = render_execution_time(execution_time(records, ["LU"]), "7",
+                                     "SPLASH-2", 4)
+        assert "| LU | 4 | ScalableBulk |" in text and "AVERAGE" in text
 
-    def test_render_dirs(self):
-        rows = run_dirs_per_commit(["LU"], core_counts=(4,),
-                                   chunks_per_partition=1)
-        assert "LU" in render_dirs_per_commit(rows)
+    def test_render_dirs(self, records):
+        text = render_dirs_per_commit(dirs_per_commit(records, ["LU"]), "9",
+                                      "SPLASH-2", 4)
+        assert "| LU | 4 |" in text
 
-    def test_render_distribution(self):
-        text = render_distribution({"LU": {0: 10.0, 1: 90.0, "more": 0.0}},
-                                   upper=1)
-        assert "LU" in text
+    def test_render_distribution(self, records):
+        text = render_distribution(dirs_distribution(records, ["LU"]), "11",
+                                   "SPLASH-2", 4)
+        assert "| LU |" in text
 
-    def test_render_commit_latency(self):
-        text = render_commit_latency({ProtocolKind.SCALABLEBULK: [10, 20]})
-        assert "mean" in text
+    def test_render_commit_latency(self, records):
+        text = render_commit_latency(commit_latency(records, APPS))
+        assert "measured mean" in text
 
-    def test_render_ratio_table(self):
-        text = render_ratio_table(
-            {"LU": {ProtocolKind.TCC: 2.5}}, "bottleneck")
-        assert "AVERAGE" in text
+    def test_render_ratio_table(self, records):
+        data = bottleneck_ratio(records, ["LU"])
+        text = render_bottleneck_ratio(data, "14", "SPLASH-2", 4)
+        assert "| app | ScalableBulk | TCC | SEQ |" in text
+        assert f"{data['LU'][ProtocolKind.TCC]:.2f}" in text
 
     def test_normalize_traffic_to_tcc(self):
         data = {
@@ -145,8 +142,79 @@ class TestRenderers:
         norm = normalize_traffic(data)
         assert norm[ProtocolKind.TCC]["MemRd"] == pytest.approx(100.0)
 
-    def test_render_traffic(self):
-        data = run_traffic(["LU"], n_cores=4,
-                           protocols=(ProtocolKind.TCC,),
-                           chunks_per_partition=1)
-        assert "LU" in render_traffic(data)
+    def test_render_traffic(self, records):
+        text = render_traffic(traffic(records, ["LU"]), "18", "SPLASH-2", 4)
+        assert "| LU | TCC |" in text
+
+
+class TestReducersMatchDirectRuns:
+    """Every reducer against an independent path: ``run_app`` on the same
+    cells, read through ``RunResult`` and the machine's own stats."""
+
+    @pytest.fixture(scope="class")
+    def direct(self):
+        runs = {}
+        for app in APPS:
+            runs[app, "1p"] = run_app(app, n_cores=4, active_cores=1,
+                                      n_partitions=4, **ONE_CHUNK)
+            for proto in ALL_PROTOCOLS:
+                runs[app, proto] = run_app(app, n_cores=4, protocol=proto,
+                                           n_partitions=4, keep_machine=True,
+                                           **ONE_CHUNK)
+        return runs
+
+    def test_fig7_bars_match_from_result(self, records, direct):
+        fig = execution_time(records, APPS)
+        for app in APPS:
+            base = direct[app, "1p"].total_cycles
+            assert fig.baselines[app] == base
+            for proto in ALL_PROTOCOLS:
+                want = BreakdownBar.from_result(direct[app, proto], base)
+                got = fig.bar(app, proto, 4)
+                assert (got.app, got.protocol, got.n_cores) == \
+                    (want.app, want.protocol, want.n_cores)
+                for name in ("normalized_time", "speedup", "useful",
+                             "cache_miss", "commit", "squash"):
+                    assert getattr(got, name) == pytest.approx(
+                        getattr(want, name), rel=1e-12), (app, proto, name)
+
+    def test_fig9_rows_match_run_result_means(self, records, direct):
+        for row in dirs_per_commit(records, APPS):
+            res = direct[row.app, ProtocolKind.SCALABLEBULK]
+            assert row.mean_dirs == res.mean_dirs_per_commit
+            assert row.mean_write_dirs == res.mean_write_dirs_per_commit
+
+    def test_fig11_percentages_match_machine_stats(self, records, direct):
+        dist = dirs_distribution(records, APPS)
+        for app in APPS:
+            stats = direct[app, ProtocolKind.SCALABLEBULK] \
+                .machine.protocol.stats
+            counts = stats.dirs_per_commit_hist
+            n = sum(counts.values())
+            want = {d: 100.0 * counts.get(d, 0) / n for d in range(15)}
+            want["more"] = 100.0 * sum(c for d, c in counts.items()
+                                       if d > 14) / n
+            assert dist[app] == pytest.approx(want), app
+
+    def test_fig13_pooled_count_is_chunks_committed(self, records, direct):
+        latency = commit_latency(records, APPS)
+        for proto in ALL_PROTOCOLS:
+            committed = sum(direct[app, proto].chunks_committed
+                            for app in APPS)
+            assert sum(latency[4][proto].values()) == committed, proto
+
+    def test_fig14_16_match_run_result(self, records, direct):
+        bn = bottleneck_ratio(records, APPS)
+        q = queue_length(records, APPS)
+        for app in APPS:
+            for proto, ratio in bn[app].items():
+                assert ratio == direct[app, proto].bottleneck_ratio
+            for proto, length in q[app].items():
+                assert length == direct[app, proto].mean_queue_length
+
+    def test_fig18_traffic_matches_traffic_by_class(self, records, direct):
+        data = traffic(records, APPS)
+        for app in APPS:
+            for proto in ALL_PROTOCOLS:
+                assert data[app][proto] == \
+                    direct[app, proto].traffic_by_class, (app, proto)

@@ -1,88 +1,90 @@
 """Tests for metrics collection: attempts, bottleneck ratio, histograms."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.stats.histograms import Histogram, bucketize, distribution_percentages
+from repro.harness.experiments import (
+    dirs_distribution, dirs_percentages, latency_buckets, latency_percentile,
+    mean_latency,
+)
 from repro.stats.metrics import AttemptPhase, MachineStats
 
 
+def histogram(values):
+    """A ``{value: count}`` histogram, the shape MachineStats and the
+    campaign records keep."""
+    return Counter(values)
+
+
 class TestHistogram:
+    """The ``{value: count}`` histograms behind Figures 11-13: the
+    running means MachineStats keeps and the figure reducers' views."""
+
     def test_mean(self):
-        h = Histogram()
+        s = MachineStats()
         for v in (1, 2, 3):
-            h.add(v)
-        assert h.mean() == 2.0
+            s.record_commit(v, 0, n_dirs=v, n_write_dirs=0, latency=v,
+                            total_latency=v, retries=0)
+        assert s.mean_commit_latency() == 2.0
+        assert s.mean_dirs_per_commit() == 2.0
+        assert mean_latency(s.commit_latency_hist) == 2.0
 
     def test_percentile(self):
-        h = Histogram()
-        for v in range(1, 101):
-            h.add(v)
-        assert h.percentile(50) == 50
-        assert h.percentile(90) == 90
+        h = histogram(range(1, 101))
+        assert latency_percentile(h, 50) == 50
+        assert latency_percentile(h, 90) == 90
 
     def test_percentages_with_overflow(self):
-        h = Histogram()
-        for v in (0, 1, 1, 20):
-            h.add(v)
-        pct = h.percentages(upper=14)
+        pct = dirs_percentages(histogram((0, 1, 1, 20)))
         assert pct[0] == 25.0
         assert pct[1] == 50.0
         assert pct["more"] == 25.0
+        assert sum(pct.values()) == pytest.approx(100.0)
 
     def test_empty_histogram(self):
-        h = Histogram()
-        assert h.mean() == 0.0
-        assert h.percentile(50) == 0
-        assert h.percentages(3)["more"] == 0.0
+        s = MachineStats()
+        assert s.mean_commit_latency() == 0.0
+        assert s.mean_dirs_per_commit() == 0.0
+        assert mean_latency(s.commit_latency_hist) == 0.0
+        assert latency_percentile(s.commit_latency_hist, 50) == 0
+        pct = dirs_percentages(s.dirs_per_commit_hist)
+        assert pct["more"] == 0.0
+        assert sum(pct.values()) == 0.0
 
     def test_percentile_single_sample(self):
-        h = Histogram()
-        h.add(42)
+        h = histogram([42])
         for p in (0.1, 1, 50, 99, 100):
-            assert h.percentile(p) == 42
+            assert latency_percentile(h, p) == 42
 
     def test_percentile_all_equal_samples(self):
-        h = Histogram()
-        for _ in range(10):
-            h.add(7)
+        h = histogram([7] * 10)
         for p in (1, 50, 100):
-            assert h.percentile(p) == 7
+            assert latency_percentile(h, p) == 7
 
     def test_percentile_extremes(self):
-        h = Histogram()
-        for v in range(1, 101):
-            h.add(v)
-        assert h.percentile(100) == 100
-        assert h.percentile(0.5) == 1   # smallest value covering 0.5%
+        h = histogram(range(1, 101))
+        assert latency_percentile(h, 100) == 100
+        assert latency_percentile(h, 0.5) == 1  # smallest covering 0.5%
 
     def test_percentile_zero_returns_smallest_value(self):
-        h = Histogram()
-        for v in (5, 9, 17):
-            h.add(v)
-        assert h.percentile(0) == 5
+        assert latency_percentile(histogram((5, 9, 17)), 0) == 5
 
     def test_percentile_hundred_returns_largest_value(self):
-        h = Histogram()
-        for v in (5, 9, 17):
-            h.add(v)
-        assert h.percentile(100) == 17
+        assert latency_percentile(histogram((5, 9, 17)), 100) == 17
 
     def test_percentile_single_bucket_many_samples(self):
-        h = Histogram()
-        for _ in range(1000):
-            h.add(3)
+        h = histogram([3] * 1000)
         for p in (0, 25, 50, 75, 100):
-            assert h.percentile(p) == 3
+            assert latency_percentile(h, p) == 3
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=200),
            st.floats(0, 100))
     def test_percentile_properties(self, values, p):
-        h = Histogram()
-        for v in values:
-            h.add(v)
-        q = h.percentile(p)
+        h = histogram(values)
+        q = latency_percentile(h, p)
         # result is always an observed value within [min, max]
         assert q in values
         assert min(values) <= q <= max(values)
@@ -90,27 +92,32 @@ class TestHistogram:
         at_most = sum(1 for v in values if v <= q)
         assert at_most >= len(values) * p / 100.0
         # boundaries pin to the extremes
-        assert h.percentile(0) == min(values)
-        assert h.percentile(100) == max(values)
+        assert latency_percentile(h, 0) == min(values)
+        assert latency_percentile(h, 100) == max(values)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=100))
     def test_percentile_monotone_in_p(self, values):
-        h = Histogram()
-        for v in values:
-            h.add(v)
-        qs = [h.percentile(p) for p in (0, 10, 25, 50, 75, 90, 100)]
+        h = histogram(values)
+        qs = [latency_percentile(h, p) for p in (0, 10, 25, 50, 75, 90, 100)]
         assert qs == sorted(qs)
 
     def test_bucketize(self):
-        buckets = bucketize([5, 55, 55, 1000], bucket_width=50, n_buckets=4)
+        buckets = latency_buckets(histogram((5, 55, 55, 1000)), width=50,
+                                  n_buckets=4)
         assert buckets[0] == (0, 1)
         assert buckets[1] == (50, 2)
         assert buckets[3] == (150, 1)  # clamped to last bucket
 
     def test_distribution_percentages(self):
-        pct = distribution_percentages([1, 1, 2], upper=3)
+        # the Figs. 11/12 reducer reads the JSON-keyed histogram of the
+        # ScalableBulk record on the largest machine
+        records = {"X/4/ScalableBulk/4": {"n_cores": 4, "active_cores": 4,
+                                          "dirs_hist": {"1": 2, "2": 1}}}
+        pct = dirs_distribution(records, ["X"])["X"]
         assert pct[1] == pytest.approx(66.667, abs=0.01)
+        assert sum(pct.values()) == pytest.approx(100.0)
+        assert list(pct) == list(range(15)) + ["more"]
 
 
 class TestAttemptBookkeeping:
