@@ -10,13 +10,18 @@ one runs next instead of the default insertion order.  With no hook
 installed the simulator behaves exactly as before — the hook exists so the
 model checker can systematically reorder same-cycle deliveries without
 touching default determinism.
+
+The heap holds ``(time, seq, event)`` tuples, not events: ``seq`` is
+unique per simulator, so ``heapq`` orders entries by comparing two ints in
+C and never reaches the event.  An entry's ``(time, seq)`` is its event's,
+and a cancelled event keeps its entry until the entry reaches the top.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.bus import NULL_BUS, NullBus
 
@@ -26,13 +31,14 @@ from repro.obs.bus import NULL_BUS, NullBus
 TieBreaker = Callable[["List[Event]"], int]
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)`` so that heap ordering is total and
-    deterministic.  ``cancelled`` supports O(1) cancellation (the event stays
-    in the heap but is skipped when popped).  ``tag`` is optional metadata
+    Queued under the heap entry ``(time, seq, event)``, so heap ordering is
+    total and deterministic; events themselves compare by identity.
+    ``cancelled`` supports O(1) cancellation (the event stays in the heap
+    but is skipped when popped).  ``tag`` is optional metadata
     (e.g. which message delivery this is) that schedule exploration uses to
     decide which same-cycle reorderings are physically meaningful; it never
     affects ordering.
@@ -40,12 +46,12 @@ class Event:
 
     time: int
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    tag: Any = field(default=None, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    tag: Any = None
     #: Owning simulator, so cancellation can maintain its O(1) live-event
     #: counter without a heap scan.
-    owner: Optional["Simulator"] = field(default=None, compare=False, repr=False)
+    owner: Optional["Simulator"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when its time arrives."""
@@ -53,6 +59,11 @@ class Event:
             self.cancelled = True
             if self.owner is not None:
                 self.owner._live_events -= 1
+
+
+#: A heap entry: the event's ``(time, seq)`` first, so ``heapq`` compares
+#: plain ints.
+HeapEntry = Tuple[int, int, Event]
 
 
 class Simulator:
@@ -67,7 +78,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[Event] = []
+        self._heap: list[HeapEntry] = []
         self._seq: int = 0
         self._events_processed: int = 0
         #: Count of not-yet-cancelled queued events, maintained on
@@ -97,11 +108,12 @@ class Simulator:
         """Schedule ``callback`` at absolute cycle ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        ev = Event(time=int(time), seq=self._seq, callback=callback, tag=tag,
-                   owner=self)
-        self._seq += 1
+        time = int(time)
+        seq = self._seq
+        ev = Event(time=time, seq=seq, callback=callback, tag=tag, owner=self)
+        self._seq = seq + 1
         self._live_events += 1
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     # ------------------------------------------------------------------
@@ -114,7 +126,7 @@ class Simulator:
         installed; otherwise it drains whole cycles in its batched loop.
         """
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if ev.cancelled:
                 continue
             if self.tie_breaker is not None:
@@ -139,8 +151,8 @@ class Simulator:
         order is preserved and the heap holds exactly what the batched
         loop's would."""
         popped = [first]
-        while self._heap and self._heap[0].time == first.time:
-            popped.append(heapq.heappop(self._heap))
+        while self._heap and self._heap[0][0] == first.time:
+            popped.append(heapq.heappop(self._heap)[2])
         batch = [ev for ev in popped if not ev.cancelled]
         chosen = first
         if len(batch) > 1:
@@ -151,7 +163,7 @@ class Simulator:
             chosen = batch[idx]
         for ev in popped:
             if ev is not chosen:
-                heapq.heappush(self._heap, ev)
+                heapq.heappush(self._heap, (ev.time, ev.seq, ev))
         return chosen
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
@@ -181,11 +193,11 @@ class Simulator:
         pop = heapq.heappop
         processed = 0
         while heap:
-            head = heap[0]
+            t, _, head = heap[0]
             if head.cancelled:
                 pop(heap)
                 continue
-            if until is not None and head.time > until:
+            if until is not None and t > until:
                 self.now = until
                 return
             if self.tie_breaker is not None:
@@ -203,12 +215,11 @@ class Simulator:
             # the rest of the cycle queued exactly as step() would, and a
             # callback that cancels a later same-cycle event is honoured by
             # the per-event cancelled check.
-            t = head.time
             self.now = t
-            while heap and heap[0].time == t:
+            while heap and heap[0][0] == t:
                 if self.tie_breaker is not None:
                     break  # a callback installed a hook: resume stepwise
-                ev = pop(heap)
+                ev = pop(heap)[2]
                 if ev.cancelled:
                     continue
                 self._live_events -= 1
@@ -229,9 +240,9 @@ class Simulator:
             self.now = until
 
     def _peek_time(self) -> Optional[int]:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     # ------------------------------------------------------------------
     # Introspection

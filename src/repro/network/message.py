@@ -49,7 +49,17 @@ class TrafficClass(Enum):
 
 
 class MessageType(Enum):
-    """All message types across the substrate and the four protocols."""
+    """All message types across the substrate and the four protocols.
+
+    Each member carries its per-type constants, computed once at import
+    from the size and class rules below, so the per-message path reads
+    attributes and hashes nothing.
+    """
+
+    size: int                   #: default wire size in bytes
+    tclass: TrafficClass        #: the paper's Fig. 18/19 traffic class
+    is_commit: bool             #: commit-protocol (not substrate) traffic
+    index: int                  #: dense 0..n-1, for int-indexed counters
 
     # --- coherence substrate (read misses; writes are lazy) -------------
     READ_REQ = "read_req"                 #: Proc -> Dir: L2 miss
@@ -118,10 +128,11 @@ _SIG_CARRIERS = {
     MessageType.BSC_W_TO_DIR: SIGNATURE_BYTES + HEADER_BYTES,
 }
 
+#: Data replies carry one line; each is its own read class.
 _DATA_CARRIERS = {
-    MessageType.DATA_FROM_MEM,
-    MessageType.DATA_FROM_SHARER,
-    MessageType.DATA_FROM_OWNER,
+    MessageType.DATA_FROM_MEM: TrafficClass.MEM_RD,
+    MessageType.DATA_FROM_SHARER: TrafficClass.REMOTE_SH_RD,
+    MessageType.DATA_FROM_OWNER: TrafficClass.REMOTE_DIRTY_RD,
 }
 
 _COMMIT_TYPES = {
@@ -140,30 +151,38 @@ _COMMIT_TYPES = {
 }
 
 
+def _set_type_constants() -> None:
+    """Fill in every member's ``size``, ``tclass``, ``is_commit`` and
+    ``index``: the one place the size and traffic-class rules live."""
+    for index, mtype in enumerate(MessageType):
+        mtype.index = index
+        mtype.is_commit = mtype in _COMMIT_TYPES
+        if mtype in _SIG_CARRIERS:
+            mtype.size = _SIG_CARRIERS[mtype]
+            mtype.tclass = TrafficClass.LARGE_COMMIT
+        elif mtype in _DATA_CARRIERS:
+            mtype.size = LINE_BYTES + HEADER_BYTES
+            mtype.tclass = _DATA_CARRIERS[mtype]
+        else:
+            mtype.size = HEADER_BYTES + 8
+            # Miss-request and forward messages are OTHER: replies carry
+            # the read class; the figure renderer folds OTHER into the
+            # read class of the reply stream.
+            mtype.tclass = (TrafficClass.SMALL_COMMIT if mtype.is_commit
+                            else TrafficClass.OTHER)
+
+
+_set_type_constants()
+
+
 def default_size_bytes(mtype: MessageType) -> int:
     """Wire size of a message of the given type."""
-    if mtype in _SIG_CARRIERS:
-        return _SIG_CARRIERS[mtype]
-    if mtype in _DATA_CARRIERS:
-        return LINE_BYTES + HEADER_BYTES
-    return HEADER_BYTES + 8
+    return mtype.size
 
 
 def traffic_class_of(mtype: MessageType) -> TrafficClass:
     """Map a message type to the paper's Fig. 18/19 traffic class."""
-    if mtype is MessageType.DATA_FROM_MEM:
-        return TrafficClass.MEM_RD
-    if mtype is MessageType.DATA_FROM_SHARER:
-        return TrafficClass.REMOTE_SH_RD
-    if mtype is MessageType.DATA_FROM_OWNER:
-        return TrafficClass.REMOTE_DIRTY_RD
-    if mtype in _SIG_CARRIERS:
-        return TrafficClass.LARGE_COMMIT
-    if mtype in _COMMIT_TYPES:
-        return TrafficClass.SMALL_COMMIT
-    # Miss-request and forward messages: replies carry the read class; the
-    # figure renderer folds OTHER into the read class of the reply stream.
-    return TrafficClass.OTHER
+    return mtype.tclass
 
 
 #: The three addressable roles on the NoC — processor engine, directory
@@ -216,13 +235,12 @@ class Message:
     traffic_class: TrafficClass = TrafficClass.SMALL_COMMIT
     uid: int = field(default_factory=lambda: next(_msg_counter))
     sent_at: int = -1
-    is_commit_traffic: bool = True
 
     def __post_init__(self) -> None:
+        mtype = self.mtype
         if self.size_bytes == 0:
-            self.size_bytes = default_size_bytes(self.mtype)
-        self.traffic_class = traffic_class_of(self.mtype)
-        self.is_commit_traffic = self.mtype in _COMMIT_TYPES
+            self.size_bytes = mtype.size
+        self.traffic_class = mtype.tclass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Message({self.mtype.value}, {self.src}->{self.dst}, "

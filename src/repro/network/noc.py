@@ -23,7 +23,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.engine.events import Simulator
-from repro.network.message import Message, MessageType, NodeRef, TrafficClass
+from repro.network.message import (ROLES, Message, MessageType, NodeRef,
+                                   TrafficClass)
 from repro.network.topology import Torus2D
 from repro.obs.bus import NULL_BUS, NullBus
 
@@ -56,25 +57,50 @@ def compose_delay_hooks(*hooks: Optional[DelayHook]) -> Optional[DelayHook]:
 
 
 class TrafficStats:
-    """Per-class message and byte counters, plus latency accounting."""
+    """Per-type message and byte counters, plus latency accounting.
+
+    ``record`` bumps two lists indexed by ``MessageType.index``; the
+    per-type and per-class ``Counter`` views are derived from them on
+    read and hold only the keys seen so far.
+    """
 
     def __init__(self) -> None:
-        self.messages_by_class: Counter = Counter()
-        self.bytes_by_class: Counter = Counter()
-        self.messages_by_type: Counter = Counter()
+        self._type_messages = [0] * len(MessageType)
+        self._type_bytes = [0] * len(MessageType)
         self.total_messages = 0
         self.total_bytes = 0
         self.total_latency = 0
         self.total_hops = 0
 
     def record(self, msg: Message, latency: int, hops: int) -> None:
-        self.messages_by_class[msg.traffic_class] += 1
-        self.bytes_by_class[msg.traffic_class] += msg.size_bytes
-        self.messages_by_type[msg.mtype] += 1
+        index = msg.mtype.index
+        self._type_messages[index] += 1
+        self._type_bytes[index] += msg.size_bytes
         self.total_messages += 1
         self.total_bytes += msg.size_bytes
         self.total_latency += latency
         self.total_hops += hops
+
+    @property
+    def messages_by_type(self) -> Counter:
+        return Counter({mtype: n for mtype, n
+                        in zip(MessageType, self._type_messages) if n})
+
+    @property
+    def messages_by_class(self) -> Counter:
+        return self._by_class(self._type_messages)
+
+    @property
+    def bytes_by_class(self) -> Counter:
+        return self._by_class(self._type_bytes)
+
+    @staticmethod
+    def _by_class(per_type: list) -> Counter:
+        out: Counter = Counter()
+        for mtype, n in zip(MessageType, per_type):
+            if n:
+                out[mtype.tclass] += n
+        return out
 
     def class_counts(self) -> Dict[TrafficClass, int]:
         return dict(self.messages_by_class)
@@ -93,6 +119,8 @@ class Network:
         rows, cols = config.mesh_shape
         self.topology = Torus2D(rows, cols)
         self._handlers: Dict[NodeRef, Handler] = {}
+        #: node -> tile, filled on a node's first lookup
+        self._tiles: Dict[NodeRef, int] = {}
         self.stats = TrafficStats()
         self.contention = config.network_contention
         #: Exploration hook: perturbs delivery latency (None = the exact
@@ -137,9 +165,12 @@ class Network:
         Cores and directories are co-located index-to-tile; central agents
         live at the tile recorded in their index.
         """
-        if node.kind in ("core", "dir", "agent"):
-            return node.index % self.topology.n_tiles
-        raise ValueError(f"unknown node kind {node.kind}")
+        tile = self._tiles.get(node)
+        if tile is None:
+            if node.kind not in ROLES:
+                raise ValueError(f"unknown node kind {node.kind}")
+            tile = self._tiles[node] = node.index % self.topology.n_tiles
+        return tile
 
     # ------------------------------------------------------------------
     # Sending
@@ -189,8 +220,13 @@ class Network:
         return latency
 
     def _transit_time(self, msg: Message) -> tuple:
-        src_tile = self.tile_of(msg.src)
-        dst_tile = self.tile_of(msg.dst)
+        tiles = self._tiles
+        src_tile = tiles.get(msg.src)
+        if src_tile is None:
+            src_tile = self.tile_of(msg.src)
+        dst_tile = tiles.get(msg.dst)
+        if dst_tile is None:
+            dst_tile = self.tile_of(msg.dst)
         if src_tile == dst_tile:
             return 1, 0
 

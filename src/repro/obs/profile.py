@@ -147,7 +147,7 @@ class HostProfiler(NullBus):
             return schedule_at(time, dispatch_scope(callback), tag=tag)
 
         sim.schedule_at = scheduled
-        for event in sim._heap:          # events queued before attach
+        for _, _, event in sim._heap:    # events queued before attach
             event.callback = dispatch_scope(event.callback)
 
         network = machine.network

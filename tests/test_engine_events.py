@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.engine.events import Event, Simulator, drain
@@ -93,10 +95,10 @@ class TestCancellation:
         events[3].cancel()
         events[3].cancel()  # double-cancel must not decrement twice
         events[7].cancel()
-        scan = sum(1 for ev in sim._heap if not ev.cancelled)
+        scan = sum(1 for _, _, ev in sim._heap if not ev.cancelled)
         assert sim.pending_events == scan == 8
         sim.run(until=4)  # executes t=0..4 minus the cancelled t=3
-        scan = sum(1 for ev in sim._heap if not ev.cancelled)
+        scan = sum(1 for _, _, ev in sim._heap if not ev.cancelled)
         assert sim.pending_events == scan == 4
         sim.run()
         assert sim.pending_events == 0
@@ -184,3 +186,88 @@ class TestRunControl:
         sim.run()
         assert order == ["outer", "inner"]
         assert sim.now == 1
+
+
+class TestExecutionOrderProperty:
+    """Seeded random schedules: same-cycle ties, cancels before the run and
+    from inside callbacks, callbacks that schedule at ``now``.  Whatever
+    drives the queue, the executed order is the sorted ``(time, seq)`` of
+    every event that was still live when its turn came."""
+
+    MAX_EVENTS = 240
+
+    def _drive(self, seed, drive):
+        rng = random.Random(seed)
+        sim = Simulator()
+        events = []        # every event ever scheduled
+        killed = set()     # seqs cancelled before they ran
+        executed = []      # (time, seq) in execution order
+        ran = set()        # seqs that have run
+
+        def cancel(ev):
+            if ev.seq not in ran:
+                killed.add(ev.seq)
+            ev.cancel()
+
+        def schedule(delay):
+            holder = []
+
+            def callback():
+                ev = holder[0]
+                executed.append((sim.now, ev.seq))
+                ran.add(ev.seq)
+                assert sim.now == ev.time
+                room = self.MAX_EVENTS - len(events)
+                for _ in range(min(room, rng.choice((0, 0, 1, 2, 3)))):
+                    # delay 0 schedules into the cycle being drained
+                    schedule(rng.choice((0, 0, 1, 2, 5)))
+                if events and rng.random() < 0.3:
+                    cancel(rng.choice(events))
+
+            ev = sim.schedule(delay, callback)
+            holder.append(ev)
+            events.append(ev)
+
+        for _ in range(60):
+            schedule(rng.randrange(12))    # ~5 events per cycle: ties
+        for ev in rng.sample(events, 12):  # cancels before the run
+            cancel(ev)
+        drive(sim, random.Random(seed + 1))
+        assert sim.quiescent()
+        live = sorted((ev.time, ev.seq) for ev in events
+                      if ev.seq not in killed)
+        assert executed == live
+        assert len(events) > 100 and killed
+        return executed
+
+    @staticmethod
+    def _run(sim, rng):
+        sim.run()
+
+    @staticmethod
+    def _step_loop(sim, rng):
+        while sim.step():
+            pass
+
+    @staticmethod
+    def _run_until_split(sim, rng):
+        while not sim.quiescent():
+            sim.run(until=sim.now + rng.randrange(4))
+
+    @staticmethod
+    def _tie_breaker_zero(sim, rng):
+        def first(batch):
+            assert len({ev.time for ev in batch}) == 1
+            assert [ev.seq for ev in batch] == sorted(ev.seq for ev in batch)
+            assert not any(ev.cancelled for ev in batch)
+            return 0
+
+        sim.tie_breaker = first
+        sim.run()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_driver_runs_live_events_in_time_seq_order(self, seed):
+        orders = [self._drive(seed, drive) for drive in (
+            self._run, self._step_loop, self._run_until_split,
+            self._tie_breaker_zero)]
+        assert all(order == orders[0] for order in orders)
