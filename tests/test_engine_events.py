@@ -266,7 +266,7 @@ class TestExecutionOrderProperty:
         sim.run()
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_every_driver_runs_live_events_in_time_seq_order(self, seed):
+    def test_every_dispatch_loop_runs_live_events_in_time_seq_order(self, seed):
         orders = [self._drive(seed, drive) for drive in (
             self._run, self._step_loop, self._run_until_split,
             self._tie_breaker_zero)]
