@@ -22,7 +22,6 @@ from repro.analysis.explore.driver import (Perturbation, PerturbationResult,
                                            run_perturbation)
 from repro.analysis.explore.invariants import ExploreViolation, InvariantMonitor
 from repro.analysis.explore.minimize import ddmin, shrink
-from repro.analysis.explore.mutations import MUTATIONS, Mutation
 from repro.analysis.explore.scenarios import SCENARIOS, Scenario, build_machine
 from repro.analysis.explore.strategies import (
     ExplorationReport,
@@ -36,8 +35,6 @@ __all__ = [
     "ExplorationReport",
     "ExploreViolation",
     "InvariantMonitor",
-    "MUTATIONS",
-    "Mutation",
     "Perturbation",
     "PerturbationResult",
     "SCENARIOS",

@@ -9,10 +9,12 @@ Modes:
 * ``--mutate NAME`` — same, against a protocol with one injected bug;
   exit 0 iff exploration catches it.
 * ``--mutations`` — the mutation check, shared with ``repro chaos
-  --mutation-check``: every registered mutation is explored nominally
-  and run under the storm-heavy stress plan.  Nominal mutations must be
-  caught by exploration; chaos-only ones (``reservation-leak``) must be
-  missed by it and caught under the stress plan.  Exit 1 otherwise.
+  --mutation-check``: every seeded bug a machine runs is explored
+  nominally and run under the storm-heavy stress plan, and both verdicts
+  must match its pinned ``explore``/``chaos`` cells in
+  :data:`repro.analysis.mutations.MUTATIONS` (``reservation-leak``:
+  missed by exploration, caught under the stress plan).  Exit 1
+  otherwise.
 * ``--ci-smoke`` — the bounded CI tier: the unmutated smoke sweep must
   explore clean AND the mutation check must pass.
 * ``--replay ARTIFACT`` — re-run a saved artifact (an explore trace or a
@@ -26,12 +28,12 @@ import argparse
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS, SMOKE_SCENARIOS
 from repro.analysis.explore.strategies import (DEFAULT_KNOBS, check_mutation,
                                                explore)
 from repro.analysis.explore.trace import (counterexample, replay_command,
                                           save_artifact)
+from repro.analysis.mutations import MUTATIONS, Mutation
 
 
 def _explore_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -80,36 +82,41 @@ def _emit_violation(trace: Dict[str, Any], args: argparse.Namespace) -> None:
               f"delays={dict(sched['delays'])}")
 
 
+def _pinned(mutation: Mutation, pass_name: str) -> str:
+    return "/".join(mutation.caught.get(pass_name, ())) or "missed"
+
+
 def mutation_check(knobs: Dict[str, Any], jobs: int = 1) -> int:
-    """Run the mutation check over every registered mutation; print one
-    line per mutation and return the exit code."""
+    """Check every runnable mutation's ``explore``/``chaos`` cells against
+    their pins; print one line per mutation and return the exit code."""
     from repro.harness.parallel import run_ordered
-    payloads = [{"mutation": name, "knobs": knobs} for name in MUTATIONS]
-    missed: List[str] = []
+    payloads = [{"mutation": name, "knobs": knobs}
+                for name, m in MUTATIONS.items() if m.scenario is not None]
+    failed: List[str] = []
 
     def show(_i: int, _payload: Dict[str, Any], r: Dict[str, Any]) -> None:
+        mutation = MUTATIONS[r["mutation"]]
         nominal = "/".join(r["nominal_codes"]) or "clean"
         chaos = "/".join(r["chaos_codes"]) or "clean"
-        status = "caught " if r["passed"] else "MISSED "
+        status = "ok     " if r["passed"] else "FAIL   "
         line = (f"{status} {r['mutation']:24s} on {r['scenario']:7s} "
                 f"nominal={nominal:12s} ({r['schedules_run']} schedules) "
                 f"chaos={chaos}")
-        if r["chaos_only"]:
-            line += "  [chaos-only: must be missed nominally]"
         if not r["passed"]:
-            line += f"  (expected {r['expected']})"
-            missed.append(r["mutation"])
+            line += (f"  (pinned explore={_pinned(mutation, 'explore')}, "
+                     f"chaos={_pinned(mutation, 'chaos')})")
+            failed.append(r["mutation"])
         print(line)
 
     print(f"mutation check ({knobs['mode']} exploration, storm-heavy "
           f"stress plan, seed {knobs['seed']}):")
     run_ordered(check_mutation, payloads, jobs=jobs, on_result=show)
-    if missed:
-        print(f"{len(missed)} mutation(s) failed the check: "
-              f"{', '.join(missed)}")
+    if failed:
+        print(f"{len(failed)} mutation(s) differ from their pinned cells: "
+              f"{', '.join(failed)}")
         return 1
-    print(f"all {len(MUTATIONS)} mutations caught (chaos-only ones under "
-          f"the stress plan alone)")
+    print(f"all {len(payloads)} mutations match their pinned explore and "
+          f"chaos cells")
     return 0
 
 
@@ -172,9 +179,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--mutate", default=None, metavar="NAME",
                         help="inject one protocol bug (see --list)")
     parser.add_argument("--mutations", action="store_true",
-                        help="mutation check: every nominal mutation must "
-                             "be caught, every chaos-only one only under "
-                             "the stress plan")
+                        help="mutation check: every mutation's explore and "
+                             "chaos verdicts must match its pinned cells")
     parser.add_argument("--ci-smoke", action="store_true",
                         help="bounded CI tier: clean sweep + mutation check")
     parser.add_argument("--replay", default=None, metavar="ARTIFACT",
@@ -204,11 +210,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             smoke = " [smoke]" if name in SMOKE_SCENARIOS else ""
             print(f"  {name:10s} {s.protocol.value:13s} {s.n_cores} cores, "
                   f"pattern={s.pattern}, oci={s.oci}{smoke}")
-        print("mutations:")
+        print("mutations (pinned explore / chaos cells):")
         for name, m in MUTATIONS.items():
-            chaos = " [chaos-only]" if m.chaos_only else ""
-            print(f"  {name:24s} on {m.scenario}: {m.description} "
-                  f"(expect {m.expected}){chaos}")
+            if m.scenario is not None:
+                print(f"  {name:24s} on {m.scenario}: {m.description} "
+                      f"({_pinned(m, 'explore')} / {_pinned(m, 'chaos')})")
         return 0
 
     if args.replay:
@@ -222,16 +228,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.mutations:
         return mutation_check(_knobs(args), args.jobs)
 
-    if args.mutate is not None and args.mutate not in MUTATIONS:
+    runnable = [n for n, m in MUTATIONS.items() if m.scenario is not None]
+    if args.mutate is not None and args.mutate not in runnable:
         parser.error(f"unknown mutation {args.mutate!r} "
-                     f"(choices: {', '.join(MUTATIONS)})")
+                     f"(choices: {', '.join(runnable)})")
     if args.scenario is not None:
         if args.scenario not in SCENARIOS:
             parser.error(f"unknown scenario {args.scenario!r} "
                          f"(choices: {', '.join(SCENARIOS)})")
         names: Sequence[str] = [args.scenario]
     elif args.mutate is not None:
-        names = [MUTATIONS[args.mutate].scenario]
+        names = [str(MUTATIONS[args.mutate].scenario)]
     else:
         names = SMOKE_SCENARIOS
     return _run_sweep(names, args.mutate, args)

@@ -20,8 +20,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.explore.controller import Schedule, ScheduleController
 from repro.analysis.explore.invariants import ExploreViolation, InvariantMonitor
-from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import Scenario, build_machine
+from repro.analysis.mutations import Mutation
 from repro.engine.rng import DeterministicRng
 from repro.faults.injectors import FaultEngine
 from repro.faults.plan import FaultPlan

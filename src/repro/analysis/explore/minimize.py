@@ -19,8 +19,8 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 from repro.analysis.explore.driver import (Part, Perturbation,
                                            PerturbationResult,
                                            run_perturbation)
-from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import Scenario
+from repro.analysis.mutations import Mutation
 from repro.obs.bus import NullBus
 
 _Item = TypeVar("_Item")

@@ -20,8 +20,8 @@ from repro.analysis.explore.driver import (WATCHDOG, Perturbation,
                                            PerturbationResult,
                                            run_perturbation)
 from repro.analysis.explore.minimize import shrink
-from repro.analysis.explore.mutations import MUTATIONS, Mutation
 from repro.analysis.explore.scenarios import Scenario
+from repro.analysis.mutations import MUTATIONS, Mutation
 from repro.faults.plan import FaultPlan
 from repro.obs.bus import InstrumentationBus, NullBus
 

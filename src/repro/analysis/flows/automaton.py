@@ -284,8 +284,7 @@ def extract_flow_automaton(family: str, pkg_dir: Optional[Path] = None,
     """The flow automaton of one family (protocol files + substrate).
 
     ``source_overrides`` maps package-relative paths to replacement
-    source text — the seeded flow mutations inject doctored modules this
-    way.
+    source text — the seeded mutations inject doctored modules this way.
     """
     if pkg_dir is None:
         import repro

@@ -20,9 +20,10 @@ message orderings.  This package checks that mechanically:
   same state objects during real runs, records actual access
   interleavings through the obs bus, and
 * :mod:`confirm` labels each static finding CONFIRMED (with a
-  ddmin-shrunk replayable schedule) or UNOBSERVED;
-* :mod:`mutations` holds seeded source-level race bugs proving the static
-  pass has teeth.
+  ddmin-shrunk replayable schedule) or UNOBSERVED.
+
+The races column of the teeth matrix (:mod:`repro.analysis.mutations`)
+pins the seeded race bugs proving the static pass has teeth.
 
 Entry points: :func:`lint_races` (the static pass, run by
 ``python -m repro lint``) and

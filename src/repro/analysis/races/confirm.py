@@ -37,13 +37,13 @@ from repro.analysis.explore.controller import Schedule
 from repro.analysis.explore.driver import (Perturbation, PerturbationResult,
                                            run_perturbation)
 from repro.analysis.explore.minimize import shrink
-from repro.analysis.explore.mutations import Mutation
 from repro.analysis.explore.scenarios import SCENARIOS, Scenario
 from repro.analysis.findings import Finding
+from repro.analysis.mutations import Mutation
 from repro.analysis.races.sanitizer import AccessSanitizer, MessageEvent
 from repro.engine.rng import DeterministicRng
 from repro.network.message import MessageType
-from repro.obs.bus import MSG_RECV, MSG_SEND, ctag_str
+from repro.obs.bus import MSG_RECV, MSG_SEND, NullBus, ctag_str
 
 CONFIRMED = "CONFIRMED"
 UNOBSERVED = "UNOBSERVED"
@@ -86,31 +86,27 @@ class _Probe:
     intervals: List[Tuple[int, int, str, str]] = field(default_factory=list)
 
 
-def starvation_pressure(mutation: Optional[Mutation] = None,
-                        threshold: int = 1) -> Mutation:
-    """Compose ``mutation`` with per-directory starvation pressure.
+class StarvationPressure(NullBus):
+    """A perturber: per-directory starvation pressure for one run.
 
     The reservation machinery only engages after
     ``starvation_max_squashes`` genuine failures of one chunk — far more
-    than the tiny explore scenarios produce, which is why the runtime
-    ``reservation-leak`` bug is chaos-only.  Lowering the threshold on the
-    *instances* (the shared :class:`~repro.config.SystemConfig` stays
-    frozen and untouched) makes reservations form on the first genuine
-    collision, so the sanitizer can watch the leak inside the bounded
-    confirm budget.
+    than the tiny explore scenarios produce, which is why nominal
+    exploration misses the ``reservation-leak`` bug.  Lowering the
+    threshold on the *instances* (the shared
+    :class:`~repro.config.SystemConfig` stays frozen and untouched) makes
+    reservations form on the first genuine collision, so the sanitizer
+    can watch the leak inside the bounded confirm budget.
     """
-    def _apply(machine: Any) -> None:
-        if mutation is not None:
-            mutation.apply(machine)
+
+    def __init__(self, threshold: int = 1) -> None:
+        self.threshold = threshold
+
+    def attach(self, machine: Any) -> None:
         for directory in machine.directories:
             if hasattr(directory, "reserved_for"):
                 directory.config = replace(
-                    directory.config, starvation_max_squashes=threshold)
-    return Mutation(
-        name=mutation.name if mutation else "starvation-pressure",
-        description="lowered per-directory reservation threshold",
-        scenario="", expected="", apply=_apply,
-        chaos_only=mutation.chaos_only if mutation else False)
+                    directory.config, starvation_max_squashes=self.threshold)
 
 
 #: per-probe event cap: a livelocked probe (many seeded bugs wedge the
@@ -120,17 +116,20 @@ PROBE_MAX_EVENTS = 30_000
 
 
 class _Prober:
-    """Hands every probe run a fresh access sanitizer as its instrument
-    and pairs the last one with that run's result."""
+    """Hands every probe run the ``perturbers`` and a fresh access
+    sanitizer as its instruments, and pairs the last sanitizer with that
+    run's result."""
 
-    def __init__(self, scenario: Scenario) -> None:
+    def __init__(self, scenario: Scenario,
+                 perturbers: Sequence[NullBus] = ()) -> None:
         self.scenario = replace(
             scenario, max_events=min(scenario.max_events, PROBE_MAX_EVENTS))
+        self.perturbers = list(perturbers)
         self.sanitizer = AccessSanitizer()
 
-    def instruments(self) -> List[AccessSanitizer]:
+    def instruments(self) -> List[NullBus]:
         self.sanitizer = AccessSanitizer()
-        return [self.sanitizer]
+        return [*self.perturbers, self.sanitizer]
 
     def probe(self, result: PerturbationResult) -> _Probe:
         return _Probe(sanitizer=self.sanitizer, result=result,
@@ -138,8 +137,9 @@ class _Prober:
 
 
 def _run_probe(scenario: Scenario, schedule: Optional[Schedule],
-               mutation: Optional[Mutation], seed: Optional[int]) -> _Probe:
-    prober = _Prober(scenario)
+               mutation: Optional[Mutation], seed: Optional[int],
+               perturbers: Sequence[NullBus] = ()) -> _Probe:
+    prober = _Prober(scenario, perturbers)
     tie_rng = DeterministicRng(seed, "confirm-ties") if seed is not None \
         else None
     delay_rng = DeterministicRng(seed + 1, "confirm-delays") \
@@ -267,11 +267,15 @@ def _scenarios_for(finding: Finding) -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 def confirm_finding(finding: Finding, *,
                     mutation: Optional[Mutation] = None,
+                    perturbers: Sequence[NullBus] = (),
                     scenarios: Optional[Sequence[str]] = None,
                     runs_per_scenario: int = 8,
                     base_seed: int = 2112,
                     shrink_budget: int = 40) -> Witness:
-    """Probe one finding; CONFIRMED comes with a shrunk replay schedule."""
+    """Probe one finding; CONFIRMED comes with a shrunk replay schedule.
+
+    ``perturbers`` (e.g. :class:`StarvationPressure`) attach to every
+    probe run, ahead of its sanitizer."""
     predicate = _predicate_for(finding)
     if predicate is None:
         return Witness(key=finding.key, code=finding.code, status=UNOBSERVED,
@@ -283,13 +287,13 @@ def confirm_finding(finding: Finding, *,
         for i in range(runs_per_scenario):
             # probe 0 is the nominal schedule; later probes randomize
             seed = None if i == 0 else base_seed + 997 * i
-            probe = _run_probe(scenario, None, mutation, seed)
+            probe = _run_probe(scenario, None, mutation, seed, perturbers)
             runs += 1
             if not predicate(probe):
                 continue
             shrunk = probe.result.schedule
             if shrunk.decision_count():
-                prober = _Prober(scenario)
+                prober = _Prober(scenario, perturbers)
                 shrunk = shrink(prober.scenario, Perturbation(shrunk),
                                 mutation,
                                 lambda r: predicate(prober.probe(r)),
@@ -322,5 +326,5 @@ def confirm_findings(findings: Sequence[Finding], *,
     return out
 
 
-__all__ = ["CONFIRMED", "UNOBSERVED", "Witness", "confirm_finding",
-           "confirm_findings", "starvation_pressure"]
+__all__ = ["CONFIRMED", "UNOBSERVED", "StarvationPressure", "Witness",
+           "confirm_finding", "confirm_findings"]

@@ -129,7 +129,7 @@ class SeqDirectory(DirectoryModule):
         active = self._active
         self._active = None
         self.network.unicast(MessageType.SEQ_DONE, self.node,
-                             core_node(self.occupant_proc),
+                             core_node(active["proc"]),
                              ctag=active["cid"], dir_id=self.dir_id)
         self._free()
 

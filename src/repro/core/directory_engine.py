@@ -194,7 +194,7 @@ class ScalableBulkDirectory(DirectoryModule):
                 continue
             if self._collides(entry, other):
                 self.protocol.stats.group_collisions += 1
-                self._resolve_collision(entry, other)
+                self._fail_group(entry)
                 return
 
         # Admit: set the h bit and pass the grab onward.
@@ -204,15 +204,9 @@ class ScalableBulkDirectory(DirectoryModule):
     def _collides(self, entry: CstEntry, other: CstEntry) -> bool:
         """The admission-time incompatibility test (Section 3.2.1).
 
-        A seam for the schedule explorer's mutation harness; the default
-        is exactly the paper's signature-probe test."""
+        Its own method so host-time attribution can scope it: the
+        profiler's ``cst.conflict`` scope wraps it per instance."""
         return entry.incompatible_with(other)
-
-    def _resolve_collision(self, entry: CstEntry, other: CstEntry) -> None:
-        """``other`` is held here, so the newcomer loses — a module never
-        revokes a group it already admitted (Section 3.2.1).  Also a
-        mutation seam."""
-        self._fail_group(entry)
 
     def _after_admit(self, entry: CstEntry) -> None:
         entry.inval_acc |= entry.local_sharers

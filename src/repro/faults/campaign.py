@@ -21,9 +21,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.analysis.explore.driver import Perturbation, run_perturbation
-from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS, Scenario
 from repro.analysis.explore.trace import counterexample
+from repro.analysis.mutations import MUTATIONS
 from repro.config import ProtocolKind
 from repro.engine.rng import DeterministicRng
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
@@ -99,7 +99,7 @@ def chaos_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     ``payload["scenario"]`` is the scenario's JSON form, so a campaign's
     event budget travels with it.  ``payload["mutation"]`` (optional)
-    names an explore mutation to apply first: the campaign CLI never
+    names a seeded mutation to apply first: the campaign CLI never
     sets it, but tests use it to drive the failure/shrink path.
     """
     scenario = Scenario.from_json(payload["scenario"])

@@ -13,11 +13,11 @@ Modes:
   a ``repro explore`` trace); exit 0 iff the replay reproduces its
   primary failure.
 * ``--mutation-check`` — the mutation check shared with ``repro explore
-  --mutations``: every registered mutation is explored nominally *and*
-  run under a storm-heavy stress plan.  Exit 1 unless each nominal
-  mutation is caught by exploration and each chaos-only one (e.g.
-  ``reservation-leak``) is caught under chaos and, demonstrating why
-  chaos is needed, missed nominally.
+  --mutations``: every seeded bug a machine runs is explored nominally
+  *and* run under a storm-heavy stress plan.  Exit 1 unless both verdicts
+  match the bug's pinned ``explore``/``chaos`` cells; a chaos-only bug
+  (e.g. ``reservation-leak``) is pinned caught under chaos and,
+  demonstrating why chaos is needed, missed nominally.
 * ``--list`` — fault kinds, campaign scenarios and chaos-only mutations.
 """
 
@@ -29,10 +29,10 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.explore.cli import mutation_check, print_violations
-from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS
 from repro.analysis.explore.strategies import DEFAULT_KNOBS
 from repro.analysis.explore.trace import replay_command, save_artifact
+from repro.analysis.mutations import MUTATIONS
 from repro.faults.campaign import (DEFAULT_SCENARIOS, chaos_worker,
                                    generate_campaign)
 from repro.faults.plan import FAULT_KINDS
@@ -50,9 +50,9 @@ def _cmd_list() -> int:
               f"pattern={s.pattern}, oci={s.oci}")
     print("chaos-only mutations (run via --mutation-check):")
     for name, m in MUTATIONS.items():
-        if m.chaos_only:
+        if "chaos" in m.caught and "explore" not in m.caught:
             print(f"  {name:24s} on {m.scenario}: {m.description} "
-                  f"(expect {m.expected})")
+                  f"(expect {'/'.join(m.caught['chaos'])})")
     return 0
 
 
@@ -188,9 +188,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="re-run a saved artifact (chaos or explore) "
                              "and check it reproduces")
     parser.add_argument("--mutation-check", action="store_true",
-                        help="mutation check: nominal bugs must be caught "
-                             "by exploration, chaos-only bugs under chaos "
-                             "and missed nominally")
+                        help="mutation check: every mutation's explore and "
+                             "chaos verdicts must match its pinned cells")
     parser.add_argument("--list", action="store_true",
                         help="list fault kinds, scenarios and chaos-only "
                              "mutations, then exit")

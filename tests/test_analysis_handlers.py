@@ -7,7 +7,7 @@ import repro
 from repro.analysis import Baseline
 from repro.analysis.findings import repo_paths
 from repro.analysis.flows import extract_flow_automaton, lint_flows
-from repro.analysis.flows.mutations import FLOW_MUTATIONS, overrides_for
+from repro.analysis.mutations import MUTATIONS
 from repro.network.message import PIGGYBACKED_TYPES, SCALABLEBULK_TABLE1_TYPES
 
 PKG = Path(repro.__file__).resolve().parent
@@ -30,8 +30,7 @@ def without_g_failure_branch():
 
 
 def findings_of(mutation):
-    overrides, _ = overrides_for(mutation)
-    return lint_flows(source_overrides=overrides)
+    return lint_flows(source_overrides=MUTATIONS[mutation].overrides())
 
 
 class TestRepoIsClean:
@@ -78,7 +77,8 @@ class TestSeededDefects:
 
 class TestFindingMechanics:
     def test_keys_are_line_number_free(self):
-        for name in sorted(FLOW_MUTATIONS):
+        for name in sorted(n for n, m in MUTATIONS.items()
+                           if "flows" in m.caught):
             for f in findings_of(name):
                 path = f.key.split("::")[0].split(" ")[1]
                 assert ":" not in path.replace("src/repro", ""), f.key

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.analysis.explore import (
-    MUTATIONS,
     SCENARIOS,
     Schedule,
     ScheduleController,
@@ -24,6 +23,7 @@ from repro.analysis.explore.scenarios import SMOKE_SCENARIOS
 from repro.analysis.explore.strategies import explore_exhaustive, explore_random
 from repro.analysis.explore.trace import (artifact_json, load_artifact,
                                           replay_artifact, save_artifact)
+from repro.analysis.mutations import MUTATIONS
 from repro.config import ProtocolKind, SystemConfig
 from repro.engine.events import Event, Simulator
 from repro.engine.rng import DeterministicRng
@@ -32,9 +32,12 @@ from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, GROUP_FAILED,
                            GROUP_FORMED, SQUASH, InstrumentationBus)
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
+from teeth import assert_cell
 
-#: the mutations nominal exploration must catch
-NOMINAL = sorted(n for n, m in MUTATIONS.items() if not m.chaos_only)
+#: the ScalableBulk runtime bugs nominal exploration must catch, shrink
+#: and replay
+NOMINAL = ["collision-wrong-winner", "drop-commit-nack",
+           "skip-w-intersection"]
 
 
 def _timeline(machine: Machine, *instruments):
@@ -171,7 +174,7 @@ class TestMutationsCaught:
         assert not report.clean, f"{name} survived exploration"
         found = report.violation
         primary = found.codes[0]
-        assert primary in mutation.expected
+        assert primary in mutation.caught["explore"]
 
         minimized = shrink(scenario, found.perturbation, mutation,
                            lambda r: primary in r.codes, max_runs=40)
@@ -195,12 +198,8 @@ class TestMutationsCaught:
         micro-scenarios, so nominal exploration cannot reach the bug.
         ``python -m repro chaos --mutation-check`` proves chaos catches
         it (see docs/robustness.md)."""
-        mutation = MUTATIONS["reservation-leak"]
-        assert mutation.chaos_only
-        assert mutation.name not in NOMINAL
-        report = explore_exhaustive(SCENARIOS[mutation.scenario], mutation,
-                                    max_schedules=60, depth=8)
-        assert report.clean, report.violation.violations
+        assert "explore" not in MUTATIONS["reservation-leak"].caught
+        assert_cell("reservation-leak", "explore")
 
 
 class TestTraceFormat:

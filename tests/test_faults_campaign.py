@@ -6,16 +6,16 @@ import pytest
 
 from repro.analysis.explore.driver import Perturbation, run_perturbation
 from repro.analysis.explore.minimize import shrink
-from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS
-from repro.analysis.explore.strategies import DEFAULT_KNOBS, check_mutation
 from repro.analysis.explore.trace import (artifact_json, load_artifact,
                                           replay_artifact, save_artifact)
+from repro.analysis.mutations import MUTATIONS
 from repro.faults import cli as chaos_cli
 from repro.faults.campaign import chaos_worker, generate_campaign
 from repro.faults.plan import FaultPlan, FaultSpec, stress_plan
 from repro.faults.watchdog import DEFAULT_WINDOW
 from repro.harness.parallel import run_ordered
+from teeth import assert_cell, dynamic_verdict
 
 LEAK = "reservation-leak"
 
@@ -72,18 +72,17 @@ class TestMutationCheck:
     bug that the nominal-timing suite misses."""
 
     def test_reservation_leak_caught_under_chaos_only(self):
-        verdict = check_mutation({"mutation": LEAK, "knobs": dict(
-            DEFAULT_KNOBS, schedules=60, depth=8)})
-        assert verdict["chaos_only"] and verdict["passed"]
-        assert not verdict["nominal_caught"], verdict["nominal_codes"]
-        assert verdict["chaos_caught"], verdict["chaos_codes"]
-        assert set(verdict["chaos_codes"]) & {"SB403", "SB404"}
+        assert dynamic_verdict(LEAK)["passed"]
+        assert_cell(LEAK, "explore")
+        assert_cell(LEAK, "chaos")
+        assert set(dynamic_verdict(LEAK)["chaos_codes"]) & {"SB403", "SB404"}
 
     def test_nominal_mutations_still_caught_nominally_by_explore(self):
         # Belt and braces: the nominal suite's contract lives in
-        # test_explore.py; here just pin that the chaos-only flag stays
-        # the exception, not the rule.
-        chaos_only = [n for n, m in MUTATIONS.items() if m.chaos_only]
+        # test_explore.py; here just pin that a chaos-only row (missed by
+        # exploration, caught under chaos) stays the exception.
+        chaos_only = [n for n, m in MUTATIONS.items()
+                      if "chaos" in m.caught and "explore" not in m.caught]
         assert chaos_only == [LEAK]
 
 

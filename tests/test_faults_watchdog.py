@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS, build_machine
 from repro.analysis.explore.driver import Perturbation, run_perturbation
+from repro.analysis.mutations import MUTATIONS
 from repro.faults.plan import stress_plan
 from repro.faults.watchdog import LivenessWatchdog, machine_snapshot
 from repro.obs.bus import WATCHDOG_FIRE, InstrumentationBus

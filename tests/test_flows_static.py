@@ -6,15 +6,16 @@ from repro.analysis.cli import PASS_RULES
 from repro.analysis.findings import repo_paths
 from repro.analysis.flows import extract_flow_automaton, lint_flows, load_spec
 from repro.analysis.flows.automaton import _scan_gaps, build_automaton
-from repro.analysis.flows.mutations import FLOW_MUTATIONS, overrides_for
 from repro.analysis.flows.rules import (_conformance, _dangling,
                                         _dead_handlers, _dispatch_gaps,
                                         _orphan_types, _reply_paths,
                                         _silent_mutations)
 from repro.analysis.flows.specs import (MessageDecls, ParsedSpec, SpecError,
                                         parse_spec)
+from repro.analysis.mutations import MUTATIONS
 from repro.analysis.races.model import _extract_source
 from repro.protocols.spec import ProtocolSpec
+from teeth import assert_cell
 
 FAMILIES = ("scalablebulk", "bulksc", "tcc", "seq", "substrate")
 
@@ -308,25 +309,24 @@ class TestNominalTree:
         assert "SB602 src/repro/baselines/seq.py::seq:invalid-spec" in got
 
 
+#: the seeded bugs the flow pass is pinned to catch
+FLOW_CAUGHT = sorted(n for n, m in MUTATIONS.items() if "flows" in m.caught)
+
+
 class TestMutationTeeth:
-    """Each seeded protocol bug must add exactly its expected keys."""
+    """Each seeded protocol bug must add exactly its pinned flow keys
+    (the flows column of tests/test_teeth_matrix.py)."""
 
     def test_mutations_cover_every_rule(self):
-        expected = {key.split(" ", 1)[0] for m in FLOW_MUTATIONS.values()
-                    for key in m.expected_keys}
-        assert expected == set(PASS_RULES["flows"])
+        pinned = {key.split(" ", 1)[0] for name in FLOW_CAUGHT
+                  for key in MUTATIONS[name].caught["flows"]}
+        assert pinned == set(PASS_RULES["flows"])
 
-    @pytest.mark.parametrize("name", sorted(FLOW_MUTATIONS))
+    @pytest.mark.parametrize("name", FLOW_CAUGHT)
     def test_mutation_adds_its_expected_key(self, name):
-        nominal = keys(lint_flows())
-        overrides, expected_keys = overrides_for(name)
-        mutated = keys(lint_flows(source_overrides=overrides))
-        for expected_key in expected_keys:
-            assert expected_key not in nominal
-            assert expected_key in mutated
-        assert nominal <= mutated
+        assert_cell(name, "flows")
 
-    @pytest.mark.parametrize("name", sorted(FLOW_MUTATIONS))
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_mutation_transforms_fail_loudly_when_stale(self, name):
         with pytest.raises(ValueError):
-            FLOW_MUTATIONS[name].transform("def unrelated():\n    pass\n")
+            MUTATIONS[name].transform("def unrelated():\n    pass\n")

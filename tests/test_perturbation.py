@@ -8,10 +8,10 @@ from repro.analysis.explore import cli as explore_cli
 from repro.analysis.explore.controller import Schedule
 from repro.analysis.explore.driver import Perturbation, run_perturbation
 from repro.analysis.explore.minimize import shrink
-from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS
 from repro.analysis.explore.trace import (artifact_json, load_artifact,
                                           replay_artifact, save_artifact)
+from repro.analysis.mutations import MUTATIONS
 from repro.faults import cli as chaos_cli
 from repro.faults.plan import FaultSpec, stress_plan
 from repro.store.db import ResultStore

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.analysis.explore.controller import Schedule
-from repro.analysis.explore.mutations import MUTATIONS
 from repro.analysis.explore.scenarios import SCENARIOS
+from repro.analysis.mutations import MUTATIONS
 from repro.analysis.races import lint_races
 from repro.analysis.races.confirm import (
-    CONFIRMED, UNOBSERVED, _predicate_for, _run_probe, confirm_finding,
-    starvation_pressure,
+    CONFIRMED, UNOBSERVED, StarvationPressure, _predicate_for, _run_probe,
+    confirm_finding,
 )
 
 FAILED_CIDS_KEY = ("SB504 src/repro/core/directory_engine.py::"
@@ -75,8 +75,9 @@ class TestUnobserved:
 @pytest.mark.slow
 class TestSeededRuntimeConfirmation:
     """Acceptance: >=1 seeded bug CONFIRMED by the sanitizer.  The
-    reservation leak only engages under starvation pressure (the runtime
-    twin is chaos-only), so the probe lowers the per-instance threshold."""
+    reservation leak only engages under starvation pressure (nominal
+    exploration misses it), so a perturber lowers the per-instance
+    threshold."""
 
     def test_reservation_leak_confirmed_under_pressure(self, monkeypatch):
         import repro.analysis.races.confirm as confirm_mod
@@ -90,7 +91,8 @@ class TestSeededRuntimeConfirmation:
             anchor="ScalableBulkDirectory:reserved_for:leak",
             message="seeded reservation leak")
         w = confirm_finding(
-            seeded, mutation=starvation_pressure(MUTATIONS["reservation-leak"]),
+            seeded, mutation=MUTATIONS["reservation-leak"],
+            perturbers=[StarvationPressure()],
             scenarios=("cross2",), runs_per_scenario=1)
         assert w.status == CONFIRMED, w.detail
         assert w.schedule is not None

@@ -2,9 +2,10 @@
 
 from repro.analysis import Baseline
 from repro.analysis.findings import repo_paths
+from repro.analysis.mutations import MUTATIONS
 from repro.analysis.races import extract_state_model, lint_races
 from repro.analysis.races.concurrency import build_concurrency_model
-from repro.analysis.races.mutations import SOURCE_MUTATIONS, overrides_for
+from teeth import assert_cell
 
 SB5_CODES = {"SB501", "SB502", "SB503", "SB504"}
 
@@ -113,26 +114,19 @@ class TestRules:
 
 
 class TestSeededMutations:
-    """Acceptance: >=2 seeded race bugs caught statically (we ship 3)."""
+    """Acceptance: >=2 seeded race bugs caught statically (the races
+    column of tests/test_teeth_matrix.py)."""
 
     def test_each_mutation_adds_exactly_its_expected_key(self):
-        assert len(SOURCE_MUTATIONS) >= 2
-        pkg_dir, _ = repo_paths()
-        nominal = keys(lint_races())
-        for name in SOURCE_MUTATIONS:
-            overrides, expected = overrides_for(name, pkg_dir)
-            mutated = keys(lint_races(source_overrides=overrides))
-            assert expected in mutated, name
-            assert expected not in nominal, name
-            # the surgery must not suppress any nominal finding
-            assert nominal <= mutated, name
+        caught = [n for n, m in MUTATIONS.items() if "races" in m.caught]
+        assert len(caught) >= 2
+        for name in caught:
+            assert_cell(name, "races")
 
     def test_mutation_transforms_fail_loudly_when_stale(self):
         """A transform that no longer matches the source must raise, not
         silently produce an unmutated tree."""
-        for m in SOURCE_MUTATIONS.values():
-            if m.name == "reservation-leak":
-                continue  # str.replace variant has no sentinel
+        for m in MUTATIONS.values():
             try:
                 m.transform("def nothing(): pass\n")
             except ValueError:
