@@ -115,8 +115,13 @@ def check_mutation(payload: Dict[str, Any]) -> Dict[str, Any]:
     plain data).
 
     The mutation is explored nominally with ``payload["knobs"]`` and run
-    once under the storm-heavy stress plan seeded by ``knobs["seed"]``;
-    it passes when both observations match its pinned cells.
+    once under the storm-heavy stress plan seeded by ``knobs["seed"]``.
+    A bug pinned caught by exploration passes when exploration catches
+    it; a chaos-only bug when the stress plan catches it and exploration
+    does not.  The rest of the row (every pinned miss, and the chaos
+    cell of a bug exploration catches) holds at the teeth matrix's knobs
+    (seed 0, 120 schedules, depth 10) and is checked there: another seed
+    or budget may legitimately catch more, or draw a milder storm.
     """
     mutation = MUTATIONS[payload["mutation"]]
     scenario = SCENARIOS[str(mutation.scenario)]
@@ -126,12 +131,18 @@ def check_mutation(payload: Dict[str, Any]) -> Dict[str, Any]:
     chaos = run_perturbation(
         scenario, Perturbation(plan=stress_plan(knobs["seed"])), mutation,
         watchdog=DEFAULT_WINDOW).codes
+    explore_pin = set(mutation.caught.get("explore", ()))
+    chaos_pin = set(mutation.caught.get("chaos", ()))
+    if explore_pin:
+        passed = bool(explore_pin & set(nominal))
+    else:  # chaos-only: caught under the stress plan alone
+        passed = not chaos_pin or (bool(chaos_pin & set(chaos))
+                                   and not chaos_pin & set(nominal))
     return {
         "mutation": mutation.name, "scenario": mutation.scenario,
         "schedules_run": report.schedules_run,
         "nominal_codes": nominal, "chaos_codes": chaos,
-        "passed": (mutation.matches("explore", nominal)
-                   and mutation.matches("chaos", chaos)),
+        "passed": passed,
     }
 
 

@@ -65,16 +65,6 @@ class Mutation:
         source = ((pkg_dir or _PKG) / self.rel_path).read_text()
         return {self.rel_path: self.transform(source)}
 
-    def matches(self, pass_name: str, observed: Sequence[str]) -> bool:
-        """Does one pass's observation agree with the pinned cell?
-
-        ``observed`` is the new finding keys for a static pass and the
-        violation codes of the run for a dynamic one."""
-        pinned = self.caught.get(pass_name, ())
-        if pass_name in STATIC_PASSES:
-            return set(observed) == set(pinned)
-        return bool(set(observed) & set(pinned)) if pinned else not observed
-
     def apply(self, machine: Any) -> None:
         """Bind every method the transform changes onto ``machine``'s
         instances of its class.
@@ -193,10 +183,17 @@ _G_SUCCESS_BLOCK = ("        entry.state = ChunkCommitState.CONFIRMED\n"
                     "        self.apply_commit(entry.local_write_lines, "
                     "entry.proc)\n")
 #: deleting a dispatch branch splits the nominal SB503 handler cycle in
-#: two: new keys, not a race the bug adds
+#: two: its ``_on_bulk_inv_ack`` anchor goes and the halves are new keys,
+#: not a race the bug adds
 _SPLIT_SB503 = _keys(
     _SB_DIR, "SB503 ScalableBulkDirectory._on_bulk_inv_nack:cycle",
     "SB503 ScalableBulkDirectory._on_g:cycle")
+#: (bug, static pass) -> the nominal finding keys the bug legitimately
+#: drops; every other static cell must keep all nominal findings
+DROPPED: Dict[Tuple[str, str], FrozenSet[str]] = {
+    (name, "races"): frozenset(_keys(
+        _SB_DIR, "SB503 ScalableBulkDirectory._on_bulk_inv_ack:cycle"))
+    for name in ("delete-handler", "orphan-handler")}
 
 
 #: every seeded bug, keyed by name
@@ -378,4 +375,4 @@ MUTATIONS: Dict[str, Mutation] = {m.name: m for m in (
         {"explore": ("SB403", "SB404")}),
 )}
 
-__all__ = ["MUTATIONS", "Mutation", "PASSES", "STATIC_PASSES"]
+__all__ = ["DROPPED", "MUTATIONS", "Mutation", "PASSES", "STATIC_PASSES"]

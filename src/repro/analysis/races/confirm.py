@@ -43,7 +43,7 @@ from repro.analysis.mutations import Mutation
 from repro.analysis.races.sanitizer import AccessSanitizer, MessageEvent
 from repro.engine.rng import DeterministicRng
 from repro.network.message import MessageType
-from repro.obs.bus import MSG_RECV, MSG_SEND, NullBus, ctag_str
+from repro.obs.bus import MSG_RECV, MSG_SEND, ctag_str
 
 CONFIRMED = "CONFIRMED"
 UNOBSERVED = "UNOBSERVED"
@@ -86,29 +86,6 @@ class _Probe:
     intervals: List[Tuple[int, int, str, str]] = field(default_factory=list)
 
 
-class StarvationPressure(NullBus):
-    """A perturber: per-directory starvation pressure for one run.
-
-    The reservation machinery only engages after
-    ``starvation_max_squashes`` genuine failures of one chunk — far more
-    than the tiny explore scenarios produce, which is why nominal
-    exploration misses the ``reservation-leak`` bug.  Lowering the
-    threshold on the *instances* (the shared
-    :class:`~repro.config.SystemConfig` stays frozen and untouched) makes
-    reservations form on the first genuine collision, so the sanitizer
-    can watch the leak inside the bounded confirm budget.
-    """
-
-    def __init__(self, threshold: int = 1) -> None:
-        self.threshold = threshold
-
-    def attach(self, machine: Any) -> None:
-        for directory in machine.directories:
-            if hasattr(directory, "reserved_for"):
-                directory.config = replace(
-                    directory.config, starvation_max_squashes=self.threshold)
-
-
 #: per-probe event cap: a livelocked probe (many seeded bugs wedge the
 #: protocol) must not burn the scenario's full exploration budget with
 #: fingerprinting enabled — the access pattern shows long before that.
@@ -116,20 +93,17 @@ PROBE_MAX_EVENTS = 30_000
 
 
 class _Prober:
-    """Hands every probe run the ``perturbers`` and a fresh access
-    sanitizer as its instruments, and pairs the last sanitizer with that
-    run's result."""
+    """Hands every probe run a fresh access sanitizer as its instrument
+    and pairs the last one with that run's result."""
 
-    def __init__(self, scenario: Scenario,
-                 perturbers: Sequence[NullBus] = ()) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = replace(
             scenario, max_events=min(scenario.max_events, PROBE_MAX_EVENTS))
-        self.perturbers = list(perturbers)
         self.sanitizer = AccessSanitizer()
 
-    def instruments(self) -> List[NullBus]:
+    def instruments(self) -> List[AccessSanitizer]:
         self.sanitizer = AccessSanitizer()
-        return [*self.perturbers, self.sanitizer]
+        return [self.sanitizer]
 
     def probe(self, result: PerturbationResult) -> _Probe:
         return _Probe(sanitizer=self.sanitizer, result=result,
@@ -137,9 +111,8 @@ class _Prober:
 
 
 def _run_probe(scenario: Scenario, schedule: Optional[Schedule],
-               mutation: Optional[Mutation], seed: Optional[int],
-               perturbers: Sequence[NullBus] = ()) -> _Probe:
-    prober = _Prober(scenario, perturbers)
+               mutation: Optional[Mutation], seed: Optional[int]) -> _Probe:
+    prober = _Prober(scenario)
     tie_rng = DeterministicRng(seed, "confirm-ties") if seed is not None \
         else None
     delay_rng = DeterministicRng(seed + 1, "confirm-delays") \
@@ -267,15 +240,11 @@ def _scenarios_for(finding: Finding) -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 def confirm_finding(finding: Finding, *,
                     mutation: Optional[Mutation] = None,
-                    perturbers: Sequence[NullBus] = (),
                     scenarios: Optional[Sequence[str]] = None,
                     runs_per_scenario: int = 8,
                     base_seed: int = 2112,
                     shrink_budget: int = 40) -> Witness:
-    """Probe one finding; CONFIRMED comes with a shrunk replay schedule.
-
-    ``perturbers`` (e.g. :class:`StarvationPressure`) attach to every
-    probe run, ahead of its sanitizer."""
+    """Probe one finding; CONFIRMED comes with a shrunk replay schedule."""
     predicate = _predicate_for(finding)
     if predicate is None:
         return Witness(key=finding.key, code=finding.code, status=UNOBSERVED,
@@ -287,13 +256,13 @@ def confirm_finding(finding: Finding, *,
         for i in range(runs_per_scenario):
             # probe 0 is the nominal schedule; later probes randomize
             seed = None if i == 0 else base_seed + 997 * i
-            probe = _run_probe(scenario, None, mutation, seed, perturbers)
+            probe = _run_probe(scenario, None, mutation, seed)
             runs += 1
             if not predicate(probe):
                 continue
             shrunk = probe.result.schedule
             if shrunk.decision_count():
-                prober = _Prober(scenario, perturbers)
+                prober = _Prober(scenario)
                 shrunk = shrink(prober.scenario, Perturbation(shrunk),
                                 mutation,
                                 lambda r: predicate(prober.probe(r)),
@@ -326,5 +295,5 @@ def confirm_findings(findings: Sequence[Finding], *,
     return out
 
 
-__all__ = ["CONFIRMED", "UNOBSERVED", "StarvationPressure", "Witness",
-           "confirm_finding", "confirm_findings"]
+__all__ = ["CONFIRMED", "UNOBSERVED", "Witness", "confirm_finding",
+           "confirm_findings"]

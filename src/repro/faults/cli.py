@@ -14,10 +14,11 @@ Modes:
   primary failure.
 * ``--mutation-check`` — the mutation check shared with ``repro explore
   --mutations``: every seeded bug a machine runs is explored nominally
-  *and* run under a storm-heavy stress plan.  Exit 1 unless both verdicts
-  match the bug's pinned ``explore``/``chaos`` cells; a chaos-only bug
-  (e.g. ``reservation-leak``) is pinned caught under chaos and,
-  demonstrating why chaos is needed, missed nominally.
+  *and* run under a storm-heavy stress plan.  Exit 1 unless exploration
+  catches every bug pinned caught by ``explore``, and a chaos-only bug
+  (e.g. ``reservation-leak``), pinned caught under chaos, is caught by
+  the stress plan and, demonstrating why chaos is needed, missed
+  nominally.
 * ``--list`` — fault kinds, campaign scenarios and chaos-only mutations.
 """
 
@@ -188,8 +189,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="re-run a saved artifact (chaos or explore) "
                              "and check it reproduces")
     parser.add_argument("--mutation-check", action="store_true",
-                        help="mutation check: every mutation's explore and "
-                             "chaos verdicts must match its pinned cells")
+                        help="mutation check: exploration must catch "
+                             "every mutation pinned caught by explore; a "
+                             "chaos-only one must be caught by chaos alone")
     parser.add_argument("--list", action="store_true",
                         help="list fault kinds, scenarios and chaos-only "
                              "mutations, then exit")

@@ -4,11 +4,10 @@ import pytest
 
 from repro.analysis.explore.controller import Schedule
 from repro.analysis.explore.scenarios import SCENARIOS
-from repro.analysis.mutations import MUTATIONS
+from repro.analysis.mutations import MUTATIONS, Mutation
 from repro.analysis.races import lint_races
 from repro.analysis.races.confirm import (
-    CONFIRMED, UNOBSERVED, StarvationPressure, _predicate_for, _run_probe,
-    confirm_finding,
+    CONFIRMED, UNOBSERVED, _predicate_for, _run_probe, confirm_finding,
 )
 
 FAILED_CIDS_KEY = ("SB504 src/repro/core/directory_engine.py::"
@@ -76,8 +75,8 @@ class TestUnobserved:
 class TestSeededRuntimeConfirmation:
     """Acceptance: >=1 seeded bug CONFIRMED by the sanitizer.  The
     reservation leak only engages under starvation pressure (nominal
-    exploration misses it), so a perturber lowers the per-instance
-    threshold."""
+    exploration misses it), so the probed transform also lowers the
+    reservation threshold to one genuine failure."""
 
     def test_reservation_leak_confirmed_under_pressure(self, monkeypatch):
         import repro.analysis.races.confirm as confirm_mod
@@ -90,9 +89,15 @@ class TestSeededRuntimeConfirmation:
             finding,
             anchor="ScalableBulkDirectory:reserved_for:leak",
             message="seeded reservation leak")
-        w = confirm_finding(
-            seeded, mutation=MUTATIONS["reservation-leak"],
-            perturbers=[StarvationPressure()],
-            scenarios=("cross2",), runs_per_scenario=1)
+        leak = MUTATIONS["reservation-leak"]
+        threshold = "self.config.starvation_max_squashes"
+        assert threshold in leak.overrides()[leak.rel_path]
+        pressured = Mutation(
+            leak.name, leak.description + ", under starvation pressure",
+            leak.rel_path,
+            lambda src: leak.transform(src).replace(threshold, "1"),
+            "cross2")
+        w = confirm_finding(seeded, mutation=pressured,
+                            scenarios=("cross2",), runs_per_scenario=1)
         assert w.status == CONFIRMED, w.detail
         assert w.schedule is not None
