@@ -10,8 +10,9 @@ runs all of them by default), and as a pytest tier
 * **Determinism lint** (:mod:`repro.analysis.determinism`) — flags
   nondeterminism sources that would break reproducible runs
   (SB301-SB304).
-* **State-access race analysis** (:mod:`repro.analysis.races`) —
-  conflicting handler footprints without causal ordering (SB501-SB504).
+* **State-access analysis** (:mod:`repro.analysis.races`) — sends that
+  precede the state update their audience reads, and state grown by
+  handlers but never released (SB502, SB504).
 * **Protocol-flow analysis** (:mod:`repro.analysis.flows`) — per-family
   message-flow automata extracted from the AST and checked against each
   protocol's declared :class:`~repro.protocols.spec.ProtocolSpec`

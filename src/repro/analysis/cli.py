@@ -6,7 +6,7 @@ baseline file — non-zero otherwise.  CI fails PRs that introduce new
 ``SB***`` findings while the pre-existing, justified ones stay suppressed.
 
 Every pass runs by default: the group-order model checker, the
-determinism lint, the SB5xx state-access race pass
+determinism lint, the SB5xx state-access pass
 (:mod:`repro.analysis.races`) and the protocol-flow pass
 (:mod:`repro.analysis.flows`, SB002–SB004 and SB6xx).  ``--select SB6``
 (any rule-code prefix) runs exactly the passes that can emit matching
@@ -43,7 +43,7 @@ DEFAULT_BASELINE = "lint-baseline.txt"
 PASS_RULES: Dict[str, Tuple[str, ...]] = {
     "group": ("SB201", "SB202", "SB203", "SB204"),
     "determinism": ("SB301", "SB302", "SB303", "SB304"),
-    "races": ("SB501", "SB502", "SB503", "SB504"),
+    "races": ("SB502", "SB504"),
     "flows": ("SB002", "SB003", "SB004",
               "SB601", "SB602", "SB603", "SB604"),
 }
@@ -98,9 +98,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--write-baseline", action="store_true",
                         help="accept all current findings into the baseline "
                              "(existing per-key justifications are kept)")
-    parser.add_argument("--rules", default=None,
-                        help="comma-separated rule-code prefixes, e.g. "
-                             "'SB3' or 'SB002,SB2'")
     parser.add_argument("--max-dirs", type=int, default=4,
                         help="model-checker configuration bound (default 4; "
                              "CI uses 5)")
@@ -135,8 +132,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     select = (tuple(p.strip() for p in args.select.split(",") if p.strip())
               if args.select else ())
-    rule_prefixes = (tuple(p.strip() for p in args.rules.split(",")
-                           if p.strip()) if args.rules else ())
     ran = [name for name, codes in PASS_RULES.items()
            if not select or any(code.startswith(select) for code in codes)]
     if not ran:
@@ -145,8 +140,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        only=ran)
     if select:
         findings = [f for f in findings if f.code.startswith(select)]
-    if rule_prefixes:
-        findings = [f for f in findings if f.code.startswith(rule_prefixes)]
     findings, pragma_suppressed = apply_pragmas(findings, repo_root)
 
     unchecked_codes: Set[str] = {code for name in PASS_RULES
@@ -157,7 +150,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         """Could this baseline key have been (re-)found this invocation?
 
         Keys owned by a pass that did not run, or filtered out by
-        ``--select``/``--rules``, were never looked for — they are not
+        ``--select``, were never looked for — they are not
         stale and must survive ``--write-baseline``.  Keys with a code no
         pass emits are garbage and always count as stale.
         """
@@ -165,8 +158,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if code in unchecked_codes:
             return False
         if select and not code.startswith(select):
-            return False
-        if rule_prefixes and not code.startswith(rule_prefixes):
             return False
         return True
 

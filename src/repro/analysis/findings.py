@@ -15,7 +15,7 @@ there with a justification and only *new* findings fail the gate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -77,21 +77,11 @@ RULES: Dict[str, Tuple[str, str]] = {
               "a squash-pending (OCI alias) chunk was never resolved, or a "
               "commit was double-counted — the OCI re-validation path "
               "mis-resolved under this interleaving"),
-    # -- pass 4: state-access race analysis (repro.analysis.races) -------
-    "SB501": ("unsynchronized concurrent access",
-              "two handlers of one module class can be in flight for the "
-              "same chunk with no causal ordering (no dominance in the "
-              "message-causality graph) and their footprints conflict on a "
-              "state attribute — write/write or read/write"),
+    # -- pass 4: state-access analysis (repro.analysis.races) ------------
     "SB502": ("send before state update",
               "a method emits a message and afterwards mutates state the "
               "message's audience reads; the receiver's reaction can race "
               "the late write and observe either version"),
-    "SB503": ("re-entrant handler cycle",
-              "a handler sits on a causal cycle (its downstream effects "
-              "can trigger it again for the same chunk) while mutating "
-              "non-commutative state; a re-entry can observe torn "
-              "intermediate state"),
     "SB504": ("unreconciled state growth",
               "a state attribute starting empty is grown by handler-"
               "reachable code but no handler-reachable path ever shrinks "
@@ -212,7 +202,7 @@ class Baseline:
         over per key; keys without one get a TODO marker so the reviewer
         can see which entries still owe an explanation.  ``keep_keys`` are
         previous-baseline keys to carry over verbatim — entries owned by
-        passes that did not run this invocation (``--select``/``--rules``),
+        passes that did not run this invocation (``--select``),
         which the current findings therefore cannot vouch for.
         """
         justifications = justifications or {}

@@ -182,18 +182,6 @@ _FAIL_BLOCK = ("        self.cst.pop(cid, None)\n"
 _G_SUCCESS_BLOCK = ("        entry.state = ChunkCommitState.CONFIRMED\n"
                     "        self.apply_commit(entry.local_write_lines, "
                     "entry.proc)\n")
-#: deleting a dispatch branch splits the nominal SB503 handler cycle in
-#: two: its ``_on_bulk_inv_ack`` anchor goes and the halves are new keys,
-#: not a race the bug adds
-_SPLIT_SB503 = _keys(
-    _SB_DIR, "SB503 ScalableBulkDirectory._on_bulk_inv_nack:cycle",
-    "SB503 ScalableBulkDirectory._on_g:cycle")
-#: (bug, static pass) -> the nominal finding keys the bug legitimately
-#: drops; every other static cell must keep all nominal findings
-DROPPED: Dict[Tuple[str, str], FrozenSet[str]] = {
-    (name, "races"): frozenset(_keys(
-        _SB_DIR, "SB503 ScalableBulkDirectory._on_bulk_inv_ack:cycle"))
-    for name in ("delete-handler", "orphan-handler")}
 
 
 #: every seeded bug, keyed by name
@@ -278,7 +266,7 @@ MUTATIONS: Dict[str, Mutation] = {m.name: m for m in (
         "cross3",
         {"flows": _keys(_SB_DIR, "SB002 ScalableBulkDirectory._on_g_success",
                         "SB601 scalablebulk/G_SUCCESS:never-handled"),
-         "races": _SPLIT_SB503, "explore": ("SB403",), "chaos": ("SB403",)}),
+         "explore": ("SB403",), "chaos": ("SB403",)}),
     Mutation(
         "orphan-handler",
         "directory stops dispatching G_FAILURE",
@@ -287,7 +275,7 @@ MUTATIONS: Dict[str, Mutation] = {m.name: m for m in (
         "cross3",
         {"flows": _keys(_SB_DIR, "SB002 ScalableBulkDirectory._on_g_failure",
                         "SB601 scalablebulk/G_FAILURE:never-handled"),
-         "races": _SPLIT_SB503, "explore": ("SB403",), "chaos": ("SB403",)}),
+         "explore": ("SB403",), "chaos": ("SB403",)}),
     Mutation(
         "silent-handler",
         "a directory handler mutates state without sending or scheduling",
@@ -375,4 +363,4 @@ MUTATIONS: Dict[str, Mutation] = {m.name: m for m in (
         {"explore": ("SB403", "SB404")}),
 )}
 
-__all__ = ["DROPPED", "MUTATIONS", "Mutation", "PASSES", "STATIC_PASSES"]
+__all__ = ["MUTATIONS", "Mutation", "PASSES", "STATIC_PASSES"]

@@ -1,21 +1,17 @@
-"""SB5xx concurrency analysis: static state-access races + runtime sanitizer.
+"""SB5xx state-access analysis: static rules + runtime sanitizer.
 
 The paper's correctness argument (Section 3's preemption/commit rules)
 hinges on every shared protocol structure — CST entries, group leadership
-state, directory reservations — being mutated only under well-defined
-message orderings.  This package checks that mechanically:
+state, directory reservations — being updated before the messages that
+announce it go out, and reconciled on every squash/abort path.  This
+package checks that mechanically:
 
 * :mod:`model` extracts, from the AST of the protocol engines, a
   *state-access model*: for every message handler, the per-module
   attributes it reads and writes and the messages it sends (with source
   positions), transitively closed over same-class helper calls;
-* :mod:`concurrency` builds the message-causality graph implied by the
-  dispatch tables and send sites, expands the directory role into
-  self/other instances (a module's own ``commit_request`` and a
-  predecessor's ``g`` are *different* causal sources even though both are
-  "the dir role"), and decides which handler pairs can be in flight for
-  the same chunk simultaneously via dominator analysis;
-* :mod:`rules` crosses the two into findings SB501–SB504;
+* :mod:`rules` turns the model into findings SB502 (send before state
+  update) and SB504 (unreconciled state growth);
 * :mod:`sanitizer` is the opt-in runtime counterpart: it instruments the
   same state objects during real runs, records actual access
   interleavings through the obs bus, and

@@ -1,21 +1,15 @@
 """Label static race findings CONFIRMED or UNOBSERVED at runtime.
 
-A static SB5xx finding is a *may* statement: the handler pair may
-interleave, the leaked attribute may go unreconciled.  This pass hunts for
-a run that actually exhibits the access pattern: it replays the explore
-scenarios under randomized schedules with the
+A static SB5xx finding is a *may* statement: the late write may race the
+message's reaction, the leaked attribute may go unreconciled.  This pass
+hunts for a run that actually exhibits the access pattern: it replays the
+explore scenarios under randomized schedules with the
 :class:`~repro.analysis.races.sanitizer.AccessSanitizer` attached and
 evaluates a per-rule witness predicate against the recorded spans and the
 message stream:
 
-* **SB501** — a handler span wrote tracked state while another message
-  bound for the *same module* (dispatching to a *different* handler) was
-  in flight: the unordered pair was live simultaneously.
 * **SB502** — one span both put the flagged message type on the wire and
   mutated tracked state: the send-then-update window executed.
-* **SB503** — the flagged handler ran twice at one module for the same
-  chunk (attempts collapse onto their base tag) and mutated state: the
-  causal cycle closed.
 * **SB504** — the flagged attribute grew during the run, was never
   released, and is still non-empty at quiesce: the leak is live.
 
@@ -30,7 +24,7 @@ which is *evidence of absence only for the scenarios tried*, not a refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.explore.controller import Schedule
@@ -40,10 +34,10 @@ from repro.analysis.explore.minimize import shrink
 from repro.analysis.explore.scenarios import SCENARIOS, Scenario
 from repro.analysis.findings import Finding
 from repro.analysis.mutations import Mutation
-from repro.analysis.races.sanitizer import AccessSanitizer, MessageEvent
+from repro.analysis.races.sanitizer import AccessSanitizer
 from repro.engine.rng import DeterministicRng
 from repro.network.message import MessageType
-from repro.obs.bus import MSG_RECV, MSG_SEND, ctag_str
+from repro.obs.bus import MSG_SEND
 
 CONFIRMED = "CONFIRMED"
 UNOBSERVED = "UNOBSERVED"
@@ -81,9 +75,6 @@ class _Probe:
 
     sanitizer: AccessSanitizer
     result: Any
-    #: (send_idx, recv_idx, dst_node, mtype value) into
-    #: ``sanitizer.messages``; unmatched sends stay open
-    intervals: List[Tuple[int, int, str, str]] = field(default_factory=list)
 
 
 #: per-probe event cap: a livelocked probe (many seeded bugs wedge the
@@ -106,8 +97,7 @@ class _Prober:
         return [self.sanitizer]
 
     def probe(self, result: PerturbationResult) -> _Probe:
-        return _Probe(sanitizer=self.sanitizer, result=result,
-                      intervals=_inflight_intervals(self.sanitizer.messages))
+        return _Probe(sanitizer=self.sanitizer, result=result)
 
 
 def _run_probe(scenario: Scenario, schedule: Optional[Schedule],
@@ -122,33 +112,6 @@ def _run_probe(scenario: Scenario, schedule: Optional[Schedule],
         tie_rng=tie_rng, delay_rng=delay_rng,
         instruments=prober.instruments())
     return prober.probe(result)
-
-
-def _inflight_intervals(messages: List[MessageEvent]
-                        ) -> List[Tuple[int, int, str, str]]:
-    """Pair sends and receives into per-flow FIFO flight intervals."""
-    open_sends: Dict[Tuple[str, str, str], List[int]] = {}
-    out: List[Tuple[int, int, str, str]] = []
-    for idx, (kind, src, dst, mtype) in enumerate(messages):
-        if kind == MSG_SEND:
-            open_sends.setdefault((src, dst, mtype), []).append(idx)
-        elif kind == MSG_RECV:
-            pending = open_sends.get((src, dst, mtype))
-            if pending:
-                out.append((pending.pop(0), idx, dst, mtype))
-    end = len(messages)
-    for (_, dst, mtype), pending in open_sends.items():
-        for send_idx in pending:
-            out.append((send_idx, end, dst, mtype))
-    out.sort()
-    return out
-
-
-def _chunk_base(ctag: Any) -> Optional[str]:
-    """Attempts of one chunk collapse onto the base tag: re-entry for the
-    *same chunk* must not be satisfied by an ordinary retry."""
-    text = ctag_str(ctag)
-    return text.split("#")[0] if text else None
 
 
 def _mtype_values(names: Sequence[str]) -> set:
@@ -168,25 +131,6 @@ def _predicate_for(finding: Finding
             return bool(probe.sanitizer.leaked_at(cls, attr))
         return leak
 
-    if finding.code == "SB503":
-        qual = finding.anchor[:-len(":cycle")]
-        cls, method = qual.split(".", 1)
-
-        def reenter(probe: _Probe) -> bool:
-            seen: Dict[Tuple[str, str], int] = {}
-            hit = False
-            for span in probe.sanitizer.spans:
-                if span.cls != cls or span.handler != method:
-                    continue
-                base = _chunk_base(span.ctag)
-                if base is None:
-                    continue
-                seen[(span.src, base)] = seen.get((span.src, base), 0) + 1
-                if seen[(span.src, base)] >= 2 and span.records:
-                    hit = True
-            return hit
-        return reenter
-
     if finding.code == "SB502":
         qual, _, mtypes = finding.anchor.partition("->")
         cls = qual.split(".", 1)[0]
@@ -204,26 +148,6 @@ def _predicate_for(finding: Finding
                         return True
             return False
         return send_then_write
-
-    if finding.code == "SB501":
-        cls = finding.anchor.split(":")[0]
-
-        def concurrent(probe: _Probe) -> bool:
-            san = probe.sanitizer
-            for span in san.spans:
-                if span.cls != cls or not span.records:
-                    continue
-                for send_idx, recv_idx, dst, mtype in probe.intervals:
-                    if dst != span.src_node:
-                        continue
-                    # sent before the span began, received after
-                    if not send_idx < span.start_event <= recv_idx:
-                        continue
-                    other = san.handler_for(cls, MessageType(mtype).name)
-                    if other is not None and other != span.handler:
-                        return True
-            return False
-        return concurrent
 
     return None
 

@@ -28,7 +28,7 @@ Infrastructure attributes (``self.sim``, ``self.network``, ``self.obs``,
 …) are excluded: the model tracks *protocol state*, the structures the
 paper's Tables 4/5 orderings exist to protect.
 
-The SB5xx race rules consume the model directly; the SB6xx flow pass
+The SB5xx state-access rules consume the model directly; the SB6xx flow pass
 (:mod:`repro.analysis.flows`) reduces it to per-family conversation
 automata and also derives the handler-coverage rules SB002–SB004 from it.
 """
@@ -466,8 +466,8 @@ def _send_dest(call: ast.Call) -> str:
 
     ``msg.src`` destinations are *replies*: the concrete role depends on
     who sent the triggering message, so they resolve to the sentinel
-    ``"reply"`` (the flow analysis resolves it through the trigger's
-    senders; the causality graph treats it like ``"unknown"``).
+    ``"reply"``, which the flow analysis resolves through the trigger's
+    senders.
     """
     if len(call.args) < 3:
         return "unknown"

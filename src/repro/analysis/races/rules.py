@@ -1,22 +1,9 @@
-"""Pass 4: state-access race rules SB501–SB504 (tentpole part 3).
+"""Pass 4: state-access rules SB502 and SB504 over the :mod:`model`.
 
-The cross product of the :mod:`model` footprints with the
-:mod:`concurrency` reachability facts:
-
-* **SB501 — unsynchronized concurrent access**: two handlers of the same
-  module class may be in flight for the same chunk simultaneously (no
-  dominance ordering in the causal graph) and their footprints conflict
-  on a state attribute (write/write or read/write).  Reported per
-  (class, attribute) with the offending handler pairs, so one baseline
-  entry documents one attribute's synchronization story.
 * **SB502 — send before state update**: a method emits a message and
   *then* mutates an attribute that the message's audience (the handlers
   the sent type dispatches to, in any class of the family) reads.  The
   receiver's reaction can race the sender's late write.
-* **SB503 — re-entrant handler cycle**: a handler sits on a causal cycle
-  (it can be triggered again for the same chunk by its own downstream
-  effects) while mutating non-commutative state — a re-entry can observe
-  torn intermediate state.
 * **SB504 — unreconciled state growth**: an attribute is grown
   (container insert / assignment of a live value) by handler-reachable
   code, but no handler-reachable path ever shrinks or releases it — the
@@ -34,81 +21,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.races.concurrency import (ConcurrencyModel,
-                                              build_concurrency_model)
-from repro.analysis.races.model import (ClassStateModel, StateModel,
-                                        extract_all_models)
+from repro.analysis.races.model import StateModel, extract_all_models
 
 
-def _fmt_attrs(attrs: Set[str], limit: int = 4) -> str:
+def _fmt_attrs(attrs: Set[str]) -> str:
     ordered = sorted(attrs)
-    if len(ordered) > limit:
-        return ", ".join(ordered[:limit]) + f", … ({len(ordered)} attrs)"
+    if len(ordered) > 4:
+        return ", ".join(ordered[:4]) + f", … ({len(ordered)} attrs)"
     return ", ".join(ordered)
-
-
-# ----------------------------------------------------------------------
-# SB501: unsynchronized concurrent write/write and read/write pairs
-# ----------------------------------------------------------------------
-def _outcome_polarity(triggers: Tuple[str, ...]) -> Optional[str]:
-    """Success-side vs failure-side outcome of a commit conversation.
-
-    The runtime conformance rules (:mod:`repro.validation.orderings`)
-    guarantee at most one outcome per commit instance reaches a module —
-    ``g_success`` never follows ``g_failure``, ``commit_success`` and
-    ``commit_failure`` are exclusive — so an opposite-polarity handler
-    pair can never be in flight for the *same* chunk and is pruned."""
-    text = " ".join(triggers)
-    if "FAILURE" in text or "NACK" in text:
-        return "abort"
-    if ("SUCCESS" in text or "DONE" in text or "ACK" in text
-            or "GRANT" in text or "OK" in text):
-        return "commit"
-    return None
-
-
-def _check_concurrent_access(model: StateModel, cm: ConcurrencyModel
-                             ) -> List[Finding]:
-    """One finding per class: its full set of unordered conflicting pairs.
-
-    Class granularity is deliberate — a baseline entry then documents the
-    *synchronization story of the whole module class* (e.g. "per-cid CST
-    entries buffer out-of-order arrivals"), which is how these races are
-    actually argued away, rather than one entry per attribute."""
-    findings: List[Finding] = []
-    for cls in model.handler_classes():
-        by_pair: Dict[Tuple[str, str], Set[str]] = {}
-        handlers = sorted(cls.handlers)
-        for i, m1 in enumerate(handlers):
-            h1 = cls.handlers[m1]
-            for m2 in handlers[i + 1:]:
-                h2 = cls.handlers[m2]
-                p1, p2 = (_outcome_polarity(h1.triggers),
-                          _outcome_polarity(h2.triggers))
-                if p1 and p2 and p1 != p2:
-                    continue  # exclusive outcomes, never same-chunk-live
-                if not cm.may_interleave(cls.name, m1, m2):
-                    continue
-                w1, w2 = set(h1.writes), set(h2.writes)
-                touched = ((w1 & w2) | (w1 & set(h2.reads))
-                           | (set(h1.reads) & w2)) - cls.counters
-                if touched:
-                    by_pair[(m1, m2)] = touched
-        if not by_pair:
-            continue
-        attrs: Set[str] = set()
-        for touched in by_pair.values():
-            attrs |= touched
-        pairs = sorted(by_pair)
-        shown = ", ".join(f"{a}~{b}" for a, b in pairs[:4])
-        more = f" and {len(pairs) - 4} more" if len(pairs) > 4 else ""
-        findings.append(Finding(
-            code="SB501", path=cls.path, line=cls.line,
-            anchor=f"{cls.name}:concurrent-state",
-            message=(f"{cls.name} has concurrently in-flight handler pairs "
-                     f"with no causal ordering touching "
-                     f"{_fmt_attrs(attrs, 6)}: {shown}{more}")))
-    return findings
 
 
 # ----------------------------------------------------------------------
@@ -162,35 +82,6 @@ def _check_send_before_update(model: StateModel) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# SB503: re-entrant handler cycles over mutable state
-# ----------------------------------------------------------------------
-def _check_reentrant_cycles(model: StateModel, cm: ConcurrencyModel
-                            ) -> List[Finding]:
-    findings: List[Finding] = []
-    by_cls: Dict[str, ClassStateModel] = {c.name: c for c in model.classes}
-    for scc in cm.sccs:
-        members = sorted({(n[1], n[2]) for n in scc})
-        torn: Set[str] = set()
-        for cname, method in members:
-            cls = by_cls.get(cname)
-            if cls is None or method not in cls.handlers:
-                continue
-            torn |= set(cls.handlers[method].writes) - cls.counters
-        if not torn:
-            continue
-        cname, method = members[0]
-        cls = by_cls[cname]
-        cycle = " -> ".join(f"{c}.{m}" for c, m in members)
-        findings.append(Finding(
-            code="SB503", path=cls.path, line=cls.handlers[method].line,
-            anchor=f"{cname}.{method}:cycle",
-            message=(f"handler cycle {cycle} can re-enter for the same "
-                     f"chunk while mutating {_fmt_attrs(torn)}; a re-entry "
-                     f"can observe torn intermediate state")))
-    return findings
-
-
-# ----------------------------------------------------------------------
 # SB504: state grown by handlers but never reconciled/released
 # ----------------------------------------------------------------------
 def _check_unreconciled_growth(model: StateModel) -> List[Finding]:
@@ -224,13 +115,10 @@ def _check_unreconciled_growth(model: StateModel) -> List[Finding]:
 def lint_races(pkg_dir: Optional[Path] = None,
                source_overrides: Optional[Dict[str, str]] = None
                ) -> List[Finding]:
-    """Run SB501–SB504 over every protocol family; deduplicated, sorted."""
+    """Run SB502 and SB504 over every family; deduplicated, sorted."""
     out: Dict[str, Finding] = {}
     for model in extract_all_models(pkg_dir, source_overrides).values():
-        cm = build_concurrency_model(model)
-        for finding in (_check_concurrent_access(model, cm)
-                        + _check_send_before_update(model)
-                        + _check_reentrant_cycles(model, cm)
+        for finding in (_check_send_before_update(model)
                         + _check_unreconciled_growth(model)):
             out.setdefault(finding.key, finding)
     return sorted(out.values(), key=lambda f: f.key)

@@ -12,8 +12,8 @@ observed change becomes an :class:`AccessRecord` (op ``grow`` /
 and grouped into per-invocation :class:`HandlerSpan` windows.  The
 sanitizer also keeps the ``msg_send``/``msg_recv`` stream it hears, and
 each span remembers its indices into it at entry and exit — so a span can
-be joined against the messages to ask "what was in flight toward this
-module while it wrote?".
+be joined against the messages to ask "what did this module put on the
+wire while it wrote?".
 
 State mutated by *deferred* simulator callbacks (``sim.schedule`` closures
 run outside any handler) is caught lazily: the next invocation on the same
@@ -286,11 +286,6 @@ class AccessSanitizer(NullBus):
             if kind == "scalar" or (kind == "container" and size > 0):
                 out.append(src)
         return out
-
-    def handler_for(self, cls: str, mtype_name: str) -> Optional[str]:
-        """The handler method ``cls`` dispatches ``mtype_name`` to."""
-        meta = self._meta.get(cls)
-        return meta.dispatch.get(mtype_name) if meta else None
 
 
 __all__ = ["AccessRecord", "AccessSanitizer", "DEFERRED", "HandlerSpan"]

@@ -9,7 +9,7 @@ import functools
 
 from repro.analysis.explore.strategies import DEFAULT_KNOBS, check_mutation
 from repro.analysis.flows import lint_flows
-from repro.analysis.mutations import DROPPED, MUTATIONS, STATIC_PASSES
+from repro.analysis.mutations import MUTATIONS, STATIC_PASSES
 from repro.analysis.races import lint_races
 
 #: the explore budget of the CI smoke tier (`explore --ci-smoke`)
@@ -39,8 +39,7 @@ def observed(mutation, pass_name):
     if pass_name in STATIC_LINTS:
         nominal = static_keys(pass_name)
         mutated = static_keys(pass_name, mutation)
-        assert nominal - mutated == DROPPED.get((mutation, pass_name),
-                                                frozenset()), \
+        assert nominal <= mutated, \
             f"{mutation} suppresses nominal {pass_name} findings"
         return sorted(mutated - nominal)
     verdict = dynamic_verdict(mutation)

@@ -1,11 +1,14 @@
 """`python -m repro lint` CLI: exit codes, pragmas, baselines, --jobs."""
 
+import inspect
 import json
+import re
 
 import pytest
 
-from repro.analysis.cli import main as lint_main, run_all
-from repro.analysis.findings import Baseline, repo_paths
+from repro.analysis.cli import PASS_RULES, main as lint_main, run_all
+from repro.analysis.explore import invariants
+from repro.analysis.findings import RULES, Baseline, repo_paths
 
 
 class TestExitCodeMatrix:
@@ -30,8 +33,8 @@ class TestExitCodeMatrix:
                           "--select", "SB0,SB2,SB3,SB6"]) == 0
 
     def test_rules_filter_scopes_the_gate(self):
-        assert lint_main(["--no-baseline", "--rules", "SB2"]) == 0
-        assert lint_main(["--no-baseline", "--rules", "SB50"]) == 1
+        assert lint_main(["--no-baseline", "--select", "SB2"]) == 0
+        assert lint_main(["--no-baseline", "--select", "SB50"]) == 1
 
 
 class TestJsonGolden:
@@ -45,7 +48,7 @@ class TestJsonGolden:
                 "pragma_suppressed"} <= set(payload)
         assert payload["suppressed"] == 0
         assert payload["pragma_suppressed"] > 0          # the SB304 pragmas
-        assert len(payload["findings"]) >= 10            # the SB5xx tree
+        assert len(payload["findings"]) == 2             # SB504 tombstones
         for f in payload["findings"]:
             assert {"code", "path", "anchor", "message", "why"} <= set(f)
             assert f["code"].startswith("SB5") or not f["code"]
@@ -117,10 +120,10 @@ class TestSelect:
         assert lint_main(["--no-baseline", "--select", "SB5"]) == 1
 
     def test_select_filters_within_a_pass(self, capsys):
-        lint_main(["--format", "json", "--no-baseline", "--select", "SB501"])
+        lint_main(["--format", "json", "--no-baseline", "--select", "SB504"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"]
-        assert all(f["code"] == "SB501" for f in payload["findings"])
+        assert all(f["code"] == "SB504" for f in payload["findings"])
 
     def test_select_no_match_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -202,6 +205,16 @@ class TestExplain:
         assert lint_main(["--explain"]) == 0
         out = capsys.readouterr().out
         for code in ("SB002", "SB004", "SB201", "SB301", "SB304",
-                     "SB501", "SB502", "SB503", "SB504",
+                     "SB502", "SB504",
                      "SB601", "SB602", "SB603", "SB604"):
             assert code in out, code
+
+    def test_rule_catalogue_matches_the_emitting_passes(self):
+        """``RULES`` is exactly the lint passes' codes plus the SB4xx
+        codes explore's invariants raise: a retired code leaves no
+        dangling ``--explain`` entry and no pass emits an unlisted one."""
+        explore = set(re.findall(r'"(SB4\d\d)"',
+                                 inspect.getsource(invariants)))
+        assert explore
+        owned = {code for codes in PASS_RULES.values() for code in codes}
+        assert set(RULES) == owned | explore

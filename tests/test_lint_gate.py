@@ -35,7 +35,7 @@ class TestGate:
                    <= set(f) for f in payload["findings"])
 
     def test_rules_filter(self, capsys):
-        rc = lint_main(["--no-baseline", "--rules", "SB2"])
+        rc = lint_main(["--no-baseline", "--select", "SB2"])
         # the group table is clean: filtering to SB2xx leaves nothing
         assert rc == 0
 
