@@ -109,8 +109,7 @@ class InvariantMonitor(NullBus):
 
     def _cached(self, core: Any, line: int) -> bool:
         """Is ``line`` present in the core's local hierarchy right now?"""
-        return (core.hierarchy.l1.peek(line) is not None
-                or core.hierarchy.l2.peek(line) is not None)
+        return core.hierarchy.caches_line(line)
 
     # ------------------------------------------------------------------
     # ScalableBulk directory hooks

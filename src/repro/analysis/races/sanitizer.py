@@ -66,7 +66,6 @@ class HandlerSpan:
     src_node: str       #: ``str(NodeRef)`` — joins against msg dst_node
     cls: str
     handler: str
-    mtype: str          #: MessageType ``.value`` of the triggering message
     ctag: Any
     start_event: int    #: len(sanitizer.messages) at entry
     end_event: int = 0  #: len(sanitizer.messages) at exit
@@ -200,12 +199,11 @@ class AccessSanitizer(NullBus):
             handler = meta.dispatch.get(msg.mtype.name, "handle_message")
             before = self._fingerprint(obj, meta)
             # deferred callbacks may have run since the last span here
-            self._emit_diff(now, src, src_node, obj, meta, DEFERRED, "", None,
+            self._emit_diff(now, src, src_node, obj, meta, DEFERRED, None,
                             self._last[id(obj)], before)
             span = HandlerSpan(
                 time=now, src=src, src_node=src_node,
-                cls=type(obj).__name__, handler=handler,
-                mtype=msg.mtype.value, ctag=msg.ctag,
+                cls=type(obj).__name__, handler=handler, ctag=msg.ctag,
                 start_event=len(self.messages))
             original(msg)
             span.end_event = len(self.messages)
@@ -234,14 +232,14 @@ class AccessSanitizer(NullBus):
                                  span.handler, attr, record.op, span.ctag)
 
     def _emit_diff(self, now: int, src: str, src_node: str, obj: Any,
-                   meta: _ClassMeta, handler: str, mtype: str, ctag: Any,
+                   meta: _ClassMeta, handler: str, ctag: Any,
                    before: Dict[str, _Fingerprint],
                    after: Dict[str, _Fingerprint]) -> None:
         if before == after:
             return
         span = HandlerSpan(
             time=now, src=src, src_node=src_node, cls=type(obj).__name__,
-            handler=handler, mtype=mtype, ctag=ctag,
+            handler=handler, ctag=ctag,
             start_event=len(self.messages))
         span.end_event = span.start_event
         self._diff_into(span, before, after)
@@ -254,7 +252,7 @@ class AccessSanitizer(NullBus):
         for key, (src, src_node, obj, meta) in sorted(self._live.items(),
                                                       key=lambda kv: kv[1][0]):
             current = self._fingerprint(obj, meta)
-            self._emit_diff(now, src, src_node, obj, meta, DEFERRED, "", None,
+            self._emit_diff(now, src, src_node, obj, meta, DEFERRED, None,
                             self._last[key], current)
             self._last[key] = current
 

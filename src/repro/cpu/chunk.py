@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.signatures.bulk_signature import (
     BulkSignature, SignatureFactory, WriteSet,
@@ -118,15 +118,28 @@ class Chunk:
 
     # ------------------------------------------------------------------
     def record(self, line_addr: int, is_write: bool, home_dir: int) -> None:
-        """Register one access in the runtime sets and signatures."""
+        """Register one access: :meth:`fold` of one line, plus its home.
+
+        The simulator folds whole bursts (``Core._run_burst``); only the
+        tests register single accesses."""
         self.dirs.add(home_dir)
         if is_write:
-            self.write_lines.add(line_addr)
-            self.w_sig.insert(line_addr)
             self.dirs_written.add(home_dir)
+            self.fold((), (line_addr,))
         else:
-            self.read_lines.add(line_addr)
-            self.r_sig.insert(line_addr)
+            self.fold((line_addr,), ())
+
+    def fold(self, reads: Sequence[int], writes: Sequence[int]) -> None:
+        """Register a run of read and write lines in the runtime sets and
+        signatures, one ``insert_many`` per signature.  OR-ing masks does
+        not depend on order, so this sets the same bits (and counts the
+        same inserts) as registering each line on its own."""
+        if reads:
+            self.read_lines.update(reads)
+            self.r_sig.insert_many(reads)
+        if writes:
+            self.write_lines.update(writes)
+            self.w_sig.insert_many(writes)
 
     def g_vec(self) -> Tuple[int, ...]:
         """Sorted tuple of participating directory modules."""

@@ -37,7 +37,7 @@ from typing import Callable, Deque, List, Optional
 from repro.config import SystemConfig
 from repro.cpu.chunk import Chunk, ChunkSpec, ChunkState, ChunkTag
 from repro.engine.events import Event, Simulator
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import REMOTE, CacheHierarchy
 from repro.memory.page_map import PageMapper
 from repro.network.message import MessageType, core_node, dir_node
 from repro.network.noc import Network
@@ -183,52 +183,74 @@ class Core:
                      line_bytes=self._line_bytes)
 
     def _run_burst(self) -> None:
-        """Advance the current chunk until a remote miss or completion."""
+        """Advance the current chunk until a remote miss or completion.
+
+        A burst runs inside one event and sends no message, so nothing
+        can probe the chunk before it ends: its read and write lines are
+        collected and folded into the chunk once, when the burst stops.
+        A line's home is looked up once per run of accesses to its page.
+        """
         ctx = self._exec
         assert ctx is not None
         chunk = ctx.chunk
+        tag = chunk.tag
         accesses = chunk.spec.accesses
-        elapsed = 0
-        truncated = False
-
-        while ctx.idx < len(accesses):
-            gap, byte_addr, is_write = accesses[ctx.idx]
-            elapsed += gap + 1
-            ctx.consumed_instr += gap + 1
-            ctx.acc_useful += gap + 1
-            line = byte_addr // self._line_bytes
-            page = byte_addr // self.config.page_bytes
-            home = self.page_mapper.home_of_page(page, self.core_id)
-            chunk.record(line, is_write, home)
-
-            result = self.hierarchy.access(line, is_write, chunk.tag)
-            if result.remote:
-                ctx.idx += 1
-                ctx.waiting_line = line
-                ctx.waiting_is_write = is_write
-                # the stall clock starts when the core reaches the access
-                ctx.waiting_since = self.sim.now + elapsed
-                prefetches = self._lookahead_misses(ctx, line)
-                ctx.pending_event = self.sim.schedule(
-                    elapsed,
-                    lambda e=ctx.epoch, l=line, pf=prefetches:
-                        self._issue_read(e, l, pf),
-                )
-                return
-            ctx.acc_miss += result.stall_cycles
-            elapsed += result.stall_cycles
-            if result.overflow_ctag == chunk.tag:
-                truncated = True
-                chunk.truncated = True
-                self.stats.overflow_truncations += 1
-                ctx.idx += 1
+        n_accesses = len(accesses)
+        access = self.hierarchy.access
+        home_of_page = self.page_mapper.home_of_page
+        add_dir = chunk.dirs.add
+        add_dir_written = chunk.dirs_written.add
+        line_bytes = self._line_bytes
+        page_bytes = self.config.page_bytes
+        core_id = self.core_id
+        reads: List[int] = []
+        writes: List[int] = []
+        idx = ctx.idx
+        instr = 0       # gap + 1 per access: useful and elapsed cycles
+        stall = 0       # local (L2 round-trip) stall cycles
+        page = home = -1
+        remote = False
+        while idx < n_accesses:
+            gap, byte_addr, is_write = accesses[idx]
+            idx += 1
+            instr += gap + 1
+            line = byte_addr // line_bytes
+            if byte_addr // page_bytes != page:
+                page = byte_addr // page_bytes
+                home = home_of_page(page, core_id)
+                add_dir(home)
+            if is_write:
+                writes.append(line)
+                add_dir_written(home)
+            else:
+                reads.append(line)
+            cycles = access(line, is_write, tag)
+            if cycles == REMOTE:
+                remote = True
                 break
-            ctx.idx += 1
+            stall += cycles
+        chunk.fold(reads, writes)
+        ctx.idx = idx
+        ctx.consumed_instr += instr
+        ctx.acc_useful += instr
+        ctx.acc_miss += stall
+        elapsed = instr + stall
 
-        if not truncated:
-            trailing = max(0, chunk.spec.n_instructions - ctx.consumed_instr)
-            elapsed += trailing
-            ctx.acc_useful += trailing
+        if remote:
+            ctx.waiting_line = line
+            ctx.waiting_is_write = is_write
+            # the stall clock starts when the core reaches the access
+            ctx.waiting_since = self.sim.now + elapsed
+            prefetches = self._lookahead_misses(ctx, line)
+            ctx.pending_event = self.sim.schedule(
+                elapsed,
+                lambda e=ctx.epoch, l=line, pf=prefetches:
+                    self._issue_read(e, l, pf),
+            )
+            return
+        trailing = max(0, chunk.spec.n_instructions - ctx.consumed_instr)
+        elapsed += trailing
+        ctx.acc_useful += trailing
         ctx.pending_event = self.sim.schedule(
             elapsed, lambda e=ctx.epoch: self._exec_complete(e))
 
@@ -241,13 +263,14 @@ class Core:
         found: List[int] = []
         seen = {blocking_line}
         accesses = ctx.chunk.spec.accesses
+        l1 = self.hierarchy.l1
+        l2 = self.hierarchy.l2
         for j in range(ctx.idx, min(ctx.idx + 24, len(accesses))):
             line = accesses[j].byte_addr // self._line_bytes
             if line in seen:
                 continue
             seen.add(line)
-            if (self.hierarchy.l1.peek(line) is None
-                    and self.hierarchy.l2.peek(line) is None):
+            if line not in l1 and line not in l2:
                 found.append(line)
                 if len(found) >= budget:
                     break
@@ -275,7 +298,7 @@ class Core:
             # Stale reply for a squashed attempt: install and move on.
             self.hierarchy.fill_remote(line)
             return
-        result = self.hierarchy.fill_remote(
+        overflow_ctag = self.hierarchy.fill_remote(
             line, is_write=ctx.waiting_is_write, ctag=ctx.chunk.tag)
         ctx.acc_miss += max(0, self.sim.now - ctx.waiting_since)
         ctx.waiting_line = None
@@ -284,7 +307,7 @@ class Core:
             # a not-yet-fired issue for this line (its prefetch beat it)
             ctx.pending_event.cancel()
             ctx.pending_event = None
-        if result.overflow_ctag == ctx.chunk.tag:
+        if overflow_ctag == ctx.chunk.tag:
             ctx.chunk.truncated = True
             self.stats.overflow_truncations += 1
             self._exec_complete(ctx.epoch)

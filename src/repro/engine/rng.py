@@ -26,6 +26,9 @@ class DeterministicRng:
         self.seed = int(seed)
         self.label = label
         self._rng = random.Random(self._derive(seed, label))
+        #: one uniform draw in [0, 1): the stream's own bound method, so a
+        #: hot loop binds it once and draws with one call
+        self.random = self._rng.random
 
     @staticmethod
     def _derive(seed: int, label: str) -> int:
@@ -39,9 +42,6 @@ class DeterministicRng:
     # -- draw helpers ---------------------------------------------------
     def randint(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)
-
-    def random(self) -> float:
-        return self._rng.random()
 
     def choice(self, seq: Sequence[T]) -> T:
         return self._rng.choice(seq)

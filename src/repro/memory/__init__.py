@@ -10,12 +10,11 @@ the chunk commits.  Squashing a chunk discards its speculative lines.
 """
 
 from repro.memory.cache import Cache, CacheLine, EvictionResult
-from repro.memory.hierarchy import AccessResult, CacheHierarchy
+from repro.memory.hierarchy import REMOTE, CacheHierarchy
 from repro.memory.page_map import PageMapper
 from repro.memory.directory import DirectoryModule, LineInfo
 
 __all__ = [
-    "AccessResult",
     "Cache",
     "CacheHierarchy",
     "CacheLine",
@@ -23,4 +22,5 @@ __all__ = [
     "EvictionResult",
     "LineInfo",
     "PageMapper",
+    "REMOTE",
 ]

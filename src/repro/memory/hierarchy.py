@@ -5,23 +5,22 @@ squash can discard exactly the squashed chunk's lines and a commit can
 promote them to committed-dirty in one pass.  Dirty L2 evictions notify the
 home directory through a caller-supplied writeback callback, keeping
 directory owner state consistent with the caches.
+
+The per-access path (:meth:`CacheHierarchy.access`) returns the local
+stall as an int and allocates nothing on a hit (see
+:mod:`repro.memory.cache` on lazy lines).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Set
 
 from repro.config import SystemConfig
+from repro.memory.cache import Cache
 
-
-@dataclass
-class AccessResult:
-    """Outcome of a load/store against the local hierarchy."""
-
-    stall_cycles: int = 0          #: local stall (0 = L1 hit, hidden)
-    remote: bool = False           #: missed both levels; go to the home dir
-    overflow_ctag: Optional[object] = None  #: a chunk ran out of spec space
+#: what :meth:`CacheHierarchy.access` returns when both levels miss: the
+#: caller goes to the line's home directory
+REMOTE = -1
 
 
 class CacheHierarchy:
@@ -29,9 +28,6 @@ class CacheHierarchy:
 
     def __init__(self, core_id: int, config: SystemConfig,
                  writeback_cb: Optional[Callable[[int], None]] = None) -> None:
-        # Imported here to avoid a cycle with memory/__init__.
-        from repro.memory.cache import Cache
-
         self.core_id = core_id
         self.config = config
         self.l1 = Cache(config.l1)
@@ -40,6 +36,7 @@ class CacheHierarchy:
         #: chunk tag -> speculatively written lines not yet committed
         self.spec_lines: Dict[object, Set[int]] = {}
         self.overflows = 0
+        self._l2_round_trip = config.l2.round_trip_cycles
 
     def set_writeback_callback(self, cb: Callable[[int], None]) -> None:
         self._writeback_cb = cb
@@ -47,54 +44,65 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
-    def access(self, line_addr: int, is_write: bool, ctag: object) -> AccessResult:
-        """Perform one access; the caller handles the remote path."""
-        if self.l1.lookup(line_addr) is not None:
-            # L1 round trip is hidden behind the 1-IPC pipeline.
-            self.l2.lookup(line_addr)  # keep L2 LRU warm (write-through pairing)
-            if is_write:
-                self._mark_spec(line_addr, ctag)
-            return AccessResult(stall_cycles=0)
-
-        if self.l2.lookup(line_addr) is not None:
-            result = self._fill_l1(line_addr)
-            if is_write:
-                self._mark_spec(line_addr, ctag)
-            result.stall_cycles = self.config.l2.round_trip_cycles
-            return result
-
-        return AccessResult(remote=True)
+    def access(self, line_addr: int, is_write: bool, ctag: object) -> int:
+        """Perform one access and return its local stall in cycles: 0 on
+        an L1 hit (hidden behind the 1-IPC pipeline), the L2 round trip
+        on an L2 hit, or :data:`REMOTE` when both levels miss and the
+        caller must go to the home directory."""
+        l1 = self.l1
+        l2 = self.l2
+        # Cache.touch on both levels, inlined (the one per-access step
+        # that reads a Cache's sets; it never reads a line's value)
+        s1 = l1._sets.get(line_addr % l1.n_sets)
+        in_l1 = s1 is not None and line_addr in s1
+        if in_l1:
+            l1.hits += 1
+            s1[line_addr] = s1.pop(line_addr)  # re-insert at MRU
+        else:
+            l1.misses += 1
+        # an L1 hit keeps L2 LRU warm too (write-through pairing)
+        s2 = l2._sets.get(line_addr % l2.n_sets)
+        if s2 is not None and line_addr in s2:
+            l2.hits += 1
+            s2[line_addr] = s2.pop(line_addr)
+        else:
+            l2.misses += 1
+            if not in_l1:
+                return REMOTE
+        if not in_l1:
+            # An L1 victim, speculative or not, is dropped: write-through
+            # means the L2 still holds its copy.
+            l1.install(line_addr)
+        if is_write:
+            self._mark_spec(line_addr, ctag)
+        return 0 if in_l1 else self._l2_round_trip
 
     def fill_remote(self, line_addr: int, is_write: bool = False,
-                    ctag: object = None) -> AccessResult:
-        """Install a line that arrived from the home directory."""
-        result = AccessResult()
+                    ctag: object = None) -> Optional[object]:
+        """Install a line that arrived from the home directory; returns
+        the tag of a chunk whose speculative line the L2 had to evict
+        (an overflow), or None."""
         ev2 = self.l2.fill(line_addr)
+        victim = ev2.line
         if ev2.overflow_ctag is not None:
             self.overflows += 1
-            result.overflow_ctag = ev2.overflow_ctag
-            self._drop_spec_line(ev2.overflow_ctag, ev2.line.line_addr)
-        if ev2.line is not None:
-            self.l1.invalidate(ev2.line.line_addr)  # inclusion
-            if ev2.line.dirty and self._writeback_cb is not None:
-                self._writeback_cb(ev2.line.line_addr)
-        l1_result = self._fill_l1(line_addr)
-        if result.overflow_ctag is None:
-            result.overflow_ctag = l1_result.overflow_ctag
+            self._drop_spec_line(ev2.overflow_ctag, victim.line_addr)
+        if victim is not None:
+            self.l1.invalidate(victim.line_addr)  # inclusion
+            if victim.dirty and self._writeback_cb is not None:
+                self._writeback_cb(victim.line_addr)
+        self.l1.install(line_addr)
         if is_write and ctag is not None:
             self._mark_spec(line_addr, ctag)
-        return result
-
-    def _fill_l1(self, line_addr: int) -> AccessResult:
-        ev = self.l1.fill(line_addr)
-        # An L1 eviction of a speculative line is harmless: write-through
-        # means the L2 still holds the speculative copy.
-        return AccessResult()
+        return ev2.overflow_ctag
 
     def _mark_spec(self, line_addr: int, ctag: object) -> None:
         self.l1.mark_spec_write(line_addr, ctag)
         self.l2.mark_spec_write(line_addr, ctag)
-        self.spec_lines.setdefault(ctag, set()).add(line_addr)
+        lines = self.spec_lines.get(ctag)
+        if lines is None:
+            lines = self.spec_lines[ctag] = set()
+        lines.add(line_addr)
 
     def _drop_spec_line(self, ctag: object, line_addr: int) -> None:
         lines = self.spec_lines.get(ctag)
@@ -142,4 +150,4 @@ class CacheHierarchy:
                 f"l1={self.l1.occupancy}, l2={self.l2.occupancy})")
 
 
-__all__ = ["AccessResult", "CacheHierarchy"]
+__all__ = ["CacheHierarchy", "REMOTE"]

@@ -15,6 +15,12 @@ at the hot triangle the ROADMAP's compiled-core item targets —
                        (``ScalableBulkDirectory._collides``)
 ``machine.prewarm``    steady-state working-set install before the run
                        (``Machine.prewarm``)
+``core.burst``         chunk execution between remote misses
+                       (``Core._run_burst``, ``Core.on_data``)
+``cache.access``       the local cache hierarchy (``CacheHierarchy``'s
+                       ``access``, ``fill_remote``, ``invalidate_lines``)
+``workload.generate``  chunk trace generation
+                       (``SyntheticWorkload.generate_chunk``)
 ``sig.insert``         signature line insert
 ``sig.member``         signature membership probe (load filtering)
 ``sig.intersect``      signature intersection (conflict tests)
@@ -26,7 +32,7 @@ at the hot triangle the ROADMAP's compiled-core item targets —
 wall time, *self* time with nested scopes subtracted).  Because the
 scopes nest (a directory handler intersects signatures and sends NoC
 messages, all inside one dispatched event), the self-time shares plus
-the unprofiled remainder ("other": heap ops, workload generation, stats)
+the unprofiled remainder ("other": heap ops, stats, interpreter)
 sum to 100% of run wall time by construction.
 
 **Attach by wrapping.**  No simulator component knows this module
@@ -76,14 +82,17 @@ SIG_INTERSECT = "sig.intersect"
 SIG_PROBE = "sig.probe"
 CST_CONFLICT = "cst.conflict"
 MACHINE_PREWARM = "machine.prewarm"
+CORE_BURST = "core.burst"
+CACHE_ACCESS = "cache.access"
+WORKLOAD_GENERATE = "workload.generate"
 
 #: Share of wall time outside every profiled scope (event-queue heap
-#: operations, core/workload callbacks' own work, stats, interpreter).
+#: operations, the rest of the core callbacks, stats, interpreter).
 OTHER = "other"
 
 HOT_SCOPES = (ENGINE_DISPATCH, NOC_TRANSIT, DIR_HANDLER, CST_CONFLICT,
-              MACHINE_PREWARM, SIG_INSERT, SIG_MEMBER, SIG_INTERSECT,
-              SIG_PROBE)
+              MACHINE_PREWARM, CORE_BURST, CACHE_ACCESS, WORKLOAD_GENERATE,
+              SIG_INSERT, SIG_MEMBER, SIG_INTERSECT, SIG_PROBE)
 
 _CLOCK = time.perf_counter_ns  # repro: allow SB304
 
@@ -158,6 +167,17 @@ class HostProfiler(NullBus):
             collides = getattr(directory, "_collides", None)
             if collides is not None:     # ScalableBulk directories only
                 directory._collides = scoped(CST_CONFLICT, collides)
+        for core in machine.cores:
+            core._run_burst = scoped(CORE_BURST, core._run_burst)
+            core.on_data = scoped(CORE_BURST, core.on_data)
+            hierarchy = core.hierarchy
+            for name in ("access", "fill_remote", "invalidate_lines"):
+                setattr(hierarchy, name,
+                        scoped(CACHE_ACCESS, getattr(hierarchy, name)))
+        workload = machine.workload
+        if workload is not None:     # a machine may run a bare next_spec
+            workload.generate_chunk = scoped(WORKLOAD_GENERATE,
+                                             workload.generate_chunk)
         machine.prewarm = scoped(MACHINE_PREWARM, machine.prewarm)
         self.start()
 
@@ -314,10 +334,13 @@ class ProfileReport:
         # A scope can sit under several parents (noc.transit is called
         # both from dispatched callbacks and from inside dir.handler);
         # self time is per *scope*, so print it only at the first
-        # (edge-heaviest) occurrence and mark repeats with a dot.
+        # (edge-heaviest) occurrence and mark repeats with a dot.  A
+        # scope can also nest in itself (core.burst: on_data runs a
+        # burst); the walk does not descend into a scope on its path.
         seen: set = set()
 
-        def walk(parent: Optional[str], depth: int) -> None:
+        def walk(parent: Optional[str], depth: int,
+                 path: frozenset = frozenset()) -> None:
             for child, cnt, edge_total in self._children(parent):
                 label = "  " * depth + child
                 if child in seen:
@@ -333,7 +356,8 @@ class ProfileReport:
                                  f"{self._fmt_ns(edge_total):>10s} "
                                  f"{self._fmt_ns(self_ns):>10s} "
                                  f"{share:5.1f}% {bar}")
-                walk(child, depth + 1)
+                if child not in path:
+                    walk(child, depth + 1, path | {child})
 
         walk(None, 0)
         other = self.shares()[OTHER]
@@ -523,11 +547,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-__all__ = ["CST_CONFLICT", "DIR_HANDLER", "ENGINE_DISPATCH", "HOT_SCOPES",
-           "HostProfiler", "MACHINE_PREWARM", "NOC_TRANSIT", "OTHER",
-           "ProfileReport", "SCHEMA", "SIG_INSERT", "SIG_INTERSECT",
-           "SIG_MEMBER", "SIG_PROBE", "ScopeStats", "aggregate_profiles",
-           "main", "make_profiler", "render_share_line"]
+__all__ = ["CACHE_ACCESS", "CORE_BURST", "CST_CONFLICT", "DIR_HANDLER",
+           "ENGINE_DISPATCH", "HOT_SCOPES", "HostProfiler", "MACHINE_PREWARM",
+           "NOC_TRANSIT", "OTHER", "ProfileReport", "SCHEMA", "SIG_INSERT",
+           "SIG_INTERSECT", "SIG_MEMBER", "SIG_PROBE", "ScopeStats",
+           "WORKLOAD_GENERATE", "aggregate_profiles", "main", "make_profiler",
+           "render_share_line"]
 
 
 if __name__ == "__main__":

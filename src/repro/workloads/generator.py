@@ -209,10 +209,23 @@ class SyntheticWorkload:
         base_gap = max(0, (n_instr - n_acc) // n_acc)
         slack = n_instr - n_acc * (base_gap + 1)
 
+        # The loop below makes every draw the per-access helpers would, in
+        # the same order; it only binds what it reads to locals.
+        draw = rng.random            # bernoulli(q) is draw() < q
+        # what ChunkAccess(...) runs, minus the namedtuple's Python frame
+        new_access = tuple.__new__
+        line_bytes = self.line_bytes
+        lines_per_page = self.lines_per_page
+        write_frac = p.write_frac
+        n_private = len(private_pages)
+        private_run_p = 1.0 / max(1, p.locality_run)
+        shared_run_p = 1.0 / max(1, p.shared_locality_run)
+        hot_slot = n_acc // 2 if include_hot else -1
         accesses: List[ChunkAccess] = []
-        priv_cursor = None   # private spatial-run position (line address)
-        priv_left = 0
-        sh_cursor = None     # shared run position
+        append = accesses.append
+        priv_cursor = 0      # private spatial-run position (line address)
+        priv_left = 0        # accesses left in the run (0: start a new one)
+        sh_cursor = 0        # shared run position
         sh_left = 0
         sh_write = False
         for i in range(n_acc):
@@ -220,13 +233,13 @@ class SyntheticWorkload:
             if slack > 0:
                 gap += 1
                 slack -= 1
-            if include_hot and i == n_acc // 2:
+            if i == hot_slot:
                 line = self._hot_line(rng)
-                accesses.append(ChunkAccess(gap, line * self.line_bytes,
-                                            rng.bernoulli(0.5)))
+                append(new_access(ChunkAccess,
+                                  (gap, line * line_bytes, draw() < 0.5)))
                 continue
             if i in shared_slots:
-                if sh_cursor is None or sh_left <= 0:
+                if sh_left <= 0:
                     page = shared_pages[rng.zipf_index(len(shared_pages), 0.3)]
                     page_written = page in written_pages
                     if page_written and p.sharing_pattern == "bucket":
@@ -234,31 +247,29 @@ class SyntheticWorkload:
                         sh_write = True
                     else:
                         sh_write = (page_written and
-                                    rng.bernoulli(self._page_write_prob(page)))
+                                    draw() < self._page_write_prob(page))
                     sh_cursor = self._shared_start_line(
                         rng, page, partition, sh_write,
                         page_written=page_written)
-                    sh_left = max(1, rng.geometric(
-                        1.0 / max(1, p.shared_locality_run)))
+                    sh_left = max(1, rng.geometric(shared_run_p))
                 else:
                     sh_cursor = self._advance_in_slice(sh_cursor, partition,
                                                        sh_write)
                 sh_left -= 1
-                accesses.append(ChunkAccess(gap, sh_cursor * self.line_bytes,
-                                            sh_write))
+                append(new_access(ChunkAccess,
+                                  (gap, sh_cursor * line_bytes, sh_write)))
             else:
-                if priv_cursor is None or priv_left <= 0:
-                    page = private_pages[rng.zipf_index(len(private_pages), 0.2)]
+                if priv_left <= 0:
+                    page = private_pages[rng.zipf_index(n_private, 0.2)]
                     priv_cursor = self._line_in_page(rng, page)
-                    priv_left = max(1, rng.geometric(
-                        1.0 / max(1, p.locality_run)))
+                    priv_left = max(1, rng.geometric(private_run_p))
                 else:
                     priv_cursor += 1
-                    if priv_cursor % self.lines_per_page == 0:
-                        priv_cursor -= self.lines_per_page  # stay on the page
+                    if priv_cursor % lines_per_page == 0:
+                        priv_cursor -= lines_per_page  # stay on the page
                 priv_left -= 1
-                accesses.append(ChunkAccess(gap, priv_cursor * self.line_bytes,
-                                            rng.bernoulli(p.write_frac)))
+                append(new_access(ChunkAccess, (gap, priv_cursor * line_bytes,
+                                                draw() < write_frac)))
         return ChunkSpec(n_instructions=n_instr, accesses=accesses)
 
     # ------------------------------------------------------------------

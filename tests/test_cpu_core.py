@@ -8,7 +8,8 @@ import pytest
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec, ChunkState
-from repro.harness.runner import Machine
+from repro.harness.runner import Machine, run_app
+from repro.obs.bus import NullBus
 
 
 def spec_of(accesses, n_instr=100):
@@ -136,3 +137,33 @@ class TestAccountingInvariants:
             s = core.stats
             if s.chunks_started:
                 assert s.total_accounted <= m.sim.now + 1
+
+
+class _SignatureAudit(NullBus):
+    """Before every event: each active chunk's R/W signatures hold
+    exactly the bits of its read/write line sets."""
+
+    def attach(self, machine):
+        self.machine = machine
+        self.checked = 0
+
+    def sim_step(self, time, queue_depth):
+        from_lines = self.machine.sig_factory.from_lines
+        for core in self.machine.cores:
+            for chunk in core.active_chunks():
+                assert chunk.r_sig == from_lines(chunk.read_lines), chunk
+                assert chunk.w_sig == from_lines(chunk.write_lines), chunk
+                self.checked += 1
+
+
+class TestBurstFold:
+    @pytest.mark.parametrize("protocol", [ProtocolKind.SCALABLEBULK,
+                                          ProtocolKind.BULKSC])
+    def test_signatures_equal_line_sets_at_every_event(self, protocol):
+        """A burst folds its lines into the chunk when it stops, and no
+        event runs mid-burst, so no event ever sees the signatures and
+        the line sets disagree."""
+        audit = _SignatureAudit()
+        run_app("Radix", n_cores=8, protocol=protocol,
+                chunks_per_partition=2, instruments=[audit])
+        assert audit.checked > 0

@@ -1,10 +1,10 @@
 """Unit tests for the set-associative cache with speculative lines."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import CacheConfig
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, CacheLine
 
 
 def tiny_cache(assoc=2, sets=4):
@@ -129,9 +129,10 @@ class TestShadowInvalidate:
     @settings(max_examples=80, deadline=None)
     def test_shadowed_sets_drop_lines_like_materialized_ones(
             self, fills, kills, later):
-        """A prewarmed set drops invalidated lines from its shadow; every
-        set then holds what a line-by-line filled cache holds, in the
-        same LRU order, through later fills and evictions too."""
+        """A bulk-prewarmed cache (unbuilt lines) drops invalidated lines
+        like one filled line by line; every set then holds what the
+        line-by-line cache holds, in the same LRU order, through later
+        fills and evictions too."""
         shadowed, filled = tiny_cache(), tiny_cache()
         shadowed.fill_many(fills)
         for line in fills:
@@ -144,10 +145,120 @@ class TestShadowInvalidate:
             a, b = shadowed.fill(line), filled.fill(line)
             assert (a.line and a.line.line_addr) == (b.line and b.line.line_addr)
 
-        def sets(c):
-            c._materialize_all()
+        def sets(c):  # per-set keys in LRU order
             return {i: list(s) for i, s in c._sets.items() if s}
         assert sets(shadowed) == sets(filled)
+
+
+class EagerCache:
+    """Reference model: a :class:`CacheLine` per resident line, built at
+    fill time, with the replacement policy spelled out."""
+
+    def __init__(self, assoc, sets):
+        self.assoc, self.n_sets = assoc, sets
+        self.sets = {}
+
+    def peek(self, line):
+        return self.sets.get(line % self.n_sets, {}).get(line)
+
+    def fill(self, line):
+        """(victim line or None, overflow tag or None)."""
+        s = self.sets.setdefault(line % self.n_sets, {})
+        if line in s:
+            s[line] = s.pop(line)
+            return None, None
+        victim = overflow = None
+        if len(s) >= self.assoc:
+            clean = [a for a, l in s.items() if l.spec_writer is None]
+            addr = clean[0] if clean else next(iter(s))
+            if not clean:
+                overflow = s[addr].spec_writer
+            victim = s.pop(addr)
+        s[line] = CacheLine(line)
+        return victim, overflow
+
+    def lookup(self, line):
+        found = self.peek(line)
+        if found is not None:
+            s = self.sets[line % self.n_sets]
+            s[line] = s.pop(line)
+        return found
+
+    def mark_spec_write(self, line, tag):
+        found = self.peek(line)
+        if found is not None:
+            found.spec_writer = tag
+        return found is not None
+
+    def commit_spec(self, line, tag):
+        found = self.peek(line)
+        if found is None or found.spec_writer != tag:
+            return False
+        found.spec_writer, found.dirty = None, True
+        return True
+
+    def invalidate(self, line):
+        return self.sets.get(line % self.n_sets, {}).pop(line, None)
+
+
+def _state(line):
+    return None if line is None else (line.line_addr, line.dirty,
+                                      line.spec_writer)
+
+
+addrs = st.integers(0, 7)
+#: (op, line, chunk tag); marks are frequent enough that sets fill up
+#: with speculative lines and fills overflow
+cache_ops = st.lists(st.tuples(
+    st.sampled_from(["fill", "install", "touch", "lookup", "invalidate",
+                     "commit", "mark", "mark", "mark"]),
+    addrs, st.sampled_from(["a", "b"])), min_size=5, max_size=60)
+
+
+class TestLazyLinesMatchEagerReference:
+    @given(st.lists(addrs, max_size=40), cache_ops)
+    @example(prewarm=[0, 2, 1], ops=[  # all-speculative sets overflow
+        ("mark", 2, "a"), ("mark", 0, "b"), ("fill", 4, "a"),
+        ("mark", 1, "a"), ("mark", 4, "b"), ("install", 6, "a"),
+        ("install", 3, "a"), ("commit", 1, "a"), ("fill", 5, "b")])
+    @settings(max_examples=150, deadline=None)
+    def test_same_residency_lru_victims_and_overflows(self, prewarm, ops):
+        """A lazy cache (prewarmed with fill_many, lines built on demand)
+        and the eager reference agree after every operation: per-set
+        keys in LRU order, line states, victims and overflow tags."""
+        lazy, eager = tiny_cache(assoc=2, sets=2), EagerCache(2, 2)
+        lazy.fill_many(prewarm)
+        for line in prewarm:
+            eager.fill(line)
+        for op, line, tag in ops:
+            if op == "fill":
+                got = lazy.fill(line)
+                victim, overflow = eager.fill(line)
+                assert _state(got.line) == _state(victim)
+                assert got.overflow_ctag == overflow
+            elif op == "install":
+                lazy.install(line)
+                eager.fill(line)
+            elif op == "touch":
+                assert lazy.touch(line) == (eager.lookup(line) is not None)
+            elif op == "lookup":
+                assert _state(lazy.lookup(line)) == _state(eager.lookup(line))
+            elif op == "invalidate":
+                assert (_state(lazy.invalidate(line))
+                        == _state(eager.invalidate(line)))
+            elif op == "mark":
+                assert (lazy.mark_spec_write(line, tag)
+                        == eager.mark_spec_write(line, tag))
+            else:
+                assert (lazy.commit_spec(line, tag)
+                        == eager.commit_spec(line, tag))
+            for idx in range(2):
+                want = eager.sets.get(idx, {})
+                got_set = lazy._sets.get(idx, {})
+                assert list(got_set) == list(want)
+                assert ([_state(l) or (a, False, None)
+                         for a, l in got_set.items()]
+                        == [_state(l) for l in want.values()])
 
 
 class TestStats:

@@ -363,7 +363,7 @@ class TestSendFailureAtomicity:
         prof = HostProfiler()
         prof.attach(SimpleNamespace(
             sim=sim, network=net, sig_factory=SignatureFactory(),
-            directories=[], prewarm=lambda: 0))
+            directories=[], cores=[], workload=None, prewarm=lambda: 0))
         self._failed_send(net)
         assert prof._stack == []           # noc.transit never left open
         assert "noc.transit" not in prof.scopes

@@ -10,13 +10,17 @@ from instrument_matrix import assert_transparent
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import ChunkAccess, ChunkSpec
+from repro.cpu.core import Core
 from repro.engine.events import Simulator
 from repro.harness.runner import Machine, SimulationRunner, run_app
 from repro.memory.directory import DirectoryModule
+from repro.memory.hierarchy import CacheHierarchy
 from repro.network.noc import Network
 from repro.obs.bus import InstrumentationBus
 from repro.obs.metrics import MetricsRegistry, MetricsStream, validate_metrics_jsonl
 from repro.obs.profile import (
+    CACHE_ACCESS,
+    CORE_BURST,
     CST_CONFLICT,
     DIR_HANDLER,
     ENGINE_DISPATCH,
@@ -29,6 +33,7 @@ from repro.obs.profile import (
     SIG_INTERSECT,
     SIG_MEMBER,
     SIG_PROBE,
+    WORKLOAD_GENERATE,
     HostProfiler,
     aggregate_profiles,
     make_profiler,
@@ -37,6 +42,7 @@ from repro.obs.profile import (
 from repro.signatures.bulk_signature import (
     BulkSignature, SignatureFactory, WriteSet,
 )
+from repro.workloads.generator import SyntheticWorkload
 
 
 class FakeClock:
@@ -149,6 +155,22 @@ class TestReport:
             assert name in text
         assert "wall" in text
 
+    def test_render_stops_at_a_scope_nested_in_itself(self):
+        clock = FakeClock()
+        prof = HostProfiler(_clock=clock)
+        prof.start()
+        prof.enter(CORE_BURST)           # on_data running a burst
+        clock.now = 10
+        prof.enter(CORE_BURST)
+        clock.now = 30
+        prof.exit()
+        clock.now = 40
+        prof.exit()
+        prof.stop()
+        lines = prof.report().render().splitlines()
+        assert [l.split()[0] for l in lines[2:]] == [CORE_BURST, CORE_BURST,
+                                                      OTHER]
+
     def test_to_json_schema_and_provenance(self):
         doc = self._profiled().report().to_json()
         assert doc["schema"] == SCHEMA
@@ -201,9 +223,11 @@ class TestAttachment:
     #: Radix/4/ScalableBulk, 2 chunks per partition: per-scope call counts.
     #: The write-set kernel's probes (CST pairs, bulk invalidations) count
     #: under sig.probe; sig.member keeps the directory's load filtering.
+    #: A burst folds its reads and its writes with one insert_many each.
     RADIX4_SB_CALLS = {ENGINE_DISPATCH: 1074, NOC_TRANSIT: 687,
-                       DIR_HANDLER: 376, SIG_INSERT: 576, SIG_MEMBER: 48,
-                       SIG_INTERSECT: 0, SIG_PROBE: 37}
+                       DIR_HANDLER: 376, SIG_INSERT: 273, SIG_MEMBER: 48,
+                       SIG_INTERSECT: 0, SIG_PROBE: 37, CORE_BURST: 434,
+                       CACHE_ACCESS: 840, WORKLOAD_GENERATE: 8}
 
     def test_scope_counts_equal_unprofiled_call_counts(self):
         """Each wrapper opens exactly one scope per call of what it wraps:
@@ -216,7 +240,13 @@ class TestAttachment:
                    (BulkSignature, "intersects", SIG_INTERSECT),
                    (WriteSet, "probe", SIG_PROBE),
                    (Network, "_send", NOC_TRANSIT),
-                   (DirectoryModule, "_dispatch", DIR_HANDLER)]
+                   (DirectoryModule, "_dispatch", DIR_HANDLER),
+                   (Core, "_run_burst", CORE_BURST),
+                   (Core, "on_data", CORE_BURST),
+                   (CacheHierarchy, "access", CACHE_ACCESS),
+                   (CacheHierarchy, "fill_remote", CACHE_ACCESS),
+                   (CacheHierarchy, "invalidate_lines", CACHE_ACCESS),
+                   (SyntheticWorkload, "generate_chunk", WORKLOAD_GENERATE)]
 
         def counting(fn, scope):
             def wrapper(*args, **kwargs):
@@ -268,12 +298,12 @@ class TestAttachment:
 
 def _attach_parts(prof, factory=None):
     """The profiler attached to bare components (no protocol, no
-    directories)."""
+    directories, no cores, no workload)."""
     sim = Simulator()
     parts = SimpleNamespace(
         sim=sim, network=Network(SystemConfig(n_cores=4), sim),
         sig_factory=factory or SignatureFactory(), directories=[],
-        prewarm=lambda: 0)
+        cores=[], workload=None, prewarm=lambda: 0)
     prof.attach(parts)
     return parts
 

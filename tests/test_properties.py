@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.engine.events import Simulator
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import REMOTE, CacheHierarchy
 from repro.network.message import MessageType, core_node
 from repro.network.noc import Network
 from repro.signatures.bulk_signature import SignatureFactory
@@ -70,8 +70,7 @@ class TestHierarchyProperties:
         config = SystemConfig(n_cores=4)
         hier = CacheHierarchy(0, config)
         for line, is_write in accesses:
-            res = hier.access(line, is_write, "tag")
-            if res.remote:
+            if hier.access(line, is_write, "tag") == REMOTE:
                 hier.fill_remote(line, is_write=is_write, ctag="tag")
         # every L2 line marked speculative must be tracked (or vice versa:
         # tracked lines that are still resident must be marked)
@@ -88,8 +87,7 @@ class TestHierarchyProperties:
         config = SystemConfig(n_cores=4)
         hier = CacheHierarchy(0, config)
         for line, is_write in accesses:
-            res = hier.access(line, is_write, "tag")
-            if res.remote:
+            if hier.access(line, is_write, "tag") == REMOTE:
                 hier.fill_remote(line, is_write=is_write, ctag="tag")
         hier.commit_chunk("tag")
         for line in hier.l2.resident_lines():
@@ -103,8 +101,7 @@ class TestHierarchyProperties:
         hier = CacheHierarchy(0, config)
         written = set()
         for line, is_write in accesses:
-            res = hier.access(line, is_write, "tag")
-            if res.remote:
+            if hier.access(line, is_write, "tag") == REMOTE:
                 hier.fill_remote(line, is_write=is_write, ctag="tag")
             if is_write:
                 written.add(line)
