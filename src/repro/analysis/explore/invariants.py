@@ -160,7 +160,7 @@ class InvariantMonitor(NullBus):
         home = self.machine.page_mapper.lookup(page)
         if home is None:
             return False
-        info = self.machine.directories[home].lines.get(line)
+        info = self.machine.directories[home].line_info(line)
         if info is None:
             return False
         return core_id in info.sharers or info.owner == core_id

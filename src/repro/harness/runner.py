@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.core import Core
 from repro.engine.events import Simulator
-from repro.memory.directory import LineInfo
+from repro.memory.directory import DirectoryModule
 from repro.memory.page_map import PageMapper
 from repro.network.message import core_node, dir_node
 from repro.network.noc import Network
@@ -149,10 +149,10 @@ class Machine:
         lines_per_page = self.config.page_bytes // self.config.line_bytes
         directories = self.directories
         lookup = self.page_mapper.lookup
-        # page -> the home directory's line table (None if unmapped); pages
-        # hold many lines, so memoizing the home lookup per page takes the
-        # mapper out of the per-line loop
-        home_lines: Dict[int, Optional[Dict[int, LineInfo]]] = {}
+        # page -> its home directory (None if unmapped); pages hold many
+        # lines, so memoizing the home lookup per page takes the mapper
+        # out of the per-line loop
+        homes: Dict[int, Optional[DirectoryModule]] = {}
         # Pass 1: directory registration in plan order (the line-table
         # insertion order is observable downstream, so it must not change),
         # collecting each core's fill runs for the bulk pass.
@@ -167,28 +167,13 @@ class Machine:
                 # a run usually sits inside one page; a shared-slice run
                 # can straddle a boundary, so register page segments
                 seg_end = min(end, (page + 1) * lines_per_page)
-                lines = home_lines.get(page, _UNRESOLVED)
-                first_visit = lines is _UNRESOLVED
-                if first_visit:
-                    home = lookup(page)
-                    lines = None if home is None else directories[home].lines
-                    home_lines[page] = lines
-                if lines is None:
-                    line = seg_end
-                    continue
-                if first_visit:
-                    # no line of this page can be tracked yet (only this
-                    # loop registers prewarm lines, page by page)
-                    for addr in range(line, seg_end):
-                        lines[addr] = LineInfo({core_id})
-                else:
-                    lines_get = lines.get
-                    for addr in range(line, seg_end):
-                        info = lines_get(addr)
-                        if info is None:
-                            lines[addr] = LineInfo({core_id})
-                        else:
-                            info.sharers.add(core_id)
+                home = homes.get(page, _UNRESOLVED)
+                if home is _UNRESOLVED:
+                    home_id = lookup(page)
+                    home = None if home_id is None else directories[home_id]
+                    homes[page] = home
+                if home is not None:
+                    home.add_sharer(range(line, seg_end), core_id)
                 line = seg_end
         # Pass 2: bulk-fill each L2.  Caches are per-core, so splitting the
         # interleaved plan by core preserves every cache's fill order (and

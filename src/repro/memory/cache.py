@@ -8,12 +8,19 @@ eviction reports an *overflow*, which forces the owning chunk to commit
 early (paper Section 2.2: "cache overflows ... can further reduce the
 average size" of chunks).
 
-**Lazy lines.**  A set maps each resident line address to its
-:class:`CacheLine`, or to ``None`` for a clean, non-speculative line no
-caller has asked for yet: fills and the bulk prewarm store ``None``, and
-a ``CacheLine`` is built the first time one is needed (``lookup``,
-``peek``, a speculative mark, an eviction or invalidation that reports the
-line).  A residency test (``in``, :meth:`Cache.touch`) builds nothing, so
+**Lazy lines.**  A set maps each resident line address to one of
+
+* ``None``: clean and not speculative (what fills and the bulk prewarm
+  store);
+* :data:`_DIRTY`: committed-dirty and not speculative (what
+  :meth:`Cache.commit_spec` stores);
+* a :class:`CacheLine`: speculatively written by an uncommitted chunk.
+
+The two markers are atoms the garbage collector does not track, so a set
+holds a ``CacheLine`` only while its line is speculative.  A caller that
+asks for a line (``lookup``, ``peek``, an eviction or invalidation that
+reports it) gets a ``CacheLine`` built for it, ``dirty`` for a committed
+line.  A residency test (``in``, :meth:`Cache.touch`) builds nothing, so
 the per-access path of :class:`~repro.memory.hierarchy.CacheHierarchy`
 allocates nothing on a hit.  Only this module reads the encoding.
 """
@@ -21,7 +28,7 @@ allocates nothing on a hit.  Only this module reads the encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union, cast
 
 from repro.config import CacheConfig
 
@@ -47,11 +54,21 @@ class EvictionResult:
         return self.line is not None and self.line.dirty
 
 
-#: one cache set: line address -> its line, or None for a clean,
-#: non-speculative line not built yet; LRU order = insertion order (plain
-#: dicts preserve it, and re-insertion moves a key to MRU — OrderedDict
-#: semantics without its per-op overhead)
-CacheSet = Dict[int, Optional[CacheLine]]
+#: the set value of a committed-dirty, non-speculative line (``None``
+#: stands for a clean one)
+_DIRTY = True
+
+#: one cache set: line address -> None, _DIRTY or its speculative line;
+#: LRU order = insertion order (plain dicts preserve it, and re-insertion
+#: moves a key to MRU — OrderedDict semantics without its per-op overhead)
+CacheSet = Dict[int, Union[None, bool, CacheLine]]
+
+
+def _built(line_addr: int, value: Union[None, bool, CacheLine]) -> CacheLine:
+    """The :class:`CacheLine` a caller sees for a set value."""
+    if isinstance(value, CacheLine):
+        return value
+    return CacheLine(line_addr, dirty=value is _DIRTY)
 
 
 def _victim(s: CacheSet) -> Tuple[int, Optional[object]]:
@@ -62,10 +79,10 @@ def _victim(s: CacheSet) -> Tuple[int, Optional[object]]:
     so the caller can commit it early.
     """
     for addr, line in s.items():  # iterates LRU -> MRU
-        if line is None or line.spec_writer is None:
+        if not isinstance(line, CacheLine):  # None or _DIRTY
             return addr, None
     addr, line = next(iter(s.items()))
-    return addr, line.spec_writer
+    return addr, cast(CacheLine, line).spec_writer
 
 
 class Cache:
@@ -105,14 +122,13 @@ class Cache:
         return self.peek(line_addr) if self.touch(line_addr) else None
 
     def peek(self, line_addr: int) -> Optional[CacheLine]:
-        """Lookup without LRU update or hit/miss accounting."""
+        """Lookup without LRU update or hit/miss accounting.  A
+        speculative line is the cache's own; any other is built for the
+        caller, and changing it changes nothing in the cache."""
         s = self._sets.get(line_addr % self.n_sets)
         if s is None or line_addr not in s:
             return None
-        line = s[line_addr]
-        if line is None:
-            line = s[line_addr] = CacheLine(line_addr)
-        return line
+        return _built(line_addr, s[line_addr])
 
     def fill(self, line_addr: int) -> EvictionResult:
         """Insert a line, evicting the LRU non-speculative way if needed."""
@@ -123,8 +139,7 @@ class Cache:
             return result
         if len(s) >= self.assoc:
             victim_addr, result.overflow_ctag = _victim(s)
-            victim = s.pop(victim_addr)
-            result.line = CacheLine(victim_addr) if victim is None else victim
+            result.line = _built(victim_addr, s.pop(victim_addr))
             self.evictions += 1
         s[line_addr] = None
         return result
@@ -184,8 +199,7 @@ class Cache:
         s = self._sets.get(line_addr % self.n_sets)
         if s is None or line_addr not in s:
             return None
-        line = s.pop(line_addr)
-        return CacheLine(line_addr) if line is None else line
+        return _built(line_addr, s.pop(line_addr))
 
     def mark_spec_write(self, line_addr: int, ctag: object) -> bool:
         """Tag a resident line as speculatively written by ``ctag``."""
@@ -193,27 +207,34 @@ class Cache:
         if s is None or line_addr not in s:
             return False
         line = s[line_addr]
-        if line is None:
-            s[line_addr] = CacheLine(line_addr, spec_writer=ctag)
-        else:
+        if isinstance(line, CacheLine):
             line.spec_writer = ctag
+        else:  # None or _DIRTY
+            s[line_addr] = CacheLine(line_addr, dirty=line is _DIRTY,
+                                     spec_writer=ctag)
         return True
 
     def commit_spec(self, line_addr: int, ctag: object) -> bool:
         """Promote a speculative line to committed-dirty state."""
         s = self._sets.get(line_addr % self.n_sets)
-        # an absent or unbuilt (None) line is not speculative
-        line = s.get(line_addr) if s is not None else None
-        if line is None or line.spec_writer != ctag:
+        if s is None:
             return False
-        line.spec_writer = None
-        line.dirty = True
+        line = s.get(line_addr)
+        # None and _DIRTY are not speculative
+        if not isinstance(line, CacheLine) or line.spec_writer != ctag:
+            return False
+        s[line_addr] = _DIRTY
         return True
 
     def clear_dirty(self, line_addr: int) -> None:
-        line = self.peek(line_addr)
-        if line is not None:
+        s = self._sets.get(line_addr % self.n_sets)
+        if s is None or line_addr not in s:
+            return
+        line = s[line_addr]
+        if isinstance(line, CacheLine):
             line.dirty = False
+        elif line is _DIRTY:
+            s[line_addr] = None
 
     # ------------------------------------------------------------------
     # Introspection

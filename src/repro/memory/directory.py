@@ -15,12 +15,30 @@ implements what is common to *all four* protocols:
 
 Protocol-specific commit handling lives in subclasses
 (:mod:`repro.core.directory_engine` and :mod:`repro.baselines`).
+
+**Compact line states.**  :attr:`DirectoryModule.lines` maps each tracked
+line to one of
+
+* ``c >= 0``: core ``c`` is the only sharer and there is no owner (what a
+  first read and the prewarm register);
+* ``~w < 0``: core ``w`` is the owner and the only sharer (what
+  :meth:`DirectoryModule.apply_commit` writes);
+* a :class:`LineInfo`, built the first time a line leaves those states.
+
+Ints are atoms the garbage collector does not track, so a prewarmed
+64-core directory holds a handful of objects instead of one
+``LineInfo`` and one ``set`` per line.  A ``LineInfo`` is built as
+``LineInfo({c})`` or ``LineInfo({w}, w)`` and then takes the same set
+operations it always did, so every sharer set keeps its contents *and*
+its iteration order (the read path forwards to the first closest sharer
+in set order).  Only this module reads the encoding: everyone else asks
+:meth:`DirectoryModule.line_info`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Union
 
 from repro.config import SystemConfig
 from repro.engine.events import Simulator
@@ -37,6 +55,17 @@ class LineInfo:
     owner: Optional[int] = None                     #: core holding it dirty
 
 
+#: a tracked line's state: ``c``, ``~w`` or a LineInfo (module docstring)
+LineState = Union[int, LineInfo]
+
+
+def _expanded(state: int) -> LineInfo:
+    """The :class:`LineInfo` a compact state stands for (a new one)."""
+    if state >= 0:
+        return LineInfo({state})
+    return LineInfo({~state}, ~state)
+
+
 class DirectoryModule:
     """Base directory module: sharer tracking + read-miss service."""
 
@@ -48,7 +77,8 @@ class DirectoryModule:
         self.network = network
         self.node = dir_node(dir_id)
         self.obs: NullBus = NULL_BUS  #: instrumentation sink (repro.obs)
-        self.lines: Dict[int, LineInfo] = {}
+        #: tracked line -> its state (see the module docstring)
+        self.lines: Dict[int, LineState] = {}
         # statistics
         self.read_requests = 0
         self.read_nacks = 0
@@ -100,18 +130,28 @@ class DirectoryModule:
             )
             return
 
-        info = self.lines.setdefault(line_addr, LineInfo())
+        state = self.lines.get(line_addr)
+        sharers: Iterable[int]
+        if isinstance(state, LineInfo):
+            owner, sharers = state.owner, state.sharers
+        elif state is None:
+            owner, sharers = None, ()
+        elif state >= 0:
+            owner, sharers = None, (state,)
+        else:
+            owner = ~state
+            sharers = (owner,)
         lookup = self.config.dir_lookup_cycles
 
-        if info.owner is not None and info.owner != requester:
+        if owner is not None and owner != requester:
             # Dirty in a remote cache: forward, owner supplies the data.
             self.cache_to_cache += 1
-            self.sim.schedule(lookup, lambda owner=info.owner: self.network.unicast(
+            self.sim.schedule(lookup, lambda: self.network.unicast(
                 MessageType.FWD_READ, self.node, core_node(owner),
                 line=line_addr, requester=requester, dirty=True,
             ))
         else:
-            remote_sharers = [s for s in info.sharers if s != requester]
+            remote_sharers = [s for s in sharers if s != requester]
             if remote_sharers:
                 # Clean in a remote cache: forward to the closest sharer.
                 self.cache_to_cache += 1
@@ -133,16 +173,32 @@ class DirectoryModule:
                     MessageType.DATA_FROM_MEM, self.node, core_node(requester),
                     line=line_addr,
                 ))
-        info.sharers.add(requester)
+        if state is None:
+            self.lines[line_addr] = requester
+        else:
+            self._add_sharer(line_addr, state, requester)
+
+    def _add_sharer(self, line_addr: int, state: LineState, core: int) -> None:
+        """``sharers.add(core)`` on the tracked line ``line_addr``."""
+        if isinstance(state, LineInfo):
+            state.sharers.add(core)
+        elif state != core and state != ~core:   # else already a sharer
+            info = self.lines[line_addr] = _expanded(state)
+            info.sharers.add(core)
 
     def _handle_writeback(self, msg: Message) -> None:
         line_addr = msg.payload["line"]
         writer: int = msg.payload["writer"]
-        info = self.lines.get(line_addr)
-        if info is not None:
-            if info.owner == writer:
-                info.owner = None  # memory now holds the data
-            info.sharers.discard(writer)
+        state = self.lines.get(line_addr)
+        if state is None:
+            return
+        if not isinstance(state, LineInfo):
+            if state != writer and state != ~writer:
+                return  # not a sharer: nothing changes
+            state = self.lines[line_addr] = _expanded(state)
+        if state.owner == writer:
+            state.owner = None  # memory now holds the data
+        state.sharers.discard(writer)
 
     # ------------------------------------------------------------------
     # Commit-time state updates
@@ -151,22 +207,49 @@ class DirectoryModule:
                               writer: int) -> Set[int]:
         """Cores (other than the writer) that may cache any written line."""
         victims: Set[int] = set()
+        get = self.lines.get
         for line_addr in written_lines:
-            info = self.lines.get(line_addr)
-            if info is None:
-                continue
-            victims |= info.sharers
-            if info.owner is not None:
-                victims.add(info.owner)
+            state = get(line_addr)
+            if isinstance(state, LineInfo):
+                victims |= state.sharers
+                if state.owner is not None:
+                    victims.add(state.owner)
+            elif state is not None:
+                # its one sharer (the owner, if any, is that sharer); a
+                # set union, not add(): a union may resize ``victims``
+                # where add() would not, which reorders it
+                victims |= {state if state >= 0 else ~state}
         victims.discard(writer)
         return victims
 
     def apply_commit(self, written_lines: Iterable[int], writer: int) -> None:
-        """Publish a committed chunk's writes: writer becomes dirty owner."""
+        """Publish a committed chunk's writes: writer becomes dirty owner
+        and only sharer."""
+        lines = self.lines
         for line_addr in written_lines:
-            info = self.lines.setdefault(line_addr, LineInfo())
-            info.sharers = {writer}
-            info.owner = writer
+            lines[line_addr] = ~writer
+
+    def add_sharer(self, lines: Iterable[int], core: int) -> None:
+        """Register ``core`` as a sharer of every line in ``lines`` (the
+        prewarm's fills), tracking each untracked one."""
+        table = self.lines
+        get = table.get
+        for line_addr in lines:
+            state = get(line_addr)
+            if state is None:
+                table[line_addr] = core
+            else:
+                self._add_sharer(line_addr, state, core)
+
+    def line_info(self, line_addr: int) -> Optional[LineInfo]:
+        """The line's sharers and owner, or None if it is untracked.
+
+        Read-only: for a compact state this is a new :class:`LineInfo`,
+        and changing it changes nothing in the directory."""
+        state = self.lines.get(line_addr)
+        if state is None or isinstance(state, LineInfo):
+            return state
+        return _expanded(state)
 
     def home_lines(self, lines: Iterable[int]) -> Iterable[int]:
         """Subset of ``lines`` that this module has ever tracked."""

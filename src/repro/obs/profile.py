@@ -26,6 +26,8 @@ at the hot triangle the ROADMAP's compiled-core item targets —
 ``sig.intersect``      signature intersection (conflict tests)
 ``sig.probe``          write-set probe kernel: CST pairs, arbiter grants,
                        bulk-invalidation disambiguation (``WriteSet.probe``)
+``gc``                 a cyclic garbage-collector pause (a ``gc.callbacks``
+                       hook), charged to no other scope
 =====================  ===============================================
 
 — and aggregate into a per-scope attribution (call count, inclusive
@@ -43,7 +45,10 @@ signature factory at a scoped subclass) on the machine it runs with, and
 its ``finish`` stops the clock, failed run or not.  Each hot method keeps
 exactly one body, and a profiler-only run leaves every component on the
 null bus, so a run with profiling off pays nothing and a profiled run
-times the untraced code path.
+times the untraced code path.  ``attach`` also registers a
+``gc.callbacks`` hook that opens the ``gc`` scope for each collection, so
+a pause is not charged to whichever scope happened to be open;
+``finish`` removes it.
 
 **Quarantine rule.**  This is the one module (with the benchmark
 harness) allowed to read the host clock — every ``perf_counter_ns`` call
@@ -62,6 +67,7 @@ quote ``repro bench`` numbers without ``--profile`` for that.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -85,6 +91,7 @@ MACHINE_PREWARM = "machine.prewarm"
 CORE_BURST = "core.burst"
 CACHE_ACCESS = "cache.access"
 WORKLOAD_GENERATE = "workload.generate"
+GC_PAUSE = "gc"
 
 #: Share of wall time outside every profiled scope (event-queue heap
 #: operations, the rest of the core callbacks, stats, interpreter).
@@ -92,7 +99,7 @@ OTHER = "other"
 
 HOT_SCOPES = (ENGINE_DISPATCH, NOC_TRANSIT, DIR_HANDLER, CST_CONFLICT,
               MACHINE_PREWARM, CORE_BURST, CACHE_ACCESS, WORKLOAD_GENERATE,
-              SIG_INSERT, SIG_MEMBER, SIG_INTERSECT, SIG_PROBE)
+              SIG_INSERT, SIG_MEMBER, SIG_INTERSECT, SIG_PROBE, GC_PAUSE)
 
 _CLOCK = time.perf_counter_ns  # repro: allow SB304
 
@@ -179,12 +186,34 @@ class HostProfiler(NullBus):
             workload.generate_chunk = scoped(WORKLOAD_GENERATE,
                                              workload.generate_chunk)
         machine.prewarm = scoped(MACHINE_PREWARM, machine.prewarm)
+        self.watch_gc()
         self.start()
 
     def finish(self, machine: Any, error: Optional[BaseException]) -> None:
-        """A failed run (livelock guard, unfinished cores) still flushes
-        its final metrics snapshot and closes the stream."""
+        """A failed run (livelock guard, unfinished cores) still removes
+        the collector hook, flushes its final metrics snapshot and closes
+        the stream."""
+        self.unwatch_gc()
         self.stop(machine.sim.now)
+
+    def watch_gc(self) -> None:
+        """Time each garbage-collector pause as a :data:`GC_PAUSE` scope.
+
+        A collection runs when an allocation crosses the collector's
+        threshold, inside whatever scope is open; without the hook its
+        pause is charged to that scope."""
+        if self._on_gc not in gc.callbacks:
+            gc.callbacks.append(self._on_gc)
+
+    def unwatch_gc(self) -> None:
+        if self._on_gc in gc.callbacks:
+            gc.callbacks.remove(self._on_gc)
+
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self.enter(GC_PAUSE)
+        else:
+            self.exit()
 
     def start(self) -> None:
         """Anchor the run's wall clock (first call wins; attach calls it)."""
@@ -209,11 +238,17 @@ class HostProfiler(NullBus):
     # Hot path
     # ------------------------------------------------------------------
     def enter(self, name: str) -> None:
-        self._stack.append([name, self._clock(), 0])
+        # A frame is on the stack from its start read to its end read, and
+        # neither enter nor exit allocates in between, so a collection
+        # (see watch_gc) that runs inside this scope's window is its child.
+        frame = [name, 0, 0]
+        frame[1] = self._clock()
+        self._stack.append(frame)
 
     def exit(self) -> None:
+        end = self._clock()
         frame = self._stack.pop()
-        dt = self._clock() - frame[1]
+        dt = end - frame[1]
         name = frame[0]
         stats = self.scopes.get(name)
         if stats is None:
@@ -548,7 +583,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 __all__ = ["CACHE_ACCESS", "CORE_BURST", "CST_CONFLICT", "DIR_HANDLER",
-           "ENGINE_DISPATCH", "HOT_SCOPES", "HostProfiler", "MACHINE_PREWARM",
+           "ENGINE_DISPATCH", "GC_PAUSE", "HOT_SCOPES", "HostProfiler", "MACHINE_PREWARM",
            "NOC_TRANSIT", "OTHER", "ProfileReport", "SCHEMA", "SIG_INSERT",
            "SIG_INTERSECT", "SIG_MEMBER", "SIG_PROBE", "ScopeStats",
            "WORKLOAD_GENERATE", "aggregate_profiles", "main", "make_profiler",

@@ -15,7 +15,6 @@ from repro.config import ProtocolKind, SystemConfig
 from repro.core.group import order_gvec
 from repro.cpu.chunk import ChunkTag
 from repro.engine.events import Simulator
-from repro.memory.directory import LineInfo
 from repro.memory.page_map import PageMapper
 from repro.network.message import Message, MessageType, core_node, dir_node
 from repro.network.noc import Network
@@ -109,8 +108,7 @@ class ProtocolBench:
         page = line * self.config.line_bytes // self.config.page_bytes
         home = self.page_mapper.lookup(page)
         assert home is not None, "line must be homed first"
-        info = self.directories[home].lines.setdefault(line, LineInfo())
-        info.sharers.add(proc)
+        self.directories[home].add_sharer((line,), proc)
 
     # ------------------------------------------------------------------
     # Commit injection (ScalableBulk wire format)

@@ -88,7 +88,7 @@ class TestBulkSCDirectory:
             dir_node(2), ctag=("x", 0), proc=0, w_sig=sig,
             write_lines=frozenset([line]))
         bench.run()
-        info = bench.directories[2].lines[line]
+        info = bench.directories[2].line_info(line)
         assert info.owner == 0 and info.sharers == {0}
         invs = [m for m in bench.core_log[5]
                 if m.mtype is MessageType.BULK_INV]

@@ -65,7 +65,7 @@ class TestSuccessfulCommit:
         assert len(invs) == 1
         assert w in invs[0].payload["write_lines"]
         # directory state: writer became owner, sharer dropped
-        info = bench.directories[2].lines[w]
+        info = bench.directories[2].line_info(w)
         assert info.owner == 0
         assert info.sharers == {0}
 

@@ -56,7 +56,7 @@ def check_sharer_superset(machine: Machine) -> None:
             home = machine.page_mapper.lookup(page)
             if home is None:
                 continue
-            info = by_home[home].lines.get(line)
+            info = by_home[home].line_info(line)
             assert info is not None, (core.core_id, line)
             assert (core.core_id in info.sharers
                     or info.owner == core.core_id), (core.core_id, line)
@@ -73,7 +73,8 @@ def check_write_visibility(machine: Machine) -> None:
     # at least one chunk.
     committed_cores = {rec.core for rec in machine.protocol.stats.commits}
     for d in machine.directories:
-        for line, info in d.lines.items():
+        for line in d.lines:
+            info = d.line_info(line)
             if info.owner is not None:
                 assert info.owner in committed_cores
 
@@ -132,6 +133,6 @@ class TestNoFalseNegativeSquash:
         line_addr = byte_addr // 32
         page = byte_addr // config.page_bytes
         home = machine.page_mapper.lookup(page)
-        info = machine.directories[home].lines[line_addr]
+        info = machine.directories[home].line_info(line_addr)
         assert info.owner in (0, 1)
         assert sum(c.stats.chunks_committed for c in machine.cores) == 6

@@ -1,16 +1,22 @@
 """Unit tests for the set-associative cache with speculative lines."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.config import CacheConfig
-from repro.memory.cache import Cache, CacheLine
+from repro.config import CacheConfig, SystemConfig
+from repro.memory.cache import Cache, CacheLine, EvictionResult
+from repro.memory.hierarchy import CacheHierarchy
+
+
+def tiny_config(assoc=2, sets=4):
+    return CacheConfig(size_bytes=sets * assoc * 32, assoc=assoc,
+                       line_bytes=32, round_trip_cycles=2, mshr_entries=8)
 
 
 def tiny_cache(assoc=2, sets=4):
-    return Cache(CacheConfig(size_bytes=sets * assoc * 32, assoc=assoc,
-                             line_bytes=32, round_trip_cycles=2,
-                             mshr_entries=8))
+    return Cache(tiny_config(assoc, sets))
 
 
 class TestLookupFill:
@@ -201,6 +207,43 @@ class EagerCache:
         return self.sets.get(line % self.n_sets, {}).pop(line, None)
 
 
+class EagerLevel(EagerCache):
+    """:class:`EagerCache` behind the :class:`Cache` interface that
+    :class:`CacheHierarchy` drives (it inlines ``touch`` over ``_sets``)."""
+
+    def __init__(self, config):
+        super().__init__(config.assoc, config.n_sets)
+        self._sets = self.sets
+        self.hits = self.misses = 0
+
+    def fill(self, line):
+        victim, overflow = super().fill(line)
+        return EvictionResult(victim, overflow)
+
+    def install(self, line):
+        super().fill(line)
+
+    def fill_many(self, lines):
+        for line in lines:
+            self.install(line)
+
+
+def hierarchy_step(h, op, line, tag):
+    """Apply one ``hierarchy_ops`` entry to ``h``; returns what it says."""
+    if op in ("read", "write"):
+        stall = h.access(line, op == "write", tag)
+        if stall >= 0:
+            return stall
+        return h.fill_remote(line, op == "write", tag)
+    if op == "fill":
+        return h.fill_remote(line)
+    if op == "commit":
+        return h.commit_chunk(tag)
+    if op == "squash":
+        return h.squash_chunk(tag)
+    return h.invalidate_lines((line,))
+
+
 def _state(line):
     return None if line is None else (line.line_addr, line.dirty,
                                       line.spec_writer)
@@ -215,12 +258,27 @@ cache_ops = st.lists(st.tuples(
     addrs, st.sampled_from(["a", "b"])), min_size=5, max_size=60)
 
 
+#: (op, line, chunk tag) on a CacheHierarchy; "write" is a write access
+#: (or, on a miss, the remote fill the core then asks for)
+hierarchy_ops = st.lists(st.tuples(
+    st.sampled_from(["read", "write", "write", "fill", "commit", "squash",
+                     "invalidate"]),
+    addrs, st.sampled_from(["a", "b"])), min_size=5, max_size=60)
+
+
 class TestLazyLinesMatchEagerReference:
     @given(st.lists(addrs, max_size=40), cache_ops)
     @example(prewarm=[0, 2, 1], ops=[  # all-speculative sets overflow
         ("mark", 2, "a"), ("mark", 0, "b"), ("fill", 4, "a"),
         ("mark", 1, "a"), ("mark", 4, "b"), ("install", 6, "a"),
         ("install", 3, "a"), ("commit", 1, "a"), ("fill", 5, "b")])
+    @example(prewarm=[0, 2], ops=[  # committed, written again, evicted
+        ("mark", 0, "a"), ("commit", 0, "a"), ("mark", 0, "b"),
+        ("commit", 0, "b"), ("fill", 4, "a"), ("mark", 2, "a"),
+        ("commit", 2, "a"), ("mark", 2, "b"), ("invalidate", 2, "a")])
+    @example(prewarm=[0, 2], ops=[  # a re-written committed line overflows
+        ("mark", 0, "a"), ("commit", 0, "a"), ("mark", 0, "b"),
+        ("mark", 2, "b"), ("fill", 4, "a"), ("fill", 6, "a")])
     @settings(max_examples=150, deadline=None)
     def test_same_residency_lru_victims_and_overflows(self, prewarm, ops):
         """A lazy cache (prewarmed with fill_many, lines built on demand)
@@ -256,9 +314,40 @@ class TestLazyLinesMatchEagerReference:
                 want = eager.sets.get(idx, {})
                 got_set = lazy._sets.get(idx, {})
                 assert list(got_set) == list(want)
-                assert ([_state(l) or (a, False, None)
-                         for a, l in got_set.items()]
+                assert ([_state(lazy.peek(a)) for a in got_set]
                         == [_state(l) for l in want.values()])
+
+    @given(st.lists(addrs, max_size=40), hierarchy_ops)
+    @example(prewarm=[0], ops=[  # written, committed, written again, evicted
+        ("write", 0, "a"), ("commit", 0, "a"), ("write", 0, "b"),
+        ("commit", 0, "b"), ("fill", 2, "a"), ("fill", 4, "a")])
+    @example(prewarm=[0], ops=[  # ... or invalidated, then refilled
+        ("write", 0, "a"), ("commit", 0, "a"), ("write", 0, "b"),
+        ("invalidate", 0, "a"), ("fill", 0, "a"), ("fill", 2, "a"),
+        ("fill", 4, "a")])
+    @settings(max_examples=150, deadline=None)
+    def test_hierarchy_writebacks_match_eager_reference(self, prewarm, ops):
+        """The same CacheHierarchy over lazy caches and over eager ones
+        reports the same writebacks (a dirty L2 victim of fill_remote),
+        stalls and overflows, and leaves every line in the same state."""
+        config = replace(SystemConfig(), l1=tiny_config(1, 2),
+                         l2=tiny_config(2, 2))
+        logs = {"lazy": [], "eager": []}
+        lazy = CacheHierarchy(0, config, logs["lazy"].append)
+        eager = CacheHierarchy(0, config, logs["eager"].append)
+        eager.l1, eager.l2 = EagerLevel(config.l1), EagerLevel(config.l2)
+        lazy.l2.fill_many(prewarm)
+        eager.l2.fill_many(prewarm)
+        for op, line, tag in ops:
+            assert (hierarchy_step(lazy, op, line, tag)
+                    == hierarchy_step(eager, op, line, tag))
+            assert logs["lazy"] == logs["eager"]
+            assert lazy.spec_lines == eager.spec_lines
+            for lazy_level, eager_level in ((lazy.l1, eager.l1),
+                                            (lazy.l2, eager.l2)):
+                for a in range(8):
+                    assert (_state(lazy_level.peek(a))
+                            == _state(eager_level.peek(a)))
 
 
 class TestStats:

@@ -1,5 +1,6 @@
 """Tests for the host-time self-profiler (repro.obs.profile)."""
 
+import gc
 import io
 import json
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from repro.obs.profile import (
     CST_CONFLICT,
     DIR_HANDLER,
     ENGINE_DISPATCH,
+    GC_PAUSE,
     HOT_SCOPES,
     MACHINE_PREWARM,
     NOC_TRANSIT,
@@ -277,8 +279,10 @@ class TestAttachment:
         config = SystemConfig(n_cores=4)
         prof = make_profiler(config, metrics_interval=100, metrics_out=out)
         runner = SimulationRunner("Radix", config, chunks_per_partition=2)
+        hooks = list(gc.callbacks)
         with pytest.raises(RuntimeError, match="max_events"):
             runner.run(max_events=300, instruments=[prof])
+        assert gc.callbacks == hooks     # the collector hook is gone too
         assert prof.stream._fh.closed
         lines = out.read_text(encoding="utf-8").splitlines()
         assert validate_metrics_jsonl(lines) == []
@@ -348,3 +352,67 @@ class TestHostileScopeBalance:
         assert fired == ["ok", "later"]
         assert prof._stack == []
         assert prof.scopes[ENGINE_DISPATCH].count == 3
+
+
+class CollectingClock:
+    """A host clock that advances one tick per read and runs a garbage
+    collection before every third read."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.collecting = False
+
+    def __call__(self) -> int:
+        # the gc hook reads the clock too; a collection cannot nest
+        if self.now % 3 == 2 and not self.collecting:
+            self.collecting = True
+            gc.collect()
+            self.collecting = False
+        self.now += 1
+        return self.now
+
+
+class TestGcScope:
+    """Collector pauses are their own scope, not their host scope's."""
+
+    def test_collection_is_a_child_scope_until_finish(self):
+        prof = HostProfiler()
+        hooks = list(gc.callbacks)
+        parts = _attach_parts(prof)
+        assert len(gc.callbacks) == len(hooks) + 1
+        prof.enter("work")
+        gc.collect()
+        prof.exit()
+        prof.finish(parts, None)
+        assert gc.callbacks == hooks
+        assert prof._stack == []
+        assert prof.edges[("work", GC_PAUSE)][0] >= 1
+        assert sum(prof.report().shares().values()) == pytest.approx(100.0)
+        gc.collect()                     # unhooked: counts nothing more
+        assert prof.scopes[GC_PAUSE].count == prof.edges[
+            ("work", GC_PAUSE)][0]
+
+    def test_collection_inside_enter_or_exit_keeps_the_books(self):
+        """A collection that runs inside enter or exit (here: inside every
+        third clock read) leaves the stack balanced and is charged to the
+        scope whose window it ran in.  A leaf scope runs nothing between
+        its two reads but such children, so its self time is one tick per
+        call plus one per child (the child's start read)."""
+        clock = CollectingClock()
+        prof = HostProfiler(_clock=clock)
+        leaf = prof.scoped("leaf", lambda: None)
+        outer = prof.scoped("outer", lambda: [leaf() for _ in range(50)])
+        prof.watch_gc()
+        prof.start()
+        try:
+            outer()
+        finally:
+            prof.unwatch_gc()
+        prof.stop()
+        assert prof._stack == []
+        assert prof.scopes[GC_PAUSE].count > 30
+        stats = prof.scopes["leaf"]
+        children = prof.edges[("leaf", GC_PAUSE)][0]
+        assert children > 0
+        assert (stats.count, stats.self_ns) == (50, 50 + children)
+        assert sum(prof.report().shares().values()) == pytest.approx(100.0)
