@@ -49,8 +49,8 @@ def reorder_candidates(batch: List[Event]) -> List[int]:
     seen_flows: Set[Tuple[Any, Any]] = set()
     for i, ev in enumerate(batch):
         tag = ev.tag
-        if isinstance(tag, tuple) and len(tag) == 4 and tag[0] == "deliver":
-            flow = (tag[1], tag[2])
+        if isinstance(tag, Message):     # a message delivery
+            flow = (tag.src, tag.dst)
             if flow in seen_flows:
                 continue
             seen_flows.add(flow)

@@ -20,7 +20,6 @@ and a cancelled event keeps its entry until the entry reaches the top.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.bus import NULL_BUS, NullBus
@@ -31,27 +30,30 @@ from repro.obs.bus import NULL_BUS, NullBus
 TieBreaker = Callable[["List[Event]"], int]
 
 
-@dataclass(eq=False, slots=True)
 class Event:
     """A scheduled callback.
 
     Queued under the heap entry ``(time, seq, event)``, so heap ordering is
     total and deterministic; events themselves compare by identity.
     ``cancelled`` supports O(1) cancellation (the event stays in the heap
-    but is skipped when popped).  ``tag`` is optional metadata
-    (e.g. which message delivery this is) that schedule exploration uses to
-    decide which same-cycle reorderings are physically meaningful; it never
-    affects ordering.
+    but is skipped when popped).  ``tag`` is optional metadata (a message
+    delivery is tagged with its ``Message``) that schedule exploration uses
+    to decide which same-cycle reorderings are physically meaningful; it
+    never affects ordering.  ``owner`` is the scheduling simulator, so
+    cancellation can maintain its O(1) live-event counter without a heap
+    scan.
     """
 
-    time: int
-    seq: int
-    callback: Callable[[], None]
-    cancelled: bool = False
-    tag: Any = None
-    #: Owning simulator, so cancellation can maintain its O(1) live-event
-    #: counter without a heap scan.
-    owner: Optional["Simulator"] = field(default=None, repr=False)
+    __slots__ = ("time", "seq", "callback", "cancelled", "tag", "owner")
+
+    def __init__(self, time: int, seq: int, callback: Callable[[], None],
+                 tag: Any = None, owner: Optional["Simulator"] = None) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+        self.tag = tag
+        self.owner = owner
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when its time arrives."""
@@ -59,6 +61,10 @@ class Event:
             self.cancelled = True
             if self.owner is not None:
                 self.owner._live_events -= 1
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"Event(time={self.time}, seq={self.seq}, "
+                f"cancelled={self.cancelled}, tag={self.tag!r})")
 
 
 #: A heap entry: the event's ``(time, seq)`` first, so ``heapq`` compares
@@ -110,7 +116,7 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         time = int(time)
         seq = self._seq
-        ev = Event(time=time, seq=seq, callback=callback, tag=tag, owner=self)
+        ev = Event(time, seq, callback, tag, self)
         self._seq = seq + 1
         self._live_events += 1
         heapq.heappush(self._heap, (time, seq, ev))

@@ -226,16 +226,6 @@ class Cache:
         s[line_addr] = _DIRTY
         return True
 
-    def clear_dirty(self, line_addr: int) -> None:
-        s = self._sets.get(line_addr % self.n_sets)
-        if s is None or line_addr not in s:
-            return
-        line = s[line_addr]
-        if isinstance(line, CacheLine):
-            line.dirty = False
-        elif line is _DIRTY:
-            s[line_addr] = None
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -30,7 +30,6 @@ messages), SmallCMessage (all other commit messages).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
@@ -206,12 +205,24 @@ class NodeRef(NamedTuple):
         return f"{self.kind}{self.index}"
 
 
+#: index -> the one ``NodeRef`` of that kind, built on first use, so a
+#: handler that addresses a reply builds nothing.
+_CORE_NODES: Dict[int, NodeRef] = {}
+_DIR_NODES: Dict[int, NodeRef] = {}
+
+
 def core_node(i: int) -> NodeRef:
-    return NodeRef("core", i)
+    node = _CORE_NODES.get(i)
+    if node is None:
+        node = _CORE_NODES[i] = NodeRef("core", i)
+    return node
 
 
 def dir_node(i: int) -> NodeRef:
-    return NodeRef("dir", i)
+    node = _DIR_NODES.get(i)
+    if node is None:
+        node = _DIR_NODES[i] = NodeRef("dir", i)
+    return node
 
 
 def arbiter_node(center_tile: int) -> NodeRef:
@@ -222,25 +233,32 @@ def arbiter_node(center_tile: int) -> NodeRef:
 _msg_counter = itertools.count()
 
 
-@dataclass
 class Message:
-    """One packet on the NoC."""
+    """One packet on the NoC.
 
-    mtype: MessageType
-    src: NodeRef
-    dst: NodeRef
-    ctag: Optional[object] = None           #: chunk tag this message concerns
-    payload: Dict[str, Any] = field(default_factory=dict)
-    size_bytes: int = 0
-    traffic_class: TrafficClass = TrafficClass.SMALL_COMMIT
-    uid: int = field(default_factory=lambda: next(_msg_counter))
-    sent_at: int = -1
+    A plain ``__slots__`` class: the per-message path pays for one
+    ``__init__`` frame and nothing else.  ``size_bytes`` (when not given)
+    and ``traffic_class`` come from the type's constants, ``uid`` is
+    unique and increasing per process, and ``sent_at`` is stamped by
+    ``Network.send``.  Messages compare by identity.
+    """
 
-    def __post_init__(self) -> None:
-        mtype = self.mtype
-        if self.size_bytes == 0:
-            self.size_bytes = mtype.size
+    __slots__ = ("mtype", "src", "dst", "ctag", "payload", "size_bytes",
+                 "traffic_class", "uid", "sent_at")
+
+    def __init__(self, mtype: MessageType, src: NodeRef, dst: NodeRef,
+                 ctag: Optional[object] = None,
+                 payload: Optional[Dict[str, Any]] = None,
+                 size_bytes: int = 0) -> None:
+        self.mtype = mtype
+        self.src = src
+        self.dst = dst
+        self.ctag = ctag                    #: chunk tag this message concerns
+        self.payload = {} if payload is None else payload
+        self.size_bytes = size_bytes or mtype.size
         self.traffic_class = mtype.tclass
+        self.uid = next(_msg_counter)
+        self.sent_at = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Message({self.mtype.value}, {self.src}->{self.dst}, "

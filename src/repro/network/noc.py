@@ -19,6 +19,7 @@ for the paper's Figures 18/19.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
@@ -187,7 +188,7 @@ class Network:
         return self._send(msg, handler)
 
     def _send(self, msg: Message, handler: Handler) -> int:
-        msg.sent_at = self.sim.now
+        now = msg.sent_at = self.sim.now
         latency, hops = self._transit_time(msg)
         if self.delay_hook is not None:
             latency += max(0, int(self.delay_hook(msg, latency)))
@@ -197,26 +198,26 @@ class Network:
         # message computes a shorter transit than a large one in flight
         # on the same flow; the clamp is what keeps the channel FIFO.
         flow = (msg.src, msg.dst)
-        deliver_at = max(self.sim.now + latency,
-                         self._last_delivery.get(flow, 0))
+        deliver_at = max(now + latency, self._last_delivery.get(flow, 0))
         self._last_delivery[flow] = deliver_at
-        latency = deliver_at - self.sim.now
+        latency = deliver_at - now
         self.stats.record(msg, latency, hops)
+        # The delivery event is tagged with the message itself (schedule
+        # exploration reads its flow from it).  ``schedule_at`` is looked
+        # up per call: a host profiler replaces it on the instance.
         if self.obs.enabled:
             # Same (time, seq, tag) as the uninstrumented path: the only
             # difference is the recv hook firing inside the delivery.
-            self.obs.msg_send(self.sim.now, msg, latency, hops)
+            self.obs.msg_send(now, msg, latency, hops)
             obs = self.obs
 
             def _deliver(m: Message = msg, h: Handler = handler) -> None:
                 obs.msg_recv(self.sim.now, m)
                 h(m)
 
-            self.sim.schedule(latency, _deliver,
-                              tag=("deliver", msg.src, msg.dst, msg.uid))
+            self.sim.schedule_at(deliver_at, _deliver, tag=msg)
         else:
-            self.sim.schedule(latency, lambda m=msg, h=handler: h(m),
-                              tag=("deliver", msg.src, msg.dst, msg.uid))
+            self.sim.schedule_at(deliver_at, partial(handler, msg), tag=msg)
         return latency
 
     def _transit_time(self, msg: Message) -> tuple:
@@ -279,7 +280,7 @@ class Network:
     def unicast(self, mtype: MessageType, src: NodeRef, dst: NodeRef,
                 ctag=None, **payload) -> Message:
         """Build and send a single message."""
-        msg = Message(mtype=mtype, src=src, dst=dst, ctag=ctag, payload=payload)
+        msg = Message(mtype, src, dst, ctag, payload)
         self.send(msg)
         return msg
 

@@ -113,6 +113,60 @@ class TestCancellation:
         assert sim.pending_events == 0
 
 
+class TestEventContract:
+    def test_keyword_and_positional_construction_agree(self):
+        sim = Simulator()
+        cb = lambda: None  # noqa: E731
+        kw = Event(time=3, seq=1, callback=cb, tag="t", owner=sim)
+        pos = Event(3, 1, cb, "t", sim)
+        for ev in (kw, pos):
+            assert (ev.time, ev.seq, ev.callback, ev.tag, ev.owner) == \
+                (3, 1, cb, "t", sim)
+            assert ev.cancelled is False
+        bare = Event(time=0, seq=0, callback=cb)
+        assert bare.tag is None and bare.owner is None
+        assert not hasattr(bare, "__dict__")
+
+    def test_schedule_at_builds_the_queued_event(self):
+        sim = Simulator()
+        ev = sim.schedule_at(7, lambda: None, tag="x")
+        assert sim._heap == [(7, 0, ev)]
+        assert (ev.time, ev.seq, ev.tag, ev.owner) == (7, 0, "x", sim)
+
+    def test_schedule_delegates_to_the_instance_schedule_at(self):
+        """``schedule`` goes through ``self.schedule_at``, so a wrapper
+        installed on the instance sees every relative schedule too."""
+        sim = Simulator()
+        sim.run(until=10)
+        seen = []
+        inner = sim.schedule_at
+
+        def wrapped(time, callback, tag=None):
+            seen.append((time, tag))
+            return inner(time, callback, tag=tag)
+
+        sim.schedule_at = wrapped
+        sim.schedule(5, lambda: None, tag="r")
+        assert seen == [(15, "r")]
+
+    def test_cancel_keeps_pending_exact_around_execution(self):
+        sim = Simulator()
+        ran = sim.schedule(1, lambda: None)
+        later = sim.schedule(9, lambda: None)
+        other = sim.schedule(9, lambda: None)
+        sim.run(until=1)
+        assert sim.pending_events == 2
+        ran.cancel()              # already ran: a no-op
+        assert sim.pending_events == 2
+        later.cancel()
+        later.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.pending_events == 0
+        other.cancel()            # ran as well
+        assert sim.pending_events == 0 and sim.quiescent()
+
+
 class TestRunControl:
     def test_until_stops_clock(self):
         sim = Simulator()

@@ -28,6 +28,7 @@ from repro.config import ProtocolKind, SystemConfig
 from repro.engine.events import Event, Simulator
 from repro.engine.rng import DeterministicRng
 from repro.harness.runner import Machine
+from repro.network.message import Message, MessageType, dir_node
 from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, GROUP_FAILED,
                            GROUP_FORMED, SQUASH, InstrumentationBus)
 from repro.workloads.generator import SyntheticWorkload
@@ -108,18 +109,22 @@ class TestHookPerturbedPath:
 
 
 class TestReorderCandidates:
+    """A delivery event's tag is the delivered ``Message``; its flow is
+    ``(tag.src, tag.dst)``."""
+
     def _ev(self, tag):
         return Event(time=0, seq=0, callback=lambda: None, tag=tag)
 
+    def _delivery(self, src, dst):
+        return self._ev(Message(MessageType.G, dir_node(src), dir_node(dst)))
+
     def test_same_flow_deliveries_keep_fifo(self):
-        batch = [self._ev(("deliver", "a", "b", 1)),
-                 self._ev(("deliver", "a", "b", 2)),
-                 self._ev(("deliver", "c", "b", 3))]
+        batch = [self._delivery(0, 1), self._delivery(0, 1),
+                 self._delivery(2, 1)]
         assert reorder_candidates(batch) == [0, 2]
 
     def test_non_delivery_events_always_candidates(self):
-        batch = [self._ev(None), self._ev(("deliver", "a", "b", 1)),
-                 self._ev(None)]
+        batch = [self._ev(None), self._delivery(0, 1), self._ev(None)]
         assert reorder_candidates(batch) == [0, 1, 2]
 
     def test_tie_breaker_defaults_to_seq_order(self):

@@ -119,14 +119,6 @@ class TestSpeculativeLines:
         ev = c.fill(1)
         assert ev.wrote_back
 
-    def test_clear_dirty(self):
-        c = tiny_cache()
-        c.fill(0)
-        c.mark_spec_write(0, "t")
-        c.commit_spec(0, "t")
-        c.clear_dirty(0)
-        assert not c.peek(0).dirty
-
 
 class TestShadowInvalidate:
     @given(st.lists(st.integers(0, 40), max_size=30),

@@ -14,8 +14,8 @@ import pytest
 
 from repro.network import message as m
 from repro.network.message import (
-    HEADER_BYTES, LINE_BYTES, Message, MessageType, TrafficClass, core_node,
-    default_size_bytes, dir_node, traffic_class_of,
+    HEADER_BYTES, LINE_BYTES, Message, MessageType, NodeRef, TrafficClass,
+    core_node, default_size_bytes, dir_node, traffic_class_of,
 )
 from repro.network.noc import TrafficStats
 
@@ -71,6 +71,40 @@ def test_indices_are_dense_and_in_declaration_order():
 def test_explicit_size_survives():
     msg = Message(MessageType.G, core_node(0), dir_node(1), size_bytes=77)
     assert msg.size_bytes == 77
+    assert msg.traffic_class is MessageType.G.tclass
+
+
+def test_uids_are_unique_and_increasing():
+    uids = [Message(MessageType.G, core_node(0), dir_node(1)).uid
+            for _ in range(20)]
+    assert uids == sorted(set(uids))
+
+
+def test_messages_without_a_payload_get_their_own_dict():
+    a = Message(MessageType.G, core_node(0), dir_node(1))
+    b = Message(MessageType.G, core_node(0), dir_node(1))
+    assert a.payload == {} and a.payload is not b.payload
+    a.payload["line"] = 5
+    assert b.payload == {}
+    given = {"line": 7}
+    assert Message(MessageType.G, core_node(0), dir_node(1),
+                   payload=given).payload is given
+
+
+def test_messages_compare_by_identity():
+    a = Message(MessageType.G, core_node(0), dir_node(1), ctag="c")
+    b = Message(MessageType.G, core_node(0), dir_node(1), ctag="c")
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    assert a.sent_at == -1 and not hasattr(a, "__dict__")
+
+
+def test_node_refs_are_interned():
+    assert core_node(3) is core_node(3)
+    assert dir_node(3) is dir_node(3)
+    assert core_node(3) == NodeRef("core", 3)
+    assert dir_node(3) == NodeRef("dir", 3) != core_node(3)
+    assert str(dir_node(5)) == "dir5"
 
 
 @pytest.mark.parametrize("seed", range(4))

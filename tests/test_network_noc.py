@@ -165,6 +165,55 @@ class TestMessageVocabulary:
         assert a.uid != b.uid
 
 
+class TestDeliveryEvent:
+    """``send`` queues exactly one event per message: at the FIFO-clamped
+    absolute cycle, tagged with the message, calling its handler with that
+    same object."""
+
+    def test_send_queues_one_tagged_event_at_the_clamped_cycle(self):
+        _, sim, net = make_net(contention=False)
+        got = []
+        net.register(core_node(3), got.append)
+        sim.run(until=5)                   # absolute != relative from here on
+        big = Message(MessageType.COMMIT_REQUEST, core_node(0), core_node(3))
+        small = Message(MessageType.G_SUCCESS, core_node(0), core_node(3))
+
+        lat_big = net.send(big)
+        assert len(sim._heap) == 1
+        t_big, _, ev_big = sim._heap[0]
+        assert t_big == ev_big.time == 5 + lat_big
+        assert ev_big.tag is big
+
+        # Alone, the small message would arrive before the big one; on the
+        # same flow the clamp holds it to the big one's cycle.
+        _, _, alone = make_net(contention=False)
+        alone.register(core_node(3), lambda m: None)
+        assert alone.send(Message(MessageType.G_SUCCESS, core_node(0),
+                                  core_node(3))) < lat_big
+        assert net.send(small) == lat_big
+        assert len(sim._heap) == 2
+        ev_small = max(sim._heap)[2]
+        assert ev_small.time == t_big and ev_small.tag is small
+        assert sim.pending_events == 2
+
+        sim.run()
+        assert got[0] is big and got[1] is small and len(got) == 2
+
+    def test_unregistered_destination_leaves_queued_deliveries_alone(self):
+        _, sim, net = make_net()
+        net.register(core_node(3), lambda m: None)
+        net.unicast(MessageType.G, core_node(0), core_node(3), ctag="c")
+        heap, pending = list(sim._heap), sim.pending_events
+        flows, stats = dict(net._last_delivery), net.stats.total_messages
+        stray = Message(MessageType.G, core_node(0), core_node(2))
+        with pytest.raises(KeyError):
+            net.send(stray)
+        assert sim._heap == heap and sim.pending_events == pending
+        assert net._last_delivery == flows
+        assert net.stats.total_messages == stats
+        assert stray.sent_at == -1
+
+
 class TestFlowFifo:
     """Per-flow FIFO: point-to-point channels must never reorder.
 
