@@ -12,9 +12,9 @@ A :class:`Schedule` is a pure decision vector:
   many runs a single exploration performs.
 
 :class:`ScheduleController` is the instrument that turns a schedule into
-the two engine hooks (``Simulator.tie_breaker`` and a
-``Network.delay_hook`` chained onto whatever delay hook is already there,
-e.g. a fault engine's) and records the
+two engine hooks (its own dispatch loop, installed in place of
+``Simulator.run``, and a ``Network.delay_hook`` chained onto whatever delay
+hook is already there, e.g. a fault engine's) and records the
 *realized* schedule — including any decisions drawn from the exploration
 RNGs past the end of the prescribed vector — so every run, random or not,
 can be replayed exactly.
@@ -22,10 +22,12 @@ can be replayed exactly.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.engine.events import Event
+from repro.engine.events import Event, HeapEntry, Simulator
 from repro.engine.rng import DeterministicRng
 from repro.network.message import Message
 from repro.network.noc import compose_delay_hooks
@@ -118,14 +120,57 @@ class ScheduleController(NullBus):
     # ------------------------------------------------------------------
     def attach(self, machine: Any) -> None:
         """Install both hooks on a freshly built machine."""
-        machine.sim.tie_breaker = self.tie_break
+        sim = machine.sim
+        sim.run = partial(self.run, sim)  # type: ignore[method-assign]
         network = machine.network
         network.delay_hook = compose_delay_hooks(network.delay_hook,
                                                  self.delay)
 
     # ------------------------------------------------------------------
-    # Simulator.tie_breaker
+    # The dispatch loop
     # ------------------------------------------------------------------
+    def run(self, sim: Simulator, until: Optional[int] = None,
+            max_events: Optional[int] = None) -> None:
+        """Drain ``sim`` as :meth:`Simulator.run` does, letting
+        :meth:`tie_break` pick among the live events due at each cycle.
+
+        Every entry due at the current cycle is popped and its live events
+        are offered in ``(time, seq)`` order.  The pick fires; every other
+        entry goes back unchanged, so the next pick sees the rest of the
+        cycle plus whatever the fired callback scheduled for it.  A
+        cancelled event is never offered and is dropped only when it
+        reaches the top, as in :meth:`Simulator.run`, so under the default
+        pick an attached bus samples the same queue depths.  ``until``,
+        ``max_events`` and the livelock error match the production loop's.
+        """
+        heap = sim._heap
+        processed = 0
+        while heap:
+            t, _, head = heap[0]
+            if head.cancelled:
+                heapq.heappop(heap)
+                continue
+            if until is not None and t > until:
+                sim.now = until
+                return
+            due: List[HeapEntry] = []
+            while heap and heap[0][0] == t:
+                due.append(heapq.heappop(heap))
+            batch = [entry[2] for entry in due if not entry[2].cancelled]
+            chosen = batch[self.tie_break(batch)] if len(batch) > 1 else head
+            for entry in due:
+                if entry[2] is not chosen:
+                    heapq.heappush(heap, entry)
+            sim.fire(chosen)
+            processed += 1
+            if max_events is not None and processed >= max_events:
+                raise RuntimeError(
+                    f"simulation exceeded max_events={max_events} at "
+                    f"cycle {sim.now}; possible livelock"
+                )
+        if until is not None and until > sim.now:
+            sim.now = until
+
     def tie_break(self, batch: List[Event]) -> int:
         cands = reorder_candidates(batch)
         if len(cands) <= 1:

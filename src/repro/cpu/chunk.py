@@ -145,11 +145,6 @@ class Chunk:
         """Sorted tuple of participating directory modules."""
         return tuple(sorted(self.dirs))
 
-    def conflicts_with_write_sig(self, w_sig: BulkSignature) -> bool:
-        """Whole-signature intersection test (coarse; high false-positive
-        rate at realistic densities — kept for completeness/analysis)."""
-        return w_sig.intersects(self.r_sig) or w_sig.intersects(self.w_sig)
-
     def hit_by_invalidation(self, write_lines) -> bool:
         """Chunk disambiguation as Bulk hardware performs it: each line of
         the committing chunk's expanded write-set is probed for membership

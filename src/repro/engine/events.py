@@ -3,13 +3,8 @@
 Components never busy-wait; they schedule a callback at an absolute or
 relative cycle count.  Ties are broken by insertion order, which makes every
 simulation fully deterministic for a given seed and configuration.
-
-Schedule exploration (``repro.analysis.explore``) installs a *tie-breaker*
-hook: when several events are due at the same cycle, the hook picks which
-one runs next instead of the default insertion order.  With no hook
-installed the simulator behaves exactly as before — the hook exists so the
-model checker can systematically reorder same-cycle deliveries without
-touching default determinism.
+Schedule exploration reorders same-cycle events with a loop of its own
+(``ScheduleController.run``) that dispatches through :meth:`Simulator.fire`.
 
 The heap holds ``(time, seq, event)`` tuples, not events: ``seq`` is
 unique per simulator, so ``heapq`` orders entries by comparing two ints in
@@ -20,14 +15,9 @@ and a cancelled event keeps its entry until the entry reaches the top.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.obs.bus import NULL_BUS, NullBus
-
-#: A tie-breaker receives the batch of live events due at the current
-#: minimal time (in insertion order) and returns the index of the event to
-#: run now; the rest are re-queued untouched.
-TieBreaker = Callable[["List[Event]"], int]
 
 
 class Event:
@@ -92,9 +82,6 @@ class Simulator:
         #: ``quiescent()``, called on conservation-check hot paths) is O(1)
         #: instead of a full heap scan.
         self._live_events: int = 0
-        #: Exploration hook: picks among same-cycle events (None = default
-        #: insertion order, the fully deterministic seed behaviour).
-        self.tie_breaker: Optional[TieBreaker] = None
         #: Instrumentation sink (repro.obs); the null bus makes every hook
         #: a guarded no-op, so the default run schedules nothing extra.
         self.obs: NullBus = NULL_BUS
@@ -126,51 +113,26 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Run the next pending event.  Returns False when the queue is empty.
-
-        :meth:`run` dispatches through here only while a tie-breaker is
-        installed; otherwise it drains whole cycles in its batched loop.
-        """
+        """Run the next pending event.  Returns False when the queue is empty."""
         while self._heap:
             ev = heapq.heappop(self._heap)[2]
-            if ev.cancelled:
-                continue
-            if self.tie_breaker is not None:
-                ev = self._tie_break(ev)
-            self.now = ev.time
-            self._live_events -= 1
-            # An executed event is no longer live: flagging it here makes a
-            # late ``cancel()`` (e.g. from its own callback) a no-op instead
-            # of a second counter decrement.
-            ev.cancelled = True
-            if self.obs.enabled:
-                self.obs.sim_step(ev.time, len(self._heap))
-            ev.callback()
-            self._events_processed += 1
-            return True
+            if not ev.cancelled:
+                self.fire(ev)
+                return True
         return False
 
-    def _tie_break(self, first: Event) -> Event:
-        """Collect every live event due at ``first.time`` and let the
-        tie-breaker choose; everything else popped (cancelled events
-        included) is re-queued with its original (time, seq), so relative
-        order is preserved and the heap holds exactly what the batched
-        loop's would."""
-        popped = [first]
-        while self._heap and self._heap[0][0] == first.time:
-            popped.append(heapq.heappop(self._heap)[2])
-        batch = [ev for ev in popped if not ev.cancelled]
-        chosen = first
-        if len(batch) > 1:
-            assert self.tie_breaker is not None
-            idx = self.tie_breaker(batch)
-            if not 0 <= idx < len(batch):
-                raise IndexError(f"tie-breaker chose {idx} of {len(batch)}")
-            chosen = batch[idx]
-        for ev in popped:
-            if ev is not chosen:
-                heapq.heappush(self._heap, (ev.time, ev.seq, ev))
-        return chosen
+    def fire(self, ev: Event) -> None:
+        """Run ``ev``, a live event already popped from the heap."""
+        self.now = ev.time
+        self._live_events -= 1
+        # An executed event is no longer live: flagging it here makes a
+        # late ``cancel()`` (e.g. from its own callback) a no-op instead of
+        # a second counter decrement.
+        ev.cancelled = True
+        if self.obs.enabled:
+            self.obs.sim_step(ev.time, len(self._heap))
+        ev.callback()
+        self._events_processed += 1
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Drain the event queue.
@@ -191,9 +153,7 @@ class Simulator:
         higher ``seq``, so they sort after the in-flight batch and the
         total (time, seq) execution order is identical to stepwise.  An
         attached bus's ``sim_step`` fires after each pop, so it sees the
-        same heap length :meth:`step` would.  Only the tie-breaker falls
-        back to :meth:`step` per event: it must see the whole same-cycle
-        batch before anything runs.
+        same heap length :meth:`step` would.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -206,31 +166,19 @@ class Simulator:
             if until is not None and t > until:
                 self.now = until
                 return
-            if self.tie_breaker is not None:
-                if not self.step():
-                    break
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded max_events={max_events} at "
-                        f"cycle {self.now}; possible livelock"
-                    )
-                continue
-            # Fast path: drain the whole cycle.  Events are popped one at a
+            # Drain the whole cycle.  Events are popped one at a
             # time (not batch-collected), so a callback that raises leaves
             # the rest of the cycle queued exactly as step() would, and a
             # callback that cancels a later same-cycle event is honoured by
             # the per-event cancelled check.
             self.now = t
             while heap and heap[0][0] == t:
-                if self.tie_breaker is not None:
-                    break  # a callback installed a hook: resume stepwise
                 ev = pop(heap)[2]
                 if ev.cancelled:
                     continue
                 self._live_events -= 1
                 # An executed event is no longer live: flagging it here
-                # makes a late cancel() a no-op (see step()).
+                # makes a late cancel() a no-op (see fire()).
                 ev.cancelled = True
                 if self.obs.enabled:
                     self.obs.sim_step(t, len(heap))
@@ -244,11 +192,6 @@ class Simulator:
                     )
         if until is not None and until > self.now:
             self.now = until
-
-    def _peek_time(self) -> Optional[int]:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -270,9 +213,4 @@ class Simulator:
         return f"Simulator(now={self.now}, pending={self.pending_events})"
 
 
-def drain(sim: Simulator, guard: int = 50_000_000) -> None:
-    """Run ``sim`` to quiescence with a livelock guard (test helper)."""
-    sim.run(max_events=guard)
-
-
-__all__ = ["Event", "Simulator", "TieBreaker", "drain"]
+__all__ = ["Event", "Simulator"]

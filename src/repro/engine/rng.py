@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -83,10 +83,6 @@ class DeterministicRng:
 
     def randbits(self, k: int) -> int:
         return self._rng.getrandbits(k)
-
-    def iter_ints(self, lo: int, hi: int) -> Iterator[int]:
-        while True:
-            yield self._rng.randint(lo, hi)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DeterministicRng(seed={self.seed}, label={self.label!r})"

@@ -38,9 +38,6 @@ class CacheHierarchy:
         self.overflows = 0
         self._l2_round_trip = config.l2.round_trip_cycles
 
-    def set_writeback_callback(self, cb: Callable[[int], None]) -> None:
-        self._writeback_cb = cb
-
     # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------

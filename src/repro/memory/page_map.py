@@ -48,10 +48,6 @@ class PageMapper:
         """Home of an already-mapped page, or None."""
         return self._home.get(page)
 
-    @property
-    def mapped_pages(self) -> int:
-        return len(self._home)
-
     def distribution(self) -> Dict[int, int]:
         """Pages homed per directory (load-balance diagnostics)."""
         counts: Dict[int, int] = {}

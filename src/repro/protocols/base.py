@@ -14,7 +14,7 @@ behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.cpu.chunk import Chunk, ChunkState
@@ -22,10 +22,10 @@ from repro.cpu.core import Core
 from repro.engine.events import Simulator
 from repro.memory.directory import DirectoryModule
 from repro.memory.page_map import PageMapper
-from repro.network.message import Message, MessageType, core_node, dir_node
+from repro.network.message import Message, MessageType, core_node
 from repro.network.noc import Network
 from repro.obs.bus import NULL_BUS, NullBus
-from repro.signatures.bulk_signature import BulkSignature, SignatureFactory
+from repro.signatures.bulk_signature import SignatureFactory
 from repro.stats.metrics import MachineStats
 
 
@@ -60,14 +60,6 @@ class Protocol:
         page = line_addr * self.config.line_bytes // self.config.page_bytes
         return self.page_mapper.home_of_page(page, toucher)
 
-    def lines_by_dir(self, lines: Iterable[int], toucher: int
-                     ) -> Dict[int, List[int]]:
-        """Group lines by home directory module."""
-        out: Dict[int, List[int]] = {}
-        for line in lines:
-            out.setdefault(self.home_of_line(line, toucher), []).append(line)
-        return out
-
     def lines_homed_at(self, lines: Iterable[int], dir_id: int) -> List[int]:
         """The lines of ``lines`` whose page is homed at ``dir_id``, in
         iteration order: the directory side of W expansion.  It runs
@@ -78,12 +70,6 @@ class Protocol:
         page_bytes = self.config.page_bytes
         return [line for line in lines
                 if lookup(line * line_bytes // page_bytes) == dir_id]
-
-    def engine_for(self, core_id: int) -> "ProcessorEngine":
-        return self.engines[core_id]
-
-    def directory_for(self, dir_id: int) -> DirectoryModule:
-        return self.directories[dir_id]
 
 
 class ProcessorEngine:

@@ -73,8 +73,5 @@ class ProtocolSpec:
                         f"{self.family}: reply {reply} to {request} appears "
                         f"on no edge")
 
-    def edge_set(self) -> frozenset[FlowEdge]:
-        return frozenset(self.edges)
-
 
 __all__ = ["FlowEdge", "ProtocolSpec"]

@@ -105,11 +105,6 @@ class MachineStats:
         attempt.phase = phase
         self._live_by_phase[phase].add(aid)
 
-    def attempt_forming(self, ctag: object) -> None:
-        aid = self._live_by_ctag.get(ctag)
-        if aid is not None:
-            self._set_phase(aid, AttemptPhase.FORMING)
-
     def attempt_group_formed(self, ctag: object) -> None:
         """The group formed: take the Section 6.4 samples, flip the phase."""
         aid = self._live_by_ctag.get(ctag)

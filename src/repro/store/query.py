@@ -27,6 +27,8 @@ from repro.store.schema import STATUS_OK
 LOWER_IS_BETTER = frozenset({
     "mean_commit_latency", "wall_seconds", "seconds", "squash_rate",
     "mean_queue", "violations", "wall_ns",
+    # the sweep's headline simulated metric
+    "total_cycles",
     # the paper-scale suite's end-to-end metrics (BENCHMARK.json names)
     "wall_s", "setup_s", "peak_rss_mb", "sim_cycles",
     "commit_latency_cycles", "messages_per_chunk",

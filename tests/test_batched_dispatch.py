@@ -1,17 +1,20 @@
 """Batched same-cycle dispatch must be invisible.
 
 ``Simulator.run`` drains all events due at the current cycle in one inner
-loop; only a tie-breaker falls back to the stepwise ``step()`` loop (an
-attached bus's ``sim_step`` fires inside the batched loop).  These tests
-pin the two paths to each other: an insertion-order tie-breaker (exactly
-the default policy, but forcing the stepwise path) must reproduce the
-batched run bit-for-bit — at the simulator level, for full protocol runs
-of all four protocols, and for the per-event ``sim_queue`` samples a bus
-records.
+loop (an attached bus's ``sim_step`` fires inside it).  A
+``ScheduleController`` replaces that loop with its own, which picks one
+event per step through ``Simulator.fire``.  These tests pin the two loops
+to each other: an empty-schedule controller (exactly the default policy,
+but dispatching event by event) must reproduce the batched run
+bit-for-bit — at the simulator level, for full protocol runs of all four
+protocols, and for the per-event ``sim_queue`` samples a bus records.
 """
+
+from functools import partial
 
 import pytest
 
+from repro.analysis.explore import ScheduleController
 from repro.config import ProtocolKind, SystemConfig
 from repro.engine.events import Simulator
 from repro.harness.runner import Machine
@@ -20,32 +23,26 @@ from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 
 
-def _protocol_result(protocol: ProtocolKind, tie_breaker=None, bus=None):
+def _protocol_result(protocol: ProtocolKind, controller=None, bus=None):
     config = SystemConfig(n_cores=4, seed=7, protocol=protocol)
     workload = SyntheticWorkload(get_profile("Radix"), config,
                                  active_cores=4, chunks_per_partition=2)
     machine = Machine(config, workload=workload)
-    if tie_breaker is not None:
-        machine.sim.tie_breaker = tie_breaker
-    machine.run(instruments=[bus] if bus is not None else [])
+    instruments = [inst for inst in (bus, controller) if inst is not None]
+    machine.run(instruments=instruments)
     return machine.result("Radix", 4), machine.sim.now
 
 
 class TestBatchedMatchesStepwise:
     @pytest.mark.parametrize("proto", list(ProtocolKind))
-    def test_run_result_identical_under_seq_order_tie_breaker(self, proto):
-        """An explicit insertion-order tie-breaker routes the whole run
-        through the stepwise path without changing the policy; any
-        divergence from the default (batched) run is a batching bug."""
+    def test_run_result_identical_under_empty_schedule_controller(self, proto):
+        """An empty-schedule controller routes the whole run through its
+        own loop without changing the policy; any divergence from the
+        default (batched) run is a batching bug."""
         batched, cycles_batched = _protocol_result(proto)
-        calls = []
-
-        def seq_order(batch):
-            calls.append(len(batch))
-            return 0
-
-        stepwise, cycles_stepwise = _protocol_result(proto, tie_breaker=seq_order)
-        assert calls, "tie-breaker never saw a same-cycle batch; vacuous run"
+        controller = ScheduleController()
+        stepwise, cycles_stepwise = _protocol_result(proto, controller)
+        assert controller.choice_counts, "no choice point; vacuous run"
         assert cycles_stepwise == cycles_batched
         assert stepwise == batched
 
@@ -53,11 +50,12 @@ class TestBatchedMatchesStepwise:
     def test_bus_sim_step_samples_identical_to_stepwise(self, proto):
         """With a bus attached the batched loop emits ``sim_step`` after
         each pop: every (time, queue depth) sample must match the one
-        ``step()`` records under the insertion-order tie-breaker."""
+        the controller's loop records under the default order."""
         buses = [InstrumentationBus(gauge_capacity=1 << 20) for _ in range(2)]
         batched, _ = _protocol_result(proto, bus=buses[0])
-        stepwise, _ = _protocol_result(proto, tie_breaker=lambda batch: 0,
-                                       bus=buses[1])
+        controller = ScheduleController()
+        stepwise, _ = _protocol_result(proto, controller, bus=buses[1])
+        assert controller.choice_counts, "no choice point; vacuous run"
         batched_q, stepwise_q = (b.gauges.get("sim_queue") for b in buses)
         assert batched_q.dropped_samples == 0
         assert batched_q.total_samples > 0
@@ -86,9 +84,11 @@ class TestBatchedMatchesStepwise:
 
         batched_sim = Simulator()
         stepwise_sim = Simulator()
-        stepwise_sim.tie_breaker = lambda batch: 0
+        controller = ScheduleController()
+        stepwise_sim.run = partial(controller.run, stepwise_sim)
         batched = cascade(batched_sim)
         stepwise = cascade(stepwise_sim)
+        assert controller.choice_counts, "no choice point; vacuous run"
         assert batched == stepwise
         assert batched[-1] == "later"
         assert len(batched) == 15  # 2 roots * (1 + 2 + 4) + "later"
@@ -135,24 +135,6 @@ class TestBatchedMatchesStepwise:
             sim.run(max_events=3)
         assert sim.events_processed == 3
         assert sim.pending_events == 2
-
-    def test_hook_installed_mid_batch_resumes_stepwise(self):
-        """A callback that installs a tie-breaker mid-cycle must see the
-        rest of that cycle dispatched through the hooked path."""
-        sim = Simulator()
-        seen = []
-
-        def install():
-            def spy(batch):
-                seen.append(len(batch))
-                return 0
-            sim.tie_breaker = spy
-
-        sim.schedule(0, install)
-        sim.schedule(0, lambda: None)
-        sim.schedule(0, lambda: None)
-        sim.run()
-        assert seen == [2]  # remaining two same-cycle events hit the hook
 
     def test_until_semantics_with_batches(self):
         sim = Simulator()

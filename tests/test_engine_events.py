@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.engine.events import Event, Simulator, drain
+from repro.analysis.explore import ScheduleController
+from repro.engine.events import Event, Simulator
 
 
 class TestScheduling:
@@ -215,7 +216,7 @@ class TestRunControl:
     def test_quiescent_after_drain(self):
         sim = Simulator()
         sim.schedule(3, lambda: None)
-        drain(sim)
+        sim.run(max_events=50_000_000)
         assert sim.quiescent()
 
     def test_events_processed_counter(self):
@@ -309,19 +310,22 @@ class TestExecutionOrderProperty:
             sim.run(until=sim.now + rng.randrange(4))
 
     @staticmethod
-    def _tie_breaker_zero(sim, rng):
-        def first(batch):
-            assert len({ev.time for ev in batch}) == 1
-            assert [ev.seq for ev in batch] == sorted(ev.seq for ev in batch)
-            assert not any(ev.cancelled for ev in batch)
-            return 0
+    def _controller_default(sim, rng):
+        class Checked(ScheduleController):
+            def tie_break(self, batch):
+                assert len({ev.time for ev in batch}) == 1
+                assert [ev.seq for ev in batch] == sorted(
+                    ev.seq for ev in batch)
+                assert not any(ev.cancelled for ev in batch)
+                return super().tie_break(batch)
 
-        sim.tie_breaker = first
-        sim.run()
+        controller = Checked()
+        controller.run(sim)
+        assert controller.choice_counts
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_dispatch_loop_runs_live_events_in_time_seq_order(self, seed):
         orders = [self._drive(seed, drive) for drive in (
             self._run, self._step_loop, self._run_until_split,
-            self._tie_breaker_zero)]
+            self._controller_default)]
         assert all(order == orders[0] for order in orders)

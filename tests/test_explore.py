@@ -7,6 +7,7 @@ and the artifact format round-trip.
 """
 
 import json
+from functools import partial
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.engine.rng import DeterministicRng
 from repro.harness.runner import Machine
 from repro.network.message import Message, MessageType, dir_node
 from repro.obs.bus import (COMMIT_COMPLETE, COMMIT_REQUEST, GROUP_FAILED,
-                           GROUP_FORMED, SQUASH, InstrumentationBus)
+                           GROUP_FORMED, SQUASH, InstrumentationBus, NullBus)
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import get_profile
 from teeth import assert_cell
@@ -127,13 +128,114 @@ class TestReorderCandidates:
         batch = [self._ev(None), self._delivery(0, 1), self._ev(None)]
         assert reorder_candidates(batch) == [0, 1, 2]
 
-    def test_tie_breaker_defaults_to_seq_order(self):
+    def test_default_order_is_seq_order(self):
         sim = Simulator()
         fired = []
         sim.schedule(0, lambda: fired.append("first"))
         sim.schedule(0, lambda: fired.append("second"))
         sim.run()
         assert fired == ["first", "second"]
+
+
+class _Spy(ScheduleController):
+    """Records the seqs of every batch offered to ``tie_break``."""
+
+    def __init__(self, schedule=None):
+        super().__init__(schedule)
+        self.offered = []
+
+    def tie_break(self, batch):
+        self.offered.append([ev.seq for ev in batch])
+        return super().tie_break(batch)
+
+
+class _Depths(NullBus):
+    """Records the queue depth of every ``sim_step``."""
+
+    enabled = True
+
+    def __init__(self):
+        self.depths = []
+
+    def sim_step(self, time, queue_depth):
+        self.depths.append((time, queue_depth))
+
+
+class TestControllerLoop:
+    """``ScheduleController.run`` keeps ``Simulator.run``'s contract."""
+
+    @staticmethod
+    def _same_cycle(n, fired):
+        sim = Simulator()
+        events = [sim.schedule(0, partial(fired.append, i)) for i in range(n)]
+        return sim, events
+
+    def test_max_events_fires_mid_batch(self):
+        errors = []
+        for run in (Simulator.run, ScheduleController().run):
+            sim, _ = self._same_cycle(5, [])
+            with pytest.raises(RuntimeError, match="max_events") as err:
+                run(sim, max_events=3)
+            assert sim.events_processed == 3
+            assert sim.pending_events == 2
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    def test_until_advances_clock_over_empty_window(self):
+        sim = Simulator()
+        controller = ScheduleController()
+        controller.run(sim, until=7)
+        assert sim.now == 7
+        fired = []
+        sim.schedule(2, lambda: fired.append("a"))
+        sim.schedule(2, lambda: fired.append("b"))
+        sim.schedule(9, lambda: fired.append("late"))
+        controller.run(sim, until=12)
+        assert fired == ["a", "b"]
+        assert sim.now == 12
+        controller.run(sim)
+        assert fired == ["a", "b", "late"]
+        assert sim.now == 16
+        controller.run(sim, until=30)
+        assert sim.now == 30
+
+    def test_cancelled_event_never_offered_nor_fired(self):
+        sim = Simulator()
+        fired = []
+        victim = []
+        sim.schedule(0, lambda: (fired.append("killer"), victim[0].cancel()))
+        sim.schedule(0, lambda: fired.append("bystander"))
+        victim.append(sim.schedule(0, lambda: fired.append("victim")))
+        sim.schedule(0, lambda: fired.append("last"))
+        spy = _Spy()
+        spy.run(sim)
+        assert fired == ["killer", "bystander", "last"]
+        assert spy.offered[0] == [0, 1, 2, 3]
+        assert all(2 not in seqs for seqs in spy.offered[1:])
+        assert sim.quiescent()
+
+    def test_queue_depths_match_production_loop(self):
+        """A cancelled entry stays queued until it reaches the top, so an
+        attached bus samples the depths the production loop would."""
+        samples = []
+        for run in (Simulator.run, ScheduleController().run):
+            sim, events = self._same_cycle(4, [])
+            sim.schedule(1, lambda: None)
+            events[1].cancel()
+            sim.obs = _Depths()
+            run(sim)
+            samples.append(sim.obs.depths)
+        assert samples[0] == samples[1] == [(0, 4), (0, 2), (0, 1), (1, 0)]
+
+    def test_non_default_pick_runs_first(self):
+        fired = []
+        sim, _ = self._same_cycle(4, fired)
+        sim.schedule(1, lambda: fired.append("next"))
+        spy = _Spy(Schedule(ties=[2]))
+        spy.run(sim)
+        assert fired == [2, 0, 1, 3, "next"]
+        assert spy.offered == [[0, 1, 2, 3], [0, 1, 3], [1, 3]]
+        assert spy.realized.ties == [2, 0, 0]
 
 
 class TestScheduleFormat:

@@ -94,6 +94,15 @@ class TestCheckRegressions:
                                        threshold=0.10)
         assert len(regs) == 1  # latency went up: that's the regression
 
+    def test_total_cycles_gates_a_rise_not_a_fall(self, store):
+        put_series(store, KIND_SWEEP, "up", {"r1": 1000.0, "r2": 1300.0},
+                   metric="total_cycles")
+        put_series(store, KIND_SWEEP, "down", {"r1": 1000.0, "r2": 700.0},
+                   metric="total_cycles")
+        regs = query.check_regressions(store, KIND_SWEEP, "total_cycles",
+                                       threshold=0.10)
+        assert [r.series for r in regs] == ["up"]
+
     def test_single_revision_passes_vacuously(self, store):
         put_series(store, KIND_SWEEP, "s", {"r1": 100.0})
         assert query.check_regressions(store, KIND_SWEEP,
