@@ -42,12 +42,15 @@ def records(tmp_path_factory):
     """``{sweep key: record}`` for every suite app x ``CORE_COUNTS`` x all
     four protocols, plus each app's 1p baseline on the largest machine."""
     from repro.harness.sweep import collect
+    from repro.store.campaign import CampaignSpec
     from repro.store.db import ResultStore
 
+    spec = CampaignSpec(name="figures",
+                        apps=tuple(SPLASH2_SUBSET + PARSEC_SUBSET),
+                        cores=CORE_COUNTS, chunks=CHUNKS)
     db = tmp_path_factory.mktemp("figures") / "figures.db"
     with ResultStore(db) as store:
-        return collect(SPLASH2_SUBSET + PARSEC_SUBSET, CORE_COUNTS, CHUNKS,
-                       store, log=lambda *_: None)
+        return collect(spec, store, log=lambda *_: None)
 
 
 @pytest.fixture

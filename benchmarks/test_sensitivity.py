@@ -1,26 +1,29 @@
 """Sensitivity benches around the paper's design arguments (Section 2.2/2.3).
 
-The chunk-size sweep reproduces the paper's explanation of why Scalable
+The chunk-size study reproduces the paper's explanation of why Scalable
 TCC's own evaluation saw no commit bottleneck: with 10k+-instruction
 transactions, commits are rare enough to hide; at 2k-instruction chunks
-they are not.
+they are not.  Each study is a campaign spec of
+:mod:`repro.harness.experiments`, collected like the figure matrix and
+printed by its own markdown renderer.
 """
 
 from repro.config import ProtocolKind
-from repro.harness.sensitivity import (
-    backoff_sweep, chunk_size_sweep, render_sweep, signature_sweep,
-)
-
-from conftest import SMALL_CORES
+from repro.harness.experiments import BACKOFF, CHUNK_SIZE, SIGNATURE_GEOMETRY
+from repro.harness.sweep import collect
+from repro.store.db import ResultStore
 
 
-def test_commit_criticality_vs_chunk_size(once):
-    points = once(chunk_size_sweep, "Radix", SMALL_CORES,
-                  (1000, 2000, 8000))
-    print("\nChunk-size sweep (Section 2.2 argument):")
-    print(render_sweep(points, "chunk_size"))
+def run_study(study, tmp_path):
+    with ResultStore(tmp_path / f"{study.spec.name}.db") as store:
+        return study.reduce(collect(study.spec, store, log=lambda *_: None))
 
-    seq = {p.x: p for p in points if p.protocol is ProtocolKind.SEQ}
+
+def test_commit_criticality_vs_chunk_size(once, tmp_path):
+    points = once(run_study, CHUNK_SIZE, tmp_path)
+    print("\n" + CHUNK_SIZE.render(points))
+
+    seq = {p.point[0]: p for p in points if p.protocol is ProtocolKind.SEQ}
     # commits per kilocycle must fall as chunks grow (fewer, bigger commits)
     assert seq[8000].commits_per_kcycle < seq[1000].commits_per_kcycle
     # and SEQ's commit latency is paid less often, so its relative commit
@@ -29,17 +32,15 @@ def test_commit_criticality_vs_chunk_size(once):
                                             seq[2000].commit_fraction) + 0.02
 
 
-def test_signature_geometry_vs_aliasing(once):
-    points = once(signature_sweep, "Barnes", SMALL_CORES)
-    print("\nSignature-geometry sweep:")
-    print(render_sweep(points, "sig_bits"))
-    tiny = [p for p in points if p.x == 512][0]
-    big = [p for p in points if p.x == 2048][-1]
+def test_signature_geometry_vs_aliasing(once, tmp_path):
+    points = once(run_study, SIGNATURE_GEOMETRY, tmp_path)
+    print("\n" + SIGNATURE_GEOMETRY.render(points))
+    tiny = [p for p in points if p.point == (512, 2)][0]
+    big = [p for p in points if p.point == (2048, 8)][-1]
     assert tiny.squashes_alias >= big.squashes_alias
 
 
-def test_backoff_sweep_completes(once):
-    points = once(backoff_sweep, "Canneal", SMALL_CORES, (10, 100))
-    print("\nRetry-backoff sweep:")
-    print(render_sweep(points, "backoff"))
+def test_backoff_sweep_completes(once, tmp_path):
+    points = once(run_study, BACKOFF, tmp_path)
+    print("\n" + BACKOFF.render(points))
     assert all(p.total_cycles > 0 for p in points)

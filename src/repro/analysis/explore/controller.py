@@ -151,7 +151,7 @@ class ScheduleController(NullBus):
                 heapq.heappop(heap)
                 continue
             if until is not None and t > until:
-                sim.now = until
+                sim.now = max(sim.now, until)
                 return
             due: List[HeapEntry] = []
             while heap and heap[0][0] == t:

@@ -144,7 +144,8 @@ class Simulator:
         When ``until`` is given the clock always advances to ``until`` —
         including when the queue is empty or drains before that cycle — so
         callers see the same "time has passed" semantics whether or not
-        anything was scheduled in the window.
+        anything was scheduled in the window.  An ``until`` already in the
+        past leaves the clock where it is: it never moves backwards.
 
         Dispatch is *batched*: all live events due at the current cycle are
         drained in one inner loop (one heap pop + one callback each)
@@ -164,7 +165,7 @@ class Simulator:
                 pop(heap)
                 continue
             if until is not None and t > until:
-                self.now = until
+                self.now = max(self.now, until)
                 return
             # Drain the whole cycle.  Events are popped one at a
             # time (not batch-collected), so a callback that raises leaves

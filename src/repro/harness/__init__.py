@@ -9,9 +9,5 @@
 * :mod:`repro.harness.experiments` — one reducer per paper figure (a pure
   function of the collected records) and the markdown renderer next to
   it; EXPERIMENTS.md and the figure suite under ``benchmarks/`` print the
-  same tables.
+  same tables, and so do the sensitivity studies (campaign specs).
 """
-
-from repro.harness.runner import Machine, RunResult, SimulationRunner, run_app
-
-__all__ = ["Machine", "RunResult", "SimulationRunner", "run_app"]

@@ -15,6 +15,9 @@ Every figure is one pipeline: **records -> reducer -> renderer**.
   header plus one ``render(reduce(records, apps))`` per figure, and the
   figure suite under ``benchmarks/`` prints the same sections.
 
+The sensitivity studies (Sections 2.2 and 2.3) are :class:`Study`
+campaign specs, each with its own reducer and renderer.
+
 The single-processor baseline of Figures 7/8 runs the *same machine* with
 one active core executing every partition, exactly as the paper
 normalizes ("normalized to the execution time of single-processor runs on
@@ -28,9 +31,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.config import ProtocolKind
-from repro.harness.runner import RunResult
 from repro.network.message import TrafficClass
-from repro.store.campaign import BASELINE, key_of
+from repro.store.campaign import BASELINE, CampaignSpec, key_of
 
 #: ``{sweep key: record}``, as :func:`repro.harness.sweep.collect` returns.
 Records = Mapping[str, Mapping[str, Any]]
@@ -102,21 +104,6 @@ class BreakdownBar:
             cache_miss=norm * rec["miss"] / total,
             commit=norm * rec["commit"] / total,
             squash=norm * rec["squash"] / total,
-        )
-
-    @classmethod
-    def from_result(cls, result: RunResult, baseline_cycles: int
-                    ) -> "BreakdownBar":
-        frac = result.breakdown_fractions()
-        norm = result.normalized_time(baseline_cycles)
-        return cls(
-            app=result.app, protocol=result.protocol, n_cores=result.n_cores,
-            normalized_time=norm,
-            speedup=result.speedup(baseline_cycles),
-            useful=norm * frac["Useful"],
-            cache_miss=norm * frac["Cache Miss"],
-            commit=norm * frac["Commit"],
-            squash=norm * frac["Squash"],
         )
 
 
@@ -293,28 +280,6 @@ def mean_latency(pooled: Mapping[int, int]) -> float:
     return sum(k * v for k, v in pooled.items()) / count if count else 0.0
 
 
-def latency_percentile(pooled: Mapping[int, int], p: float) -> int:
-    """The smallest latency that at least ``p``% of the pooled commits do
-    not exceed (0 when empty)."""
-    target = sum(pooled.values()) * p / 100.0
-    cum = 0
-    for latency in sorted(pooled):
-        cum += pooled[latency]
-        if cum >= target:
-            return latency
-    return max(pooled, default=0)
-
-
-def latency_buckets(pooled: Mapping[int, int], width: int, n_buckets: int
-                    ) -> List[Tuple[int, int]]:
-    """``(low edge, commits)`` per fixed-width bucket; the last bucket is
-    open-ended."""
-    counts = [0] * n_buckets
-    for latency, n in pooled.items():
-        counts[min(latency // width, n_buckets - 1)] += n
-    return [(i * width, n) for i, n in enumerate(counts)]
-
-
 def render_commit_latency(latency: Mapping[int, Mapping[ProtocolKind, Counter]]
                           ) -> str:
     big, small = max(latency), min(latency)
@@ -462,14 +427,110 @@ def render_squash_rates(rates: Tuple[float, float], big: int) -> str:
         f"* conflicts: {conflict:.1f}% of chunks; aliasing: {alias:.1f}%\n"])
 
 
+# ----------------------------------------------------------------------
+# Sensitivity studies (Sections 2.2 and 2.3)
+# ----------------------------------------------------------------------
+@dataclass
+class StudyRow:
+    """One (overrides point, protocol) cell of a :class:`Study`."""
+
+    point: Tuple[Any, ...]  #: the study's axis values at this cell
+    protocol: ProtocolKind
+    total_cycles: int
+    commit_fraction: float
+    squash_fraction: float
+    mean_commit_latency: float
+    commits_per_kcycle: float
+    squashes_alias: int
+
+
+@dataclass(frozen=True)
+class Study:
+    """A campaign over an ``overrides`` axis; ``axes`` label its rows."""
+
+    title: str
+    axes: Tuple[str, ...]
+    spec: CampaignSpec
+
+    def reduce(self, records: Records) -> List[StudyRow]:
+        rows: List[StudyRow] = []
+        for rec in records.values():
+            accounted = max(1, rec["useful"] + rec["miss"] + rec["commit"]
+                            + rec["squash"])
+            rows.append(StudyRow(
+                tuple(rec["overrides"][a] for a in self.axes),
+                ProtocolKind(rec["protocol"]), rec["total_cycles"],
+                rec["commit"] / accounted, rec["squash"] / accounted,
+                rec["mean_commit_latency"],
+                1000.0 * rec["chunks_committed"] / max(1, rec["total_cycles"]),
+                rec["squashes_alias"]))
+        return rows
+
+    def render(self, rows: Sequence[StudyRow]) -> str:
+        cols = (*self.axes, "protocol", "cycles", "commit %", "squash %",
+                "commit latency", "commits/kcycle", "alias squashes")
+        lines = [f"### {self.title}\n", "| " + " | ".join(cols) + " |",
+                 "|" + "---|" * len(cols)]
+        for r in rows:
+            cells = (*r.point, r.protocol.value, r.total_cycles,
+                     f"{r.commit_fraction * 100:.1f}",
+                     f"{r.squash_fraction * 100:.1f}",
+                     f"{r.mean_commit_latency:.1f}",
+                     f"{r.commits_per_kcycle:.2f}", r.squashes_alias)
+            lines.append("| " + " | ".join(map(str, cells)) + " |")
+        return "\n".join(lines + [""])
+
+
+# Section 2.2: total work held constant against 3 chunks of 2000
+# instructions, so bigger chunks are proportionally fewer and each
+# touches proportionally more lines; commits fade as chunks grow.
+CHUNK_SIZE = Study(
+    "Commit criticality vs chunk size (Section 2.2; Radix, 16 cores)",
+    ("chunk_size_instructions",),
+    CampaignSpec(name="chunk-size", apps=("Radix",), cores=(16,),
+                 protocols=("ScalableBulk", "SEQ"), baseline1p=False,
+                 overrides=tuple({"chunk_size_instructions": size,
+                                  "chunks": max(1, round(3 * 2000 / size)),
+                                  "access_scale": size / 2000}
+                                 for size in (1000, 2000, 8000, 20000))))
+
+# Section 2.3: aliasing squashes against the signature's (bits, banks).
+SIGNATURE_GEOMETRY = Study(
+    "Aliasing vs signature geometry (Section 2.3; Barnes, 16 cores)",
+    ("signature_bits", "signature_banks"),
+    CampaignSpec(name="signature-geometry", apps=("Barnes",), cores=(16,),
+                 protocols=("ScalableBulk",), chunks=3, baseline1p=False,
+                 overrides=tuple({"signature_bits": bits,
+                                  "signature_banks": banks}
+                                 for bits, banks in ((512, 2), (1024, 4),
+                                                     (2048, 4), (2048, 8)))))
+
+# The retry-backoff sensitivity of group formation under contention.
+BACKOFF = Study(
+    "Group-formation retry backoff (Canneal, 16 cores)",
+    ("commit_retry_backoff_cycles",),
+    CampaignSpec(name="backoff", apps=("Canneal",), cores=(16,),
+                 protocols=("ScalableBulk",), chunks=3, baseline1p=False,
+                 overrides=tuple({"commit_retry_backoff_cycles": cycles}
+                                 for cycles in (10, 30, 100, 300))))
+
+STUDIES = (CHUNK_SIZE, SIGNATURE_GEOMETRY, BACKOFF)
+
+
 __all__ = [
     "ALL_PROTOCOLS",
+    "BACKOFF",
     "BreakdownBar",
+    "CHUNK_SIZE",
     "DirsPerCommitRow",
     "Figure7Result",
     "GROUPING_PROTOCOLS",
     "QUEUE_PROTOCOLS",
     "Records",
+    "SIGNATURE_GEOMETRY",
+    "STUDIES",
+    "Study",
+    "StudyRow",
     "TRAFFIC_ORDER",
     "bottleneck_ratio",
     "commit_latency",
@@ -478,8 +539,6 @@ __all__ = [
     "dirs_per_commit",
     "dirs_percentages",
     "execution_time",
-    "latency_buckets",
-    "latency_percentile",
     "mean_latency",
     "normalize_traffic",
     "queue_length",

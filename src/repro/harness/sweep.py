@@ -38,6 +38,12 @@ from repro.store.ingest import export_sweep
 from repro.workloads.profiles import PARSEC_APPS, SPLASH2_APPS
 
 
+#: ``--quick``: the 16-core, 4-app smoke sweep.
+QUICK_SWEEP = CampaignSpec(name="sweep", apps=("Radix", "LU", "Barnes",
+                                               "Canneal"),
+                           cores=(16,), chunks=2)
+
+
 def atomic_write_text(path: Path, text: str) -> None:
     """Durable single-file write: temp file + ``os.replace``.
 
@@ -54,19 +60,16 @@ def atomic_write_text(path: Path, text: str) -> None:
             tmp.unlink()
 
 
-def collect(apps: Sequence[str], core_counts: Sequence[int], chunks: int,
-            store: ResultStore, *, jobs: int = 1, log=print,
-            profile: bool = False,
+def collect(spec: CampaignSpec, store: ResultStore, *, jobs: int = 1,
+            log=print, profile: bool = False,
             critical_paths: bool = False) -> Dict[str, dict]:
-    """Run the matrix into ``store``; return ``{sweep key: record}``.
+    """Run ``spec`` into ``store``; return ``{sweep key: record}``.
 
     Cells already stored are reused, failed ones re-run.  The records
     come back in canonical matrix order.  ``profile`` and
     ``critical_paths`` instrument every fresh cell (see
     :func:`repro.store.campaign.run_campaign`).
     """
-    spec = CampaignSpec(name="sweep", apps=tuple(apps),
-                        cores=tuple(core_counts), chunks=chunks)
     report = run_campaign(spec, store, jobs=jobs, log=log, rerun_failed=True,
                           profile=profile, critical_paths=critical_paths)
     if report.failed:
@@ -80,7 +83,8 @@ def collect(apps: Sequence[str], core_counts: Sequence[int], chunks: int,
 def render_markdown(records: Dict[str, dict], apps: Sequence[str],
                     core_counts: Sequence[int], chunks: int) -> str:
     """EXPERIMENTS.md's tables: a header, then each figure reduced from
-    ``records`` (the :func:`collect` of ``apps`` x ``core_counts``) and
+    ``records`` (the :func:`collect` of a spec over ``apps`` x
+    ``core_counts``) and
     rendered by :mod:`repro.harness.experiments`."""
     big = max(core_counts)
     suites = (("SPLASH-2", [a for a in apps if a in SPLASH2_APPS]),
@@ -141,17 +145,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "a .db suffix, results/sweep.db)")
     args = parser.parse_args(argv)
 
-    if args.quick:
-        args.cores = [16]
-        args.apps = ["Radix", "LU", "Barnes", "Canneal"]
-        args.chunks = 2
-
+    spec = QUICK_SWEEP if args.quick else CampaignSpec(
+        name="sweep", apps=tuple(args.apps), cores=tuple(args.cores),
+        chunks=args.chunks)
     from repro.harness.parallel import resolve_jobs
     store_path = args.store or args.json.with_suffix(".db")
     try:
         with ResultStore(store_path) as store:
-            records = collect(args.apps, args.cores, args.chunks, store,
-                              jobs=resolve_jobs(args.jobs),
+            records = collect(spec, store, jobs=resolve_jobs(args.jobs),
                               profile=args.profile,
                               critical_paths=args.critical_paths)
     except StoreError as err:
@@ -161,7 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               if "critical_path" in rec}
     args.json.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(args.json, json.dumps(records))
-    md = render_markdown(records, args.apps, args.cores, args.chunks)
+    md = render_markdown(records, spec.apps, spec.cores, spec.chunks)
     args.markdown.parent.mkdir(parents=True, exist_ok=True)
     args.markdown.write_text(md)
     print(f"\nwrote {args.markdown} ({len(md.splitlines())} lines), "

@@ -18,7 +18,7 @@ nack or squash unnecessarily (paper Section 3.1), which the simulator
 reports as *aliasing squashes*.
 """
 
-from repro.signatures.hashing import H3HashFamily, MultiplicativeHashFamily, make_hash_family
+from repro.signatures.hashing import MultiplicativeHashFamily
 from repro.signatures.bulk_signature import (
     BulkSignature, SignatureFactory, WriteSet, chunks_collide,
 )
@@ -28,7 +28,5 @@ __all__ = [
     "SignatureFactory",
     "WriteSet",
     "chunks_collide",
-    "H3HashFamily",
     "MultiplicativeHashFamily",
-    "make_hash_family",
 ]

@@ -49,22 +49,21 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.signatures.hashing import HashFamily, make_hash_family
+from repro.signatures.hashing import MultiplicativeHashFamily
 
 
 class SignatureFactory:
     """Creates signatures that share one hash family (one per machine)."""
 
     def __init__(self, total_bits: int = 2048, n_banks: int = 4,
-                 hash_kind: str = "mult", seed: int = 2010) -> None:
+                 seed: int = 2010) -> None:
         if total_bits % n_banks:
             raise ValueError("total_bits must divide into banks evenly")
         self.total_bits = total_bits
         self.n_banks = n_banks
         self.bank_bits = total_bits // n_banks
-        self.hash_kind = hash_kind
         self.seed = seed
-        self.hashes: HashFamily = make_hash_family(hash_kind, n_banks, self.bank_bits, seed)
+        self.hashes = MultiplicativeHashFamily(n_banks, self.bank_bits, seed)
         #: line address -> packed all-banks mask (one bit per bank, each in
         #: its bank's slice).  A workload touches each line many times
         #: (every chunk re-inserts its read/write sets), so hashing each
@@ -85,13 +84,13 @@ class SignatureFactory:
         self._write_set_cls: type = WriteSet
 
     @property
-    def hash_params(self) -> Tuple[int, int, str, int]:
+    def hash_params(self) -> Tuple[int, int, int]:
         """Everything that determines where a line's bits land.
 
         Two factories with equal ``hash_params`` map every address to the
         same bit positions, so their signatures are safely comparable.
         """
-        return (self.total_bits, self.n_banks, self.hash_kind, self.seed)
+        return (self.total_bits, self.n_banks, self.seed)
 
     def packed_mask(self, line_addr: int) -> int:
         """All-banks packed mask for ``line_addr`` (memoized hot path)."""

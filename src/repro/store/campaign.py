@@ -9,20 +9,24 @@ A *campaign spec* is a small JSON document describing a run matrix::
       "protocols": ["ScalableBulk", "TCC"],   // optional: all four
       "chunks": 2,                            // optional: 2
       "seeds": [2010, 7],                     // optional: config default
-      "baseline1p": true                      // optional: true
+      "baseline1p": true,                     // optional: true
+      "overrides": [{"signature_bits": 512}]  // optional: [{}]
     }
+
+An ``overrides`` point sets scalar ``SystemConfig`` fields, plus an
+optional per-point ``chunks`` and ``access_scale`` (workload footprint).
 
 This module is the repo's only matrix runner: ``repro sweep`` builds a
 spec from its ``--apps/--cores/--chunks`` and runs it here, and so does
 every caller of :func:`repro.harness.sweep.collect` (the figure suite
-under ``benchmarks/``, ``examples/paper_figures.py``), ``repro bench``
-runs its macro tier here as ``bench_macro`` rows, and ``repro store
-campaign`` runs a spec file.  :func:`expand` is the only
-place that lists cells — per app a single-processor ScalableBulk
-baseline on the largest machine, then every (cores, protocol) cell with
-``n_partitions`` pinned to the largest machine so every run of one app
-executes the identical total work — and :func:`run_one` is the only
-body a cell runs.
+and the sensitivity studies under ``benchmarks/``,
+``examples/paper_figures.py``), ``repro bench`` runs its macro tier here
+as ``bench_macro`` rows, and ``repro store campaign`` runs a spec file.
+:func:`expand` is the only place that lists cells — per app and
+overrides point a single-processor ScalableBulk baseline on the largest
+machine, then every (cores, protocol) cell with ``n_partitions`` pinned
+to the largest machine so every run of one app executes the identical
+total work — and :func:`run_one` is the only body a cell runs.
 
 The runner is a *service loop* over that matrix:
 
@@ -44,9 +48,9 @@ from __future__ import annotations
 import json
 import time
 import traceback as traceback_mod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.harness.runner import SimulationRunner
@@ -61,7 +65,13 @@ PathLike = Union[str, Path]
 
 PROTOCOL_NAMES = tuple(p.value for p in ProtocolKind)
 _SPEC_KEYS = frozenset({"name", "apps", "cores", "protocols", "chunks",
-                        "seeds", "baseline1p"})
+                        "seeds", "baseline1p", "overrides"})
+#: What an ``overrides`` point may set: the scalar ``SystemConfig`` fields
+#: other than the matrix's own axes, plus the workload's size and scale.
+OVERRIDE_KEYS = frozenset(
+    {f.name for f in fields(SystemConfig)
+     if isinstance(f.default, (bool, int, float))
+     and f.name not in ("n_cores", "seed")} | {"chunks", "access_scale"})
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,7 @@ class CampaignSpec:
     chunks: int = 2
     seeds: Tuple[Optional[int], ...] = (None,)
     baseline1p: bool = True
+    overrides: Tuple[Mapping[str, Any], ...] = ({},)
 
     @classmethod
     def from_json(cls, doc: Dict[str, Any]) -> "CampaignSpec":
@@ -93,13 +104,24 @@ class CampaignSpec:
                 f"unknown protocol(s) {', '.join(bad)} "
                 f"(choices: {', '.join(PROTOCOL_NAMES)})")
         seeds = doc.get("seeds")
+        overrides = doc.get("overrides") or [{}]
+        if not isinstance(overrides, list) \
+                or not all(isinstance(p, dict) for p in overrides):
+            raise StoreError("campaign spec 'overrides' must be a list of "
+                             "objects")
+        bad = sorted({k for p in overrides for k in p} - OVERRIDE_KEYS)
+        if bad:
+            raise StoreError(
+                f"unknown override key(s): {', '.join(bad)} "
+                f"(allowed: {', '.join(sorted(OVERRIDE_KEYS))})")
         return cls(name=str(doc["name"]),
                    apps=tuple(str(a) for a in doc["apps"]),
                    cores=tuple(int(n) for n in doc["cores"]),
                    protocols=protocols,
                    chunks=int(doc.get("chunks", 2)),
                    seeds=tuple(int(s) for s in seeds) if seeds else (None,),
-                   baseline1p=bool(doc.get("baseline1p", True)))
+                   baseline1p=bool(doc.get("baseline1p", True)),
+                   overrides=tuple(overrides))
 
     @classmethod
     def load(cls, path: PathLike) -> "CampaignSpec":
@@ -110,7 +132,8 @@ class CampaignSpec:
                 "cores": list(self.cores), "protocols": list(self.protocols),
                 "chunks": self.chunks,
                 "seeds": [s for s in self.seeds if s is not None] or None,
-                "baseline1p": self.baseline1p}
+                "baseline1p": self.baseline1p,
+                "overrides": [dict(p) for p in self.overrides]}
 
 
 #: The CI smoke matrix: 2 apps x 1 core count x all four protocols.
@@ -118,11 +141,24 @@ QUICK_SPEC = CampaignSpec(name="quick", apps=("Radix", "LU"), cores=(8,),
                           chunks=1)
 
 
+def point_config(n_cores: int, protocol: ProtocolKind,
+                 seed: Optional[int] = None,
+                 overrides: Optional[Mapping[str, Any]] = None
+                 ) -> SystemConfig:
+    """The Table 2 machine with ``seed`` and a point's config fields."""
+    changes = {k: v for k, v in (overrides or {}).items()
+               if k not in ("chunks", "access_scale")}
+    if seed is not None:
+        changes["seed"] = seed
+    return SystemConfig(n_cores=n_cores, protocol=protocol, **changes)
+
+
 def run_one(app: str, n_cores: int, protocol: ProtocolKind,
             chunks: int, active_cores: Optional[int] = None,
             n_partitions: Optional[int] = None,
             bus: Optional[InstrumentationBus] = None,
-            profile: bool = False, seed: Optional[int] = None) -> dict:
+            profile: bool = False, seed: Optional[int] = None,
+            overrides: Optional[Mapping[str, Any]] = None) -> dict:
     """One simulation -> a JSON-serializable record.
 
     ``n_partitions`` fixes the total work across machine sizes (strong
@@ -131,14 +167,16 @@ def run_one(app: str, n_cores: int, protocol: ProtocolKind,
     the run (used by ``--critical-paths``); ``profile`` attaches the
     host-time self-profiler and embeds its attribution report.  ``seed``
     overrides the config's reproducibility seed (campaign matrices sweep
-    it; ``None`` keeps the Table 2 default).
+    it; ``None`` keeps the Table 2 default).  ``overrides`` is a spec's
+    overrides point (its ``chunks`` wins), stored in the record under
+    ``"overrides"`` when non-empty.
     """
-    config = SystemConfig(n_cores=n_cores, protocol=protocol)
-    if seed is not None:
-        config = config.with_(seed=seed)
+    point = dict(overrides or {})
+    config = point_config(n_cores, protocol, seed, point)
     runner = SimulationRunner(app, config, active_cores=active_cores,
-                              chunks_per_partition=chunks,
-                              n_partitions=n_partitions)
+                              chunks_per_partition=point.get("chunks", chunks),
+                              n_partitions=n_partitions,
+                              access_scale=point.get("access_scale", 1.0))
     from repro.obs.profile import make_profiler
     profiler = make_profiler(config) if profile else None
     t0 = time.time()  # repro: allow SB304
@@ -177,6 +215,8 @@ def run_one(app: str, n_cores: int, protocol: ProtocolKind,
         # 2-decimal display rounding above
         "wall_seconds_raw": wall,
     }
+    if point:
+        record["overrides"] = point
     if profiler is not None:
         record["profile"] = profiler.report().to_json()
     return record
@@ -201,32 +241,40 @@ class CampaignCell:
     active_cores: Optional[int]
     n_partitions: int
     seed: Optional[int]
+    overrides: Tuple[Tuple[str, Any], ...] = ()  #: sorted point items
 
     @property
-    def sweep_key(self) -> str:
-        """The sweep document's key for this cell (the row's ``series``)."""
+    def _machine_key(self) -> str:
         active = self.active_cores if self.active_cores is not None \
             else self.n_cores
         proto = BASELINE if self.active_cores == 1 else self.protocol
         return key_of(self.app, self.n_cores, proto, active)
 
     @property
+    def _point_suffix(self) -> str:
+        point = ",".join(f"{k}={v}" for k, v in self.overrides)
+        return f"/{point}" if point else ""
+
+    @property
+    def sweep_key(self) -> str:
+        """The sweep document's key for this cell (the row's ``series``)."""
+        return self._machine_key + self._point_suffix
+
+    @property
     def cell_key(self) -> str:
         """The store cache key's cell discriminator.
 
-        Extends the sweep key with the chunk count and seed so two
+        Extends the machine key with the chunk count and seed so two
         campaigns over the same machine at different workload sizes do
-        not collide.
+        not collide, then appends the overrides point.
         """
         seed = "default" if self.seed is None else str(self.seed)
-        return f"{self.sweep_key}/c{self.chunks}/s{seed}"
+        return (f"{self._machine_key}/c{self.chunks}/s{seed}"
+                f"{self._point_suffix}")
 
     def config(self) -> SystemConfig:
-        config = SystemConfig(n_cores=self.n_cores,
-                              protocol=ProtocolKind(self.protocol))
-        if self.seed is not None:
-            config = config.with_(seed=self.seed)
-        return config
+        return point_config(self.n_cores, ProtocolKind(self.protocol),
+                            self.seed, dict(self.overrides))
 
     def to_payload(self) -> Dict[str, Any]:
         return {"app": self.app, "n_cores": self.n_cores,
@@ -236,24 +284,28 @@ class CampaignCell:
 
 
 def expand(spec: CampaignSpec) -> List[CampaignCell]:
-    """The spec's full cell list in canonical order (seed, app, cores,
-    protocol; each app's baseline first) — the sweep export's order."""
+    """The spec's full cell list in canonical order (seed, app, overrides
+    point, cores, protocol; each point's baseline first) — the sweep
+    export's order."""
     big = max(spec.cores)
     cells: List[CampaignCell] = []
     for seed in spec.seeds:
         for app in spec.apps:
-            if spec.baseline1p:
-                cells.append(CampaignCell(
-                    app=app, n_cores=big,
-                    protocol=ProtocolKind.SCALABLEBULK.value,
-                    chunks=spec.chunks, active_cores=1, n_partitions=big,
-                    seed=seed))
-            for n in spec.cores:
-                for proto in spec.protocols:
+            for point in spec.overrides:
+                chunks = int(point.get("chunks", spec.chunks))
+                items = tuple(sorted(point.items()))
+                if spec.baseline1p:
                     cells.append(CampaignCell(
-                        app=app, n_cores=n, protocol=proto,
-                        chunks=spec.chunks, active_cores=None,
-                        n_partitions=big, seed=seed))
+                        app=app, n_cores=big,
+                        protocol=ProtocolKind.SCALABLEBULK.value,
+                        chunks=chunks, active_cores=1, n_partitions=big,
+                        seed=seed, overrides=items))
+                for n in spec.cores:
+                    for proto in spec.protocols:
+                        cells.append(CampaignCell(
+                            app=app, n_cores=n, protocol=proto,
+                            chunks=chunks, active_cores=None,
+                            n_partitions=big, seed=seed, overrides=items))
     return cells
 
 
@@ -293,7 +345,8 @@ def _campaign_worker(task: Tuple[CampaignCell, str, int, bool, bool]
                              ProtocolKind(cell.protocol), chunks=cell.chunks,
                              active_cores=cell.active_cores,
                              n_partitions=cell.n_partitions, bus=bus,
-                             profile=profile, seed=cell.seed)
+                             profile=profile, seed=cell.seed,
+                             overrides=dict(cell.overrides))
             if bus is not None:
                 from repro.obs.critical_path import analyze_commit_paths
                 record["critical_path"] = analyze_commit_paths(bus).summary()
@@ -402,5 +455,5 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
 
 
 __all__ = ["BASELINE", "CampaignCell", "CampaignReport", "CampaignSpec",
-           "QUICK_SPEC",
-           "expand", "key_of", "run_campaign", "run_one"]
+           "OVERRIDE_KEYS", "QUICK_SPEC",
+           "expand", "key_of", "point_config", "run_campaign", "run_one"]

@@ -8,13 +8,16 @@ Subcommands::
     repro store query --store results.db --kind sweep --app Radix
     repro store check --store results.db --kind bench_macro \\
         --metric cycles_per_sec --last 5 --threshold 0.10
+    repro store check --store results.db --kind sweep \\
+        --metric total_cycles --drift                 # newest two revs
     repro store dashboard --store results.db --out dashboard.html
     repro store export --store results.db --kind sweep --out sweep.json
     repro store info --store results.db               # counts + integrity
 
-Exit codes: ``check`` exits 1 on any regression and 2 when it would
-compare nothing; ``campaign`` exits 1 when any cell failed; ``info``
-exits 1 when the integrity check fails; any store error exits 2.
+Exit codes: ``check`` exits 1 on any regression (with ``--drift``: any
+drift) and 2 when it would compare nothing; ``campaign`` exits 1 when
+any cell failed; ``info`` exits 1 when the integrity check fails; any
+store error exits 2.
 See docs/experiments.md for the schema and the campaign spec format.
 """
 
@@ -93,8 +96,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.store.query import check_regressions
+    from repro.store.query import check_drift, check_regressions
     with _open(args, create=False) as store:
+        if args.drift:
+            report = check_drift(store, args.kind, args.metric,
+                                 threshold=args.threshold)
+            print(report.render())
+            return 1 if report.drifts else 0
         regressions = check_regressions(
             store, args.kind, args.metric, threshold=args.threshold,
             last=args.last,
@@ -233,6 +241,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "the metric name)")
     p.add_argument("--no-normalize", action="store_true",
                    help="skip calibration normalization for bench rows")
+    p.add_argument("--drift", action="store_true",
+                   help="two-sided instead: any move beyond --threshold "
+                        "from the revision before the newest fails")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dashboard", help="export the static HTML trend "

@@ -158,7 +158,7 @@ def sweep_metrics(rec: Dict[str, Any]) -> Dict[str, Any]:
         + (rec.get("squashes_alias", 0) or 0)
     metrics = _scalars(rec, ("total_cycles", "mean_commit_latency",
                              "mean_dirs", "chunks_committed", "mean_queue",
-                             "bottleneck_ratio"))
+                             "bottleneck_ratio", "squashes_conflict"))
     if wall > 0 and isinstance(rec.get("total_cycles"), (int, float)):
         metrics["cycles_per_sec"] = rec["total_cycles"] / wall
     metrics["squash_rate"] = squashes / chunks if chunks else 0.0

@@ -12,13 +12,15 @@ rows into the two shapes the service consumers need:
   value is compared against the best value the window holds, after
   calibration normalization (records that carry a ``calibration``
   metric are divided by it, which cancels raw host speed to first
-  order).
+  order);
+* :func:`check_drift` — its two-sided twin for simulated metrics: each
+  series' change, either way, between the newest two revisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.store.db import ResultStore, StoreError
 from repro.store.schema import STATUS_OK
@@ -33,6 +35,12 @@ LOWER_IS_BETTER = frozenset({
     "wall_s", "setup_s", "peak_rss_mb", "sim_cycles",
     "commit_latency_cycles", "messages_per_chunk",
 })
+
+
+#: The smallest absolute change ``check_drift`` reports, per metric
+#: (unlisted metrics: any change).
+DRIFT_FLOORS = {"total_cycles": 500, "mean_commit_latency": 20,
+                "mean_dirs": 0.5, "mean_queue": 0.5, "squashes_conflict": 2}
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,14 @@ class Regression:
                 f"at rev {self.latest_rev or '<none>'})")
 
 
+def _unexposed_metric(store: ResultStore, kind: str, metric: str
+                      ) -> StoreError:
+    rows = store.query(kind, status=STATUS_OK)
+    names = sorted({name for r in rows for name in r.metrics})
+    return StoreError(f"no ok {kind} row exposes metric {metric!r} "
+                      f"(stored: {', '.join(names) or 'none'})")
+
+
 def check_regressions(store: ResultStore, kind: str, metric: str, *,
                       threshold: float = 0.10, last: int = 5,
                       lower_better: Optional[bool] = None,
@@ -149,11 +165,8 @@ def check_regressions(store: ResultStore, kind: str, metric: str, *,
         lower_better = metric_lower_is_better(metric)
     trends = trends_by_series(store, kind, metric, last=last,
                               normalize=normalize)
-    rows = store.query(kind, status=STATUS_OK) if not trends else []
-    if rows:
-        names = sorted({name for r in rows for name in r.metrics})
-        raise StoreError(f"no ok {kind} row exposes metric {metric!r} "
-                         f"(stored: {', '.join(names) or 'none'})")
+    if not trends and store.query(kind, status=STATUS_OK, limit=1):
+        raise _unexposed_metric(store, kind, metric)
     compared = {name: pts for name, pts in trends.items() if len(pts) >= 2}
     window = store.revisions(kind)[-last:]
     if len(window) >= 2 and not compared:
@@ -179,6 +192,66 @@ def check_regressions(store: ResultStore, kind: str, metric: str, *,
     return out
 
 
-__all__ = ["LOWER_IS_BETTER", "Regression", "TrendPoint",
-           "check_regressions", "metric_lower_is_better", "trend",
-           "trends_by_series"]
+@dataclass
+class DriftReport:
+    """What :func:`check_drift` found between two revisions."""
+
+    metric: str
+    old_rev: str
+    new_rev: str
+    #: ``(series, old value, new value)`` per drifting series
+    drifts: List[Tuple[str, float, float]] = field(default_factory=list)
+    only_old: List[str] = field(default_factory=list)
+    only_new: List[str] = field(default_factory=list)
+
+    def render(self) -> str:
+        span = f"{self.metric}, rev {self.old_rev or '<none>'} -> " \
+            f"{self.new_rev or '<none>'}"
+        lines = [f"series only in rev {rev or '<none>'} ({len(keys)}): "
+                 + ", ".join(keys[:5]) + (" ..." if len(keys) > 5 else "")
+                 for rev, keys in ((self.old_rev, self.only_old),
+                                   (self.new_rev, self.only_new)) if keys]
+        lines.append(f"{len(self.drifts)} significant drift(s), {span}:"
+                     if self.drifts else f"no significant drifts, {span}")
+        for series, old, new in self.drifts:
+            rel = f"{(new - old) / abs(old):+.1%}" if old else "new"
+            lines.append(f"  {series:40s} {old:10.1f} -> {new:10.1f}  {rel}")
+        return "\n".join(lines)
+
+
+def check_drift(store: ResultStore, kind: str, metric: str, *,
+                threshold: float = 0.10) -> DriftReport:
+    """Two-sided drift of ``metric`` between the newest two revisions.
+
+    A series drifts when its value moves by ``threshold`` (relative; any
+    move from zero counts) and by its :data:`DRIFT_FLOORS` entry.
+    Series at only one of the two revisions are listed, not compared.
+    Raises :class:`StoreError` when it would compare nothing.
+    """
+    revs = store.revisions(kind)
+    if len(revs) < 2:
+        raise StoreError(f"{kind}: drift compares two revisions, the store "
+                         f"holds {len(revs)}")
+    old_rev, new_rev = revs[-2:]
+    trends = trends_by_series(store, kind, metric)
+    if not trends:
+        raise _unexposed_metric(store, kind, metric)
+    old, new = ({name: p.value for name, pts in trends.items()
+                 for p in pts if p.git_rev == rev}
+                for rev in (old_rev, new_rev))
+    floor = DRIFT_FLOORS.get(metric, 0)
+    report = DriftReport(metric, old_rev, new_rev,
+                         only_old=sorted(set(old) - set(new)),
+                         only_new=sorted(set(new) - set(old)))
+    for name in sorted(set(old) & set(new)):
+        a, b = old[name], new[name]
+        if a == b or abs(b - a) < floor:
+            continue
+        if a == 0 or abs(b - a) / abs(a) >= threshold:
+            report.drifts.append((name, a, b))
+    return report
+
+
+__all__ = ["DRIFT_FLOORS", "DriftReport", "LOWER_IS_BETTER",
+           "Regression", "TrendPoint", "check_drift", "check_regressions",
+           "metric_lower_is_better", "trend", "trends_by_series"]

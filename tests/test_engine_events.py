@@ -203,6 +203,18 @@ class TestRunControl:
         sim.run(until=30)
         assert sim.now == 30
 
+    def test_until_in_the_past_never_moves_the_clock_back(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, lambda: fired.append(("a", sim.now)))
+        sim.run(until=10)
+        sim.schedule(5, lambda: fired.append(("late", sim.now)))
+        sim.run(until=2)  # a live event is queued past the window
+        assert sim.now == 10
+        sim.schedule(0, lambda: fired.append(("now", sim.now)))
+        sim.run()
+        assert fired == [("a", 10), ("now", 10), ("late", 15)]
+
     def test_max_events_guard_raises(self):
         sim = Simulator()
 

@@ -199,6 +199,19 @@ class TestControllerLoop:
         controller.run(sim, until=30)
         assert sim.now == 30
 
+    def test_until_in_the_past_never_moves_the_clock_back(self):
+        sim = Simulator()
+        controller = ScheduleController()
+        fired = []
+        sim.schedule(10, lambda: fired.append(("a", sim.now)))
+        controller.run(sim, until=10)
+        sim.schedule(5, lambda: fired.append(("late", sim.now)))
+        controller.run(sim, until=2)  # a live event is queued past it
+        assert sim.now == 10
+        sim.schedule(0, lambda: fired.append(("now", sim.now)))
+        controller.run(sim)
+        assert fired == [("a", 10), ("now", 10), ("late", 15)]
+
     def test_cancelled_event_never_offered_nor_fired(self):
         sim = Simulator()
         fired = []

@@ -1,10 +1,12 @@
 """Tests for the runner, the figure reducers and their renderers."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import ProtocolKind
 from repro.harness.experiments import (
-    ALL_PROTOCOLS, BreakdownBar, bottleneck_ratio, commit_latency,
+    ALL_PROTOCOLS, STUDIES, BreakdownBar, bottleneck_ratio, commit_latency,
     dirs_distribution, dirs_per_commit, execution_time, normalize_traffic,
     queue_length, render_bottleneck_ratio, render_commit_latency,
     render_dirs_per_commit, render_distribution, render_execution_time,
@@ -12,6 +14,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.runner import RunResult, run_app
 from repro.harness.sweep import collect
+from repro.store.campaign import CampaignSpec
 from repro.store.db import ResultStore
 
 SMALL = dict(n_cores=4, chunks_per_partition=1)
@@ -62,7 +65,9 @@ def records(tmp_path_factory):
     reducers read, collected into a throwaway store."""
     db = tmp_path_factory.mktemp("figures") / "figures.db"
     with ResultStore(db) as store:
-        return collect(APPS, [4], 1, store, log=lambda *_: None)
+        return collect(CampaignSpec(name="sweep", apps=tuple(APPS),
+                                    cores=(4,), chunks=1),
+                       store, log=lambda *_: None)
 
 
 class TestExperimentFunctions:
@@ -169,14 +174,20 @@ class TestReducersMatchDirectRuns:
             base = direct[app, "1p"].total_cycles
             assert fig.baselines[app] == base
             for proto in ALL_PROTOCOLS:
-                want = BreakdownBar.from_result(direct[app, proto], base)
+                res = direct[app, proto]
+                frac = res.breakdown_fractions()
+                norm = res.normalized_time(base)
+                want = {"normalized_time": norm, "speedup": res.speedup(base),
+                        "useful": norm * frac["Useful"],
+                        "cache_miss": norm * frac["Cache Miss"],
+                        "commit": norm * frac["Commit"],
+                        "squash": norm * frac["Squash"]}
                 got = fig.bar(app, proto, 4)
                 assert (got.app, got.protocol, got.n_cores) == \
-                    (want.app, want.protocol, want.n_cores)
-                for name in ("normalized_time", "speedup", "useful",
-                             "cache_miss", "commit", "squash"):
+                    (res.app, res.protocol, res.n_cores)
+                for name, value in want.items():
                     assert getattr(got, name) == pytest.approx(
-                        getattr(want, name), rel=1e-12), (app, proto, name)
+                        value, rel=1e-12), (app, proto, name)
 
     def test_fig9_rows_match_run_result_means(self, records, direct):
         for row in dirs_per_commit(records, APPS):
@@ -218,3 +229,31 @@ class TestReducersMatchDirectRuns:
             for proto in ALL_PROTOCOLS:
                 assert data[app][proto] == \
                     direct[app, proto].traffic_by_class, (app, proto)
+
+
+class TestStudiesMatchDirectRuns:
+    """One point of each sensitivity study, run as its campaign, against
+    ``run_app`` with the point's overrides, chunks and footprint scale."""
+
+    @pytest.mark.parametrize("study", STUDIES, ids=lambda s: s.spec.name)
+    def test_study_point_matches_run_app(self, tmp_path, study):
+        spec = dataclasses.replace(study.spec,
+                                   protocols=study.spec.protocols[:1],
+                                   overrides=study.spec.overrides[:1])
+        with ResultStore(tmp_path / "study.db") as store:
+            (rec,) = collect(spec, store, log=lambda *_: None).values()
+        overrides = dict(spec.overrides[0])
+        assert rec["overrides"] == overrides
+        chunks = overrides.pop("chunks", spec.chunks)
+        scale = overrides.pop("access_scale", 1.0)
+        direct = run_app(spec.apps[0], n_cores=spec.cores[0],
+                         protocol=ProtocolKind(spec.protocols[0]),
+                         chunks_per_partition=chunks, access_scale=scale,
+                         **overrides)
+        assert rec["total_cycles"] == direct.total_cycles
+        assert (rec["useful"], rec["miss"], rec["commit"], rec["squash"]) \
+            == (direct.useful_cycles, direct.miss_stall_cycles,
+                direct.commit_stall_cycles, direct.squash_cycles)
+        assert rec["squashes_alias"] == direct.squashes_alias
+        (row,) = study.reduce({"cell": rec})
+        assert row.point == tuple(spec.overrides[0][a] for a in study.axes)

@@ -1,4 +1,4 @@
-"""Unit + property tests for Bulk signatures and their hash families."""
+"""Unit + property tests for Bulk signatures and their hash family."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,32 +7,30 @@ from repro.signatures.bulk_signature import (
     BulkSignature, SignatureFactory, WriteSet, chunks_collide,
     definitely_disjoint, exact_conflict,
 )
-from repro.signatures.hashing import (
-    H3HashFamily, MultiplicativeHashFamily, make_hash_family,
-)
+from repro.signatures.hashing import MultiplicativeHashFamily
 
 lines = st.integers(min_value=0, max_value=2**40)
 line_sets = st.sets(lines, min_size=0, max_size=80)
 
 
-@pytest.fixture(params=["mult", "h3"])
-def factory(request):
-    return SignatureFactory(total_bits=2048, n_banks=4,
-                            hash_kind=request.param, seed=11)
+@pytest.fixture(params=["mult"])
+def factory():
+    """A factory over the machine's multiplicative hash family."""
+    return SignatureFactory(total_bits=2048, n_banks=4, seed=11)
 
 
 class TestHashFamilies:
-    @pytest.mark.parametrize("kind", ["mult", "h3"])
+    @pytest.mark.parametrize("kind", ["mult"])
     def test_indices_in_range(self, kind):
-        fam = make_hash_family(kind, 4, 512, seed=3)
+        fam = MultiplicativeHashFamily(4, 512, seed=3)
         for addr in [0, 1, 17, 2**20 + 5, 2**39]:
             for bank in range(4):
                 assert 0 <= fam.bit_index(bank, addr) < 512
 
-    @pytest.mark.parametrize("kind", ["mult", "h3"])
+    @pytest.mark.parametrize("kind", ["mult"])
     def test_deterministic(self, kind):
-        a = make_hash_family(kind, 4, 512, seed=3)
-        b = make_hash_family(kind, 4, 512, seed=3)
+        a = MultiplicativeHashFamily(4, 512, seed=3)
+        b = MultiplicativeHashFamily(4, 512, seed=3)
         for addr in range(0, 1000, 37):
             for bank in range(4):
                 assert a.bit_index(bank, addr) == b.bit_index(bank, addr)
@@ -50,12 +48,6 @@ class TestHashFamilies:
     def test_non_power_of_two_bank_rejected(self):
         with pytest.raises(ValueError):
             MultiplicativeHashFamily(4, 500)
-        with pytest.raises(ValueError):
-            H3HashFamily(4, 500)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_hash_family("sha", 4, 512)
 
     def test_dispersion_reasonable(self):
         fam = MultiplicativeHashFamily(4, 512, seed=3)
@@ -205,12 +197,6 @@ class TestFactory:
         with pytest.raises(ValueError, match="incompatible"):
             f1.from_lines([1, 2]).union(f2.from_lines([3]))
 
-    def test_same_geometry_different_hash_kind_rejected(self):
-        f_mult = SignatureFactory(total_bits=2048, n_banks=4, hash_kind="mult")
-        f_h3 = SignatureFactory(total_bits=2048, n_banks=4, hash_kind="h3")
-        with pytest.raises(ValueError, match="incompatible"):
-            f_mult.from_lines([7]).intersects(f_h3.from_lines([7]))
-
     def test_equal_hash_params_accepted_across_instances(self):
         """Two factories with identical parameters map addresses to the
         same bits, so cross-factory tests are meaningful and allowed."""
@@ -241,13 +227,11 @@ class TestWriteSet:
     @given(line_sets, line_sets, line_sets)
     @settings(max_examples=60, deadline=None)
     def test_probe_matches_per_line_contains(self, writes, reads, others):
-        for kind in ("mult", "h3"):
-            # small signatures so that aliasing hits show up too
-            f = SignatureFactory(total_bits=256, n_banks=4, hash_kind=kind,
-                                 seed=3)
-            r_sig, w_sig = f.from_lines(reads), f.from_lines(others)
-            assert (f.write_set(writes).probe(r_sig, w_sig)
-                    == _probe_reference(writes, r_sig, w_sig))
+        # small signatures so that aliasing hits show up too
+        f = SignatureFactory(total_bits=256, n_banks=4, seed=3)
+        r_sig, w_sig = f.from_lines(reads), f.from_lines(others)
+        assert (f.write_set(writes).probe(r_sig, w_sig)
+                == _probe_reference(writes, r_sig, w_sig))
 
     @given(line_sets, line_sets, line_sets, line_sets)
     @settings(max_examples=60, deadline=None)

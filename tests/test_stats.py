@@ -3,11 +3,9 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.harness.experiments import (
-    dirs_distribution, dirs_percentages, latency_buckets, latency_percentile,
-    mean_latency,
+    dirs_distribution, dirs_percentages, mean_latency,
 )
 from repro.stats.metrics import AttemptPhase, MachineStats
 
@@ -31,11 +29,6 @@ class TestHistogram:
         assert s.mean_dirs_per_commit() == 2.0
         assert mean_latency(s.commit_latency_hist) == 2.0
 
-    def test_percentile(self):
-        h = histogram(range(1, 101))
-        assert latency_percentile(h, 50) == 50
-        assert latency_percentile(h, 90) == 90
-
     def test_percentages_with_overflow(self):
         pct = dirs_percentages(histogram((0, 1, 1, 20)))
         assert pct[0] == 25.0
@@ -48,66 +41,9 @@ class TestHistogram:
         assert s.mean_commit_latency() == 0.0
         assert s.mean_dirs_per_commit() == 0.0
         assert mean_latency(s.commit_latency_hist) == 0.0
-        assert latency_percentile(s.commit_latency_hist, 50) == 0
         pct = dirs_percentages(s.dirs_per_commit_hist)
         assert pct["more"] == 0.0
         assert sum(pct.values()) == 0.0
-
-    def test_percentile_single_sample(self):
-        h = histogram([42])
-        for p in (0.1, 1, 50, 99, 100):
-            assert latency_percentile(h, p) == 42
-
-    def test_percentile_all_equal_samples(self):
-        h = histogram([7] * 10)
-        for p in (1, 50, 100):
-            assert latency_percentile(h, p) == 7
-
-    def test_percentile_extremes(self):
-        h = histogram(range(1, 101))
-        assert latency_percentile(h, 100) == 100
-        assert latency_percentile(h, 0.5) == 1  # smallest covering 0.5%
-
-    def test_percentile_zero_returns_smallest_value(self):
-        assert latency_percentile(histogram((5, 9, 17)), 0) == 5
-
-    def test_percentile_hundred_returns_largest_value(self):
-        assert latency_percentile(histogram((5, 9, 17)), 100) == 17
-
-    def test_percentile_single_bucket_many_samples(self):
-        h = histogram([3] * 1000)
-        for p in (0, 25, 50, 75, 100):
-            assert latency_percentile(h, p) == 3
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=200),
-           st.floats(0, 100))
-    def test_percentile_properties(self, values, p):
-        h = histogram(values)
-        q = latency_percentile(h, p)
-        # result is always an observed value within [min, max]
-        assert q in values
-        assert min(values) <= q <= max(values)
-        # the defining property: at least p% of samples are <= q
-        at_most = sum(1 for v in values if v <= q)
-        assert at_most >= len(values) * p / 100.0
-        # boundaries pin to the extremes
-        assert latency_percentile(h, 0) == min(values)
-        assert latency_percentile(h, 100) == max(values)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=100))
-    def test_percentile_monotone_in_p(self, values):
-        h = histogram(values)
-        qs = [latency_percentile(h, p) for p in (0, 10, 25, 50, 75, 90, 100)]
-        assert qs == sorted(qs)
-
-    def test_bucketize(self):
-        buckets = latency_buckets(histogram((5, 55, 55, 1000)), width=50,
-                                  n_buckets=4)
-        assert buckets[0] == (0, 1)
-        assert buckets[1] == (50, 2)
-        assert buckets[3] == (150, 1)  # clamped to last bucket
 
     def test_distribution_percentages(self):
         # the Figs. 11/12 reducer reads the JSON-keyed histogram of the

@@ -60,6 +60,27 @@ class TestSpec:
         with pytest.raises(StoreError, match="needs 'cores'"):
             campaign.CampaignSpec.from_json({"name": "s", "apps": ["LU"]})
 
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(StoreError, match="unknown override key.*"
+                           "signature_bits"):
+            campaign.CampaignSpec.from_json(
+                {"name": "s", "apps": ["LU"], "cores": [4],
+                 "overrides": [{"signature_bits": 512},
+                               {"signature_bitz": 512}]})
+        with pytest.raises(StoreError, match="list of objects"):
+            campaign.CampaignSpec.from_json(
+                {"name": "s", "apps": ["LU"], "cores": [4],
+                 "overrides": [["signature_bits", 512]]})
+
+    def test_overrides_round_trip(self, tmp_path):
+        spec = campaign.CampaignSpec.from_json(
+            {"name": "s", "apps": ["LU"], "cores": [4],
+             "overrides": [{"oci": False}, {"chunks": 1,
+                                            "access_scale": 0.5}]})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_json()))
+        assert campaign.CampaignSpec.load(path) == spec
+
 
 class TestExpand:
     def test_matrix_mirrors_serial_sweep_order(self):
@@ -87,6 +108,35 @@ class TestExpand:
         cells = campaign.expand(spec)
         assert [c.seed for c in cells] == [7, 9]
         assert len({c.cell_key for c in cells}) == 2
+
+    def test_specs_without_overrides_keep_their_cell_keys(self):
+        """Stores written before the overrides axis keep resuming."""
+        from repro.harness.sweep import QUICK_SWEEP
+        quick = [f"{app}/8/{proto}/c1/sdefault" for app in ("Radix", "LU")
+                 for proto in ("baseline1p/1", "ScalableBulk/8", "TCC/8",
+                               "SEQ/8", "BulkSC/8")]
+        assert [c.cell_key for c in campaign.expand(campaign.QUICK_SPEC)] \
+            == quick
+        sweep = [f"{app}/16/{proto}/c2/sdefault"
+                 for app in ("Radix", "LU", "Barnes", "Canneal")
+                 for proto in ("baseline1p/1", "ScalableBulk/16", "TCC/16",
+                               "SEQ/16", "BulkSC/16")]
+        assert [c.cell_key for c in campaign.expand(QUICK_SWEEP)] == sweep
+        assert all(c.overrides == () for c in campaign.expand(QUICK_SWEEP))
+
+    def test_overrides_point_suffixes_both_keys(self):
+        spec = campaign.CampaignSpec(
+            name="s", apps=("LU",), cores=(4,), protocols=("TCC",),
+            baseline1p=False,
+            overrides=({}, {"signature_bits": 512, "chunks": 3}))
+        plain, point = campaign.expand(spec)
+        assert plain.sweep_key == "LU/4/TCC/4"
+        assert plain.cell_key == "LU/4/TCC/4/c2/sdefault"
+        assert point.sweep_key == "LU/4/TCC/4/chunks=3,signature_bits=512"
+        assert point.cell_key == \
+            "LU/4/TCC/4/c3/sdefault/chunks=3,signature_bits=512"
+        assert point.config().signature_bits == 512
+        assert point.config() != plain.config()
 
     def test_cell_keys_distinguish_chunks(self):
         kw = dict(app="LU", n_cores=4, protocol="TCC", active_cores=None,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import ProtocolKind
 from repro.harness import sweep
-from repro.store.campaign import run_one
+from repro.store.campaign import CampaignSpec, run_one
 from repro.store.db import ResultStore
 
 
@@ -29,16 +29,22 @@ def quiet(*_args):
     pass
 
 
+def spec(apps, cores, chunks):
+    return CampaignSpec(name="sweep", apps=tuple(apps), cores=tuple(cores),
+                        chunks=chunks)
+
+
 class TestCollectCaching:
     def test_collect_writes_and_reuses_cache(self, tmp_path):
         logs = []
         with ResultStore(tmp_path / "sweep.db") as store:
-            records = sweep.collect(["LU"], [4], 1, store, log=logs.append)
+            records = sweep.collect(spec(["LU"], [4], 1), store,
+                                    log=logs.append)
         assert any("ran=5 " in line for line in logs)
         # a second collection against the same store runs nothing
         logs2 = []
         with ResultStore(tmp_path / "sweep.db") as store:
-            records2 = sweep.collect(["LU"], [4], 1, store,
+            records2 = sweep.collect(spec(["LU"], [4], 1), store,
                                      log=logs2.append)
         assert any("ran=0 " in line for line in logs2)
         assert list(records2) == list(records)
@@ -46,7 +52,7 @@ class TestCollectCaching:
 
     def test_collect_runs_matrix(self, tmp_path):
         with ResultStore(tmp_path / "s.db") as store:
-            records = sweep.collect(["LU"], [4], 1, store, log=quiet)
+            records = sweep.collect(spec(["LU"], [4], 1), store, log=quiet)
         # 1 baseline + 4 protocols, keyed by App/N/Proto/Active
         assert list(records) == ["LU/4/baseline1p/1", "LU/4/ScalableBulk/4",
                                  "LU/4/TCC/4", "LU/4/SEQ/4", "LU/4/BulkSC/4"]
@@ -155,7 +161,8 @@ class TestRendering:
     @pytest.fixture
     def records(self, tmp_path):
         with ResultStore(tmp_path / "s.db") as store:
-            return sweep.collect(["LU", "Radix"], [4], 1, store, log=quiet)
+            return sweep.collect(spec(["LU", "Radix"], [4], 1), store,
+                                 log=quiet)
 
     def test_markdown_contains_all_figures(self, records):
         md = sweep.render_markdown(records, ["LU", "Radix"], [4], 1)

@@ -5,10 +5,9 @@ from collections import Counter
 import pytest
 
 from repro.config import ProtocolKind
-from repro.harness.ascii_plots import distribution_plot
 from repro.harness.experiments import (
     TRAFFIC_ORDER, BreakdownBar, DirsPerCommitRow, Figure7Result,
-    dirs_percentages, latency_buckets, mean_latency, normalize_traffic,
+    dirs_percentages, mean_latency, normalize_traffic,
     render_bottleneck_ratio, render_commit_latency, render_dirs_per_commit,
     render_distribution, render_execution_time, render_traffic,
 )
@@ -73,9 +72,6 @@ class TestOtherRenderers:
         pooled = Counter([100] * 10 + [900])
         text = render_commit_latency({64: {ProtocolKind.SEQ: pooled}})
         assert "| SEQ | 173 | 153 |" in text  # (1000 + 900) / 11
-        buckets = dict(latency_buckets(pooled, width=50, n_buckets=16))
-        plot = distribution_plot(buckets, unit="")
-        assert "#" in plot and "750" in plot  # 900 lands in the last bucket
 
     def test_latency_empty(self):
         text = render_commit_latency({64: {ProtocolKind.SEQ: Counter()}})
