@@ -44,3 +44,5 @@ def test_backoff_sweep_completes(once, tmp_path):
     points = once(run_study, BACKOFF, tmp_path)
     print("\n" + BACKOFF.render(points))
     assert all(p.total_cycles > 0 for p in points)
+    # group formation fails at 64 cores, so the retry backoff shows
+    assert len({p.total_cycles for p in points}) > 1

@@ -9,7 +9,7 @@ sweep      full experiment matrix (delegates to repro.harness.sweep)
 lint       protocol linter + determinism static analysis (repro.analysis)
 explore    schedule-exploration model checker (repro.analysis.explore)
 trace      instrumented run: Perfetto/JSONL/CSV export + critical path
-bench      micro + macro performance benchmarks (repro.harness.bench)
+bench      micro performance benchmarks (repro.harness.bench)
 chaos      deterministic fault-injection campaigns (repro.faults)
 profile    host-time self-profiler: where the cycles/sec go (repro.obs.profile)
 store      persistent experiment service: result store, campaigns, dashboard
@@ -215,7 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                    "(see python -m repro explore -h)")
     sub.add_parser("trace", help="instrumented run with Perfetto export "
                                  "(see python -m repro trace -h)")
-    sub.add_parser("bench", help="micro + macro performance benchmarks "
+    sub.add_parser("bench", help="micro performance benchmarks "
                                  "(see python -m repro bench -h)")
     sub.add_parser("chaos", help="deterministic fault-injection campaigns "
                                  "(see python -m repro chaos -h)")
@@ -230,6 +230,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             is not ProtocolKind.SCALABLEBULK):
         p_run.error("--oracle checks ScalableBulk group confirmations; "
                     f"protocol {args.protocol!r} has none")
+    if (args.command == "run" and args.metrics_out
+            and not args.metrics_interval):
+        p_run.error("--metrics-out needs --metrics-interval (no snapshot "
+                    "is taken without one)")
     return args.func(args)
 
 

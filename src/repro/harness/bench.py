@@ -1,27 +1,23 @@
-"""Performance benchmark harness: the repo's perf trajectory.
+"""Performance benchmark harness: calibration plus the micro benchmarks.
 
-Every optimization PR needs a number to beat.  This module measures
+This module measures the simulator's hottest primitives in isolation:
+signature insert and intersect (:mod:`repro.signatures`), event-queue
+churn (:mod:`repro.engine.events`) and NoC transit
+(:mod:`repro.network.noc`).  The full-stack benchmark is the paper-scale
+suite under ``benchmarks/perf``, whose results the store ingests as
+``perf`` rows.
 
-* **micro** benchmarks — the simulator's hottest primitives in isolation:
-  signature insert and intersect (:mod:`repro.signatures`), event-queue
-  churn (:mod:`repro.engine.events`) and NoC transit
-  (:mod:`repro.network.noc`);
-* **macro** benchmarks — wall-clock for a fixed (app, cores, protocol)
-  matrix through the full stack, reported as simulated cycles per second.
-  The matrix is a :class:`~repro.store.campaign.CampaignSpec` run by
-  :func:`~repro.store.campaign.run_campaign` as ``bench_macro`` rows.
-
-A pass runs into a result store (``--store``, or a throwaway one) and
-``BENCH_<date>.json`` is the export of the pass's rows.  Raw wall-clock
-numbers are host-specific, so every document and every macro cell also
-records a *calibration* score (a fixed pure-Python busy loop timed on the
-same host just before the measurement); ``repro store check`` divides
-every throughput by it, which cancels raw host speed to first order and
-makes CI's 10% regression gate meaningful across machines.
+A pass writes ``BENCH_<date>.json``; with ``--store`` it is also
+ingested, as ``bench_micro`` rows under a ``bench_meta`` header.  Raw
+wall-clock numbers are host-specific, so every document also records a
+*calibration* score (a fixed pure-Python busy loop timed on the same
+host just before the measurement); ``repro store check`` divides every
+throughput by it, which cancels raw host speed to first order and makes
+CI's 10% regression gate meaningful across machines.
 
 Usage::
 
-    python -m repro bench --quick --jobs 2           # smoke tier
+    python -m repro bench --quick                     # smoke tier
     python -m repro bench --out BENCH_$(date +%F).json
     python -m repro bench --quick --store results.db  # record the pass
     python -m repro bench --validate-file BENCH_2026-08-08.json
@@ -35,24 +31,14 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.store.campaign import QUICK_SPEC, CampaignSpec, run_campaign
 from repro.store.db import ResultStore, StoreError
-from repro.store.ingest import export_bench, ingest_bench
-from repro.store.schema import KIND_BENCH_MACRO
+from repro.store.ingest import ingest_bench
 
 SCHEMA = "repro-bench-v1"
-
-#: The macro tier: all four protocols on each app, no 1-core baseline.
-QUICK_MACRO = replace(QUICK_SPEC, name="bench-quick", baseline1p=False)
-FULL_MACRO = CampaignSpec(name="bench-full",
-                          apps=("Radix", "LU", "Barnes", "Canneal"),
-                          cores=(16,), chunks=2, baseline1p=False)
 
 #: Micro op counts (full / quick).
 MICRO_OPS = {"signature_insert": (200_000, 40_000),
@@ -188,23 +174,11 @@ def run_micro(name: str, quick: bool, repeat: int) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# One pass: micro benches, the macro campaign, the exported document
+# One pass: calibration and the micro benches
 # ----------------------------------------------------------------------
-def collect_bench(store: ResultStore, quick: bool = False, jobs: int = 1,
-                  repeat: int = 3, log=print,
-                  profile: bool = False) -> Dict[str, Any]:
-    """Run one pass into ``store``; return its schema-valid document.
-
-    The micro benches run here, serially, and land as ``bench_micro``
-    rows under a ``bench_meta`` header; the macro tier runs as a
-    campaign of ``bench_macro`` rows, each cell the best of ``repeat``
-    runs (cells already stored at this revision are reused).  The
-    document is :func:`export_bench` of those rows.  ``profile``
-    attaches the host-time self-profiler to every macro cell, which then
-    runs once: each record carries its own attribution report and the
-    document gains an aggregated ``profile`` section (shares sum to
-    100% ± 1).
-    """
+def collect_bench(quick: bool = False, repeat: int = 3,
+                  log=print) -> Dict[str, Any]:
+    """Run one pass; return its schema-valid document."""
     from repro.provenance import git_rev
     log("calibrating host ...")
     calibration = calibrate()
@@ -216,16 +190,7 @@ def collect_bench(store: ResultStore, quick: bool = False, jobs: int = 1,
         micro[name] = run_micro(name, quick, repeat)
         log(f"  micro {name}: {micro[name]['ops_per_sec']:.0f} ops/s "
             f"({micro[name]['ops']} ops)")
-    spec = QUICK_MACRO if quick else FULL_MACRO
-    report = run_campaign(spec, store, jobs=jobs, log=log,
-                          rerun_failed=True, profile=profile,
-                          kind=KIND_BENCH_MACRO,
-                          repeat=1 if profile else repeat)
-    if report.failed:
-        raise StoreError(f"{len(report.failed)} macro cell(s) failed "
-                         f"({', '.join(report.failed)}); their tracebacks "
-                         f"are stored in {store.path}")
-    partial: Dict[str, Any] = {
+    return {
         "schema": SCHEMA,
         "date": datetime.date.today().isoformat(),  # repro: allow SB304
         "git_rev": git_rev(),
@@ -234,25 +199,10 @@ def collect_bench(store: ResultStore, quick: bool = False, jobs: int = 1,
             "platform": platform.platform(),
             "cpus": os.cpu_count() or 1,
         },
-        "config": {"quick": quick, "jobs": jobs,
-                   "repeat": repeat, "profile": profile},
+        "config": {"quick": quick, "repeat": repeat},
         "calibration_ops_per_sec": calibration,
         "micro": micro,
     }
-    meta = ingest_bench(store, partial, source=f"campaign:{spec.name}")[0]
-    doc = export_bench(store, meta.cell_key)
-    from repro.obs.profile import aggregate_profiles, render_share_line
-    for key, rec in sorted(doc["macro"].items()):
-        log(f"  macro {key}: {rec['cycles_per_sec']:.0f} cy/s" + (
-            f", host time: {render_share_line(rec['profile']['shares'])}"
-            if "profile" in rec else ""))
-    if profile:
-        doc["profile"] = aggregate_profiles(
-            [rec["profile"] for rec in doc["macro"].values()
-             if "profile" in rec])
-        log(f"  host-time attribution (all macro runs): "
-            f"{render_share_line(doc['profile']['shares'])}")
-    return doc
 
 
 def validate_bench(doc: Any) -> List[str]:
@@ -283,45 +233,6 @@ def validate_bench(doc: Any) -> List[str]:
             if isinstance(rec.get("ops_per_sec"), (int, float)) \
                     and rec["ops_per_sec"] <= 0:
                 errors.append(f"micro[{name}].ops_per_sec non-positive")
-    macro = doc.get("macro")
-    if not isinstance(macro, dict) or not macro:
-        errors.append("macro section missing or empty")
-    else:
-        for key, rec in macro.items():
-            for field in ("wall_seconds", "total_cycles", "cycles_per_sec",
-                          "app", "protocol", "n_cores"):
-                if field not in (rec or {}):
-                    errors.append(f"macro[{key}].{field} missing")
-            if isinstance(rec, dict) and rec.get("total_cycles", 1) <= 0:
-                errors.append(f"macro[{key}].total_cycles non-positive")
-            if isinstance(rec, dict) and "profile" in rec:
-                errors.extend(f"macro[{key}].profile: {e}"
-                              for e in _validate_profile(rec["profile"]))
-    # Additive (profiled documents only): the aggregated attribution.
-    if "profile" in doc:
-        errors.extend(f"profile: {e}"
-                      for e in _validate_profile(doc["profile"]))
-    return errors
-
-
-def _validate_profile(section: Any) -> List[str]:
-    """Check an embedded host-profiler attribution (shares sum to ~100)."""
-    if not isinstance(section, dict):
-        return ["not an object"]
-    errors: List[str] = []
-    shares = section.get("shares")
-    if not isinstance(shares, dict) or not shares:
-        return ["shares missing or empty"]
-    bad = [k for k, v in shares.items()
-           if not isinstance(v, (int, float)) or v < 0]
-    if bad:
-        errors.append(f"negative or mistyped shares: {bad}")
-    total = sum(v for v in shares.values() if isinstance(v, (int, float)))
-    if abs(total - 100.0) > 1.0:
-        errors.append(f"shares sum to {total:.2f}, expected 100 +- 1")
-    scopes = section.get("scopes")
-    if not isinstance(scopes, dict) or not scopes:
-        errors.append("scopes missing or empty")
     return errors
 
 
@@ -331,34 +242,19 @@ def _validate_profile(section: Any) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="micro + macro performance benchmarks; gate a pass "
+        description="calibration plus the micro benchmarks; gate a pass "
                     "with repro store check (see docs/performance.md)")
     parser.add_argument("--quick", action="store_true",
-                        help="smoke tier: smaller op counts, 2-app macro "
-                             "matrix at 8 cores")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the macro matrix "
-                             "(0 = all cores; clamped to the host's core "
-                             "count); micro benches always run serially "
-                             "for stable timing")
+                        help="smoke tier: smaller op counts")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="best-of-N repetitions of every micro bench "
-                             "and every unprofiled macro cell")
-    parser.add_argument("--profile", action="store_true",
-                        help="attach the host-time self-profiler to every "
-                             "macro run and emit the per-subsystem "
-                             "breakdown next to cycles/sec (timer overhead "
-                             "inflates wall-clocks, so a profiled pass "
-                             "never enters a --store)")
+                        help="best-of-N repetitions of every micro bench")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default BENCH_<date>.json)")
     parser.add_argument("--validate-file", type=Path, metavar="PATH",
                         help="schema-validate an existing document and exit")
     parser.add_argument("--store", type=Path, default=None, metavar="DB",
-                        help="result store the pass runs into (cells "
-                             "stored at this revision are reused; gate "
-                             "with repro store check); default: a "
-                             "throwaway store")
+                        help="also ingest the pass into this result store "
+                             "(gate it with repro store check)")
     args = parser.parse_args(argv)
 
     if args.validate_file:
@@ -369,24 +265,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"INVALID {args.validate_file}: {err}")
             return 1
         print(f"{args.validate_file}: valid {SCHEMA} document "
-              f"({len(doc['micro'])} micro, {len(doc['macro'])} macro)")
+              f"({len(doc['micro'])} micro)")
         return 0
-    if args.profile and args.store is not None:
-        parser.error("a --profile pass never enters a store: its "
-                     "wall-clocks carry timer overhead")
 
-    from repro.harness.parallel import resolve_jobs
-    # More workers than cores would time descheduled waits as simulator
-    # wall-clock, so no stored measurement may come from such a pool.
-    jobs = min(resolve_jobs(args.jobs), os.cpu_count() or 1)
-    try:
-        with tempfile.TemporaryDirectory() as tmp, \
-                ResultStore(args.store or Path(tmp) / "bench.db") as store:
-            doc = collect_bench(store, quick=args.quick, jobs=jobs,
-                                repeat=args.repeat, profile=args.profile)
-    except StoreError as err:
-        print(f"error: {err}")
-        return 1
+    doc = collect_bench(quick=args.quick, repeat=args.repeat)
+    if args.store is not None:
+        try:
+            with ResultStore(args.store) as store:
+                ingest_bench(store, doc, source="repro bench")
+        except StoreError as err:
+            print(f"error: {err}")
+            return 1
     out = args.out or Path(f"BENCH_{doc['date']}.json")
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     errors = validate_bench(doc)
@@ -399,9 +288,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-__all__ = ["FULL_MACRO", "MICRO_BENCHES", "QUICK_MACRO", "SCHEMA",
-           "calibrate", "collect_bench", "main", "run_micro",
-           "validate_bench"]
+__all__ = ["MICRO_BENCHES", "SCHEMA", "calibrate", "collect_bench", "main",
+           "run_micro", "validate_bench"]
 
 
 if __name__ == "__main__":

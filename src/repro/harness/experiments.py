@@ -506,10 +506,12 @@ SIGNATURE_GEOMETRY = Study(
                                                      (2048, 4), (2048, 8)))))
 
 # The retry-backoff sensitivity of group formation under contention.
+# At 16 cores no formation fails, so the backoff never runs; at 64 some
+# do, and each point's total cycles differ.
 BACKOFF = Study(
-    "Group-formation retry backoff (Canneal, 16 cores)",
+    "Group-formation retry backoff (Canneal, 64 cores)",
     ("commit_retry_backoff_cycles",),
-    CampaignSpec(name="backoff", apps=("Canneal",), cores=(16,),
+    CampaignSpec(name="backoff", apps=("Canneal",), cores=(64,),
                  protocols=("ScalableBulk",), chunks=3, baseline1p=False,
                  overrides=tuple({"commit_retry_backoff_cycles": cycles}
                                  for cycles in (10, 30, 100, 300))))

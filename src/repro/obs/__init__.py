@@ -23,7 +23,7 @@ from repro.obs.metrics import (
     validate_metrics_jsonl,
 )
 from repro.obs.profile import (
-    HostProfiler, ProfileReport, aggregate_profiles, make_profiler,
+    HostProfiler, ProfileReport, make_profiler,
 )
 
 __all__ = [
@@ -35,5 +35,5 @@ __all__ = [
     "GaugeSet", "RingSeries",
     "CounterMetric", "FixedHistogram", "MetricsRegistry", "MetricsStream",
     "validate_metrics_jsonl",
-    "HostProfiler", "ProfileReport", "aggregate_profiles", "make_profiler",
+    "HostProfiler", "ProfileReport", "make_profiler",
 ]

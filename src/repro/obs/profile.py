@@ -1,7 +1,7 @@
 """Deterministic host-time self-profiler: where do the cycles/sec go?
 
-The macro benchmark says the simulator runs at ~10-12k simulated cycles
-per host second; this module says *why*.  Lightweight scoped timers sit
+The paper-scale benchmark says how fast the simulator runs; this module
+says *why*.  Lightweight scoped timers sit
 at the hot triangle the ROADMAP's compiled-core item targets —
 
 =====================  ===============================================
@@ -420,38 +420,6 @@ class ProfileReport:
         return doc
 
 
-def aggregate_profiles(docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-run ``ProfileReport.to_json()`` documents into one.
-
-    Counts, totals and wall time add; shares are recomputed against the
-    summed wall so they still sum to 100% ± rounding.
-    """
-    wall = 0
-    scopes: Dict[str, Dict[str, int]] = {}
-    for doc in docs:
-        wall += int(doc.get("wall_ns", 0))
-        for name, rec in doc.get("scopes", {}).items():
-            agg = scopes.setdefault(
-                name, {"count": 0, "total_ns": 0, "self_ns": 0})
-            for key in agg:
-                agg[key] += int(rec.get(key, 0))
-    wall = max(1, wall)
-    shares = {name: 100.0 * rec["self_ns"] / wall
-              for name, rec in sorted(scopes.items())}
-    shares[OTHER] = max(0.0, 100.0 - sum(shares.values()))
-    return {"schema": SCHEMA, "runs": len(docs), "wall_ns": wall,
-            "scopes": scopes, "shares": shares}
-
-
-def render_share_line(shares: Dict[str, float], top: int = 4) -> str:
-    """One-line breakdown, biggest subsystems first (bench output)."""
-    ranked = sorted(((v, k) for k, v in shares.items() if k != OTHER),
-                    reverse=True)
-    parts = [f"{name} {value:.1f}%" for value, name in ranked[:top]]
-    parts.append(f"{OTHER} {shares.get(OTHER, 0.0):.1f}%")
-    return " | ".join(parts)
-
-
 # ----------------------------------------------------------------------
 # Attachment
 # ----------------------------------------------------------------------
@@ -534,6 +502,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.perfetto and not args.metrics_interval:
         parser.error("--perfetto needs --metrics-interval (the snapshots "
                      "become the counter samples)")
+    if args.metrics_out and not args.metrics_interval:
+        parser.error("--metrics-out needs --metrics-interval (no snapshot "
+                     "is taken without one)")
 
     from repro.config import ProtocolKind, SystemConfig
     from repro.harness.runner import run_app
@@ -586,8 +557,7 @@ __all__ = ["CACHE_ACCESS", "CORE_BURST", "CST_CONFLICT", "DIR_HANDLER",
            "ENGINE_DISPATCH", "GC_PAUSE", "HOT_SCOPES", "HostProfiler", "MACHINE_PREWARM",
            "NOC_TRANSIT", "OTHER", "ProfileReport", "SCHEMA", "SIG_INSERT",
            "SIG_INTERSECT", "SIG_MEMBER", "SIG_PROBE", "ScopeStats",
-           "WORKLOAD_GENERATE", "aggregate_profiles", "main", "make_profiler",
-           "render_share_line"]
+           "WORKLOAD_GENERATE", "main", "make_profiler"]
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ durable service around a schema-versioned SQLite database:
   writes (benchmark documents, sweep exports, chaos artifacts, profile
   reports, paper-scale suite results);
 * :mod:`repro.store.campaign` — the one matrix runner behind ``repro
-  sweep``, ``repro bench``'s macro tier and ``repro store campaign``
+  sweep`` and ``repro store campaign``
   (declarative matrix, dedupe by cache key, per-cell transactional
   checkpoints, failures as first-class rows);
 * :mod:`repro.store.query` — cross-revision trends, the one regression

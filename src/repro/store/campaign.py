@@ -20,8 +20,8 @@ This module is the repo's only matrix runner: ``repro sweep`` builds a
 spec from its ``--apps/--cores/--chunks`` and runs it here, and so does
 every caller of :func:`repro.harness.sweep.collect` (the figure suite
 and the sensitivity studies under ``benchmarks/``,
-``examples/paper_figures.py``), ``repro bench`` runs its macro tier here
-as ``bench_macro`` rows, and ``repro store campaign`` runs a spec file.
+``examples/paper_figures.py``), and ``repro store campaign`` runs a spec
+file.  Every row it writes is a ``sweep`` row.
 :func:`expand` is the only place that lists cells — per app and
 overrides point a single-processor ScalableBulk baseline on the largest
 machine, then every (cores, protocol) cell with ``n_partitions`` pinned
@@ -57,9 +57,8 @@ from repro.harness.runner import SimulationRunner
 from repro.obs.bus import InstrumentationBus
 from repro.provenance import config_hash
 from repro.store.db import ResultStore, StoreError
-from repro.store.ingest import bench_macro_metrics, sweep_metrics
-from repro.store.schema import (KIND_BENCH_MACRO, KIND_SWEEP, Record,
-                                STATUS_FAILED, STATUS_OK)
+from repro.store.ingest import sweep_metrics
+from repro.store.schema import KIND_SWEEP, Record, STATUS_FAILED, STATUS_OK
 
 PathLike = Union[str, Path]
 
@@ -210,9 +209,9 @@ def run_one(app: str, n_cores: int, protocol: ProtocolKind,
         "latency_hist": {str(k): v for k, v in
                          stats.commit_latency_hist.items()},
         "wall_seconds": round(wall, 2),
-        # unrounded twin of wall_seconds: the bench harness computes
-        # cycles/sec from this so sub-0.2s runs are not quantized by the
-        # 2-decimal display rounding above
+        # unrounded twin of wall_seconds: sweep_metrics computes
+        # cycles_per_sec from this so sub-0.2s runs are not quantized by
+        # the 2-decimal display rounding above
         "wall_seconds_raw": wall,
     }
     if point:
@@ -309,54 +308,28 @@ def expand(spec: CampaignSpec) -> List[CampaignCell]:
     return cells
 
 
-def _bench_record(cell: CampaignCell, rec: Dict[str, Any],
-                  calibration: float) -> Dict[str, Any]:
-    """A ``run_one`` record -> the benchmark document's macro cell, its
-    cycles/sec from the unrounded wall-clock clamped at 10 ms (the
-    2-decimal display field quantizes sub-0.2s runs by up to ~15%)."""
-    keep = ("app", "protocol", "n_cores", "config_hash", "wall_seconds",
-            "total_cycles", "chunks_committed", "profile")
-    out = {k: rec[k] for k in keep if k in rec}
-    out.update(chunks=cell.chunks, calibration_ops_per_sec=calibration,
-               cycles_per_sec=rec["total_cycles"]
-               / max(rec["wall_seconds_raw"], 0.01))
-    return out
-
-
-def _campaign_worker(task: Tuple[CampaignCell, str, int, bool, bool]
+def _campaign_worker(task: Tuple[CampaignCell, bool, bool]
                      ) -> Dict[str, Any]:
     """Process-pool worker: one cell -> ok record or failure row data.
 
-    ``task`` is ``(cell, row kind, repeat, profile?, critical paths?)``.
-    The fastest of ``repeat`` runs is kept (host noise only ever inflates
-    a wall-clock); a ``bench_macro`` cell times the calibration loop just
-    before them.  Exceptions are *data* here — a failing cell must become
-    a stored failure row, not abort the surviving campaign.
+    ``task`` is ``(cell, profile?, critical paths?)``.  Exceptions are
+    *data* here — a failing cell must become a stored failure row, not
+    abort the surviving campaign.
     """
-    cell, kind, repeat, profile, critical_paths = task
+    cell, profile, critical_paths = task
     try:
-        from repro.harness.bench import calibrate
-        calibration = calibrate() if kind == KIND_BENCH_MACRO else 0.0
-        best: Optional[Dict[str, Any]] = None
-        for _ in range(max(1, repeat)):
-            bus = InstrumentationBus(record_messages=False) \
-                if critical_paths else None
-            record = run_one(cell.app, cell.n_cores,
-                             ProtocolKind(cell.protocol), chunks=cell.chunks,
-                             active_cores=cell.active_cores,
-                             n_partitions=cell.n_partitions, bus=bus,
-                             profile=profile, seed=cell.seed,
-                             overrides=dict(cell.overrides))
-            if bus is not None:
-                from repro.obs.critical_path import analyze_commit_paths
-                record["critical_path"] = analyze_commit_paths(bus).summary()
-            if best is None \
-                    or record["wall_seconds_raw"] < best["wall_seconds_raw"]:
-                best = record
-        assert best is not None
-        if kind == KIND_BENCH_MACRO:
-            best = _bench_record(cell, best, calibration)
-        return {"status": STATUS_OK, "record": best}
+        bus = InstrumentationBus(record_messages=False) \
+            if critical_paths else None
+        record = run_one(cell.app, cell.n_cores,
+                         ProtocolKind(cell.protocol), chunks=cell.chunks,
+                         active_cores=cell.active_cores,
+                         n_partitions=cell.n_partitions, bus=bus,
+                         profile=profile, seed=cell.seed,
+                         overrides=dict(cell.overrides))
+        if bus is not None:
+            from repro.obs.critical_path import analyze_commit_paths
+            record["critical_path"] = analyze_commit_paths(bus).summary()
+        return {"status": STATUS_OK, "record": record}
     except Exception as err:  # noqa: BLE001 - failures are first-class rows
         return {"status": STATUS_FAILED, "error": repr(err),
                 "traceback": traceback_mod.format_exc()}
@@ -382,8 +355,7 @@ class CampaignReport:
 def run_campaign(spec: CampaignSpec, store: ResultStore, *,
                  jobs: int = 1, log=print, rerun_failed: bool = False,
                  ignore_rev: bool = False, profile: bool = False,
-                 critical_paths: bool = False, kind: str = KIND_SWEEP,
-                 repeat: int = 1) -> CampaignReport:
+                 critical_paths: bool = False) -> CampaignReport:
     """Expand, dedupe, fan out, checkpoint — one campaign pass.
 
     Safe to invoke repeatedly: completed cells are never re-run (the
@@ -391,13 +363,7 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
     ``profile`` embeds a host-time attribution report and
     ``critical_paths`` a commit critical-path summary in the record of
     every cell this pass runs; cells already stored keep what they have.
-    ``kind`` is the row kind written: ``sweep`` rows hold the whole
-    ``run_one`` record, ``bench_macro`` rows the benchmark document's
-    macro cell with its own calibration score.  ``repeat`` runs each
-    cell that many times and keeps the fastest.
     """
-    metrics_of = {KIND_SWEEP: sweep_metrics,
-                  KIND_BENCH_MACRO: bench_macro_metrics}[kind]
     from repro.harness.parallel import run_ordered
     from repro.provenance import git_rev as current_rev
 
@@ -410,7 +376,7 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
     for cell in cells:
         hash_ = config_hash(cell.config())
         seed = cell.config().seed
-        status = store.status_of(kind, hash_, seed,
+        status = store.status_of(KIND_SWEEP, hash_, seed,
                                  None if ignore_rev else rev, cell.cell_key)
         if status == STATUS_OK or (status == STATUS_FAILED
                                    and not rerun_failed):
@@ -425,15 +391,14 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
         cell = pending[i]
         config = cell.config()
         common = dict(
-            kind=kind, cell_key=cell.cell_key, seed=config.seed,
-            series=cell.sweep_key if kind == KIND_SWEEP
-            else f"{cell.app}/{cell.n_cores}/{cell.protocol}",
-            git_rev=rev, app=cell.app, protocol=cell.protocol,
-            n_cores=cell.n_cores, source=f"campaign:{spec.name}")
+            kind=KIND_SWEEP, cell_key=cell.cell_key, seed=config.seed,
+            series=cell.sweep_key, git_rev=rev, app=cell.app,
+            protocol=cell.protocol, n_cores=cell.n_cores,
+            source=f"campaign:{spec.name}")
         if result["status"] == STATUS_OK:
             rec = result["record"]
             row = Record(config_hash=str(rec.get("config_hash", "")),
-                         metrics=metrics_of(rec), payload=rec, **common)
+                         metrics=sweep_metrics(rec), payload=rec, **common)
             report.ran.append(cell.cell_key)
             note = f"{rec['total_cycles']} cycles ({rec['wall_seconds']}s)"
         else:
@@ -447,8 +412,7 @@ def run_campaign(spec: CampaignSpec, store: ResultStore, *,
         log(f"[{i + 1}/{len(pending)}] {cell.cell_key}: {note}")
 
     run_ordered(_campaign_worker,
-                [(cell, kind, repeat, profile, critical_paths)
-                 for cell in pending],
+                [(cell, profile, critical_paths) for cell in pending],
                 jobs=jobs, on_result=checkpoint)
     log(report.summary())
     return report

@@ -6,8 +6,8 @@ Subcommands::
     repro store campaign SPEC.json --store results.db # resumable matrix
     repro store campaign --quick --store results.db   # builtin CI matrix
     repro store query --store results.db --kind sweep --app Radix
-    repro store check --store results.db --kind bench_macro \\
-        --metric cycles_per_sec --last 5 --threshold 0.10
+    repro store check --store results.db --kind bench_micro \\
+        --metric ops_per_sec --last 5 --threshold 0.10
     repro store check --store results.db --kind sweep \\
         --metric total_cycles --drift                 # newest two revs
     repro store dashboard --store results.db --out dashboard.html

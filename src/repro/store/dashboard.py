@@ -3,10 +3,10 @@
 :func:`render_dashboard` emits one self-contained HTML file (inline SVG,
 no JavaScript, no external assets) from a result store:
 
-* macro throughput (cycles/sec) per benchmark cell across revisions;
 * micro primitive throughput (ops/sec) across revisions;
 * commit latency and squash rate per sweep cell across revisions;
-* paper-scale suite throughput (chunks/s) per workload across revisions;
+* paper-scale suite throughput (chunks/s) per workload across revisions,
+  the repo's one full-stack performance trend;
 * a failure table (campaign cells stored with ``status='failed'``);
 * links to any Perfetto traces referenced by stored records.
 
@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.store.db import ResultStore
 from repro.store.query import TrendPoint, trends_by_series
-from repro.store.schema import (KIND_BENCH_MACRO, KIND_BENCH_MICRO,
-                                KIND_PERF, KIND_SWEEP, STATUS_FAILED)
+from repro.store.schema import (KIND_BENCH_MICRO, KIND_PERF, KIND_SWEEP,
+                                STATUS_FAILED)
 
 PathLike = Union[str, Path]
 
@@ -244,12 +244,6 @@ def render_dashboard(store: ResultStore,
                             f'<p class="meta">{html.escape(blurb)}</p>'
                             f"{chart}")
 
-    add_chart("Macro throughput", KIND_BENCH_MACRO, "cycles_per_sec",
-              "cycles/sec",
-              "Simulated cycles per host second for each macro benchmark "
-              "cell, per revision. Raw wall-clock numbers: compare "
-              "host-matched revisions, or gate with `repro store check` "
-              "(calibration-normalized).")
     add_chart("Micro primitive throughput", KIND_BENCH_MICRO,
               "ops_per_sec", "ops/sec",
               "The simulator's hottest primitives in isolation "

@@ -3,7 +3,7 @@
 Adapters exist for every artifact the harness already writes:
 
 * ``BENCH_*.json`` (``repro-bench-v1``) — one ``bench_meta`` header row
-  plus one row per micro measurement and per macro cell;
+  plus one row per micro measurement;
 * sweep documents (``results/sweep.json``, the sweep's export) — one
   ``sweep`` row per matrix cell;
 * chaos failure artifacts (``repro chaos --artifacts``) — one ``chaos``
@@ -26,10 +26,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.store.db import ResultStore, StoreError
-from repro.store.schema import (KIND_BENCH_MACRO, KIND_BENCH_META,
-                                KIND_BENCH_MICRO, KIND_CHAOS, KIND_PERF,
-                                KIND_PROFILE, KIND_SWEEP, Record,
-                                STATUS_FAILED, STATUS_OK)
+from repro.store.schema import (KIND_BENCH_META, KIND_BENCH_MICRO,
+                                KIND_CHAOS, KIND_PERF, KIND_PROFILE,
+                                KIND_SWEEP, Record, STATUS_FAILED, STATUS_OK)
 
 PathLike = Union[str, Path]
 
@@ -55,37 +54,19 @@ def _scalars(rec: Dict[str, Any], fields: Sequence[str]) -> Dict[str, Any]:
     return {f: rec[f] for f in fields if isinstance(rec.get(f), (int, float))}
 
 
-def bench_macro_metrics(rec: Dict[str, Any],
-                        calibration: Any = None) -> Dict[str, Any]:
-    """The scalar metrics a macro benchmark cell exposes to the gate.
-
-    ``calibration`` is the document's score, used when the cell carries
-    none of its own (``calibration_ops_per_sec``).
-    """
-    metrics = _scalars(rec, ("cycles_per_sec", "total_cycles",
-                             "wall_seconds", "chunks_committed"))
-    cal = rec.get("calibration_ops_per_sec", calibration)
-    if isinstance(cal, (int, float)):
-        metrics["calibration"] = cal
-    return metrics
-
-
 def ingest_bench(store: ResultStore, doc: Dict[str, Any],
                  source: str = "") -> List[Record]:
-    """One ``repro-bench-v1`` document -> meta + micro + macro rows.
+    """One ``repro-bench-v1`` document -> meta + micro rows.
 
-    Timer-inflated (profiled) cells and cells timed with more workers
-    than cores get their own ``App/N/Proto/profiled`` or
-    ``/oversubscribed`` series, never the gated one.
+    Every key but ``micro`` rides in the header's payload, so a legacy
+    document's ``macro`` section re-exports unchanged.
     """
     rev = doc.get("git_rev") or ""
     cal = doc.get("calibration_ops_per_sec")
     prefix = f"{doc.get('date', '')}.{_doc_id(doc)}"
-    busy = "/oversubscribed" if int(doc.get("config", {}).get("jobs", 1)) \
-        > int(doc.get("host", {}).get("cpus", 1)) else ""
     records: List[Record] = []
 
-    header = {k: v for k, v in doc.items() if k not in ("micro", "macro")}
+    header = {k: v for k, v in doc.items() if k != "micro"}
     records.append(Record(
         kind=KIND_BENCH_META, cell_key=prefix, series="bench_doc",
         git_rev=rev, payload=header, source=source,
@@ -100,17 +81,6 @@ def ingest_bench(store: ResultStore, doc: Dict[str, Any],
             series=name, git_rev=rev, metrics=metrics, payload=rec,
             source=source))
 
-    for key, rec in doc.get("macro", {}).items():
-        records.append(Record(
-            kind=KIND_BENCH_MACRO, cell_key=f"{prefix}/{key}",
-            series=f"{key}/profiled" if "profile" in rec else key + busy,
-            config_hash=str(rec.get("config_hash", "")), git_rev=rev,
-            app=str(rec.get("app", "")),
-            protocol=str(rec.get("protocol", "")),
-            n_cores=int(rec.get("n_cores", 0)),
-            metrics=bench_macro_metrics(rec, cal), payload=rec,
-            source=source))
-
     store.put_many(records)
     return records
 
@@ -121,9 +91,7 @@ def export_bench(store: ResultStore,
 
     ``doc_prefix`` selects the document (the ``date.docid`` cell-key
     prefix of its ``bench_meta`` row); by default the most recently
-    ingested one is exported.  A ``repro bench`` pass stores its macro
-    cells as campaign rows instead: its document's macro section is the
-    ok ``bench_macro`` rows sharing the header's revision and source.
+    ingested one is exported.
     """
     metas = store.query(KIND_BENCH_META)
     if doc_prefix is not None:
@@ -137,13 +105,6 @@ def export_bench(store: ResultStore,
         r.cell_key[len(prefix):]: r.payload
         for r in store.query(KIND_BENCH_MICRO)
         if r.cell_key.startswith(prefix)}
-    doc["macro"] = {
-        r.cell_key[len(prefix):]: r.payload
-        for r in store.query(KIND_BENCH_MACRO)
-        if r.cell_key.startswith(prefix)} or {
-        r.series: r.payload
-        for r in store.query(KIND_BENCH_MACRO, git_rev=meta.git_rev,
-                             source=meta.source, status=STATUS_OK)}
     return doc
 
 
@@ -345,7 +306,7 @@ def ingest_path(store: ResultStore, path: PathLike,
     return kind, len(rows)
 
 
-__all__ = ["bench_macro_metrics", "detect_kind", "export_bench",
+__all__ = ["detect_kind", "export_bench",
            "export_sweep", "ingest_bench", "ingest_chaos_artifact",
            "ingest_path", "ingest_perf", "ingest_profile", "ingest_sweep",
            "sweep_metrics"]

@@ -5,8 +5,8 @@ rows into the two shapes the service consumers need:
 
 * :func:`trend` / :func:`trends_by_series` — a metric's value per
   ``git_rev`` in first-seen revision order, grouped by the stable
-  ``series`` identity (the sweep key, the micro bench name, the macro
-  ``app/cores/protocol`` cell);
+  ``series`` identity (the sweep key, the micro bench name, the
+  paper-scale workload);
 * :func:`check_regressions` — the repo's one regression gate, for *any
   stored metric across the last N revisions*: the latest revision's
   value is compared against the best value the window holds, after

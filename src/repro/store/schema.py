@@ -1,6 +1,6 @@
 """``repro-store-v1``: the persistent result store's record model.
 
-One row per *result cell* — a sweep matrix cell, a micro/macro benchmark
+One row per *result cell* — a sweep matrix cell, a micro benchmark
 measurement, a chaos plan verdict, a profile attribution capture, a
 paper-scale suite workload result, or a benchmark document header.  Every row is keyed by the cache key
 
@@ -19,7 +19,7 @@ reproducibility seed and a per-document cell discriminator, so
 ingested document can be re-exported losslessly; ``metrics`` is a flat
 JSON object of scalar measurements extracted for querying, and
 ``series`` is the stable cross-revision identity of the cell (the sweep
-key, the micro bench name, ``app/cores/protocol`` for macro cells) that
+key, the micro bench name, the paper-scale workload name) that
 trends and the dashboard group by.
 """
 
@@ -35,7 +35,8 @@ SCHEMA = "repro-store-v1"
 #: The record kinds the v1 schema defines.
 KIND_SWEEP = "sweep"              #: one sweep/campaign matrix cell
 KIND_BENCH_MICRO = "bench_micro"  #: one micro benchmark measurement
-KIND_BENCH_MACRO = "bench_macro"  #: one macro benchmark cell
+#: Legacy: nothing writes it, but stores that hold its rows must open.
+KIND_BENCH_MACRO = "bench_macro"
 KIND_BENCH_META = "bench_meta"    #: one BENCH_*.json document header
 KIND_CHAOS = "chaos"              #: one chaos plan verdict / artifact
 KIND_PROFILE = "profile"          #: one host-profiler attribution report

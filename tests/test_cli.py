@@ -81,6 +81,16 @@ class TestExploreCli:
         assert exc.value.code == 2
         assert "ScalableBulk" in capsys.readouterr().err
 
+    def test_run_metrics_out_without_interval_is_usage_error(
+            self, tmp_path, capsys):
+        out = tmp_path / "m.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "LU", "--cores", "4", "--chunks", "1",
+                  "--metrics-out", str(out)])
+        assert exc.value.code == 2
+        assert "--metrics-interval" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_with_oracle_checks_scalablebulk_only(self, capsys):
         assert main(["compare", "Radix", "--cores", "8", "--chunks", "1",
                      "--oracle"]) == 0

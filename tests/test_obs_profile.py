@@ -37,9 +37,8 @@ from repro.obs.profile import (
     SIG_PROBE,
     WORKLOAD_GENERATE,
     HostProfiler,
-    aggregate_profiles,
+    main,
     make_profiler,
-    render_share_line,
 )
 from repro.signatures.bulk_signature import (
     BulkSignature, SignatureFactory, WriteSet,
@@ -183,19 +182,6 @@ class TestReport:
         json.dumps(doc)                  # serializable as-is
         # edges are [parent, child, count, total_ns] rows
         assert [None, ENGINE_DISPATCH, 1, 60] in doc["edges"]
-
-    def test_aggregate_profiles_sums_and_renormalizes(self):
-        doc = self._profiled().report().to_json()
-        merged = aggregate_profiles([doc, doc])
-        assert merged["runs"] == 2
-        assert merged["wall_ns"] == 200
-        assert merged["scopes"][DIR_HANDLER]["count"] == 2
-        assert sum(merged["shares"].values()) == pytest.approx(100.0)
-
-    def test_render_share_line_biggest_first(self):
-        line = render_share_line({"a": 5.0, "b": 40.0, OTHER: 55.0})
-        assert line.index("b 40.0%") < line.index("a 5.0%")
-        assert line.endswith(f"{OTHER} 55.0%")
 
 
 def _machine(protocol=ProtocolKind.SCALABLEBULK):
@@ -416,3 +402,15 @@ class TestGcScope:
         assert children > 0
         assert (stats.count, stats.self_ns) == (50, 50 + children)
         assert sum(prof.report().shares().values()) == pytest.approx(100.0)
+
+
+class TestCli:
+    def test_metrics_out_without_interval_is_usage_error(
+            self, tmp_path, capsys):
+        out = tmp_path / "m.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["Radix", "--cores", "4", "--chunks", "1",
+                  "--metrics-out", str(out)])
+        assert exc.value.code == 2
+        assert "--metrics-interval" in capsys.readouterr().err
+        assert not out.exists()

@@ -13,8 +13,7 @@ import pytest
 from repro.config import ProtocolKind
 from repro.store import campaign
 from repro.store.db import ResultStore, StoreError
-from repro.store.schema import (KIND_BENCH_MACRO, KIND_SWEEP,
-                                STATUS_FAILED, STATUS_OK)
+from repro.store.schema import KIND_SWEEP, STATUS_FAILED, STATUS_OK
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -180,25 +179,6 @@ class TestRunParity:
             second = campaign.run_campaign(spec, store, log=lambda *_: None)
             assert second.ran == []
             assert len(second.skipped) == 1
-
-    def test_bench_rows_time_best_of_repeat(self, tmp_path):
-        spec = campaign.CampaignSpec(name="b", apps=("LU",), cores=(4,),
-                                     protocols=("TCC",), chunks=1,
-                                     baseline1p=False)
-        with ResultStore(tmp_path / "r.db") as store:
-            report = campaign.run_campaign(spec, store, log=lambda *_: None,
-                                           kind=KIND_BENCH_MACRO, repeat=2)
-            assert len(report.ran) == 1
-            assert store.query(KIND_SWEEP) == []
-            row, = store.query(KIND_BENCH_MACRO)
-        direct = campaign.run_one("LU", 4, ProtocolKind.TCC, chunks=1,
-                                  n_partitions=4)
-        assert row.series == "LU/4/TCC"
-        assert row.payload["total_cycles"] == direct["total_cycles"]
-        assert row.payload["chunks"] == 1
-        assert row.metric("calibration") \
-            == row.payload["calibration_ops_per_sec"] > 0
-        assert row.metric("cycles_per_sec") > 0
 
     def test_failed_cell_is_stored_and_not_rerun(self, tmp_path):
         spec = campaign.CampaignSpec(name="s", apps=("NoSuchApp",),

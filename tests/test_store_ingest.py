@@ -7,10 +7,9 @@ import pytest
 
 from repro.store import dashboard, ingest
 from repro.store.db import ResultStore, StoreError
-from repro.store.schema import (KIND_BENCH_MACRO, KIND_BENCH_META,
-                                KIND_BENCH_MICRO, KIND_CHAOS, KIND_PERF,
-                                KIND_PROFILE, KIND_SWEEP, Record,
-                                STATUS_FAILED, STATUS_OK)
+from repro.store.schema import (KIND_BENCH_META, KIND_BENCH_MICRO,
+                                KIND_CHAOS, KIND_PERF, KIND_PROFILE,
+                                KIND_SWEEP, Record, STATUS_FAILED, STATUS_OK)
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH_DOCS = sorted(REPO.glob("BENCH_*.json"))
@@ -50,14 +49,11 @@ class TestBenchRoundTrip:
         doc = json.loads(BENCH_DOCS[-1].read_text())
         ingest.ingest_bench(store, doc, source="x")
         micro = store.query(KIND_BENCH_MICRO)
-        macro = store.query(KIND_BENCH_MACRO)
         assert len(micro) == len(doc["micro"])
-        assert len(macro) == len(doc["macro"])
         cal = doc["calibration_ops_per_sec"]
-        for row in micro + macro:
+        for row in micro:
             assert row.metric("calibration") == pytest.approx(cal)
         assert all(r.metric("ops_per_sec") for r in micro)
-        assert all(r.metric("cycles_per_sec") for r in macro)
         meta = store.query(KIND_BENCH_META)[0]
         assert meta.git_rev == (doc.get("git_rev") or "")
 

@@ -7,8 +7,8 @@ import pytest
 from repro.store import cli as store_cli
 from repro.store import dashboard, query
 from repro.store.db import ResultStore, StoreError
-from repro.store.schema import (KIND_BENCH_MICRO, KIND_SWEEP, Record,
-                                STATUS_FAILED)
+from repro.store.schema import (KIND_BENCH_MACRO, KIND_BENCH_MICRO,
+                                KIND_SWEEP, Record, STATUS_FAILED)
 
 
 @pytest.fixture()
@@ -142,9 +142,9 @@ class TestCheckRegressions:
             ["ingest", str(repo / "BENCH_2026-08-05.json"),
              str(repo / "BENCH_2026-08-08.json"), "--store", db]) == 0
         assert store_cli.main(
-            ["check", "--store", db, "--kind", "bench_macro", "--metric",
-             "cycles_per_secc", "--threshold", "0.10"]) == 2
-        assert "cycles_per_secc" in capsys.readouterr().err
+            ["check", "--store", db, "--kind", "bench_micro", "--metric",
+             "ops_per_secc", "--threshold", "0.10"]) == 2
+        assert "ops_per_secc" in capsys.readouterr().err
 
 
 class TestDashboard:
@@ -205,3 +205,33 @@ class TestDashboard:
         out = tmp_path / "dash.html"
         dashboard.write_dashboard(store, out)
         assert "traces/lu.json" in out.read_text()
+
+
+class TestLegacyRows:
+    def test_store_with_bench_macro_rows_still_opens(self, tmp_path, capsys):
+        """Macro benchmark cells, as ``repro bench --store`` once wrote
+        them: nothing writes the kind now, but such a store must open."""
+        db = tmp_path / "old.db"
+        with ResultStore(db) as store:
+            store.put(Record(
+                kind=KIND_BENCH_MACRO,
+                cell_key="Radix/8/ScalableBulk/8/c1/sdefault",
+                series="Radix/8/ScalableBulk", config_hash="abc",
+                git_rev="9c77522", app="Radix", protocol="ScalableBulk",
+                n_cores=8, source="campaign:bench-quick",
+                metrics={"cycles_per_sec": 50_000.0, "total_cycles": 5000,
+                         "wall_seconds": 0.1, "chunks_committed": 8,
+                         "calibration": 1e7},
+                payload={"app": "Radix", "protocol": "ScalableBulk",
+                         "n_cores": 8, "chunks": 1, "total_cycles": 5000,
+                         "cycles_per_sec": 50_000.0}))
+        assert store_cli.main(["info", "--store", str(db)]) == 0
+        assert "bench_macro" in capsys.readouterr().out
+        assert store_cli.main(["query", "--store", str(db)]) == 0
+        out = capsys.readouterr().out
+        assert "Radix/8/ScalableBulk/8/c1/sdefault" in out
+        assert "1 row(s)" in out
+        html = tmp_path / "dash.html"
+        assert store_cli.main(["dashboard", "--store", str(db),
+                               "--out", str(html)]) == 0
+        assert "bench_macro: 1" in html.read_text()
