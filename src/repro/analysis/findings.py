@@ -90,7 +90,7 @@ RULES: Dict[str, Tuple[str, str]] = {
     # -- pass 5: protocol-flow analysis (repro.analysis.flows) -----------
     "SB601": ("dangling message flow",
               "a message type is sent but no class of the destination role "
-              "dispatches it, or a dispatch branch waits for a type nothing "
+              "dispatches it, or a table entry waits for a type nothing "
               "ever sends — half a conversation, dead on arrival either "
               "way"),
     "SB602": ("spec conformance break",
@@ -103,10 +103,11 @@ RULES: Dict[str, Tuple[str, str]] = {
               "requester role: no chain of handler reactions from the "
               "receiver ever emits one of the spec's declared reply/retry "
               "types toward the sender, so the requester can wait forever"),
-    "SB604": ("non-exhaustive dispatch",
-              "a handler's if/elif chain over the message type has no "
-              "terminal else (raise or delegation): an unexpected type is "
-              "silently dropped instead of failing loudly"),
+    "SB604": ("malformed handler table",
+              "a role's HANDLERS table is not a literal dict of strings, "
+              "keys a type that is no declared MessageType, or names a "
+              "method the class and its bases do not define: the runtime "
+              "could not bind it"),
     # -- pass 3: determinism lint ----------------------------------------
     "SB301": ("unordered iteration reaches scheduler",
               "iterating a set/dict and scheduling events or sending "

@@ -14,12 +14,12 @@ substrate) this package
   (:mod:`specs`); and
 * crosses them into findings (:mod:`rules`): dangling flows, spec
   conformance both directions, conversation-deadlock candidates,
-  non-exhaustive dispatch (SB601–SB604), and handler coverage — dead
+  malformed handler tables (SB601–SB604), and handler coverage — dead
   handlers, silent state mutations, orphan message types (SB002–SB004).
 
 The flows column of the teeth matrix (:mod:`repro.analysis.mutations`)
 pins the seeded protocol bugs (a deleted handler, a dropped reply, an
-undeclared send, a stripped dispatch default, a silent handler, an
+undeclared send, a misspelled table entry, a silent handler, an
 orphan type, …) that prove each rule fires.  Entry point:
 :func:`lint_flows`, run by ``python -m repro lint`` (alone:
 ``--select SB6,SB0``).

@@ -6,32 +6,24 @@ it to the *conversation level*: which role consumes which
 message type, and which ``(sender role, type, receiver role)`` edges the
 code implements.
 
-Two things the race model leaves open are resolved here:
-
-* **Reply destinations.**  A send whose destination is ``msg.src`` (the
-  race model's ``"reply"`` sentinel) goes back to whoever sent the
-  triggering message.  The automaton resolves it through the definite
-  senders of the handler's trigger type: if exactly one role ever sends
-  the trigger, the reply's destination is that role.
-* **Dispatch exhaustiveness** (SB604 input).  The raw if/elif chains are
-  re-scanned for a terminal ``else`` — a ``raise``, or delegation to
-  ``handle_protocol_message`` — so an unexpected message fails loudly
-  instead of being silently dropped.  The negated-guard idiom
-  (``if mtype is not X: raise``) counts as exhaustive.
+One thing the race model leaves open is resolved here: **reply
+destinations**.  A send whose destination is ``msg.src`` (the race
+model's ``"reply"`` sentinel) goes back to whoever sent the triggering
+message.  The automaton resolves it through the definite senders of the
+handler's trigger type: if exactly one role ever sends the trigger, the
+reply's destination is that role.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.flows.specs import MessageDecls, read_message_decls
-from repro.analysis.races.model import (DISPATCH_METHODS, FAMILY_SOURCES,
-                                        SUBSTRATE_SOURCES, ClassStateModel,
-                                        _extract_source, _is_mtype_probe,
-                                        _mtype_names, _read, _role_of_class)
+from repro.analysis.races.model import (FAMILY_SOURCES, SUBSTRATE_SOURCES,
+                                        ClassStateModel, _extract_source,
+                                        _read)
 from repro.network.message import ROLES
 
 
@@ -50,28 +42,11 @@ class FlowSend:
 
 @dataclass(frozen=True)
 class HandlerSite:
-    """Where a (role, type) dispatch branch lives."""
+    """Where the handler of a (role, type) table entry lives."""
 
     qualname: str                #: "Class.method"
     path: str
     line: int
-
-
-@dataclass(frozen=True)
-class DispatchGap:
-    """A dispatch chain with no terminal else (SB604 raw material)."""
-
-    qualname: str                #: "Class.method" of the dispatch function
-    path: str
-    line: int
-
-
-@dataclass
-class ExtractedModule:
-    """One protocol or substrate module, parsed once for every family."""
-
-    classes: List[ClassStateModel]
-    gaps: List[DispatchGap]
 
 
 @dataclass
@@ -86,7 +61,6 @@ class FlowAutomaton:
     #: (receiver role, trigger type) -> reacting sends
     reactions: Dict[Tuple[str, str], List[FlowSend]] = field(
         default_factory=dict)
-    gaps: List[DispatchGap] = field(default_factory=list)
 
     def edges(self) -> Set[Tuple[str, str, str]]:
         """Resolved ``(sender role, type, receiver role)`` edges."""
@@ -95,61 +69,6 @@ class FlowAutomaton:
 
     def unresolved(self) -> List[FlowSend]:
         return [s for s in self.sends if s.dst_role not in ROLES]
-
-
-# ----------------------------------------------------------------------
-# Dispatch exhaustiveness
-# ----------------------------------------------------------------------
-def _non_exhaustive_line(fn: ast.FunctionDef) -> Optional[int]:
-    """Line of a dispatch chain missing its terminal else, else ``None``.
-
-    Exhaustive shapes: a final ``else`` body (raise *or* delegation both
-    count — delegation hands the type to the next dispatcher), and the
-    negated guard ``if mtype is not X: raise`` (the guard is the
-    default).  A function with no type-dispatch chain is exempt.
-    """
-    def is_probe(test: ast.expr) -> bool:
-        return (isinstance(test, ast.Compare) and _is_mtype_probe(test.left)
-                and bool(_mtype_names(test)))
-
-    for stmt in fn.body:
-        if not (isinstance(stmt, ast.If) and is_probe(stmt.test)):
-            continue
-        node = stmt
-        while True:
-            test = node.test
-            if (isinstance(test, ast.Compare)
-                    and isinstance(test.ops[0], (ast.IsNot, ast.NotEq))
-                    and any(isinstance(s, (ast.Raise, ast.Return))
-                            for s in node.body)):
-                return None  # negated guard: the guard is the default
-            orelse = node.orelse
-            if (len(orelse) == 1 and isinstance(orelse[0], ast.If)
-                    and is_probe(orelse[0].test)):
-                node = orelse[0]
-                continue
-            if not orelse:
-                return node.lineno
-            return None  # terminal else present (raise or delegation)
-    return None
-
-
-def _scan_gaps(path_label: str, source: str) -> List[DispatchGap]:
-    gaps: List[DispatchGap] = []
-    for cnode in ast.parse(source).body:
-        if not isinstance(cnode, ast.ClassDef):
-            continue
-        if _role_of_class(cnode) is None:
-            continue
-        for item in cnode.body:
-            if (isinstance(item, ast.FunctionDef)
-                    and item.name in DISPATCH_METHODS):
-                line = _non_exhaustive_line(item)
-                if line is not None:
-                    gaps.append(DispatchGap(
-                        qualname=f"{cnode.name}.{item.name}",
-                        path=path_label, line=line))
-    return gaps
 
 
 # ----------------------------------------------------------------------
@@ -176,15 +95,13 @@ def _resolve_reply(triggers: Tuple[str, ...],
 
 
 def build_automaton(family: str, types: Tuple[str, ...],
-                    classes: List[ClassStateModel],
-                    gaps: Optional[List[DispatchGap]] = None
-                    ) -> FlowAutomaton:
+                    classes: List[ClassStateModel]) -> FlowAutomaton:
     """Reduce extracted class models to the family's flow automaton.
 
     Exposed separately from :func:`extract_flow_automaton` so tests can
     drive it with synthetic toy-protocol classes.
     """
-    auto = FlowAutomaton(family=family, types=types, gaps=list(gaps or ()))
+    auto = FlowAutomaton(family=family, types=types)
     roleful = [c for c in classes if c.role is not None]
 
     for cls in roleful:
@@ -251,31 +168,25 @@ def build_automaton(family: str, types: Tuple[str, ...],
 
 def extract_modules(pkg_dir: Path,
                     source_overrides: Optional[Dict[str, str]] = None
-                    ) -> Dict[str, ExtractedModule]:
-    """Every family and substrate module (package-relative path ->
-    extraction), each parsed once however many families share it."""
-    out: Dict[str, ExtractedModule] = {}
+                    ) -> Dict[str, List[ClassStateModel]]:
+    """Every family and substrate module (package-relative path -> its
+    class models), each parsed once however many families share it."""
+    out: Dict[str, List[ClassStateModel]] = {}
     for rel in [*sum(FAMILY_SOURCES.values(), ()), *SUBSTRATE_SOURCES]:
         source = _read(pkg_dir, rel, source_overrides)
         if source is None or rel in out:
             continue
-        label = "src/repro/" + rel
-        out[rel] = ExtractedModule(_extract_source(label, source),
-                                   _scan_gaps(label, source))
+        out[rel] = _extract_source("src/repro/" + rel, source)
     return out
 
 
-def family_automaton(family: str, modules: Dict[str, ExtractedModule],
+def family_automaton(family: str, modules: Dict[str, List[ClassStateModel]],
                      decls: MessageDecls) -> FlowAutomaton:
     """One family's automaton from already-extracted modules."""
     classes: List[ClassStateModel] = []
-    gaps: List[DispatchGap] = []
     for rel in _family_rels(family):
-        if rel in modules:
-            classes.extend(modules[rel].classes)
-            gaps.extend(modules[rel].gaps)
-    return build_automaton(family, decls.families.get(family, ()), classes,
-                           gaps)
+        classes.extend(modules.get(rel, ()))
+    return build_automaton(family, decls.families.get(family, ()), classes)
 
 
 def extract_flow_automaton(family: str, pkg_dir: Optional[Path] = None,
@@ -294,6 +205,5 @@ def extract_flow_automaton(family: str, pkg_dir: Optional[Path] = None,
                             read_message_decls(pkg_dir, source_overrides))
 
 
-__all__ = ["DispatchGap", "ExtractedModule", "FlowAutomaton", "FlowSend",
-           "HandlerSite", "build_automaton", "extract_flow_automaton",
-           "extract_modules", "family_automaton"]
+__all__ = ["FlowAutomaton", "FlowSend", "HandlerSite", "build_automaton",
+           "extract_flow_automaton", "extract_modules", "family_automaton"]

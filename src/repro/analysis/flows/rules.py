@@ -2,17 +2,19 @@
 
 | code  | finding |
 |-------|---------|
-| SB002 | an ``_on_*`` handler no dispatch table or method references |
+| SB002 | an ``_on_*`` handler no ``HANDLERS`` table or method references |
 | SB003 | a directory/agent handler that mutates state but neither sends
 |       | nor schedules anything |
 | SB004 | a declared message type that never hits the wire, sits in no
 |       | family vocabulary, or breaks its piggy-back declaration |
-| SB601 | a type sent to a role with no dispatch branch for it, or a
-|       | dispatch branch waiting for a type nothing sends |
+| SB601 | a type sent to a role with no table entry for it, or a
+|       | table entry waiting for a type nothing sends |
 | SB602 | code/spec disagreement: an extracted edge the spec does not
 |       | declare, or a declared edge with no implementing send |
 | SB603 | a request with no static reply path back to the requester role |
-| SB604 | a message-type dispatch chain with no terminal else |
+| SB604 | a malformed ``HANDLERS`` table: not a literal, a key that is no
+|       | declared ``MessageType``, or a value naming no method of the
+|       | class or its bases |
 
 Findings use the shared :class:`repro.analysis.findings.Finding` keys, so
 the baseline/pragma machinery applies unchanged.  Piggy-backed types
@@ -28,9 +30,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.flows.automaton import (ExtractedModule, FlowAutomaton,
-                                            FlowSend, extract_modules,
-                                            family_automaton)
+from repro.analysis.flows.automaton import (FlowAutomaton, FlowSend,
+                                            extract_modules, family_automaton)
 from repro.analysis.flows.specs import (MessageDecls, ParsedSpec,
                                         SPEC_SOURCES, SpecError, load_spec,
                                         read_message_decls)
@@ -107,9 +108,9 @@ def _orphan_types(decls: MessageDecls, sent: Set[str]) -> List[Finding]:
     return out
 
 
-def _sent_types(modules: Dict[str, ExtractedModule]) -> Set[str]:
+def _sent_types(modules: Dict[str, List[ClassStateModel]]) -> Set[str]:
     """Every message type any scanned method puts on the wire."""
-    return {mtype for module in modules.values() for cls in module.classes
+    return {mtype for classes in modules.values() for cls in classes
             for summary in cls.methods.values() for site in summary.sends
             for mtype in site.mtypes}
 
@@ -230,15 +231,48 @@ def _reply_paths(auto: FlowAutomaton, parsed: ParsedSpec) -> List[Finding]:
     return out
 
 
-def _dispatch_gaps(auto: FlowAutomaton) -> List[Finding]:
-    """SB604: dispatch chains missing their terminal else."""
-    return [Finding(
-        code="SB604", path=gap.path, line=gap.line,
-        anchor=f"{gap.qualname}:non-exhaustive",
-        message=(f"{gap.qualname} dispatches on the message type but has "
-                 f"no terminal else: an unexpected type is silently "
-                 f"dropped"))
-        for gap in auto.gaps]
+def _table_errors(classes: List[ClassStateModel],
+                  decls: MessageDecls) -> List[Finding]:
+    """SB604: ``HANDLERS`` tables the runtime could not bind.
+
+    A key must name a declared ``MessageType`` and a value a method of
+    the class or of a base the pass extracted; a class with a base it
+    did not extract is only checked for its keys."""
+    by_name = {cls.name: cls for cls in classes}
+
+    def methods_of(name: str) -> Optional[Set[str]]:
+        cls = by_name.get(name)
+        if cls is None:
+            return None if name != "object" else set()
+        out = set(cls.methods)
+        for base in cls.bases:
+            inherited = methods_of(base)
+            if inherited is None:
+                return None
+            out |= inherited
+        return out
+
+    out: List[Finding] = []
+    for cls in classes:
+        anchor = f"{cls.name}.HANDLERS"
+        if cls.table_error:
+            out.append(Finding(
+                code="SB604", path=cls.path, line=cls.table_line,
+                anchor=anchor, message=f"{anchor} {cls.table_error}"))
+        methods = methods_of(cls.name)
+        for mtype, method in sorted(cls.dispatch.items()):
+            if mtype not in decls.types:
+                problem = f"{mtype} is not a declared MessageType"
+            elif methods is not None and method not in methods:
+                problem = (f"{method} is not a method of {cls.name} or "
+                           f"its bases")
+            else:
+                continue
+            out.append(Finding(
+                code="SB604", path=cls.path, line=cls.table_line,
+                anchor=f"{anchor}:{mtype}",
+                message=f"{anchor} maps {mtype} to {method}, but {problem}"))
+    return out
 
 
 def lint_flows(pkg_dir: Optional[Path] = None,
@@ -266,15 +300,16 @@ def lint_flows(pkg_dir: Optional[Path] = None,
 
     # SB002/SB003 judge protocol code only, not the shared substrate
     for rel in sorted(set(sum(FAMILY_SOURCES.values(), ())) & set(modules)):
-        for cls in modules[rel].classes:
+        for cls in modules[rel]:
             add(_dead_handlers(cls))
             add(_silent_mutations(cls))
     add(_orphan_types(decls, _sent_types(modules)))
+    add(_table_errors([cls for classes in modules.values()
+                       for cls in classes], decls))
 
     for family in SPEC_SOURCES:
         auto = family_automaton(family, modules, decls)
         add(_dangling(auto, exempt))
-        add(_dispatch_gaps(auto))
         try:
             parsed = load_spec(family, pkg_dir, source_overrides)
         except SpecError as exc:

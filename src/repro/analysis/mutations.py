@@ -9,10 +9,11 @@ same doctored text:
 * ``explore`` and ``chaos`` run it through :meth:`Mutation.apply`, which
   compiles the doctored file into a fresh module object (real filename,
   never entered in ``sys.modules``) and binds every method whose AST
-  differs onto the built machine's instances of that class.  The classes
-  themselves stay the real ones, so every ``isinstance`` check of the
-  checkers (invariant monitor, oracle, watchdog, fault injectors) still
-  holds.
+  differs onto the built machine's instances of that class, then rebinds
+  those instances' dispatch tables (the doctored ``HANDLERS`` where the
+  transform edits one).  The classes themselves stay the real ones, so
+  every ``isinstance`` check of the checkers (invariant monitor, oracle,
+  watchdog, fault injectors) still holds.
 
 ``caught`` pins the mutation's row of the teeth matrix, pass -> what
 catches it.  For ``flows``/``races``: exactly the finding keys the
@@ -28,12 +29,15 @@ on; it is ``None`` when the bug changes nothing a machine runs.
 from __future__ import annotations
 
 import ast
+import importlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from types import MethodType, ModuleType
 from typing import (Any, Callable, Dict, FrozenSet, Optional, Sequence, Set,
                     Tuple)
+
+from repro.network.message import bind_handlers, handler_names
 
 #: the matrix's columns
 PASSES = ("flows", "races", "explore", "chaos")
@@ -67,21 +71,26 @@ class Mutation:
 
     def apply(self, machine: Any) -> None:
         """Bind every method the transform changes onto ``machine``'s
-        instances of its class.
+        instances of its class, and rebuild the dispatch table of every
+        instance that holds a changed method or whose class's
+        ``HANDLERS`` the transform edits: the table bound the real
+        methods at build time.
 
         Raises ``ValueError`` when that would not mutate the run: the
-        transform changes no method of any object the machine built, or
-        a changed method already ran or was captured at build time (a
-        network handler, ``__init__``)."""
-        module, changed = _doctor(self.rel_path, self.transform)
+        transform changes no method or table of any object the machine
+        built, or a changed method already ran or was captured at build
+        time (a network handler, ``__init__``)."""
+        module, changed, tables = _doctor(self.rel_path, self.transform)
         handlers = {(id(h.__self__), h.__name__)
                     for h in machine.network._handlers.values()
                     if hasattr(h, "__self__")}
         bound = 0
         for obj in _built_objects(machine):
+            rebind = False
             for cls in type(obj).__mro__:
                 if cls.__module__ != module.__name__:
                     continue
+                rebind |= cls.__qualname__ in tables
                 for method in changed.get(cls.__qualname__, ()):
                     owner = next(c for c in type(obj).__mro__
                                  if c is cls or method in vars(c))
@@ -97,17 +106,28 @@ class Mutation:
                             raw.__func__ if isinstance(raw, staticmethod)
                             else MethodType(raw, obj))
                     bound += 1
+                    rebind = True
+            if rebind and hasattr(obj, "_table"):
+                doctored = {cls: tables[cls.__qualname__]
+                            for cls in type(obj).__mro__
+                            if cls.__module__ == module.__name__
+                            and cls.__qualname__ in tables}
+                obj._table = bind_handlers(
+                    obj, handler_names(type(obj), doctored))
+                bound += 1
         if not bound:
             raise ValueError(
-                f"{self.name} changes no method of any object a "
-                f"{machine.config.protocol.value} machine builds")
+                f"{self.name} changes no method or handler table of any "
+                f"object a {machine.config.protocol.value} machine builds")
 
 
 @lru_cache(maxsize=None)
 def _doctor(rel_path: str, transform: Callable[[str], str]
-            ) -> Tuple[ModuleType, Dict[str, FrozenSet[str]]]:
+            ) -> Tuple[ModuleType, Dict[str, FrozenSet[str]],
+                       Dict[str, Dict[str, str]]]:
     """(fresh module compiled from the doctored file, class -> names of
-    the methods whose AST the transform changed)."""
+    the methods whose AST the transform changed, class -> its doctored
+    ``HANDLERS`` where the transform changed that table)."""
     path = _PKG / rel_path
     original = path.read_text()
     source = transform(original)
@@ -119,7 +139,14 @@ def _doctor(rel_path: str, transform: Callable[[str], str]
     for (cls, method), dump in _methods(source).items():
         if before.get((cls, method)) != dump:
             changed.setdefault(cls, set()).add(method)
-    return module, {cls: frozenset(names) for cls, names in changed.items()}
+    real = importlib.import_module(module.__name__)
+    tables = {name: vars(cls).get("HANDLERS", {})
+              for name, cls in vars(module).items()
+              if isinstance(cls, type) and cls.__module__ == module.__name__
+              and vars(cls).get("HANDLERS")
+              != vars(getattr(real, name, object)).get("HANDLERS")}
+    return (module, {cls: frozenset(names) for cls, names in changed.items()},
+            tables)
 
 
 def _methods(source: str) -> Dict[Tuple[str, str], str]:
@@ -165,11 +192,7 @@ def _keys(rel_path: str, *findings: str) -> Tuple[str, ...]:
 
 
 _SILENT_DIRECTORY = """class SilentDirectory:
-    def handle_protocol_message(self, msg: Message) -> None:
-        if msg.mtype is MessageType.COMMIT_DONE:
-            self._on_commit_done(msg)
-        else:
-            raise NotImplementedError(msg.mtype)
+    HANDLERS = {"COMMIT_DONE": "_on_commit_done"}
 
     def _on_commit_done(self, msg):
         self.cst.pop(msg.ctag, None)
@@ -261,8 +284,7 @@ MUTATIONS: Dict[str, Mutation] = {m.name: m for m in (
     Mutation(
         "delete-handler",
         "directory stops dispatching G_SUCCESS",
-        _SB_DIR, _edit(("        elif mtype is MessageType.G_SUCCESS:\n"
-                        "            self._on_g_success(msg)\n", "")),
+        _SB_DIR, _edit(('        "G_SUCCESS": "_on_g_success",\n', "")),
         "cross3",
         {"flows": _keys(_SB_DIR, "SB002 ScalableBulkDirectory._on_g_success",
                         "SB601 scalablebulk/G_SUCCESS:never-handled"),
@@ -270,8 +292,7 @@ MUTATIONS: Dict[str, Mutation] = {m.name: m for m in (
     Mutation(
         "orphan-handler",
         "directory stops dispatching G_FAILURE",
-        _SB_DIR, _edit(("        elif mtype is MessageType.G_FAILURE:\n"
-                        "            self._on_g_failure(msg)\n", "")),
+        _SB_DIR, _edit(('        "G_FAILURE": "_on_g_failure",\n', "")),
         "cross3",
         {"flows": _keys(_SB_DIR, "SB002 ScalableBulkDirectory._on_g_failure",
                         "SB601 scalablebulk/G_FAILURE:never-handled"),
@@ -296,15 +317,16 @@ MUTATIONS: Dict[str, Mutation] = {m.name: m for m in (
                         "SB602 scalablebulk/dir-G_SUCCESS->core:undeclared"),
          "explore": ("SB403", "SB405"), "chaos": ("SB403", "SB405")}),
     Mutation(
-        "strip-dispatch-default",
-        "directory dispatch loses its terminal raise",
-        _SB_DIR, _edit((
-            "        else:\n"
-            "            raise NotImplementedError("
-            "f\"unexpected {mtype} at directory\")\n", "")),
-        "cross3",
-        {"flows": _keys(_SB_DIR, "SB604 ScalableBulkDirectory."
-                                 "handle_protocol_message:non-exhaustive")}),
+        "misspelled-handler",
+        "a directory HANDLERS entry names a method that does not exist; "
+        "no machine can be built with it (binding the table raises)",
+        _SB_DIR, _edit(('"BULK_INV_NACK": "_on_bulk_inv_nack"',
+                        '"BULK_INV_NACK": "_on_bulk_inv_nak"')),
+        None,
+        {"flows": _keys(_SB_DIR, "SB002 ScalableBulkDirectory."
+                                 "_on_bulk_inv_nack",
+                        "SB604 ScalableBulkDirectory.HANDLERS:"
+                        "BULK_INV_NACK")}),
     # -- message declarations ------------------------------------------
     Mutation(
         "ghost-type",

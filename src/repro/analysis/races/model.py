@@ -1,9 +1,10 @@
 """The static protocol model: the one AST extraction of protocol source.
 
 Every static pass that reasons about messages reads the protocol modules
-through this module: it recovers each class's message dispatch table
-(the hand-written ``if mtype is MessageType.X`` chains) and, for every
-handler, computes the *effective* footprint of the handler:
+through this module: it reads each class's message dispatch table (the
+``HANDLERS`` literal the runtime binds, see
+:func:`repro.network.message.bind_handlers`) and, for every handler,
+computes the *effective* footprint of the handler:
 
 * the per-module state attributes it **reads** and **writes** (``self.X``
   loads, stores, ``del``, augmented assignment, and mutator-method calls
@@ -38,7 +39,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: protocol family -> module files (relative to the ``repro`` package).
 FAMILY_SOURCES: Dict[str, Tuple[str, ...]] = {
@@ -61,12 +62,7 @@ MESSAGE_DECLS = "network/message.py"
 #: the substrate module whose handlers guard shared line state
 SUBSTRATE_MODULE = "memory/directory.py"
 
-#: Methods whose if/elif chains over ``msg.mtype`` are dispatch tables.
-#: ``_dispatch`` holds the chain when ``handle_message`` only delegates to
-#: it (the per-instance seam host-time attribution wraps).
-DISPATCH_METHODS = ("handle_message", "handle_protocol_message", "_dispatch")
-
-_SEND_METHODS = {"unicast", "multicast", "broadcast"}
+_SEND_METHODS = {"unicast", "multicast", "broadcast", "post"}
 _SCHED_METHODS = {"schedule", "schedule_at"}
 _ADDITIVE_METHODS = {"add", "append", "appendleft", "update", "setdefault",
                      "extend", "insert"}
@@ -160,12 +156,18 @@ class ClassStateModel:
     role: Optional[str]
     path: str                    #: repo-relative source path
     line: int
+    bases: Tuple[str, ...] = ()  #: base class names, as written
+    #: line of the ``HANDLERS`` declaration (0: none), and why it is not
+    #: a ``{"TYPE": "method"}`` literal ("" when it is)
+    table_line: int = 0
+    table_error: str = ""
     attrs: Set[str] = field(default_factory=set)       #: tracked state attrs
     counters: Set[str] = field(default_factory=set)    #: commutative counters
     #: attrs initialized empty (None / empty container): they owe a release
     releasable: Set[str] = field(default_factory=set)
     methods: Dict[str, MethodSummary] = field(default_factory=dict)
-    dispatch: Dict[str, str] = field(default_factory=dict)  #: mtype -> method
+    #: mtype -> method: the class's own ``HANDLERS`` (bases not merged)
+    dispatch: Dict[str, str] = field(default_factory=dict)
     handlers: Dict[str, HandlerModel] = field(default_factory=dict)
     #: methods transitively reachable from any handler
     reachable: Set[str] = field(default_factory=set)
@@ -222,58 +224,24 @@ def _mtype_names(expr: ast.AST) -> List[str]:
     return out
 
 
-def _is_mtype_probe(expr: ast.AST) -> bool:
-    """Does ``expr`` read ``msg.mtype`` or a local named ``mtype``?"""
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Attribute) and node.attr == "mtype":
-            return True
-        if isinstance(node, ast.Name) and node.id == "mtype":
-            return True
-    return False
-
-
-def _handler_target(body: Sequence[ast.stmt]) -> Optional[str]:
-    """The ``self._on_x(msg)`` callee a dispatch branch delegates to."""
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"):
-                return node.func.attr
-    return None
-
-
-def _extract_dispatch(fn: ast.FunctionDef, into: Dict[str, str]) -> None:
-    """Parse an if/elif dispatch chain over the message type.
-
-    Handles ``is`` / ``==`` / ``in (tuple)`` comparisons, and the negated
-    guard idiom ``if mtype is not MessageType.X: raise`` (the rest of the
-    function then handles X).
-    """
-    def visit_if(node: ast.If) -> None:
-        test = node.test
-        if isinstance(test, ast.Compare) and _is_mtype_probe(test.left):
-            op = test.ops[0]
-            names = _mtype_names(test)
-            if isinstance(op, (ast.Is, ast.Eq, ast.In)) and names:
-                target = _handler_target(node.body) or fn.name
-                for name in names:
-                    into.setdefault(name, target)
-            elif isinstance(op, (ast.IsNot, ast.NotEq)) and names:
-                # negated guard: the *function* handles these types
-                raises = any(isinstance(s, (ast.Raise, ast.Return))
-                             for s in node.body)
-                if raises:
-                    for name in names:
-                        into.setdefault(name, fn.name)
-        for stmt in node.orelse:
-            if isinstance(stmt, ast.If):
-                visit_if(stmt)
-
-    for stmt in fn.body:
-        if isinstance(stmt, ast.If):
-            visit_if(stmt)
+def _read_table(cls: "ClassStateModel", node: ast.stmt) -> None:
+    """Fill ``cls``'s dispatch table from a ``HANDLERS = {...}``
+    statement of its body (anything else is ignored)."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == "HANDLERS"):
+        return
+    cls.table_line = node.lineno
+    try:
+        table = ast.literal_eval(node.value)
+    except ValueError:
+        table = None
+    if not (isinstance(table, dict)
+            and all(isinstance(k, str) and isinstance(v, str)
+                    for k, v in table.items())):
+        cls.table_error = "is not a literal dict of strings"
+        return
+    cls.dispatch = table
 
 
 def _resolve_mtype_arg(arg: ast.AST, fn: Optional[ast.FunctionDef]
@@ -413,6 +381,15 @@ def _scan_method(fn: ast.FunctionDef) -> MethodSummary:
             note_alias(node.target, node.iter)
         elif isinstance(node, ast.Call):
             func = node.func
+            bound = node.args[0] if node.args else None
+            if (isinstance(func, ast.Name) and func.id == "partial"
+                    and isinstance(bound, ast.Attribute)
+                    and isinstance(bound.value, ast.Name)
+                    and bound.value.id == "self"):
+                # partial(self._helper, ...) is a deferred helper call
+                s.calls.append(CallSite(
+                    callee=bound.attr, line=node.lineno,
+                    arg_roots=tuple(_name_of(a) for a in node.args[1:])))
             if not isinstance(func, ast.Attribute):
                 continue
             base = func.value
@@ -563,14 +540,14 @@ def _closure(cls: "ClassStateModel", entry: str) -> HandlerModel:
 
 def _extract_class(cnode: ast.ClassDef, path: str) -> ClassStateModel:
     cls = ClassStateModel(name=cnode.name, role=_role_of_class(cnode),
-                          path=path, line=cnode.lineno)
+                          path=path, line=cnode.lineno,
+                          bases=tuple(ast.unparse(b) for b in cnode.bases))
     counter_only: Dict[str, bool] = {}
     for item in cnode.body:
+        _read_table(cls, item)
         if not isinstance(item, ast.FunctionDef):
             continue
         cls.methods[item.name] = _scan_method(item)
-        if item.name in DISPATCH_METHODS:
-            _extract_dispatch(item, cls.dispatch)
         for node in ast.walk(item):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
@@ -670,7 +647,7 @@ def extract_all_models(pkg_dir: Optional[Path] = None,
             for family in FAMILY_SOURCES}
 
 
-__all__ = ["CallSite", "ClassStateModel", "DISPATCH_METHODS", "FAMILY_SOURCES",
-           "HandlerModel", "MESSAGE_DECLS", "MethodSummary", "SendSite",
-           "StateModel", "SUBSTRATE_MODULE", "SUBSTRATE_SOURCES",
-           "extract_all_models", "extract_state_model"]
+__all__ = ["CallSite", "ClassStateModel", "FAMILY_SOURCES", "HandlerModel",
+           "MESSAGE_DECLS", "MethodSummary", "SendSite", "StateModel",
+           "SUBSTRATE_MODULE", "SUBSTRATE_SOURCES", "extract_all_models",
+           "extract_state_model"]

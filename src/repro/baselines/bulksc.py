@@ -18,6 +18,7 @@ centre links of the torus.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
 from repro.config import ProtocolKind, SystemConfig
@@ -25,7 +26,7 @@ from repro.cpu.chunk import Chunk, ChunkState
 from repro.cpu.core import Core
 from repro.memory.directory import DirectoryModule
 from repro.network.message import (
-    Message, MessageType, arbiter_node, core_node, dir_node,
+    Message, MessageType, arbiter_node, bind_handlers, core_node, dir_node,
 )
 from repro.obs.bus import NULL_BUS, NullBus
 from repro.protocols.base import Protocol, ProcessorEngine
@@ -59,6 +60,11 @@ def _in_flight_scan_key(entry: _InFlight):
 class BulkSCArbiter:
     """The central commit arbiter: a single FIFO service point."""
 
+    HANDLERS = {
+        "BSC_COMMIT_REQ": "_enqueue_request",
+        "BSC_DIR_DONE": "_on_dir_done",
+    }
+
     def __init__(self, protocol: "BulkSCProtocol") -> None:
         self.protocol = protocol
         self.config = protocol.config
@@ -72,14 +78,10 @@ class BulkSCArbiter:
         self.requests = 0
         self.nacks = 0
         self.obs: NullBus = NULL_BUS  #: instrumentation sink (repro.obs)
+        self._table = bind_handlers(self)
 
     def handle_message(self, msg: Message) -> None:
-        if msg.mtype is MessageType.BSC_COMMIT_REQ:
-            self._enqueue_request(msg)
-        elif msg.mtype is MessageType.BSC_DIR_DONE:
-            self._on_dir_done(msg)
-        else:
-            raise NotImplementedError(f"arbiter cannot handle {msg.mtype}")
+        self._table[msg.mtype.index](msg)
 
     def _enqueue_request(self, msg: Message) -> None:
         """Serial service: each decision costs base + per-in-flight check."""
@@ -160,6 +162,12 @@ class BulkSCArbiter:
 class BulkSCDirectory(DirectoryModule):
     """Directory role under BulkSC: apply granted W sets, invalidate sharers."""
 
+    HANDLERS = {
+        "BSC_W_TO_DIR": "_on_w",
+        "BULK_INV_ACK": "_on_ack",
+        "BULK_INV_NACK": "_on_inv_nack",
+    }
+
     def __init__(self, dir_id: int, config: SystemConfig, sim, network,
                  protocol) -> None:
         super().__init__(dir_id, config, sim, network)
@@ -170,16 +178,6 @@ class BulkSCDirectory(DirectoryModule):
     def read_blocked(self, line_addr: int) -> bool:
         return any(st["w_sig"].contains(line_addr)
                    for st in self.applying.values())
-
-    def handle_protocol_message(self, msg: Message) -> None:
-        if msg.mtype is MessageType.BSC_W_TO_DIR:
-            self._on_w(msg)
-        elif msg.mtype is MessageType.BULK_INV_ACK:
-            self._on_ack(msg)
-        elif msg.mtype is MessageType.BULK_INV_NACK:
-            self._on_inv_nack(msg)
-        else:
-            raise NotImplementedError(f"unexpected {msg.mtype} at BulkSC dir")
 
     def _on_w(self, msg: Message) -> None:
         cid = msg.ctag
@@ -223,15 +221,14 @@ class BulkSCDirectory(DirectoryModule):
         state["nack_retries"] = state.get("nack_retries", 0) + 1
         base = self.config.nack_retry_backoff_cycles
         jitter = (state["nack_retries"] * 11 + self.dir_id * 5) % (2 * base)
-        self.sim.schedule(base + jitter,
-                          lambda: self._resend(msg.ctag, proc))
+        self.sim.schedule(base + jitter, partial(self._resend, msg.ctag, proc))
 
     def _resend(self, cid, proc: int) -> None:
         state = self.applying.get(cid)
         if state is None:
             return
-        self.network.unicast(MessageType.BULK_INV, self.node,
-                             core_node(proc), ctag=cid, **state["payload"])
+        self.network.post(MessageType.BULK_INV, self.node, core_node(proc),
+                          cid, state["payload"])
 
     def _done(self, cid) -> None:
         if self.applying.pop(cid, None) is None:
@@ -243,6 +240,12 @@ class BulkSCDirectory(DirectoryModule):
 
 class BulkSCEngine(ProcessorEngine):
     """Processor side of BulkSC."""
+
+    HANDLERS = {
+        "BSC_OK": "_on_ok",
+        "BSC_NACK": "_on_nack",
+        "BULK_INV": "_on_bulk_inv",
+    }
 
     def __init__(self, protocol, core: Core) -> None:
         super().__init__(protocol, core)
@@ -263,16 +266,6 @@ class BulkSCEngine(ProcessorEngine):
             w_sig=chunk.w_sig, dirs=tuple(sorted(chunk.dirs)),
             write_lines=chunk.frozen_write_set(),
         )
-
-    def handle_protocol_message(self, msg: Message) -> None:
-        if msg.mtype is MessageType.BSC_OK:
-            self._on_ok(msg)
-        elif msg.mtype is MessageType.BSC_NACK:
-            self._on_nack(msg)
-        elif msg.mtype is MessageType.BULK_INV:
-            self._on_bulk_inv(msg)
-        else:
-            raise NotImplementedError(f"unexpected {msg.mtype} at BulkSC proc")
 
     def _on_ok(self, msg: Message) -> None:
         if msg.ctag != self._current_cid:
@@ -300,7 +293,7 @@ class BulkSCEngine(ProcessorEngine):
 
     def _on_bulk_inv(self, msg: Message) -> None:
         leader = msg.payload["leader"]
-        if self.awaiting_outcome:
+        if self._current_cid is not None:    # awaiting_outcome, inlined
             # Conservative: nack everything while our request is pending.
             self.network.unicast(
                 MessageType.BULK_INV_NACK, self.node, dir_node(leader),

@@ -32,6 +32,13 @@ from repro.protocols.spec import ProtocolSpec
 class SeqDirectory(DirectoryModule):
     """Directory under SEQ: a single-occupant lock with a FIFO queue."""
 
+    HANDLERS = {
+        "SEQ_OCCUPY": "_on_occupy",
+        "SEQ_COMMIT": "_on_commit",
+        "SEQ_INV_ACK": "_on_inv_ack",
+        "SEQ_RELEASE": "_on_release",
+    }
+
     def __init__(self, dir_id: int, config: SystemConfig, sim, network,
                  protocol) -> None:
         super().__init__(dir_id, config, sim, network)
@@ -51,19 +58,6 @@ class SeqDirectory(DirectoryModule):
         return {cid for cid, _proc in self.queue}
 
     # ------------------------------------------------------------------
-    def handle_protocol_message(self, msg: Message) -> None:
-        mtype = msg.mtype
-        if mtype is MessageType.SEQ_OCCUPY:
-            self._on_occupy(msg)
-        elif mtype is MessageType.SEQ_COMMIT:
-            self._on_commit(msg)
-        elif mtype is MessageType.SEQ_INV_ACK:
-            self._on_inv_ack(msg)
-        elif mtype is MessageType.SEQ_RELEASE:
-            self._on_release(msg)
-        else:
-            raise NotImplementedError(f"unexpected {mtype} at SEQ dir")
-
     def _on_occupy(self, msg: Message) -> None:
         cid = msg.ctag
         proc = msg.payload["proc"]
@@ -156,6 +150,12 @@ class SeqDirectory(DirectoryModule):
 class SeqEngine(ProcessorEngine):
     """Processor side of SEQ-PRO: sequential occupation, then commit."""
 
+    HANDLERS = {
+        "SEQ_GRANT": "_on_grant",
+        "SEQ_DONE": "_on_done",
+        "SEQ_INV": "_on_inv",
+    }
+
     def __init__(self, protocol, core: Core) -> None:
         super().__init__(protocol, core)
         self._current_cid = None
@@ -180,17 +180,6 @@ class SeqEngine(ProcessorEngine):
         nxt = self._order[len(self._granted)]
         self.network.unicast(MessageType.SEQ_OCCUPY, self.node, dir_node(nxt),
                              ctag=self._current_cid, proc=self.core.core_id)
-
-    def handle_protocol_message(self, msg: Message) -> None:
-        mtype = msg.mtype
-        if mtype is MessageType.SEQ_GRANT:
-            self._on_grant(msg)
-        elif mtype is MessageType.SEQ_DONE:
-            self._on_done(msg)
-        elif mtype is MessageType.SEQ_INV:
-            self._on_inv(msg)
-        else:
-            raise NotImplementedError(f"unexpected {mtype} at SEQ proc")
 
     def _on_grant(self, msg: Message) -> None:
         if msg.ctag != self._current_cid:

@@ -33,7 +33,7 @@ from repro.cpu.chunk import Chunk, ChunkState
 from repro.cpu.core import Core
 from repro.memory.directory import DirectoryModule
 from repro.network.message import (
-    Message, MessageType, arbiter_node, core_node, dir_node,
+    Message, MessageType, arbiter_node, bind_handlers, core_node, dir_node,
 )
 from repro.protocols.base import Protocol, ProcessorEngine
 from repro.protocols.spec import ProtocolSpec
@@ -41,6 +41,8 @@ from repro.protocols.spec import ProtocolSpec
 
 class TidVendor:
     """The centralized TID agent: a serial FIFO counter service."""
+
+    HANDLERS = {"TID_REQ": "_on_tid_req"}
 
     def __init__(self, protocol: "ScalableTCCProtocol") -> None:
         self.protocol = protocol
@@ -53,10 +55,12 @@ class TidVendor:
         self._next_tid = 1
         self._busy_until = 0
         self.grants = 0
+        self._table = bind_handlers(self)
 
     def handle_message(self, msg: Message) -> None:
-        if msg.mtype is not MessageType.TID_REQ:
-            raise NotImplementedError(f"TID vendor cannot handle {msg.mtype}")
+        self._table[msg.mtype.index](msg)
+
+    def _on_tid_req(self, msg: Message) -> None:
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + self.config.tid_vendor_service_cycles
         proc = msg.payload["proc"]
@@ -74,6 +78,14 @@ class TidVendor:
 
 class TCCDirectory(DirectoryModule):
     """Directory under Scalable TCC: strict in-TID-order commit service."""
+
+    HANDLERS = {
+        "TCC_PROBE": "_on_probe",
+        "TCC_SKIP": "_on_skip",
+        "TCC_MARK": "_on_mark",
+        "TCC_INV_ACK": "_on_inv_ack",
+        "TCC_COMMIT_DONE": "_on_abort",
+    }
 
     def __init__(self, dir_id: int, config: SystemConfig, sim, network,
                  protocol) -> None:
@@ -105,25 +117,6 @@ class TCCDirectory(DirectoryModule):
         return out
 
     # ------------------------------------------------------------------
-    def handle_protocol_message(self, msg: Message) -> None:
-        mtype = msg.mtype
-        if mtype is MessageType.TCC_PROBE:
-            self._on_probe(msg)
-        elif mtype is MessageType.TCC_SKIP:
-            self._on_skip(msg)
-        elif mtype is MessageType.TCC_MARK:
-            self.marks.setdefault(msg.ctag, []).append(msg.payload["line"])
-            if (self._waiting_for_marks is not None
-                    and self._waiting_for_marks["cid"] == msg.ctag):
-                self.busy_with = None
-                self._begin_service(self._waiting_for_marks)
-        elif mtype is MessageType.TCC_INV_ACK:
-            self._on_inv_ack(msg)
-        elif mtype is MessageType.TCC_COMMIT_DONE:
-            self._on_abort(msg)
-        else:
-            raise NotImplementedError(f"unexpected {mtype} at TCC dir")
-
     def _on_probe(self, msg: Message) -> None:
         tid = msg.payload["tid"]
         if tid in self._aborted_tids:
@@ -140,6 +133,13 @@ class TCCDirectory(DirectoryModule):
     def _on_skip(self, msg: Message) -> None:
         self.pending[msg.payload["tid"]] = ("skip", None)
         self._advance()
+
+    def _on_mark(self, msg: Message) -> None:
+        self.marks.setdefault(msg.ctag, []).append(msg.payload["line"])
+        if (self._waiting_for_marks is not None
+                and self._waiting_for_marks["cid"] == msg.ctag):
+            self.busy_with = None
+            self._begin_service(self._waiting_for_marks)
 
     def _on_abort(self, msg: Message) -> None:
         """The processor aborted: treat its TID as a skip if still pending."""
@@ -244,6 +244,12 @@ class TCCDirectory(DirectoryModule):
 class TCCEngine(ProcessorEngine):
     """Processor side of Scalable TCC."""
 
+    HANDLERS = {
+        "TID_GRANT": "_on_grant",
+        "TCC_DIR_DONE": "_on_dir_done",
+        "TCC_INV": "_on_inv",
+    }
+
     def __init__(self, protocol, core: Core) -> None:
         super().__init__(protocol, core)
         self._current_cid = None
@@ -265,17 +271,6 @@ class TCCEngine(ProcessorEngine):
         self.network.unicast(MessageType.TID_REQ, self.node,
                              self.protocol.vendor.node, ctag=cid,
                              proc=self.core.core_id)
-
-    def handle_protocol_message(self, msg: Message) -> None:
-        mtype = msg.mtype
-        if mtype is MessageType.TID_GRANT:
-            self._on_grant(msg)
-        elif mtype is MessageType.TCC_DIR_DONE:
-            self._on_dir_done(msg)
-        elif mtype is MessageType.TCC_INV:
-            self._on_inv(msg)
-        else:
-            raise NotImplementedError(f"unexpected {mtype} at TCC proc")
 
     def _on_grant(self, msg: Message) -> None:
         if msg.ctag != self._current_cid:

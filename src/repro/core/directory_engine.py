@@ -53,6 +53,16 @@ def _cst_scan_key(entry: CstEntry) -> Tuple[int, int, int, int]:
 class ScalableBulkDirectory(DirectoryModule):
     """One ScalableBulk directory module (Figure 6)."""
 
+    HANDLERS = {
+        "COMMIT_REQUEST": "_on_commit_request",
+        "G": "_on_g",
+        "G_SUCCESS": "_on_g_success",
+        "G_FAILURE": "_on_g_failure",
+        "BULK_INV_ACK": "_on_bulk_inv_ack",
+        "BULK_INV_NACK": "_on_bulk_inv_nack",
+        "COMMIT_DONE": "_on_commit_done",
+    }
+
     def __init__(self, dir_id: int, config: SystemConfig, sim: Simulator,
                  network: Network, protocol) -> None:
         super().__init__(dir_id, config, sim, network)
@@ -75,28 +85,6 @@ class ScalableBulkDirectory(DirectoryModule):
             if entry.got_request and entry.w_sig.contains(line_addr):
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-    def handle_protocol_message(self, msg: Message) -> None:
-        mtype = msg.mtype
-        if mtype is MessageType.COMMIT_REQUEST:
-            self._on_commit_request(msg)
-        elif mtype is MessageType.G:
-            self._on_g(msg)
-        elif mtype is MessageType.G_SUCCESS:
-            self._on_g_success(msg)
-        elif mtype is MessageType.G_FAILURE:
-            self._on_g_failure(msg)
-        elif mtype is MessageType.BULK_INV_ACK:
-            self._on_bulk_inv_ack(msg)
-        elif mtype is MessageType.BULK_INV_NACK:
-            self._on_bulk_inv_nack(msg)
-        elif mtype is MessageType.COMMIT_DONE:
-            self._on_commit_done(msg)
-        else:
-            raise NotImplementedError(f"unexpected {mtype} at directory")
 
     # ------------------------------------------------------------------
     # commit_request: (R, W, g_vec) arrives from the processor

@@ -34,6 +34,12 @@ from repro.protocols.base import ProcessorEngine
 class ScalableBulkEngine(ProcessorEngine):
     """Processor-side half of the ScalableBulk protocol."""
 
+    HANDLERS = {
+        "COMMIT_SUCCESS": "_on_commit_success",
+        "COMMIT_FAILURE": "_on_commit_failure",
+        "BULK_INV": "_on_bulk_inv",
+    }
+
     def __init__(self, protocol, core) -> None:
         super().__init__(protocol, core)
         self._current_cid: Optional[CommitId] = None
@@ -70,17 +76,6 @@ class ScalableBulkEngine(ProcessorEngine):
     # ------------------------------------------------------------------
     # Protocol messages
     # ------------------------------------------------------------------
-    def handle_protocol_message(self, msg: Message) -> None:
-        mtype = msg.mtype
-        if mtype is MessageType.COMMIT_SUCCESS:
-            self._on_commit_success(msg)
-        elif mtype is MessageType.COMMIT_FAILURE:
-            self._on_commit_failure(msg)
-        elif mtype is MessageType.BULK_INV:
-            self._on_bulk_inv(msg)
-        else:
-            raise NotImplementedError(f"unexpected {mtype} at processor")
-
     def _on_commit_success(self, msg: Message) -> None:
         if msg.ctag != self._current_cid:
             return  # stale (e.g. success raced a recall-squash)

@@ -14,7 +14,8 @@ and a cancelled event keeps its entry until the entry reaches the top.
 
 from __future__ import annotations
 
-import heapq
+import sys
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Tuple
 
 from repro.obs.bus import NULL_BUS, NullBus
@@ -106,7 +107,7 @@ class Simulator:
         ev = Event(time, seq, callback, tag, self)
         self._seq = seq + 1
         self._live_events += 1
-        heapq.heappush(self._heap, (time, seq, ev))
+        heappush(self._heap, (time, seq, ev))
         return ev
 
     # ------------------------------------------------------------------
@@ -115,7 +116,7 @@ class Simulator:
     def step(self) -> bool:
         """Run the next pending event.  Returns False when the queue is empty."""
         while self._heap:
-            ev = heapq.heappop(self._heap)[2]
+            ev = heappop(self._heap)[2]
             if not ev.cancelled:
                 self.fire(ev)
                 return True
@@ -139,7 +140,8 @@ class Simulator:
 
         ``until`` stops the clock once the next event would fire after that
         cycle; ``max_events`` bounds total work (guards against protocol
-        livelock bugs in tests).
+        livelock bugs in tests): the run raises right after its
+        ``max_events``-th event.
 
         When ``until`` is given the clock always advances to ``until`` —
         including when the queue is empty or drains before that cycle — so
@@ -147,50 +149,43 @@ class Simulator:
         anything was scheduled in the window.  An ``until`` already in the
         past leaves the clock where it is: it never moves backwards.
 
-        Dispatch is *batched*: all live events due at the current cycle are
-        drained in one inner loop (one heap pop + one callback each)
-        instead of re-entering :meth:`step`'s peek/pop dance per event.
-        New events a callback schedules for the same cycle always carry a
-        higher ``seq``, so they sort after the in-flight batch and the
-        total (time, seq) execution order is identical to stepwise.  An
-        attached bus's ``sim_step`` fires after each pop, so it sees the
-        same heap length :meth:`step` would.
+        One pop per event in ``(time, seq)`` order, exactly as under
+        :meth:`step`: a callback that raises leaves the rest queued, a
+        cancelled event is skipped when popped, and a bus's ``sim_step``
+        sees the heap length :meth:`step` would.  The executed-event count
+        is published when the loop exits, however it exits.
         """
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
+        obs = self.obs
+        stop = sys.maxsize if until is None else until   # later than any event
+        limit = -1 if max_events is None else max(1, max_events)
         processed = 0
-        while heap:
-            t, _, head = heap[0]
-            if head.cancelled:
-                pop(heap)
-                continue
-            if until is not None and t > until:
-                self.now = max(self.now, until)
-                return
-            # Drain the whole cycle.  Events are popped one at a
-            # time (not batch-collected), so a callback that raises leaves
-            # the rest of the cycle queued exactly as step() would, and a
-            # callback that cancels a later same-cycle event is honoured by
-            # the per-event cancelled check.
-            self.now = t
-            while heap and heap[0][0] == t:
-                ev = pop(heap)[2]
+        try:
+            while heap:
+                entry = pop(heap)
+                ev = entry[2]
                 if ev.cancelled:
                     continue
+                time = entry[0]
+                if time > stop:
+                    heappush(heap, entry)
+                    break
+                self.now = time
                 self._live_events -= 1
                 # An executed event is no longer live: flagging it here
                 # makes a late cancel() a no-op (see fire()).
                 ev.cancelled = True
-                if self.obs.enabled:
-                    self.obs.sim_step(t, len(heap))
+                if obs.enabled:
+                    obs.sim_step(time, len(heap))
                 ev.callback()
-                self._events_processed += 1
                 processed += 1
-                if max_events is not None and processed >= max_events:
+                if processed == limit:
                     raise RuntimeError(
                         f"simulation exceeded max_events={max_events} at "
-                        f"cycle {self.now}; possible livelock"
-                    )
+                        f"cycle {time}; possible livelock")
+        finally:
+            self._events_processed += processed
         if until is not None and until > self.now:
             self.now = until
 

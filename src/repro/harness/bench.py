@@ -40,11 +40,13 @@ from repro.store.ingest import ingest_bench
 
 SCHEMA = "repro-bench-v1"
 
-#: Micro op counts (full / quick).
-MICRO_OPS = {"signature_insert": (200_000, 40_000),
-             "signature_intersect": (200_000, 40_000),
-             "event_queue_churn": (200_000, 40_000),
-             "noc_transit": (60_000, 12_000)}
+#: Micro op counts (full / quick).  A quick run takes ~50-200 ms on a
+#: 2-CPU x86-64 host, long enough that best-of-3 is not decided by
+#: sub-second host noise (docs/performance.md has the measured spread).
+MICRO_OPS = {"signature_insert": (1_000_000, 200_000),
+             "signature_intersect": (800_000, 160_000),
+             "event_queue_churn": (800_000, 160_000),
+             "noc_transit": (240_000, 48_000)}
 
 
 # ----------------------------------------------------------------------
@@ -180,16 +182,25 @@ def collect_bench(quick: bool = False, repeat: int = 3,
                   log=print) -> Dict[str, Any]:
     """Run one pass; return its schema-valid document."""
     from repro.provenance import git_rev
-    log("calibrating host ...")
-    calibration = calibrate()
+    log("calibrating host and running the micro benches ...")
+    # Best-of-N in the quick tier too, taken in rounds: each round
+    # calibrates, then runs every bench once.  A shared host has slow
+    # phases of a second or more (a fresh process's first second often
+    # is one); in rounds such a phase costs each bench and the
+    # calibration one sample, not all of them, and the gate needs the
+    # stable maximum of both.
+    calibration = 0.0
     micro: Dict[str, Any] = {}
-    for name in MICRO_BENCHES:
-        # best-of-N in the quick tier too: a single noisy shot can swing
-        # a quick micro by 30% on a busy host, which is far beyond the CI
-        # regression threshold — the gate needs the stable minimum.
-        micro[name] = run_micro(name, quick, repeat)
-        log(f"  micro {name}: {micro[name]['ops_per_sec']:.0f} ops/s "
-            f"({micro[name]['ops']} ops)")
+    for _ in range(max(1, repeat)):
+        calibration = max(calibration, calibrate())
+        for name in MICRO_BENCHES:
+            result = run_micro(name, quick, 1)
+            if name not in micro or result["seconds"] < micro[name]["seconds"]:
+                micro[name] = result
+    for name, result in micro.items():
+        result["best_of"] = max(1, repeat)
+        log(f"  micro {name}: {result['ops_per_sec']:.0f} ops/s "
+            f"({result['ops']} ops)")
     return {
         "schema": SCHEMA,
         "date": datetime.date.today().isoformat(),  # repro: allow SB304

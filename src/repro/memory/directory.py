@@ -42,7 +42,8 @@ from typing import Dict, Iterable, Optional, Set, Union
 
 from repro.config import SystemConfig
 from repro.engine.events import Simulator
-from repro.network.message import Message, MessageType, NodeRef, core_node, dir_node
+from repro.network.message import (Message, MessageType, NodeRef,
+                                   bind_handlers, core_node, dir_node)
 from repro.network.noc import Network
 from repro.obs.bus import NULL_BUS, NullBus
 
@@ -69,6 +70,10 @@ def _expanded(state: int) -> LineInfo:
 class DirectoryModule:
     """Base directory module: sharer tracking + read-miss service."""
 
+    #: message type -> handler (see ``bind_handlers``); each protocol's
+    #: directory adds its own commit types
+    HANDLERS = {"READ_REQ": "_handle_read", "WRITEBACK": "_handle_writeback"}
+
     def __init__(self, dir_id: int, config: SystemConfig, sim: Simulator,
                  network: Network) -> None:
         self.dir_id = dir_id
@@ -84,6 +89,7 @@ class DirectoryModule:
         self.read_nacks = 0
         self.memory_fetches = 0
         self.cache_to_cache = 0
+        self._table = bind_handlers(self)
 
     # ------------------------------------------------------------------
     # Protocol hooks (overridden by protocol directory engines)
@@ -91,12 +97,6 @@ class DirectoryModule:
     def read_blocked(self, line_addr: int) -> bool:
         """True if an in-flight commit locks this line (Section 3.1)."""
         return False
-
-    def handle_protocol_message(self, msg: Message) -> None:
-        """Protocol-specific messages; the base class knows none."""
-        raise NotImplementedError(
-            f"directory {self.dir_id} cannot handle {msg.mtype}"
-        )
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -107,12 +107,7 @@ class DirectoryModule:
         self._dispatch(msg)
 
     def _dispatch(self, msg: Message) -> None:
-        if msg.mtype is MessageType.READ_REQ:
-            self._handle_read(msg)
-        elif msg.mtype is MessageType.WRITEBACK:
-            self._handle_writeback(msg)
-        else:
-            self.handle_protocol_message(msg)
+        self._table[msg.mtype.index](msg)
 
     # ------------------------------------------------------------------
     # Read-miss service

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 
 class TrafficClass(Enum):
@@ -265,6 +266,55 @@ class Message:
                 f"ctag={self.ctag})")
 
 
+#: A bound message handler, as a role's dispatch table holds it.
+Handler = Callable[[Message], None]
+
+
+def handler_names(cls: type, replaced: Optional[Dict[type, Dict[str, str]]]
+                  = None) -> Dict[str, str]:
+    """The ``HANDLERS`` literals of ``cls`` and its bases, merged base
+    first: message type name -> handler method name.
+
+    Every protocol role (processor engine, directory module, central
+    agent) declares the types it receives as a class-level ``HANDLERS``
+    dict of plain strings.  A subclass adds to (or overrides) its bases'
+    entries.  The static flow pass reads the same literals without
+    importing anything (SB604 checks they are well formed).
+    ``replaced`` maps a class to a table read in place of its own (a
+    seeded mutation's doctored table)."""
+    names: Dict[str, str] = {}
+    for klass in reversed(cls.__mro__):
+        if replaced and klass in replaced:
+            names.update(replaced[klass])
+        else:
+            names.update(vars(klass).get("HANDLERS", {}))
+    return names
+
+
+def bind_handlers(endpoint: Any,
+                  names: Optional[Dict[str, str]] = None) -> List[Handler]:
+    """``endpoint``'s dispatch table: one bound method per
+    ``MessageType.index``, so a delivery costs one list lookup.
+
+    ``names`` defaults to :func:`handler_names` of the endpoint's class.
+    A type with no entry dispatches to the shared unknown-type error.
+    Methods are bound now: rebinding one on the instance later (a seeded
+    mutation) needs a fresh table."""
+    if names is None:
+        names = handler_names(type(endpoint))
+    table: List[Handler] = [partial(
+        _unhandled, f"{type(endpoint).__name__} at {endpoint.node}")
+    ] * len(MessageType)
+    for mtype, method in names.items():
+        table[MessageType[mtype].index] = getattr(endpoint, method)
+    return table
+
+
+def _unhandled(role: str, msg: Message) -> None:
+    """Every role's answer to a message type it declares no handler for."""
+    raise NotImplementedError(f"{role} cannot handle {msg.mtype}")
+
+
 SCALABLEBULK_TABLE1_TYPES = (
     MessageType.COMMIT_REQUEST, MessageType.G, MessageType.G_FAILURE,
     MessageType.G_SUCCESS, MessageType.COMMIT_FAILURE,
@@ -330,6 +380,7 @@ FAMILY_TYPES: Dict[str, Tuple[MessageType, ...]] = {
 __all__ = [
     "FAMILY_TYPES",
     "HEADER_BYTES",
+    "Handler",
     "LINE_BYTES",
     "Message",
     "MessageType",
@@ -340,8 +391,10 @@ __all__ = [
     "SIGNATURE_BYTES",
     "TrafficClass",
     "arbiter_node",
+    "bind_handlers",
     "core_node",
     "default_size_bytes",
     "dir_node",
+    "handler_names",
     "traffic_class_of",
 ]

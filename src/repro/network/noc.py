@@ -20,16 +20,14 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.engine.events import Simulator
-from repro.network.message import (ROLES, Message, MessageType, NodeRef,
-                                   TrafficClass)
+from repro.network.message import (ROLES, Handler, Message, MessageType,
+                                   NodeRef, TrafficClass)
 from repro.network.topology import Torus2D
 from repro.obs.bus import NULL_BUS, NullBus
-
-Handler = Callable[[Message], None]
 
 #: Exploration/fault hook: given (message, model latency) return extra
 #: delay cycles (>= 0) to add before delivery.  See repro.analysis.explore
@@ -61,15 +59,14 @@ class TrafficStats:
     """Per-type message and byte counters, plus latency accounting.
 
     ``record`` bumps two lists indexed by ``MessageType.index``; the
-    per-type and per-class ``Counter`` views are derived from them on
-    read and hold only the keys seen so far.
+    message and byte totals and the per-type and per-class ``Counter``
+    views are derived from them on read (the views hold only the keys
+    seen so far).
     """
 
     def __init__(self) -> None:
         self._type_messages = [0] * len(MessageType)
         self._type_bytes = [0] * len(MessageType)
-        self.total_messages = 0
-        self.total_bytes = 0
         self.total_latency = 0
         self.total_hops = 0
 
@@ -77,10 +74,16 @@ class TrafficStats:
         index = msg.mtype.index
         self._type_messages[index] += 1
         self._type_bytes[index] += msg.size_bytes
-        self.total_messages += 1
-        self.total_bytes += msg.size_bytes
         self.total_latency += latency
         self.total_hops += hops
+
+    @property
+    def total_messages(self) -> int:
+        return sum(self._type_messages)
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(self._type_bytes)
 
     @property
     def messages_by_type(self) -> Counter:
@@ -120,34 +123,29 @@ class Network:
         rows, cols = config.mesh_shape
         self.topology = Torus2D(rows, cols)
         self._handlers: Dict[NodeRef, Handler] = {}
-        #: node -> tile, filled on a node's first lookup
-        self._tiles: Dict[NodeRef, int] = {}
         self.stats = TrafficStats()
         self.contention = config.network_contention
         #: Exploration hook: perturbs delivery latency (None = the exact
         #: deterministic latency model).
         self.delay_hook: Optional[DelayHook] = None
-        #: Per-(src, dst) flow: cycle of the latest delivery scheduled so
-        #: far.  Real links never reorder packets between the same pair of
-        #: endpoints, and the grab circulation (Section 3.2) depends on
-        #: that: ``send`` clamps every delivery to this time so a later
-        #: small message cannot overtake an earlier large one on its flow.
-        self._last_delivery: Dict[Tuple[NodeRef, NodeRef], int] = {}
+        #: (src, dst) -> the flow's record, built on its first send:
+        #: ``[last delivery cycle, route link indices, uncontended hop
+        #: latency, hop count, same tile]``.  Routes are static under
+        #: dimension-order routing, so one record answers every per-message
+        #: question but the handler, which stays in ``_handlers`` (an
+        #: observer may swap it after build).  The last delivery is the
+        #: per-flow FIFO clamp: real links never reorder packets between the
+        #: same pair of endpoints, and the grab circulation (Section 3.2)
+        #: depends on that, so ``_send`` holds every delivery to it and a
+        #: later small message cannot overtake an earlier large one.
+        self._flows: Dict[Tuple[NodeRef, NodeRef], list] = {}
         self._hop_cost = config.link_latency_cycles + config.router_latency_cycles
         self._link_width = config.link_width_bytes
-        #: message size -> serialization cycles (link_width is fixed per
-        #: network, so ceil-div per message is a table lookup)
-        self._ser_cache: Dict[int, int] = {}
         #: links are interned to dense ints the first time a route touches
         #: them: the contention walk then indexes a flat list instead of
         #: hashing (from_tile, to_tile) tuples per hop.
         self._link_index: Dict[tuple, int] = {}
         self._link_free: list = []   #: link index -> earliest-free cycle
-        #: (src_tile, dst_tile) -> (link indices, uncontended hop latency,
-        #: hop count); routes are static under dimension-order routing, so
-        #: they are computed once instead of re-allocated per message.
-        self._route_cache: Dict[Tuple[int, int],
-                                Tuple[Tuple[int, ...], int, int]] = {}
         #: Instrumentation sink (repro.obs); null bus = zero overhead.
         self.obs: NullBus = NULL_BUS
 
@@ -166,12 +164,9 @@ class Network:
         Cores and directories are co-located index-to-tile; central agents
         live at the tile recorded in their index.
         """
-        tile = self._tiles.get(node)
-        if tile is None:
-            if node.kind not in ROLES:
-                raise ValueError(f"unknown node kind {node.kind}")
-            tile = self._tiles[node] = node.index % self.topology.n_tiles
-        return tile
+        if node.kind not in ROLES:
+            raise ValueError(f"unknown node kind {node.kind}")
+        return node.index % self.topology.n_tiles
 
     # ------------------------------------------------------------------
     # Sending
@@ -179,9 +174,10 @@ class Network:
     def send(self, msg: Message) -> int:
         """Inject ``msg`` now; returns the delivery latency in cycles."""
         # The handler check comes before *any* mutation (sent_at stamp,
-        # link bookkeeping, FIFO clamp, stats) and before ``_send``, the
-        # seam host-time attribution wraps: an unregistered destination
-        # raises with the network exactly as it was and no scope opened.
+        # flow record, link bookkeeping, FIFO clamp, stats) and before
+        # ``_send``, the seam host-time attribution wraps: an unregistered
+        # destination raises with the network exactly as it was and no
+        # scope opened.
         handler = self._handlers.get(msg.dst)
         if handler is None:
             raise KeyError(f"no handler registered for destination {msg.dst}")
@@ -189,7 +185,30 @@ class Network:
 
     def _send(self, msg: Message, handler: Handler) -> int:
         now = msg.sent_at = self.sim.now
-        latency, hops = self._transit_time(msg)
+        flow = self._flows.get((msg.src, msg.dst))
+        if flow is None:
+            flow = self._open_flow(msg.src, msg.dst)
+        last, route, hop_latency, hops, same_tile = flow
+        size = msg.size_bytes
+        if same_tile:
+            latency = 1
+        else:
+            # the packet serializes once onto the network
+            serialization = -(-size // self._link_width)
+            if self.contention:
+                hop_cost = self._hop_cost
+                time = now
+                link_free = self._link_free
+                for li in route:
+                    depart = link_free[li]
+                    if depart < time:
+                        depart = time
+                    link_free[li] = depart + serialization
+                    time = depart + hop_cost
+                # tail flits drain on the final link
+                latency = time + serialization - now
+            else:
+                latency = serialization + hop_latency
         if self.delay_hook is not None:
             latency += max(0, int(self.delay_hook(msg, latency)))
         # No same-pair reordering, ever: point-to-point channels are
@@ -197,11 +216,18 @@ class Network:
         # earlier one on its (src, dst) flow.  Without contention a small
         # message computes a shorter transit than a large one in flight
         # on the same flow; the clamp is what keeps the channel FIFO.
-        flow = (msg.src, msg.dst)
-        deliver_at = max(now + latency, self._last_delivery.get(flow, 0))
-        self._last_delivery[flow] = deliver_at
+        deliver_at = now + latency
+        if deliver_at < last:
+            deliver_at = last
+        flow[0] = deliver_at
         latency = deliver_at - now
-        self.stats.record(msg, latency, hops)
+        # TrafficStats.record, inlined
+        stats = self.stats
+        index = msg.mtype.index
+        stats._type_messages[index] += 1
+        stats._type_bytes[index] += size
+        stats.total_latency += latency
+        stats.total_hops += hops
         # The delivery event is tagged with the message itself (schedule
         # exploration reads its flow from it).  ``schedule_at`` is looked
         # up per call: a host profiler replaces it on the instance.
@@ -220,59 +246,26 @@ class Network:
             self.sim.schedule_at(deliver_at, partial(handler, msg), tag=msg)
         return latency
 
-    def _transit_time(self, msg: Message) -> tuple:
-        tiles = self._tiles
-        src_tile = tiles.get(msg.src)
-        if src_tile is None:
-            src_tile = self.tile_of(msg.src)
-        dst_tile = tiles.get(msg.dst)
-        if dst_tile is None:
-            dst_tile = self.tile_of(msg.dst)
+    def _open_flow(self, src: NodeRef, dst: NodeRef) -> list:
+        """Build, intern and store the (src, dst) flow record."""
+        src_tile, dst_tile = self.tile_of(src), self.tile_of(dst)
         if src_tile == dst_tile:
-            return 1, 0
-
-        size = msg.size_bytes
-        serialization = self._ser_cache.get(size)
-        if serialization is None:
-            serialization = max(1, -(-size // self._link_width))
-            self._ser_cache[size] = serialization
-        cached = self._route_cache.get((src_tile, dst_tile))
-        if cached is None:
-            cached = self._intern_route(src_tile, dst_tile)
-        route, route_hop_latency, n_hops = cached
-
-        if not self.contention:
-            return serialization + route_hop_latency, n_hops
-
-        hop_cost = self._hop_cost
-        now = self.sim.now
-        time = now
-        link_free = self._link_free
-        for li in route:
-            depart = link_free[li]
-            if depart < time:
-                depart = time
-            link_free[li] = depart + serialization
-            time = depart + hop_cost
-        time += serialization  # tail flits drain on the final link
-        return time - now, n_hops
-
-    def _intern_route(self, src_tile: int,
-                      dst_tile: int) -> Tuple[Tuple[int, ...], int, int]:
-        """Compute, intern and cache the (src, dst) dimension-order route."""
-        links = tuple(self.topology.route(src_tile, dst_tile))
-        index = self._link_index
-        free = self._link_free
-        idxs = []
-        for link in links:
-            li = index.get(link)
-            if li is None:
-                li = index[link] = len(free)
-                free.append(0)
-            idxs.append(li)
-        cached = (tuple(idxs), self._hop_cost * len(links), len(links))
-        self._route_cache[(src_tile, dst_tile)] = cached
-        return cached
+            # same-tile delivery costs one cycle and uses no links
+            flow = [0, (), 0, 0, True]
+        else:
+            index = self._link_index
+            free = self._link_free
+            route = []
+            for link in self.topology.route(src_tile, dst_tile):
+                li = index.get(link)
+                if li is None:
+                    li = index[link] = len(free)
+                    free.append(0)
+                route.append(li)
+            flow = [0, tuple(route), self._hop_cost * len(route), len(route),
+                    False]
+        self._flows[(src, dst)] = flow
+        return flow
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -280,6 +273,14 @@ class Network:
     def unicast(self, mtype: MessageType, src: NodeRef, dst: NodeRef,
                 ctag=None, **payload) -> Message:
         """Build and send a single message."""
+        msg = Message(mtype, src, dst, ctag, payload)
+        self.send(msg)
+        return msg
+
+    def post(self, mtype: MessageType, src: NodeRef, dst: NodeRef, ctag,
+             payload: Dict[str, Any]) -> Message:
+        """Build and send a message carrying ``payload`` itself, not a
+        copy: for a resend of a stored payload, which no handler mutates."""
         msg = Message(mtype, src, dst, ctag, payload)
         self.send(msg)
         return msg

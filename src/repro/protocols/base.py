@@ -22,7 +22,8 @@ from repro.cpu.core import Core
 from repro.engine.events import Simulator
 from repro.memory.directory import DirectoryModule
 from repro.memory.page_map import PageMapper
-from repro.network.message import Message, MessageType, core_node
+from repro.network.message import (Message, MessageType, bind_handlers,
+                                   core_node)
 from repro.network.noc import Network
 from repro.obs.bus import NULL_BUS, NullBus
 from repro.signatures.bulk_signature import SignatureFactory
@@ -75,6 +76,17 @@ class Protocol:
 class ProcessorEngine:
     """Per-core protocol endpoint: owns the core's commit conversation."""
 
+    #: message type -> handler (see ``bind_handlers``): the substrate
+    #: replies every protocol's processor receives.  Each protocol's
+    #: engine adds its own commit types.
+    HANDLERS = {
+        "DATA_FROM_MEM": "_on_data",
+        "DATA_FROM_SHARER": "_on_data",
+        "DATA_FROM_OWNER": "_on_data",
+        "READ_NACK": "_on_read_nack",
+        "FWD_READ": "_answer_forwarded_read",
+    }
+
     def __init__(self, protocol: Protocol, core: Core) -> None:
         self.protocol = protocol
         self.core = core
@@ -85,25 +97,19 @@ class ProcessorEngine:
         self.node = core_node(core.core_id)
         self.obs: NullBus = NULL_BUS  #: instrumentation sink (repro.obs)
         core.engine = self
+        self._table = bind_handlers(self)
 
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
     def handle_message(self, msg: Message) -> None:
-        mtype = msg.mtype
-        if mtype in (MessageType.DATA_FROM_MEM, MessageType.DATA_FROM_SHARER,
-                     MessageType.DATA_FROM_OWNER):
-            self.core.on_data(msg.payload["line"])
-        elif mtype is MessageType.READ_NACK:
-            self.core.on_read_nack(msg.payload["line"])
-        elif mtype is MessageType.FWD_READ:
-            self._answer_forwarded_read(msg)
-        else:
-            self.handle_protocol_message(msg)
+        self._table[msg.mtype.index](msg)
 
-    def handle_protocol_message(self, msg: Message) -> None:
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot handle {msg.mtype}")
+    def _on_data(self, msg: Message) -> None:
+        self.core.on_data(msg.payload["line"])
+
+    def _on_read_nack(self, msg: Message) -> None:
+        self.core.on_read_nack(msg.payload["line"])
 
     def _answer_forwarded_read(self, msg: Message) -> None:
         """Supply a line to a remote requester (cache-to-cache transfer)."""

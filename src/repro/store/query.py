@@ -154,19 +154,24 @@ def check_regressions(store: ResultStore, kind: str, metric: str, *,
     For each series with at least two revisions among the last ``last``,
     the newest value is compared to the best older value (max for
     higher-is-better metrics, min for lower-is-better); a relative
-    slip beyond ``threshold`` is a regression.  A store holding a single
-    revision passes vacuously — a fresh store never gates.  A gate that
-    would compare nothing raises :class:`StoreError` instead of passing:
-    ok rows of ``kind`` of which none exposes ``metric`` (a misspelled
-    metric), or a window of two or more revisions in which no series
-    has a point in two of them (renamed series keys).
+    slip beyond ``threshold`` is a regression.  A store whose rows of
+    ``kind`` all sit at a single revision passes vacuously — a fresh
+    store never gates.  A gate that would compare nothing raises
+    :class:`StoreError` instead of passing: no ok row of ``kind`` at all
+    (a kind nothing writes any more), ok rows of which none exposes
+    ``metric`` (a misspelled metric), or a window of two or more
+    revisions in which no series has a point in two of them (renamed
+    series keys).
     """
     if lower_better is None:
         lower_better = metric_lower_is_better(metric)
     trends = trends_by_series(store, kind, metric, last=last,
                               normalize=normalize)
-    if not trends and store.query(kind, status=STATUS_OK, limit=1):
-        raise _unexposed_metric(store, kind, metric)
+    if not trends:
+        if store.query(kind, status=STATUS_OK, limit=1):
+            raise _unexposed_metric(store, kind, metric)
+        raise StoreError(f"the store holds no ok {kind} row, so the gate "
+                         f"would compare nothing")
     compared = {name: pts for name, pts in trends.items() if len(pts) >= 2}
     window = store.revisions(kind)[-last:]
     if len(window) >= 2 and not compared:

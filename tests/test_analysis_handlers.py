@@ -12,8 +12,7 @@ from repro.network.message import PIGGYBACKED_TYPES, SCALABLEBULK_TABLE1_TYPES
 
 PKG = Path(repro.__file__).resolve().parent
 DIR_ENGINE = "core/directory_engine.py"
-G_FAILURE_BRANCH = ("        elif mtype is MessageType.G_FAILURE:\n"
-                    "            self._on_g_failure(msg)\n")
+G_FAILURE_BRANCH = '        "G_FAILURE": "_on_g_failure",\n'
 
 
 def load_baseline() -> Baseline:

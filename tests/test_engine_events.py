@@ -225,6 +225,46 @@ class TestRunControl:
         with pytest.raises(RuntimeError, match="livelock"):
             sim.run(max_events=100)
 
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    def test_max_events_raises_after_exactly_n_events(self, n):
+        sim = Simulator()
+        fired = []
+        for i in range(40):
+            sim.schedule(i % 3, lambda i=i: fired.append(i))
+        with pytest.raises(RuntimeError, match=f"max_events={n}"):
+            sim.run(max_events=n)
+        assert len(fired) == sim.events_processed == n
+        assert sim.pending_events == 40 - n
+
+    def test_max_events_equal_to_the_work_still_raises(self):
+        """The bound counts events, not what is left: the N-th event
+        trips it even when the queue is then empty."""
+        sim = Simulator()
+        for i in range(3):
+            sim.schedule(i, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run(max_events=3)
+        assert sim.events_processed == 3 and sim.quiescent()
+
+    def test_events_processed_exact_after_a_raising_callback(self):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            raise KeyError("boom")
+
+        for t in range(3):
+            sim.schedule(t, lambda t=t: fired.append(t))
+        sim.schedule(3, boom)
+        sim.schedule(4, lambda: fired.append(4))
+        with pytest.raises(KeyError):
+            sim.run()
+        # the raising event is not counted; the rest stay queued
+        assert fired == [0, 1, 2] and sim.events_processed == 3
+        assert sim.now == 3 and sim.pending_events == 1
+        sim.run()
+        assert fired == [0, 1, 2, 4] and sim.events_processed == 4
+
     def test_quiescent_after_drain(self):
         sim = Simulator()
         sim.schedule(3, lambda: None)

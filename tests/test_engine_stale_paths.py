@@ -39,7 +39,7 @@ class TestScalableBulkEngineStale:
         acks = []
         # watch the leader dir for the ack
         d = m.directories[2]
-        orig = d.handle_protocol_message
+        orig = d._dispatch
 
         def spy(msg):
             if msg.mtype is MessageType.BULK_INV_ACK:
@@ -47,7 +47,7 @@ class TestScalableBulkEngineStale:
             else:
                 orig(msg)
 
-        d.handle_protocol_message = spy
+        d._dispatch = spy
         m.network.unicast(MessageType.BULK_INV, dir_node(2), core_node(0),
                           ctag=("w", 0), w_sig=sig, write_lines=(5,),
                           winner_order=(2,), leader=2)

@@ -5,11 +5,11 @@ import pytest
 from repro.analysis.cli import PASS_RULES
 from repro.analysis.findings import repo_paths
 from repro.analysis.flows import extract_flow_automaton, lint_flows, load_spec
-from repro.analysis.flows.automaton import _scan_gaps, build_automaton
+from repro.analysis.flows.automaton import build_automaton
 from repro.analysis.flows.rules import (_conformance, _dangling,
-                                        _dead_handlers, _dispatch_gaps,
-                                        _orphan_types, _reply_paths,
-                                        _silent_mutations)
+                                        _dead_handlers, _orphan_types,
+                                        _reply_paths, _silent_mutations,
+                                        _table_errors)
 from repro.analysis.flows.specs import (MessageDecls, ParsedSpec, SpecError,
                                         parse_spec)
 from repro.analysis.mutations import MUTATIONS
@@ -29,39 +29,38 @@ def keys(findings):
 TOY_PATH = "src/repro/toy.py"
 TOY_TYPES = ("PING", "PONG")
 
+TOY_DECLS = MessageDecls(types={"PING": 1, "PONG": 2})
+
+#: ToyDirectory's second entry names no method of it: the one gap
 TOY = '''
 class ToyEngine:
+    HANDLERS = {"PONG": "_on_pong"}
+
     def send_ping(self):
         self.network.unicast(MessageType.PING, self.node, dir_node(0),
                              ctag=1)
-
-    def handle_protocol_message(self, msg):
-        mtype = msg.mtype
-        if mtype is MessageType.PONG:
-            self._on_pong(msg)
-        else:
-            raise NotImplementedError(mtype)
 
     def _on_pong(self, msg):
         self.done = True
 
 
 class ToyDirectory:
-    def handle_protocol_message(self, msg):
-        mtype = msg.mtype
-        if mtype is MessageType.PING:
-            self._on_ping(msg)
+    HANDLERS = {"PING": "_on_ping", "PONG": "_on_pnog"}
 
     def _on_ping(self, msg):
         self.network.unicast(MessageType.PONG, self.node, msg.src,
                              ctag=msg.ctag)
 '''
+NO_PONG_HANDLER = ('HANDLERS = {"PONG": "_on_pong"}', "HANDLERS = {}")
 
 
 def toy_automaton(source=TOY, types=TOY_TYPES):
-    classes = _extract_source(TOY_PATH, source)
-    gaps = _scan_gaps(TOY_PATH, source)
-    return build_automaton("toy", types, classes, gaps)
+    return build_automaton("toy", types, _extract_source(TOY_PATH, source))
+
+
+def toy_table_errors(source=TOY):
+    return {f.anchor for f in _table_errors(
+        _extract_source(TOY_PATH, source), TOY_DECLS)}
 
 
 def toy_spec(**overrides):
@@ -95,10 +94,26 @@ class TestToyExtraction:
         auto = toy_automaton()
         assert [s.mtype for s in auto.reactions[("dir", "PING")]] == ["PONG"]
 
-    def test_dispatch_gap_found_only_where_else_is_missing(self):
-        auto = toy_automaton()
-        assert [g.qualname for g in auto.gaps] == \
-            ["ToyDirectory.handle_protocol_message"]
+    def test_dispatch_gap_found_only_where_the_table_is_malformed(self):
+        assert toy_table_errors() == {"ToyDirectory.HANDLERS:PONG"}
+
+    def test_table_keys_types_and_values_methods_of_the_class_or_a_base(
+            self):
+        source = TOY.replace('"PONG": "_on_pong"', '"PONG": "_on_pongg"')
+        source += ("\n\nclass ToyChild(ToyEngine):\n"
+                   "    HANDLERS = {\"PING\": \"send_ping\"}\n"
+                   "\n\nclass ToyStray(Unscanned):\n"   # base not extracted
+                   "    HANDLERS = {\"PING\": \"inherited\"}\n")
+        source = source.replace('"PING": "_on_ping"', '"PYNG": "_on_ping"')
+        assert toy_table_errors(source) == {"ToyDirectory.HANDLERS:PONG",
+                                            "ToyDirectory.HANDLERS:PYNG",
+                                            "ToyEngine.HANDLERS:PONG"}
+
+    def test_non_literal_table_is_a_gap(self):
+        source = TOY.replace('HANDLERS = {"PONG": "_on_pong"}',
+                             'HANDLERS = dict(PONG="_on_pong")')
+        assert toy_table_errors(source) == {"ToyDirectory.HANDLERS:PONG",
+                                            "ToyEngine.HANDLERS"}
 
 
 class TestToyRules:
@@ -108,12 +123,11 @@ class TestToyRules:
         assert _dangling(auto, set()) == []
         assert _conformance(auto, parsed, set()) == []
         assert _reply_paths(auto, parsed) == []
-        assert {f.code for f in _dispatch_gaps(auto)} == {"SB604"}
+        assert {f.code for f in _table_errors(
+            _extract_source(TOY_PATH, TOY), TOY_DECLS)} == {"SB604"}
 
     def test_sb601_never_handled(self):
-        source = TOY.replace("        if mtype is MessageType.PONG:\n"
-                             "            self._on_pong(msg)\n"
-                             "        else:\n", "        if True:\n")
+        source = TOY.replace(*NO_PONG_HANDLER)
         auto = toy_automaton(source)
         assert f"SB601 {TOY_PATH}::toy/PONG:never-handled" in \
             keys(_dangling(auto, set()))
@@ -128,9 +142,7 @@ class TestToyRules:
         assert f"SB601 {TOY_PATH}::toy/PING:never-sent" in got
 
     def test_sb601_exempt_types_are_skipped(self):
-        source = TOY.replace("        if mtype is MessageType.PONG:\n"
-                             "            self._on_pong(msg)\n"
-                             "        else:\n", "        if True:\n")
+        source = TOY.replace(*NO_PONG_HANDLER)
         auto = toy_automaton(source)
         assert _dangling(auto, exempt={"PONG", "PING"}) == []
 
@@ -281,7 +293,6 @@ class TestNominalTree:
             assert auto.types, family
             assert auto.sends, family
             assert not auto.unresolved(), family
-            assert not auto.gaps, family
 
     def test_nominal_tree_is_flow_clean(self):
         assert lint_flows() == []

@@ -59,6 +59,16 @@ class TestDelivery:
         per_hop = config.link_latency_cycles + config.router_latency_cycles
         assert times[0] >= hops * per_hop
 
+    def test_post_sends_the_payload_itself(self):
+        _, sim, net = make_net()
+        got = []
+        net.register(core_node(1), got.append)
+        payload = {"line": 5}
+        msg = net.post(MessageType.READ_NACK, core_node(0), core_node(1),
+                       "c", payload)
+        sim.run()
+        assert got == [msg] and msg.payload is payload and msg.ctag == "c"
+
     def test_multicast_reaches_all(self):
         _, sim, net = make_net(n_cores=9)
         got = []
@@ -199,17 +209,44 @@ class TestDeliveryEvent:
         sim.run()
         assert got[0] is big and got[1] is small and len(got) == 2
 
+    def test_flows_sharing_links_queue_per_link_and_clamp_per_flow(self):
+        """16 cores: core 0 -> 2 crosses links 0->1 and 1->2, core 1 -> 2
+        only 1->2.  The second flow's packet queues behind the first on
+        the shared link; each flow's FIFO clamp holds only its own later
+        packets.  Every send queues one event, at now + its latency."""
+        _, sim, net = make_net(n_cores=16, contention=True)
+        got = []
+        net.register(core_node(2), got.append)
+        # hold the signature carrier 10 cycles so its flow's clamp binds
+        net.delay_hook = lambda msg, latency: (
+            10 if msg.mtype is MessageType.COMMIT_REQUEST else 0)
+        a1 = Message(MessageType.COMMIT_REQUEST, core_node(0), core_node(2))
+        b = Message(MessageType.G_SUCCESS, core_node(1), core_node(2))
+        a2 = Message(MessageType.G_SUCCESS, core_node(0), core_node(2))
+        # 8 cycles per hop; 200 B serialize in 7 cycles, 16 B in 1.
+        # a1: 0->1 at 0, 1->2 at 8, tail drains at 23, +10 hook = 33.
+        # b: waits for 1->2 until 15, arrives 15 + 8 + 1 = 24.
+        # a2: 0->1 at 7, 1->2 at 16, arrives 25, clamped behind a1: 33.
+        assert [net.send(m) for m in (a1, b, a2)] == [33, 24, 33]
+        assert [(t, ev.tag) for t, _, ev in sorted(sim._heap)] == \
+            [(24, b), (33, a1), (33, a2)]
+        assert sim.pending_events == 3
+        assert net.link_utilization_snapshot() == {(0, 1): 8, (1, 2): 17}
+        sim.run()
+        assert got == [b, a1, a2]
+
     def test_unregistered_destination_leaves_queued_deliveries_alone(self):
         _, sim, net = make_net()
         net.register(core_node(3), lambda m: None)
         net.unicast(MessageType.G, core_node(0), core_node(3), ctag="c")
         heap, pending = list(sim._heap), sim.pending_events
-        flows, stats = dict(net._last_delivery), net.stats.total_messages
+        flows = {flow: list(record) for flow, record in net._flows.items()}
+        links, stats = list(net._link_free), net.stats.total_messages
         stray = Message(MessageType.G, core_node(0), core_node(2))
         with pytest.raises(KeyError):
             net.send(stray)
         assert sim._heap == heap and sim.pending_events == pending
-        assert net._last_delivery == flows
+        assert net._flows == flows and net._link_free == links
         assert net.stats.total_messages == stats
         assert stray.sent_at == -1
 
@@ -398,7 +435,7 @@ class TestSendFailureAtomicity:
         assert msg.sent_at == -1           # never stamped
         assert net.stats.total_messages == 0
         assert net.stats.total_bytes == 0
-        assert not net._last_delivery      # no FIFO clamp entry
+        assert not net._flows              # no flow record, no FIFO clamp
         assert not net.link_utilization_snapshot()
         assert sim.pending_events == 0     # no delivery scheduled
 

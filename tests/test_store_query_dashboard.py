@@ -135,6 +135,29 @@ class TestCheckRegressions:
         with pytest.raises(StoreError, match="compare nothing"):
             query.check_regressions(store, KIND_SWEEP, "cycles_per_sec")
 
+    def test_kind_with_no_rows_raises(self, store):
+        """A gate on a kind nothing writes must not pass as "0 of 0"."""
+        put_series(store, KIND_SWEEP, "s", {"r1": 100.0, "r2": 50.0})
+        with pytest.raises(StoreError, match="no ok bench_micro row"):
+            query.check_regressions(store, KIND_BENCH_MICRO, "ops_per_sec")
+        with pytest.raises(StoreError, match="compare nothing"):
+            query.check_regressions(store, KIND_BENCH_MACRO,
+                                    "cycles_per_sec")
+
+    def test_cli_kind_with_no_rows_exits_2(self, tmp_path, capsys):
+        repo = Path(__file__).resolve().parent.parent
+        db = str(tmp_path / "t.db")
+        assert store_cli.main(
+            ["ingest", str(repo / "BENCH_2026-08-05.json"), "--store",
+             db]) == 0
+        assert store_cli.main(
+            ["check", "--store", db, "--kind", "bench_micro", "--metric",
+             "ops_per_sec", "--threshold", "0.10"]) == 0   # one revision
+        assert store_cli.main(
+            ["check", "--store", db, "--kind", "bench_macro", "--metric",
+             "cycles_per_sec", "--threshold", "0.10"]) == 2
+        assert "no ok bench_macro row" in capsys.readouterr().err
+
     def test_cli_misspelled_metric_exits_2(self, tmp_path, capsys):
         repo = Path(__file__).resolve().parent.parent
         db = str(tmp_path / "t.db")

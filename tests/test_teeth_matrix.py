@@ -16,6 +16,7 @@ from repro.analysis.explore.scenarios import SCENARIOS, build_machine
 from repro.analysis.mutations import (MUTATIONS, PASSES, STATIC_PASSES,
                                      Mutation)
 from repro.core.directory_engine import ScalableBulkDirectory
+from repro.network.message import Message, MessageType, dir_node
 from teeth import assert_cell
 
 #: a bug no machine runs has only static cells
@@ -63,6 +64,32 @@ class TestBinder:
         assert fresh._on_bulk_inv_nack.__func__ is real
         assert (sys.modules["repro.core.directory_engine"]
                 .ScalableBulkDirectory is ScalableBulkDirectory)
+
+    def test_rebinds_the_table_onto_doctored_methods(self):
+        """The directory's table bound the real ``_on_bulk_inv_nack`` at
+        build: a delivered BULK_INV_NACK must reach the doctored one."""
+        machine = build_machine(SCENARIOS["nack3"])
+        MUTATIONS["drop-commit-nack"].apply(machine)
+        index = MessageType.BULK_INV_NACK.index
+        for directory in machine.directories:
+            handler = directory._table[index]
+            assert handler == directory._on_bulk_inv_nack
+            assert handler.__func__ is not \
+                ScalableBulkDirectory._on_bulk_inv_nack
+
+    def test_rebinds_the_table_from_a_doctored_handlers_literal(self):
+        """delete-handler edits only ``HANDLERS``: after apply a G_SUCCESS
+        hits the unknown-type error instead of the real handler."""
+        machine = build_machine(SCENARIOS["cross3"])
+        MUTATIONS["delete-handler"].apply(machine)
+        directory = machine.directories[0]
+        msg = Message(MessageType.G_SUCCESS, dir_node(1), directory.node,
+                      ctag=("c", 0))
+        with pytest.raises(NotImplementedError, match="G_SUCCESS"):
+            directory.handle_message(msg)
+        assert (build_machine(SCENARIOS["cross3"]).directories[0]
+                ._table[MessageType.G_SUCCESS.index].__name__
+                == "_on_g_success")
 
     def test_refuses_a_bug_no_built_object_runs(self):
         """A transform that only adds an unbuilt class changes nothing
